@@ -164,7 +164,7 @@ def _matrix(value, path, errors):
     return rows
 
 
-def _point_list(obj, key, path_prefix, errors):
+def _point_list(obj, key, errors):
     if key not in obj:
         errors.append((key, "required"))
         return None
@@ -182,8 +182,8 @@ def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
     if mode == "pairs":
         if "nodes" in doc:
             errors.append(("nodes", "not allowed in pairs mode"))
-        tx = _point_list(doc, "transmitters", "", errors)
-        rx = _point_list(doc, "receivers", "", errors)
+        tx = _point_list(doc, "transmitters", errors)
+        rx = _point_list(doc, "receivers", errors)
         if tx is None or rx is None:
             return None
         if len(tx) != len(rx):
@@ -204,7 +204,7 @@ def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
     for key in ("transmitters", "receivers"):
         if key in doc:
             errors.append((key, "not allowed in txrx mode"))
-    nodes = _point_list(doc, "nodes", "", errors)
+    nodes = _point_list(doc, "nodes", errors)
     if nodes is None:
         return None
     try:
@@ -336,7 +336,7 @@ def _parse_simulate(doc, mode, n, errors):
         return None, 1
     _reject_unknown(obj, {"reps", "seed", "targets", "delay_cap", "workers"}, "simulate", errors)
     reps = _get_int(obj, "reps", "simulate.", errors, minimum=1, required=True)
-    seed = _get_int(obj, "seed", "simulate.", errors, required=True)
+    seed = _get_int(obj, "seed", "simulate.", errors, minimum=0, required=True)
     delay_cap = _get_int(obj, "delay_cap", "simulate.", errors, minimum=1,
                          default=_montecarlo.DEFAULT_DELAY_CAP)
     workers = _get_int(obj, "workers", "simulate.", errors, minimum=1, default=1)
@@ -578,29 +578,6 @@ def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None
     return 0
 
 
-def _closed_pair_forms(cfg, K):
-    closed = []
-    for i in range(cfg.geometry.n):
-        try:
-            closed.append(_coverage.pair_coverage(cfg.geometry, K, i, cfg.params))
-        except DetschedError:
-            closed.append(None)
-    return closed
-
-
-def _closed_txrx_forms(cfg, K):
-    closed = {}
-    for i in range(cfg.geometry.n):
-        for j in range(cfg.geometry.n):
-            if i == j:
-                continue
-            try:
-                closed[(i, j)] = _coverage.txrx_coverage(cfg.geometry, K, i, j, cfg.params)
-            except DetschedError:
-                closed[(i, j)] = None
-    return closed
-
-
 def _z_score(closed, estimate, std_error):
     if closed is None:
         return None
@@ -608,6 +585,16 @@ def _z_score(closed, estimate, std_error):
     if std_error > 0:
         return diff / std_error
     return 0.0 if diff == 0.0 else None
+
+
+def _check_flags(flags: dict):
+    """Raise ConfigError for command-line flags below their minimum, as the
+    matching config keys would be; ``flags`` maps a flag to (value, minimum)
+    and unset flags (None) pass."""
+    problems = [(flag, f"must be >= {low}, got {v}")
+                for flag, (v, low) in flags.items() if v is not None and v < low]
+    if problems:
+        raise ConfigError(problems)
 
 
 def cmd_simulate(
@@ -619,6 +606,7 @@ def cmd_simulate(
     workers: Optional[int] = None,
 ) -> int:
     """Monte Carlo estimates side by side with the closed forms."""
+    _check_flags({"--reps": (reps, 1), "--seed": (seed, 0), "--workers": (workers, 1)})
     base = cfg.plan
     problems = []
     if reps is None and base is None:
@@ -635,45 +623,24 @@ def cmd_simulate(
     )
     nworkers = workers if workers is not None else cfg.workers
     L = build_L(cfg.kernel_spec, cfg.geometry)
-    K = l_to_k(L)
+    report = _coverage.full_report(cfg.geometry, l_to_k(L), cfg.params)
+    closed = {lr.transmitter if lr.receiver is None else (lr.transmitter, lr.receiver):
+              lr.coverage for lr in report.links}
+    found = []
+    if plan.wants("coverage"):
+        ests = _montecarlo._simulate_coverage(cfg.geometry, L, cfg.params, plan)
+        found += [("coverage", key, closed[key], est, None) for key, est in sorted(ests.items())]
+    if plan.wants("delay"):
+        delays = _montecarlo.simulate_local_delay(
+            cfg.geometry, L, cfg.params, plan, links=plan.delay_links(), workers=nworkers
+        )
+        found += [("delay", key, (1.0 / closed[key]) if closed[key] else None, est, est.censored)
+                  for key, est in sorted(delays.items())]
     rows = []
-    if cfg.mode == "pairs":
-        closed = _closed_pair_forms(cfg, K)
-        if plan.wants("coverage"):
-            for i, est in enumerate(
-                _montecarlo.simulate_pair_coverage(cfg.geometry, L, cfg.params, plan, nworkers)
-            ):
-                rows.append(("coverage", i, None, closed[i], est.mean, est.std_error,
-                             _z_score(closed[i], est.mean, est.std_error), None))
-        if plan.wants("delay"):
-            delays = _montecarlo.simulate_local_delay(
-                cfg.geometry, L, cfg.params, plan, links=plan.delay_links(), workers=nworkers
-            )
-            for link in sorted(delays):
-                c = closed[link]
-                closed_delay = (1.0 / c) if c else None
-                est = delays[link]
-                rows.append(("delay", link, None, closed_delay, est.mean, est.std_error,
-                             _z_score(closed_delay, est.mean, est.std_error), est.censored))
-    else:
-        closed = _closed_txrx_forms(cfg, K)
-        if plan.wants("coverage"):
-            ests = _montecarlo.simulate_txrx(cfg.geometry, L, cfg.params, plan, nworkers)
-            for key in sorted(ests):
-                est = ests[key]
-                c = closed[key]
-                rows.append(("coverage", key[0], key[1], c, est.mean, est.std_error,
-                             _z_score(c, est.mean, est.std_error), None))
-        if plan.wants("delay"):
-            delays = _montecarlo.simulate_local_delay(
-                cfg.geometry, L, cfg.params, plan, links=plan.delay_links(), workers=nworkers
-            )
-            for key in sorted(delays):
-                c = closed[key]
-                closed_delay = (1.0 / c) if c else None
-                est = delays[key]
-                rows.append(("delay", key[0], key[1], closed_delay, est.mean, est.std_error,
-                             _z_score(closed_delay, est.mean, est.std_error), est.censored))
+    for target, key, c, est, censored in found:
+        tx, rx = (key, None) if isinstance(key, int) else key
+        rows.append((target, tx, rx, c, est.mean, est.std_error,
+                     _z_score(c, est.mean, est.std_error), censored))
     header = ["target", "transmitter", "receiver", "closed_form", "estimate",
               "std_error", "z_score", "censored"]
     if fmt == "csv":
@@ -714,8 +681,7 @@ def cmd_sample(
     Draw k uses substream(seed, k), so any prefix of the output is stable
     under a larger count.
     """
-    if count < 1:
-        raise ConfigError([("count", f"must be >= 1, got {count}")])
+    _check_flags({"--count": (count, 1), "--seed": (seed, 0)})
     if seed is None:
         if cfg.plan is None:
             raise ConfigError(

@@ -8,6 +8,14 @@ average factors into one discount per interferer, so the whole coverage
 probability collapses to a determinant of a scaled Palm kernel times a
 noise discount.  Local delay statistics follow from coverage through the
 geometric law of the first successful slot.
+
+Every link is one row (transmitter, receiver slot, silent node) of the
+geometry's link table, and one code path evaluates it.  In txrx mode the
+receiving node belongs to the scheduled set and must stay silent: the
+formula gains the semi-reduced Palm correction and a rescaling by the
+probability the node is silent.  A pairs link has no silent node (-1), so
+that correction vanishes and the same code computes the plain Palm
+determinant.
 """
 
 import hashlib
@@ -20,7 +28,6 @@ import numpy as np
 from .dpp import (
     CLAMP_TOL,
     PALM_PIVOT_TOL,
-    _clamp01,
     palm_reduced,
     palm_semi_reduced,
     scale_kernel,
@@ -50,6 +57,23 @@ def _check_index(i: int, n: int, what: str):
         raise BadArgument(f"{what} index {i!r} out of range for {n} nodes")
 
 
+def _pair_link(geometry, K, link: int) -> tuple:
+    """Validated link-table row of dedicated link ``link``."""
+    _require(geometry, K, "pairs")
+    _check_index(link, K.n, "link")
+    return link, link, -1
+
+
+def _txrx_link(geometry, K, transmitter: int, receiver: int) -> tuple:
+    """Validated link-table row of the link transmitter -> receiver."""
+    _require(geometry, K, "txrx")
+    _check_index(transmitter, K.n, "transmitter")
+    _check_index(receiver, K.n, "receiver")
+    if transmitter == receiver:
+        raise SameNode(f"node {transmitter} cannot transmit to itself")
+    return transmitter, receiver, receiver
+
+
 def _discounts(geometry, params, transmitter: int, slot: int):
     """Per-interferer coverage discounts at the link's receiver, for every
     node except the transmitter, in ground-set order.  Also returns the
@@ -67,21 +91,73 @@ def _discounts(geometry, params, transmitter: int, slot: int):
     return vals, d_sig
 
 
+def _selection(K: MarginalKernel, t: int, s: int) -> float:
+    """Probability the transmitter is scheduled and silent node ``s`` (if
+    any, i.e. s >= 0) is not, floored at 0."""
+    if s < 0:
+        return max(float(K.matrix[t, t]), 0.0)
+    pair = K.matrix[np.ix_((t, s), (t, s))]
+    return max(float(K.matrix[t, t]) - float(np.linalg.det(pair)), 0.0)
+
+
+def _conditional_raw(geometry, K, params, t: int, p: int, s: int,
+                     use_semi_reduced: Optional[bool] = None) -> float:
+    """Unclamped coverage of the link from ``t`` to receiver slot ``p``,
+    given ``t`` is scheduled and silent node ``s`` (if s >= 0) is not.
+
+    The one-fold Palm determinant times the noise discount; a silent node
+    scheduled with conditional probability q subtracts q times the
+    determinant of the kernel that also retains it, and rescales by 1 - q.
+    With no silent node q = 0 and both steps are exact no-ops.  With
+    ``use_semi_reduced`` unset the correction is skipped when the path loss
+    is singular at zero: the silent node's own discount is then exactly 0,
+    which forces the correction's determinant to 0.
+    """
+    tx_id = K.node_ids[t]
+    palm = palm_reduced(K, tx_id)
+    q = 0.0
+    if s >= 0:
+        rx_id = K.node_ids[s]
+        q = float(palm.matrix[palm.index(rx_id), palm.index(rx_id)])
+        if q >= 1.0 - CLAMP_TOL:
+            raise AlwaysScheduledReceiver(
+                f"node {s} transmits with conditional probability {q:.12g}, "
+                "so it can never listen"
+            )
+    hv, d_sig = _discounts(geometry, params, t, p)
+    m = K.n - 1
+    det1 = float(np.linalg.det(np.eye(m) - scale_kernel(palm.matrix, hv)))
+    if use_semi_reduced is None:
+        use_semi_reduced = not params.pathloss.singular_at_zero
+    term = 0.0
+    if use_semi_reduced and q > PALM_PIVOT_TOL:
+        semi = palm_semi_reduced(K, tx_id, rx_id)
+        det2 = float(np.linalg.det(np.eye(m) - scale_kernel(semi.matrix, hv)))
+        term = q * det2
+    return (noise_factor(d_sig, params) / (1.0 - q)) * (det1 - term)
+
+
+def _unit(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+def _coverage(geometry, K, params, t: int, p: int, s: int) -> float:
+    sel = _selection(K, t, s)
+    if sel <= PALM_PIVOT_TOL:
+        return 0.0
+    return sel * _unit(_conditional_raw(geometry, K, params, t, p, s))
+
+
 def conditional_pair_coverage(
     geometry: NetworkGeometry, K: MarginalKernel, link: int, params: PropagationParams
 ) -> float:
     """Coverage of dedicated link ``link`` given its transmitter is scheduled.
 
     det(I - Palm kernel scaled by the interferer discounts) times the noise
-    discount.  The Palm step raises NeverScheduled for a transmitter with
-    zero scheduling probability.
+    discount, clamped to [0, 1].  The Palm step raises NeverScheduled for a
+    transmitter with zero scheduling probability.
     """
-    _require(geometry, K, "pairs")
-    _check_index(link, K.n, "link")
-    palm = palm_reduced(K, K.node_ids[link])
-    hv, d_sig = _discounts(geometry, params, link, link)
-    det = float(np.linalg.det(np.eye(K.n - 1) - scale_kernel(palm.matrix, hv)))
-    return _clamp01(det * noise_factor(d_sig, params))
+    return _unit(_conditional_raw(geometry, K, params, *_pair_link(geometry, K, link)))
 
 
 def pair_coverage(
@@ -92,12 +168,7 @@ def pair_coverage(
     Scheduling probability times conditional coverage; exactly 0 for a
     never-scheduled transmitter.
     """
-    _require(geometry, K, "pairs")
-    _check_index(link, K.n, "link")
-    sel = float(K.matrix[link, link])
-    if sel <= PALM_PIVOT_TOL:
-        return 0.0
-    return sel * conditional_pair_coverage(geometry, K, link, params)
+    return _coverage(geometry, K, params, *_pair_link(geometry, K, link))
 
 
 def coverage_kernel(
@@ -109,8 +180,7 @@ def coverage_kernel(
     I - K'{h} on the other nodes, the entry w * K_ll at (link, link), and
     zero cross terms.
     """
-    _require(geometry, K, "pairs")
-    _check_index(link, K.n, "link")
+    _pair_link(geometry, K, link)
     n = K.n
     palm = palm_reduced(K, K.node_ids[link])
     hv, d_sig = _discounts(geometry, params, link, link)
@@ -119,43 +189,6 @@ def coverage_kernel(
     out[np.ix_(others, others)] = np.eye(n - 1) - scale_kernel(palm.matrix, hv)
     out[link, link] = noise_factor(d_sig, params) * float(K.matrix[link, link])
     return out
-
-
-def _txrx_conditional_raw(
-    geometry: NetworkGeometry,
-    K: MarginalKernel,
-    transmitter: int,
-    receiver: int,
-    params: PropagationParams,
-    use_semi_reduced: Optional[bool],
-) -> float:
-    _require(geometry, K, "txrx")
-    _check_index(transmitter, K.n, "transmitter")
-    _check_index(receiver, K.n, "receiver")
-    if transmitter == receiver:
-        raise SameNode(f"node {transmitter} cannot transmit to itself")
-    tx_id = K.node_ids[transmitter]
-    rx_id = K.node_ids[receiver]
-    palm = palm_reduced(K, tx_id)
-    q = float(palm.matrix[palm.index(rx_id), palm.index(rx_id)])
-    if q >= 1.0 - CLAMP_TOL:
-        raise AlwaysScheduledReceiver(
-            f"node {receiver} transmits with conditional probability {q:.12g}, "
-            "so it can never listen"
-        )
-    hv, d_sig = _discounts(geometry, params, transmitter, receiver)
-    m = K.n - 1
-    det1 = float(np.linalg.det(np.eye(m) - scale_kernel(palm.matrix, hv)))
-    if use_semi_reduced is None:
-        # under a path loss singular at zero the receiver's own discount is
-        # exactly 0, which forces the semi-reduced determinant to 0; skip it
-        use_semi_reduced = not params.pathloss.singular_at_zero
-    term = 0.0
-    if use_semi_reduced and q > PALM_PIVOT_TOL:
-        semi = palm_semi_reduced(K, tx_id, rx_id)
-        det2 = float(np.linalg.det(np.eye(m) - scale_kernel(semi.matrix, hv)))
-        term = q * det2
-    return (noise_factor(d_sig, params) / (1.0 - q)) * (det1 - term)
 
 
 def txrx_conditional_coverage(
@@ -172,15 +205,13 @@ def txrx_conditional_coverage(
     Both nodes belong to the same scheduled set, so the receiver's own
     potential transmission is averaged out: the one-fold Palm determinant
     minus the receiver-retained two-fold correction, rescaled by the
-    conditional probability the receiver stays silent.  With
-    ``use_semi_reduced`` unset the correction is skipped automatically
+    conditional probability the receiver stays silent, clamped to [0, 1].
+    With ``use_semi_reduced`` unset the correction is skipped automatically
     when the path loss is singular at zero (it vanishes identically);
     forcing it on or off selects the variant explicitly.
     """
-    raw = _txrx_conditional_raw(
-        geometry, K, transmitter, receiver, params, use_semi_reduced
-    )
-    return min(max(raw, 0.0), 1.0)
+    row = _txrx_link(geometry, K, transmitter, receiver)
+    return _unit(_conditional_raw(geometry, K, params, *row, use_semi_reduced))
 
 
 def txrx_coverage(
@@ -196,16 +227,7 @@ def txrx_coverage(
     times the conditional coverage; exactly 0 when that event has
     (near-)zero probability.
     """
-    _require(geometry, K, "txrx")
-    _check_index(transmitter, K.n, "transmitter")
-    _check_index(receiver, K.n, "receiver")
-    if transmitter == receiver:
-        raise SameNode(f"node {transmitter} cannot transmit to itself")
-    pair = K.matrix[np.ix_((transmitter, receiver), (transmitter, receiver))]
-    sel = float(K.matrix[transmitter, transmitter]) - float(np.linalg.det(pair))
-    if sel <= PALM_PIVOT_TOL:
-        return 0.0
-    return sel * txrx_conditional_coverage(geometry, K, transmitter, receiver, params)
+    return _coverage(geometry, K, params, *_txrx_link(geometry, K, transmitter, receiver))
 
 
 @dataclass(frozen=True)
@@ -272,36 +294,24 @@ def kernel_fingerprint(K: MarginalKernel) -> str:
     return h.hexdigest()
 
 
-def _pairs_link_report(geometry, K, i, params) -> LinkReport:
-    sel = float(K.matrix[i, i])
-    if sel <= PALM_PIVOT_TOL:
-        return LinkReport(i, None, sel, None, 0.0, math.inf, flags=("never_scheduled",))
-    try:
-        cond = conditional_pair_coverage(geometry, K, i, params)
-    except DetschedError as e:
-        return LinkReport(i, None, sel, None, None, None, error=str(e))
-    cov = sel * cond
-    return LinkReport(i, None, sel, cond, cov, local_delay(cov).mean)
-
-
-def _txrx_link_report(geometry, K, i, j, params) -> LinkReport:
-    pair = K.matrix[np.ix_((i, j), (i, j))]
-    sel = max(float(K.matrix[i, i]) - float(np.linalg.det(pair)), 0.0)
+def _link_report(geometry, K, params, t: int, p: int, s: int) -> LinkReport:
+    rx = None if s < 0 else p
+    sel = _selection(K, t, s)
     if sel <= PALM_PIVOT_TOL:
         flag = (
             "never_scheduled"
-            if float(K.matrix[i, i]) <= PALM_PIVOT_TOL
+            if float(K.matrix[t, t]) <= PALM_PIVOT_TOL
             else "receiver_always_scheduled"
         )
-        return LinkReport(i, j, sel, None, 0.0, math.inf, flags=(flag,))
+        return LinkReport(t, rx, sel, None, 0.0, math.inf, flags=(flag,))
     try:
-        raw = _txrx_conditional_raw(geometry, K, i, j, params, None)
+        raw = _conditional_raw(geometry, K, params, t, p, s)
     except DetschedError as e:
-        return LinkReport(i, j, sel, None, None, None, error=str(e))
-    cond = min(max(raw, 0.0), 1.0)
+        return LinkReport(t, rx, sel, None, None, None, error=str(e))
+    cond = _unit(raw)
     flags = ("clamped",) if abs(raw - cond) > 1e-9 else ()
     cov = sel * cond
-    return LinkReport(i, j, sel, cond, cov, local_delay(cov).mean, flags=flags)
+    return LinkReport(t, rx, sel, cond, cov, local_delay(cov).mean, flags=flags)
 
 
 def full_report(
@@ -309,24 +319,18 @@ def full_report(
 ) -> CoverageReport:
     """Coverage, conditional coverage, and mean delay for every link.
 
-    Pairs mode reports one entry per dedicated link; txrx mode one entry
-    per ordered node pair.  Per-link failures are captured as error
-    strings rather than aborting the report.
+    One entry per row of the geometry's link table: per dedicated link in
+    pairs mode, per ordered node pair in txrx mode.  Per-link failures are
+    captured as error strings rather than aborting the report.
     """
     if K.n != geometry.n:
         raise BadArgument(f"kernel has {K.n} nodes but geometry has {geometry.n}")
-    links = []
-    if geometry.mode == "pairs":
-        for i in range(geometry.n):
-            links.append(_pairs_link_report(geometry, K, i, params))
-    else:
-        for i in range(geometry.n):
-            for j in range(geometry.n):
-                if i != j:
-                    links.append(_txrx_link_report(geometry, K, i, j, params))
+    links = tuple(
+        _link_report(geometry, K, params, t, p, s) for t, p, s in geometry.links().tolist()
+    )
     return CoverageReport(
         mode=geometry.mode,
-        links=tuple(links),
+        links=links,
         kernel_fingerprint=kernel_fingerprint(K),
         params=params,
     )

@@ -17,12 +17,11 @@ from .errors import (
     BadArgument,
     BadFunction,
     BadScaling,
-    BadSubset,
     EnumerationTooLarge,
     NeverScheduled,
     SameNode,
 )
-from .kernels import LEnsemble, MarginalKernel, _frozen
+from .kernels import LEnsemble, MarginalKernel, _NodeIndexed, _frozen
 
 PALM_PIVOT_TOL = 1e-12
 CLAMP_TOL = 1e-12
@@ -30,7 +29,7 @@ ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
-class PalmKernel:
+class PalmKernel(_NodeIndexed):
     """Marginal kernel of the scheduling law conditioned on given nodes.
 
     ``conditioned_on`` records the conditioning steps as (node, kind) pairs,
@@ -41,16 +40,6 @@ class PalmKernel:
     matrix: np.ndarray
     node_ids: tuple
     conditioned_on: tuple
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def index(self, node) -> int:
-        try:
-            return self.node_ids.index(node)
-        except ValueError:
-            raise BadSubset(f"unknown node id {node!r}") from None
 
 
 AnyMarginal = Union[MarginalKernel, PalmKernel]
@@ -70,12 +59,7 @@ def inclusion_probability(K: AnyMarginal, nodes) -> float:
     The determinant of the kernel submatrix on ``nodes``; 1 for the empty
     set.
     """
-    if isinstance(K, PalmKernel):
-        idx = np.array([K.index(x) for x in nodes], dtype=np.intp)
-        if len(set(nodes)) != idx.size:
-            raise BadSubset("duplicate node ids in subset")
-    else:
-        idx = K.indices(nodes)
+    idx = K.indices(nodes)
     if idx.size == 0:
         return 1.0
     sub = K.matrix[np.ix_(idx, idx)]
@@ -197,7 +181,7 @@ def palm_semi_reduced(kernel: AnyMarginal, first, second) -> PalmKernel:
 
 
 def _matrix_and_ids(kernel_or_matrix):
-    if isinstance(kernel_or_matrix, (MarginalKernel, LEnsemble, PalmKernel)):
+    if isinstance(kernel_or_matrix, _NodeIndexed):
         return kernel_or_matrix.matrix, kernel_or_matrix.node_ids
     a = np.asarray(kernel_or_matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -62,8 +62,36 @@ def _resolve_ids(node_ids, n: int) -> tuple:
     return ids
 
 
+class _NodeIndexed:
+    """Ground-set bookkeeping shared by the kernel types: rows and columns
+    of ``matrix`` follow ``node_ids``."""
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    def index(self, node: NodeId) -> int:
+        try:
+            return self.node_ids.index(node)
+        except ValueError:
+            raise BadSubset(f"unknown node id {node!r}") from None
+
+    def indices(self, nodes) -> np.ndarray:
+        nodes = list(nodes)
+        if len(set(nodes)) != len(nodes):
+            raise BadSubset("duplicate node ids in subset")
+        return np.array([self.index(x) for x in nodes], dtype=np.intp)
+
+    @classmethod
+    def _from_eigh(cls, matrix, node_ids, vals, vecs):
+        """Kernel on ``matrix`` with its eigendecomposition already known."""
+        obj = cls(_frozen(matrix), node_ids)
+        obj.__dict__["eigh"] = (_frozen(vals), _frozen(vecs))
+        return obj
+
+
 @dataclass(frozen=True)
-class MarginalKernel:
+class MarginalKernel(_NodeIndexed):
     """Symmetric matrix with spectrum in [0, 1], indexed by node id.
 
     Entry (i, i) is the probability node i is scheduled; the determinant of
@@ -91,36 +119,14 @@ class MarginalKernel:
             a = (a + a.T) / 2.0
         return cls._from_eigh(a, _resolve_ids(node_ids, a.shape[0]), clipped, vecs)
 
-    @classmethod
-    def _from_eigh(cls, matrix, node_ids, vals, vecs):
-        obj = cls(_frozen(matrix), node_ids)
-        obj.__dict__["eigh"] = (_frozen(vals), _frozen(vecs))
-        return obj
-
     @cached_property
     def eigh(self):
         vals, vecs = np.linalg.eigh(self.matrix)
         return _frozen(vals), _frozen(vecs)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def index(self, node: NodeId) -> int:
-        try:
-            return self.node_ids.index(node)
-        except ValueError:
-            raise BadSubset(f"unknown node id {node!r}") from None
-
-    def indices(self, nodes) -> np.ndarray:
-        nodes = list(nodes)
-        if len(set(nodes)) != len(nodes):
-            raise BadSubset("duplicate node ids in subset")
-        return np.array([self.index(x) for x in nodes], dtype=np.intp)
-
 
 @dataclass(frozen=True)
-class LEnsemble:
+class LEnsemble(_NodeIndexed):
     """Positive semidefinite likelihood kernel, indexed by node id.
 
     The probability of scheduling exactly the node set A is proportional to
@@ -142,12 +148,6 @@ class LEnsemble:
             )
         return cls._from_eigh(a, _resolve_ids(node_ids, a.shape[0]), np.clip(vals, 0.0, None), vecs)
 
-    @classmethod
-    def _from_eigh(cls, matrix, node_ids, vals, vecs):
-        obj = cls(_frozen(matrix), node_ids)
-        obj.__dict__["eigh"] = (_frozen(vals), _frozen(vecs))
-        return obj
-
     @cached_property
     def eigh(self):
         vals, vecs = np.linalg.eigh(self.matrix)
@@ -158,22 +158,6 @@ class LEnsemble:
         """det(L + I), computed from the eigenvalues."""
         vals, _ = self.eigh
         return float(np.prod(1.0 + vals))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def index(self, node: NodeId) -> int:
-        try:
-            return self.node_ids.index(node)
-        except ValueError:
-            raise BadSubset(f"unknown node id {node!r}") from None
-
-    def indices(self, nodes) -> np.ndarray:
-        nodes = list(nodes)
-        if len(set(nodes)) != len(nodes):
-            raise BadSubset("duplicate node ids in subset")
-        return np.array([self.index(x) for x in nodes], dtype=np.intp)
 
 
 def l_to_k(L: LEnsemble) -> MarginalKernel:

@@ -2,11 +2,15 @@
 
 Every replication draws one scheduled set and one full fading matrix, then
 checks the SINR of each link directly, with no reuse of the closed-form
-machinery.  Replication r always uses substream(seed, r) regardless of how
-replications are distributed over workers, and each replication consumes
-its stream in a fixed order (scheduling draw, then the n-by-n fading
-block, row major; delay replications repeat that per slot), so results are
-bit-identical for any worker count.
+machinery.  Links are the rows of the geometry's link table (transmitter,
+receiver slot, silent node); one SINR test serves both modes, a txrx
+link's receiving node being the slot's silent node, which must not
+transmit.  Replication r always uses substream(seed, r) and consumes it in
+a fixed order (scheduling draw, then the n-by-n fading block, row major;
+delay replications repeat that per slot), so results depend on the seed
+alone.  The ``workers`` arguments are accepted for compatibility and
+change neither the results nor the work done: replications run in the
+calling thread.
 
 Coverage replications run in blocks: each fills one row of uniforms from
 its own substream, then the block's point selections and SINR tests run as
@@ -17,9 +21,7 @@ slot.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -59,8 +61,8 @@ class SimulationPlan:
     def __post_init__(self):
         if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
             raise BadArgument(f"replications must be >= 1, got {self.replications!r}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise BadArgument(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise BadArgument(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not self.targets:
             raise BadArgument("simulation plan needs at least one target")
         for t in self.targets:
@@ -124,22 +126,11 @@ def _loss_matrix(model, dist: np.ndarray) -> np.ndarray:
         out[singular] = np.inf
         return out
     lo, hi = model.radii[0], model.radii[-1]
-    if float(dist.min()) < lo or float(dist.max()) > hi:
+    if np.any(dist < lo) or np.any(dist > hi):
         raise BadArgument(
             f"a link distance falls outside the tabulated range [{lo!r}, {hi!r}]"
         )
     return np.interp(dist, model.radii, model.values)
-
-
-def _split_reps(reps: int, workers: int):
-    return [range(w, reps, workers) for w in range(workers)]
-
-
-def _run_workers(workers: int, fn, rep_ranges):
-    if workers <= 1:
-        return [fn(r) for r in rep_ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, rep_ranges))
 
 
 # Coverage replications run in blocks whose uniform buffer, the largest
@@ -150,20 +141,74 @@ _BLOCK_BYTES = 1 << 20
 class _Arena:
     """Precomputed quantities shared by every replication of one simulation.
 
-    Subclasses set ``loss`` (finite path loss, transmitter by receiver),
-    ``inf_mask`` (entries whose loss is infinite) and implement ``success``.
+    ``loss`` is the finite path loss from each node to each receiver slot,
+    zero where it is infinite or where the node is the slot's silent node;
+    ``deafening`` marks the (node, slot) entries that, when the node
+    transmits, leave the slot unable to decode anything: an interferer at
+    zero distance under a singular path loss, or the slot's own silent node.
+    ``keys``, ``tx`` and ``rx`` list the links whose success is tested, the
+    links of the geometry's table with a defined (finite) signal: an int per
+    dedicated link, a (tx, rx) tuple per txrx link.
     """
 
-    def __init__(self, geometry: NetworkGeometry, L: LEnsemble, params: PropagationParams):
-        if geometry.mode != self.mode:
-            raise BadArgument(
-                f"{self.mode}-mode simulation got {geometry.mode!r} geometry"
-            )
+    def __init__(self, geometry: NetworkGeometry, L: LEnsemble, params: PropagationParams,
+                 mode: Optional[str] = None):
+        if mode is not None and geometry.mode != mode:
+            raise BadArgument(f"{mode}-mode simulation got {geometry.mode!r} geometry")
         if L.n != geometry.n:
             raise BadArgument(f"kernel has {L.n} nodes but geometry has {geometry.n}")
-        self.n = geometry.n
+        n = self.n = geometry.n
         self.lvals, self.lvecs = L.eigh
         self.params = params
+        links = geometry.links()
+        tx, rx, silent = links.T
+        self.deafening = np.zeros((n, n), dtype=bool)
+        self.deafening[silent[silent >= 0], rx[silent >= 0]] = True
+        dist = distances(geometry.transmitter_points(), geometry.receiver_points())
+        loss = np.zeros((n, n))
+        loss[~self.deafening] = _loss_matrix(params.pathloss, dist[~self.deafening])
+        singular = np.isinf(loss)
+        defined = ~singular[tx, rx]
+        if geometry.mode == "pairs" and not defined.all():
+            bad = int(tx[~defined][0])
+            raise SingularDistance(f"link {bad} has zero length under a singular path loss")
+        self.deafening |= singular
+        self.loss = np.where(singular, 0.0, loss)
+        self.tx, self.rx = tx[defined], rx[defined]
+        self.keys = [t if s < 0 else (t, r) for t, r, s in links[defined].tolist()]
+
+    def track(self, keys) -> list:
+        """Restrict the SINR test to the links ``keys``, in that order, and
+        return them; a key outside ``self.keys`` raises BadArgument."""
+        where = {key: k for k, key in enumerate(self.keys)}
+        picked = []
+        for key in keys:
+            try:
+                picked.append(where[key])
+            except (KeyError, TypeError):
+                raise BadArgument(
+                    f"delay target {key!r} is not a link with a defined signal"
+                ) from None
+        self.tx, self.rx = self.tx[picked], self.rx[picked]
+        self.keys = [self.keys[k] for k in picked]
+        return self.keys
+
+    def success(self, mask, fading) -> np.ndarray:
+        """(..., links) success indicators for masks (..., n) and fading
+        (..., n, n): the transmitter is scheduled, the receiver slot is not
+        deafened, and the signal clears the threshold over noise plus every
+        other scheduled node's power at the slot."""
+        p = self.params
+        power = fading * self.loss
+        total = np.where(mask[..., :, None], power, 0.0).sum(axis=-2)
+        deaf = (mask[..., :, None] & self.deafening).any(axis=-2)
+        signal = power[..., self.tx, self.rx]
+        interference = total[..., self.rx] - signal
+        return (
+            mask[..., self.tx]
+            & ~deaf[..., self.rx]
+            & (signal > p.threshold * (p.noise + interference))
+        )
 
     def covered(self, rng) -> np.ndarray:
         """One slot: scheduling draw + fading, success indicators."""
@@ -197,76 +242,13 @@ class _Arena:
             counts = counts + self.success(mask, fading).sum(axis=0)
         return counts
 
-    def _scheduled_power(self, mask, fading):
-        """Received power per (transmitter, receiver), total scheduled power
-        at each receiver, and receivers drowned by a singular interferer."""
-        power = fading * self.loss
-        total = np.where(mask[..., :, None], power, 0.0).sum(axis=-2)
-        drowned = (mask[..., :, None] & self.inf_mask).any(axis=-2)
-        return power, total, drowned
 
-
-class _PairsArena(_Arena):
-    """Pairs mode: transmitter i serves its own receiver i."""
-
-    mode = "pairs"
-
-    def __init__(self, geometry: NetworkGeometry, L: LEnsemble, params: PropagationParams):
-        super().__init__(geometry, L, params)
-        # loss[z, i] is the path loss from transmitter z to receiver i
-        loss = _loss_matrix(params.pathloss, distances(geometry.transmitters, geometry.receivers))
-        diag = np.diagonal(loss)
-        if np.any(np.isinf(diag)):
-            bad = int(np.flatnonzero(np.isinf(diag))[0])
-            raise SingularDistance(f"link {bad} has zero length under a singular path loss")
-        self.inf_mask = np.isinf(loss)
-        self.loss = np.where(self.inf_mask, 0.0, loss)
-
-    def success(self, mask, fading) -> np.ndarray:
-        """Success per link, for masks (..., n) and fading (..., n, n)."""
-        p = self.params
-        power, total, drowned = self._scheduled_power(mask, fading)
-        own = np.diagonal(power, axis1=-2, axis2=-1)
-        interference = total - np.where(mask, own, 0.0)
-        return mask & ~drowned & (own > p.threshold * (p.noise + interference))
-
-
-class _TxRxArena(_Arena):
-    """Txrx mode: any scheduled node may reach any silent node."""
-
-    mode = "txrx"
-
-    def __init__(self, geometry: NetworkGeometry, L: LEnsemble, params: PropagationParams):
-        super().__init__(geometry, L, params)
-        dist = distances(geometry.nodes, geometry.nodes)
-        np.fill_diagonal(dist, 1.0)  # self distances are never used
-        loss = _loss_matrix(params.pathloss, dist)
-        np.fill_diagonal(loss, 0.0)
-        # links between coincident nodes have no defined signal; mark them
-        offdiag = ~np.eye(self.n, dtype=bool)
-        self.singular_links = np.isinf(loss) & offdiag
-        self.inf_mask = self.singular_links
-        self.loss = np.where(np.isinf(loss), 0.0, loss)
-
-    def success(self, mask, fading) -> np.ndarray:
-        """(..., n, n) success per ordered link, for masks (..., n) and
-        fading (..., n, n)."""
-        p = self.params
-        power, total, drowned = self._scheduled_power(mask, fading)
-        interference = total[..., None, :] - power
-        ok = power > p.threshold * (p.noise + interference)
-        return (
-            mask[..., :, None]
-            & ~mask[..., None, :]
-            & ~drowned[..., None, :]
-            & ok
-            & ~self.singular_links
-        )
-
-
-def _coverage_counts(arena: _Arena, plan: SimulationPlan, workers: int):
-    run = partial(arena.block_counts, plan.seed)
-    return sum(_run_workers(workers, run, _split_reps(plan.replications, max(1, workers))))
+def _simulate_coverage(geometry, L, params, plan: SimulationPlan, mode=None) -> dict:
+    """{link key: Estimate} for every link with a defined signal."""
+    arena = _Arena(geometry, L, params, mode)
+    counts = arena.block_counts(plan.seed, range(plan.replications))
+    return {key: _bernoulli_estimate(int(c), plan.replications)
+            for key, c in zip(arena.keys, counts)}
 
 
 def simulate_pair_coverage(
@@ -276,9 +258,12 @@ def simulate_pair_coverage(
     plan: SimulationPlan,
     workers: int = 1,
 ) -> list:
-    """Coverage estimate for every dedicated link, one Estimate per link."""
-    counts = _coverage_counts(_PairsArena(geometry, L, params), plan, workers)
-    return [_bernoulli_estimate(int(c), plan.replications) for c in counts]
+    """Coverage estimate for every dedicated link, one Estimate per link.
+
+    ``workers`` is accepted for compatibility; it changes neither the
+    results nor the work done.
+    """
+    return list(_simulate_coverage(geometry, L, params, plan, "pairs").values())
 
 
 def simulate_txrx(
@@ -291,26 +276,10 @@ def simulate_txrx(
     """Coverage estimate for every ordered node pair, as {(tx, rx): Estimate}.
 
     Links between coincident nodes have no defined signal and are omitted.
+    ``workers`` is accepted for compatibility; it changes neither the
+    results nor the work done.
     """
-    arena = _TxRxArena(geometry, L, params)
-    counts = _coverage_counts(arena, plan, workers)
-    out = {}
-    for i in range(arena.n):
-        for j in range(arena.n):
-            if i != j and not arena.singular_links[i, j]:
-                out[(i, j)] = _bernoulli_estimate(int(counts[i, j]), plan.replications)
-    return out
-
-
-def _delay_targets(geometry: NetworkGeometry, links) -> list:
-    if links is not None:
-        targets = list(links)
-        if not targets:
-            raise BadArgument("empty target list for the delay simulation")
-        return targets
-    if geometry.mode == "pairs":
-        return list(range(geometry.n))
-    return [(i, j) for i in range(geometry.n) for j in range(geometry.n) if i != j]
+    return _simulate_coverage(geometry, L, params, plan, "txrx")
 
 
 def simulate_local_delay(
@@ -324,60 +293,39 @@ def simulate_local_delay(
     """First-success slot estimates, as {link: DelayEstimate}.
 
     Links are ints in pairs mode and (tx, rx) tuples in txrx mode; by
-    default every link is tracked.  Each replication plays slots until all
-    tracked links have succeeded or the plan's delay cap is reached.
+    default every link the coverage simulation reports is tracked, and
+    naming a link with no defined signal raises BadArgument.  Each
+    replication plays slots until all tracked links have succeeded or the
+    plan's delay cap is reached.  ``workers`` is accepted for
+    compatibility; it changes neither the results nor the work done.
     """
-    if geometry.mode == "pairs":
-        arena = _PairsArena(geometry, L, params)
-        def lookup(cov, tgt):
-            return bool(cov[tgt])
-    else:
-        arena = _TxRxArena(geometry, L, params)
-        def lookup(cov, tgt):
-            return bool(cov[tgt[0], tgt[1]])
-    targets = _delay_targets(geometry, links)
-    for tgt in targets:
-        if geometry.mode == "pairs":
-            if not (isinstance(tgt, (int, np.integer)) and 0 <= tgt < arena.n):
-                raise BadArgument(f"bad pairs-mode delay target {tgt!r}")
-        else:
-            if not (
-                isinstance(tgt, tuple)
-                and len(tgt) == 2
-                and tgt[0] != tgt[1]
-                and 0 <= tgt[0] < arena.n
-                and 0 <= tgt[1] < arena.n
-            ):
-                raise BadArgument(f"bad txrx-mode delay target {tgt!r}")
+    arena = _Arena(geometry, L, params)
+    if links is not None and not list(links):
+        raise BadArgument("empty target list for the delay simulation")
+    targets = arena.track(arena.keys if links is None else links)
     reps = plan.replications
     cap = plan.delay_cap
-    ntgt = len(targets)
-
-    def run(rep_range):
-        rows = []
-        for r in rep_range:
-            rng = substream(plan.seed, r)
-            waiting = dict.fromkeys(range(ntgt))
-            delays = np.full(ntgt, cap, dtype=np.int64)
-            censored = np.ones(ntgt, dtype=bool)
-            slot = 0
-            while waiting and slot < cap:
-                slot += 1
-                cov = arena.covered(rng)
-                done = [t for t in waiting if lookup(cov, targets[t])]
-                for t in done:
-                    delays[t] = slot
-                    censored[t] = False
-                    del waiting[t]
-            rows.append((r, delays, censored))
-        return rows
-
-    all_rows = []
-    for chunk in _run_workers(workers, run, _split_reps(reps, max(1, workers))):
-        all_rows.extend(chunk)
-    all_rows.sort(key=lambda row: row[0])
-    delays = np.stack([row[1] for row in all_rows])  # (reps, ntgt)
-    censored = np.stack([row[2] for row in all_rows])
+    rows = []
+    censored = [0] * len(targets)
+    for r in range(reps):
+        rng = substream(plan.seed, r)
+        row = [cap] * len(targets)
+        waiting = list(range(len(targets)))
+        slot = 0
+        while waiting and slot < cap:
+            slot += 1
+            hit = arena.covered(rng).tolist()
+            still = []
+            for t in waiting:
+                if hit[t]:
+                    row[t] = slot
+                else:
+                    still.append(t)
+            waiting = still
+        for t in waiting:
+            censored[t] += 1
+        rows.append(row)
+    delays = np.array(rows, dtype=np.int64)
     out = {}
     for t, tgt in enumerate(targets):
         vals = delays[:, t].astype(float)
@@ -386,6 +334,6 @@ def simulate_local_delay(
             mean=float(vals.mean()),
             std_error=std / math.sqrt(reps),
             replications=reps,
-            censored=int(censored[:, t].sum()),
+            censored=censored[t],
         )
     return out

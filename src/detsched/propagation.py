@@ -153,12 +153,28 @@ class NetworkGeometry:
     def transmitter_points(self) -> np.ndarray:
         return self.transmitters if self.mode == "pairs" else self.nodes
 
+    def receiver_points(self) -> np.ndarray:
+        """Receiver slot coordinates: the paired receivers in pairs mode,
+        the nodes themselves in txrx mode."""
+        return self.receivers if self.mode == "pairs" else self.nodes
+
     def receiver_location(self, link: int) -> np.ndarray:
-        """Receiver coordinates: the paired receiver in pairs mode, the
-        receiving node itself in txrx mode."""
+        return self.receiver_points()[link]
+
+    def links(self) -> np.ndarray:
+        """The link table: one (transmitter, receiver slot, silent node) row
+        per link, the silent node being -1 when none must stay silent.
+
+        Pairs mode has rows (i, i, -1) for each dedicated link; txrx mode has
+        rows (i, j, j) for each ordered node pair, transmitter-major, since
+        the receiving node j is itself a scheduled node that must be silent.
+        """
+        n = self.n
         if self.mode == "pairs":
-            return self.receivers[link]
-        return self.nodes[link]
+            i = np.arange(n)
+            return np.stack([i, i, np.full(n, -1)], axis=1)
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        return np.stack([i, j, j], axis=1)
 
 
 def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

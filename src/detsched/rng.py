@@ -27,11 +27,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def root_stream(seed: int) -> np.random.Generator:
-    """Generator for single-stream use, keyed by ``seed`` alone."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-
-
 def exponential_fading(rng: np.random.Generator, mean: float, size) -> np.ndarray:
     """Exponential fading draws via inverse transform.
 

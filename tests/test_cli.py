@@ -282,6 +282,29 @@ def test_simulate_byte_determinism_and_worker_invariance(tmp_path):
     assert json.loads(a.read_text())["results"] == json.loads(c.read_text())["results"]
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["simulate", "--seed", "-1"], "--seed"),
+        (["simulate", "--reps", "0"], "--reps"),
+        (["simulate", "--workers", "0"], "--workers"),
+        (["simulate", "--workers", "-3"], "--workers"),
+        (["sample", "--count", "2", "--seed", "-1"], "--seed"),
+        (["sample", "--count", "0"], "--count"),
+        (["coverage"], "simulate.seed"),
+    ],
+    ids=["simulate-seed", "reps", "workers-0", "workers-neg", "sample-seed", "count",
+         "config-seed"],
+)
+def test_out_of_range_flags_and_seed_are_config_errors(tmp_path, capsys, argv, path):
+    doc = _base_config()
+    if path == "simulate.seed":
+        doc["simulate"]["seed"] = -1
+    cfg = _write(tmp_path, doc)
+    assert cli.main([argv[0], cfg] + argv[1:]) == 1
+    assert f"config error at {path}: must be >= " in capsys.readouterr().err
+
+
 def test_sample_command(tmp_path, capsys):
     path = _write(tmp_path, _base_config())
     assert cli.main(["sample", path, "--count", "5", "--seed", "3"]) == 0

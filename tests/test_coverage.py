@@ -339,6 +339,38 @@ def test_full_report_txrx():
             )
 
 
+def test_full_report_matches_public_functions():
+    # the report and the per-link functions run the same link-table row
+    # through the same code, so they agree exactly in both modes
+    table = ds.TabulatedPathLoss(
+        radii=np.array([0.0, 0.5, 1.0, 3.0]), values=np.array([1.5, 0.6, 0.25, 0.01])
+    )
+    rng = np.random.default_rng(78)
+    for case in range(16):
+        n = int(rng.integers(1, 7))
+        mode = ("pairs", "txrx")[case % 2]
+        model = ds.PowerLawPathLoss(1.0, 2.5) if case % 4 < 2 else table
+        params = ds.PropagationParams(model, threshold=0.7, noise=[0.0, 0.1][case % 3 == 0])
+        if mode == "pairs":
+            geo = ds.NetworkGeometry.pairs(*random_pairs_geometry(rng, n))
+        else:
+            geo = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(n, 2)))
+        K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n)))
+        links = geo.links()
+        rep = ds.full_report(geo, K, params)
+        assert len(rep.links) == len(links)
+        if mode == "pairs":
+            assert links.tolist() == [[i, i, -1] for i in range(n)]
+            expect = [ds.pair_coverage(geo, K, i, params) for i in range(n)]
+        else:
+            assert links.tolist() == [[i, j, j] for i in range(n) for j in range(n) if i != j]
+            expect = [ds.txrx_coverage(geo, K, i, j, params) for i, j, _ in links.tolist()]
+        for lr, (t, p, s), cov in zip(rep.links, links.tolist(), expect):
+            assert (lr.transmitter, lr.receiver) == (t, None if s < 0 else p)
+            assert lr.error is None
+            assert lr.coverage == cov
+
+
 def test_full_report_captures_link_errors():
     # link 0 has zero length, indefensible under a singular path loss
     geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [2.0, 1.0]])

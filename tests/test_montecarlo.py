@@ -33,6 +33,8 @@ def test_plan_validation():
     with pytest.raises(ds.BadArgument):
         ds.SimulationPlan(10, 1.5)
     with pytest.raises(ds.BadArgument):
+        ds.SimulationPlan(10, -1)
+    with pytest.raises(ds.BadArgument):
         ds.SimulationPlan(10, 1, targets=())
     with pytest.raises(ds.BadArgument):
         ds.SimulationPlan(10, 1, targets=("latency",))
@@ -257,6 +259,14 @@ def test_txrx_coincident_nodes_link_omitted():
     out = ds.simulate_txrx(geo, L, _power_params(), ds.SimulationPlan(50, 2))
     assert (0, 1) not in out and (1, 0) not in out
     assert (0, 2) in out and (2, 1) in out
+    # delay tracks the same links by default, so no replication plays to
+    # the cap waiting on a link that can never succeed
+    plan = ds.SimulationPlan(20, 2, delay_cap=50_000)
+    delays = ds.simulate_local_delay(geo, L, _power_params(), plan)
+    assert set(delays) == set(out)
+    assert all(d.censored == 0 for d in delays.values())
+    with pytest.raises(ds.BadArgument):
+        ds.simulate_local_delay(geo, L, _power_params(), plan, links=[(0, 1)])
 
 
 def test_kernel_size_mismatch():
