@@ -41,7 +41,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -55,6 +55,7 @@ from .kernels import (
     ExplicitLSpec,
     ExplicitMarginalSpec,
     GaussianSpec,
+    MarginalKernel,
     QualitySimilaritySpec,
     build_K,
     build_L,
@@ -81,10 +82,18 @@ class RunConfig:
     params: PropagationParams
     plan: Optional[SimulationPlan] = None
     workers: int = 1
+    # the marginal kernel of kernel_spec, built once: when the config is
+    # validated, or else on first use
+    K: Optional[MarginalKernel] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def mode(self) -> str:
         return self.geometry.mode
+
+    def marginal_kernel(self) -> MarginalKernel:
+        if self.K is None:
+            self.K = build_K(self.kernel_spec, self.geometry)
+        return self.K
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +394,7 @@ def parse_config_dict(doc) -> RunConfig:
             )
         except DetschedError as e:
             errors.append(("pathloss", str(e)))
+    K = None
     if kernel_spec is not None and (
         geometry is not None or not isinstance(kernel_spec, GaussianSpec)
     ):
@@ -411,10 +421,12 @@ def parse_config_dict(doc) -> RunConfig:
     plan, workers = _parse_simulate(doc, doc.get("mode"), geometry.n if geometry else None, errors)
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
+    cfg = RunConfig(
         geometry=geometry, kernel_spec=kernel_spec, params=params,
         plan=plan, workers=workers,
     )
+    cfg.K = K
+    return cfg
 
 
 def parse_config(path) -> RunConfig:
@@ -547,8 +559,7 @@ def _link_row(lr) -> dict:
 
 def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None) -> int:
     """Closed-form coverage report for every link."""
-    K = build_K(cfg.kernel_spec, cfg.geometry)
-    report = _coverage.full_report(cfg.geometry, K, cfg.params)
+    report = _coverage.full_report(cfg.geometry, cfg.marginal_kernel(), cfg.params)
     rows = [_link_row(lr) for lr in report.links]
     if fmt == "csv":
         header = ["transmitter", "receiver", "selection_probability",
@@ -597,6 +608,17 @@ def _check_flags(flags: dict):
         raise ConfigError(problems)
 
 
+def _closed_coverages(cfg: RunConfig, K: MarginalKernel, keys) -> dict:
+    """{link key: closed-form coverage} for the links ``keys`` (ints in
+    pairs mode, (tx, rx) tuples in txrx mode), evaluating only those."""
+    links = cfg.geometry.links()
+    wanted = np.array([(t if s < 0 else (t, p)) in keys for t, p, s in links.tolist()],
+                      dtype=bool)
+    return {lr.transmitter if lr.receiver is None else (lr.transmitter, lr.receiver):
+            lr.coverage for lr in _coverage._link_reports(cfg.geometry, K, cfg.params,
+                                                          links[wanted])}
+
+
 def cmd_simulate(
     cfg: RunConfig,
     fmt: str = "json",
@@ -623,21 +645,21 @@ def cmd_simulate(
     )
     nworkers = workers if workers is not None else cfg.workers
     L = build_L(cfg.kernel_spec, cfg.geometry)
-    report = _coverage.full_report(cfg.geometry, l_to_k(L), cfg.params)
-    closed = {lr.transmitter if lr.receiver is None else (lr.transmitter, lr.receiver):
-              lr.coverage for lr in report.links}
     found = []
     if plan.wants("coverage"):
         ests = _montecarlo._simulate_coverage(cfg.geometry, L, cfg.params, plan)
-        found += [("coverage", key, closed[key], est, None) for key, est in sorted(ests.items())]
+        found += [("coverage", key, est, None) for key, est in sorted(ests.items())]
     if plan.wants("delay"):
         delays = _montecarlo.simulate_local_delay(
             cfg.geometry, L, cfg.params, plan, links=plan.delay_links(), workers=nworkers
         )
-        found += [("delay", key, (1.0 / closed[key]) if closed[key] else None, est, est.censored)
-                  for key, est in sorted(delays.items())]
+        found += [("delay", key, est, est.censored) for key, est in sorted(delays.items())]
+    closed = _closed_coverages(cfg, l_to_k(L), {key for _, key, _, _ in found})
     rows = []
-    for target, key, c, est, censored in found:
+    for target, key, est, censored in found:
+        c = closed[key]
+        if target == "delay":
+            c = (1.0 / c) if c else None
         tx, rx = (key, None) if isinstance(key, int) else key
         rows.append((target, tx, rx, c, est.mean, est.std_error,
                      _z_score(c, est.mean, est.std_error), censored))
@@ -700,8 +722,7 @@ def cmd_sample(
 def _kernel_metrics(cfg_or_doc) -> Optional[dict]:
     try:
         if isinstance(cfg_or_doc, RunConfig):
-            K = build_K(cfg_or_doc.kernel_spec, cfg_or_doc.geometry)
-            report = validate_kernel(K.matrix)
+            report = validate_kernel(cfg_or_doc.marginal_kernel().matrix)
         else:
             kernel = cfg_or_doc.get("kernel") if isinstance(cfg_or_doc, dict) else None
             if not isinstance(kernel, dict) or kernel.get("type") != "explicit_K":

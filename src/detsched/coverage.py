@@ -10,12 +10,20 @@ noise discount.  Local delay statistics follow from coverage through the
 geometric law of the first successful slot.
 
 Every link is one row (transmitter, receiver slot, silent node) of the
-geometry's link table, and one code path evaluates it.  In txrx mode the
-receiving node belongs to the scheduled set and must stay silent: the
-formula gains the semi-reduced Palm correction and a rescaling by the
-probability the node is silent.  A pairs link has no silent node (-1), so
-that correction vanishes and the same code computes the plain Palm
-determinant.
+geometry's link table, and one batched code path, ``_evaluate``, computes
+any set of rows; ``full_report`` runs it on the whole table and each
+public per-link function on a single row.  In txrx mode the receiving
+node belongs to the scheduled set and must stay silent: the formula gains
+the semi-reduced Palm correction and a rescaling by the probability the
+node is silent.  A pairs link has no silent node (-1), so that correction
+vanishes and the same code computes the plain Palm determinant.
+
+The batched pass repeats the floating-point operations of the scalar
+functions it replaces (``palm_reduced``, ``palm_semi_reduced``,
+``scale_kernel``, ``interferer_factor``, ``noise_factor``), so its results
+equal theirs bit for bit, and it calls them to re-raise a link's failure
+with the same type and message.  perfbench's tracer wraps these names
+here, so they stay module attributes.
 """
 
 import hashlib
@@ -35,9 +43,11 @@ from .dpp import (
 from .errors import AlwaysScheduledReceiver, BadArgument, DetschedError, SameNode
 from .kernels import MarginalKernel
 from .propagation import (
+    SINGULAR_DISTANCE_TOL,
     NetworkGeometry,
     PropagationParams,
-    _distance,
+    _distance_matrix,
+    _path_losses,
     interferer_factor,
     noise_factor,
 )
@@ -74,36 +84,61 @@ def _txrx_link(geometry, K, transmitter: int, receiver: int) -> tuple:
     return transmitter, receiver, receiver
 
 
-def _discounts(geometry, params, transmitter: int, slot: int):
-    """Per-interferer coverage discounts at the link's receiver, for every
-    node except the transmitter, in ground-set order.  Also returns the
-    signal distance."""
-    pts = geometry.transmitter_points()
-    y = geometry.receiver_location(slot)
-    d_sig = _distance(pts[transmitter], y)
-    vals = np.empty(geometry.n - 1)
-    pos = 0
-    for z in range(geometry.n):
-        if z == transmitter:
-            continue
-        vals[pos] = interferer_factor(_distance(pts[z], y), d_sig, params)
-        pos += 1
-    return vals, d_sig
+# Links are evaluated in blocks whose stacked matrices, one (n-1) x (n-1)
+# matrix per link, stay near this many bytes each.
+_BLOCK_BYTES = 1 << 18
 
 
-def _selection(K: MarginalKernel, t: int, s: int) -> float:
-    """Probability the transmitter is scheduled and silent node ``s`` (if
-    any, i.e. s >= 0) is not, floored at 0."""
-    if s < 0:
-        return max(float(K.matrix[t, t]), 0.0)
-    pair = K.matrix[np.ix_((t, s), (t, s))]
-    return max(float(K.matrix[t, t]) - float(np.linalg.det(pair)), 0.0)
+def _selections(K: MarginalKernel, rows: np.ndarray) -> np.ndarray:
+    """Probability each row's transmitter is scheduled and its silent node
+    (if any, i.e. s >= 0) is not, floored at 0."""
+    t, s = rows[:, 0], rows[:, 2]
+    mat = K.matrix
+    sel = mat[t, t]
+    silent = s >= 0
+    if silent.any():
+        ts = np.stack([t[silent], s[silent]], axis=1)
+        sel[silent] -= np.linalg.det(mat[ts[:, :, None], ts[:, None, :]])
+    return np.maximum(sel, 0.0)
 
 
-def _conditional_raw(geometry, K, params, t: int, p: int, s: int,
-                     use_semi_reduced: Optional[bool] = None) -> float:
-    """Unclamped coverage of the link from ``t`` to receiver slot ``p``,
-    given ``t`` is scheduled and silent node ``s`` (if s >= 0) is not.
+def _palms(mat: np.ndarray, tx: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """One-fold Palm kernels of ``mat`` at each node in ``tx``, stacked;
+    ``others[t]`` lists the nodes other than t.
+
+    The operations of ``palm_reduced`` (downdate, then symmetrize), so the
+    entries match it bit for bit.
+    """
+    n = mat.shape[0]
+    sub = np.empty((len(tx), n - 1, n - 1))
+    for k, t in enumerate(tx.tolist()):
+        # the kernel without row and column t, as four slices
+        sub[k, :t, :t] = mat[:t, :t]
+        sub[k, :t, t:] = mat[:t, t + 1:]
+        sub[k, t:, :t] = mat[t + 1:, :t]
+        sub[k, t:, t:] = mat[t + 1:, t + 1:]
+    col = mat[others[tx], tx[:, None]]
+    out = col[:, :, None] * col[:, None, :]
+    out /= mat[tx, tx][:, None, None]
+    np.subtract(sub, out, out=out)
+    return (out + out.swapaxes(1, 2)) / 2.0
+
+
+def _raised(fn, *args) -> DetschedError:
+    """The error the scalar ``fn(*args)`` raises.  The batched pass only
+    detects a failure; the scalar call reproduces its type and message."""
+    try:
+        fn(*args)
+    except DetschedError as e:
+        return e
+    raise AssertionError(f"{fn.__name__} did not fail where the batched pass did")
+
+
+def _evaluate(geometry, K, params, rows: np.ndarray,
+              use_semi_reduced: Optional[bool] = None, kernels: bool = False) -> list:
+    """Unclamped coverage of each link-table row (t, p, s), given ``t`` is
+    scheduled and silent node ``s`` (if s >= 0) is not; or the DetschedError
+    its evaluation raises.
 
     The one-fold Palm determinant times the noise discount; a silent node
     scheduled with conditional probability q subtracts q times the
@@ -112,40 +147,122 @@ def _conditional_raw(geometry, K, params, t: int, p: int, s: int,
     ``use_semi_reduced`` unset the correction is skipped when the path loss
     is singular at zero: the silent node's own discount is then exactly 0,
     which forces the correction's determinant to 0.
+
+    Rows run in blocks: the path losses come from one distance matrix to
+    the rows' receiver slots, each transmitter of a block gets one Palm
+    downdate, and the determinants are stacked.  A row's checks run in the
+    scalar order (transmitter pivot, silent node, signal, interferers in
+    ground-set order, discount range) and its first failure is its result.
+    With ``kernels`` each result is instead the pair (I - K'_h, noise
+    discount) of the row.
     """
-    tx_id = K.node_ids[t]
-    palm = palm_reduced(K, tx_id)
-    q = 0.0
-    if s >= 0:
-        rx_id = K.node_ids[s]
-        q = float(palm.matrix[palm.index(rx_id), palm.index(rx_id)])
-        if q >= 1.0 - CLAMP_TOL:
-            raise AlwaysScheduledReceiver(
-                f"node {s} transmits with conditional probability {q:.12g}, "
-                "so it can never listen"
-            )
-    hv, d_sig = _discounts(geometry, params, t, p)
-    m = K.n - 1
-    det1 = float(np.linalg.det(np.eye(m) - scale_kernel(palm.matrix, hv)))
+    n = K.n
+    m = n - 1
+    mat = K.matrix
+    model = params.pathloss
+    theta = params.threshold
     if use_semi_reduced is None:
-        use_semi_reduced = not params.pathloss.singular_at_zero
-    term = 0.0
-    if use_semi_reduced and q > PALM_PIVOT_TOL:
-        semi = palm_semi_reduced(K, tx_id, rx_id)
-        det2 = float(np.linalg.det(np.eye(m) - scale_kernel(semi.matrix, hv)))
-        term = q * det2
-    return (noise_factor(d_sig, params) / (1.0 - q)) * (det1 - term)
+        use_semi_reduced = not model.singular_at_zero
+    slots, col_of = np.unique(rows[:, 1], return_inverse=True)
+    dist = _distance_matrix(geometry.transmitter_points(), geometry.receiver_points()[slots])
+    loss = _path_losses(model, dist)
+    drowned = model.singular_at_zero & (dist <= SINGULAR_DISTANCE_TOL)
+    # noise_factor's exponent, its operations in its order
+    rate = -(theta / params.fading_mean) * params.noise
+    silenced = theta == 0 or params.noise == 0
+    j = np.arange(m)
+    others = j[None, :] + (j[None, :] >= np.arange(n)[:, None])
+    eye = np.eye(m)
+    out = [None] * len(rows)
+    step = max(1, _BLOCK_BYTES // (8 * max(m, 1) ** 2))
+    for lo in range(0, len(rows), step):
+        t, _, s = rows[lo:lo + step].T
+        c = col_of[lo:lo + step]
+        b = np.arange(len(t))
+        err = {}
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            piv = mat[t, t]
+            for k in np.flatnonzero(piv <= PALM_PIVOT_TOL).tolist():
+                err[k] = _raised(palm_reduced, K, K.node_ids[t[k]])
+            q = np.where(s >= 0, mat[s, s] - mat[s, t] * mat[s, t] / piv, 0.0)
+            for k in np.flatnonzero(q >= 1.0 - CLAMP_TOL).tolist():
+                err.setdefault(k, AlwaysScheduledReceiver(
+                    f"node {int(s[k])} transmits with conditional probability "
+                    f"{float(q[k]):.12g}, so it can never listen"))
+            d_sig = dist[t, c]
+            signal = loss[t, c]
+            for k in np.flatnonzero(~(signal > 0)).tolist():
+                if k not in err:
+                    err[k] = _raised(noise_factor, float(d_sig[k]), params)
+            if silenced:
+                w = np.ones(len(t))
+            else:
+                w = np.array([math.exp(rate / x) if x > 0 else 1.0 for x in signal.tolist()])
+            ob = others[t]
+            if theta == 0:
+                hv = np.ones((len(t), m))
+            else:
+                hv = 1.0 / (theta * loss[ob, c[:, None]] / signal[:, None] + 1.0)
+            hv[drowned[ob, c[:, None]]] = 0.0
+            for k in np.flatnonzero(np.isnan(hv).any(axis=1)).tolist():
+                if k not in err:
+                    z = int(ob[k, np.flatnonzero(np.isnan(hv[k]))[0]])
+                    err[k] = _raised(interferer_factor, float(dist[z, c[k]]),
+                                     float(d_sig[k]), params)
+            tx, tx_of = np.unique(t, return_inverse=True)
+            P = _palms(mat, tx, others)[tx_of]
+            outside = ((hv < -CLAMP_TOL) | (hv > 1.0 + CLAMP_TOL)).any(axis=1)
+            for k in np.flatnonzero(outside).tolist():
+                if k not in err:
+                    err[k] = _raised(scale_kernel, P[k], hv[k])
+            root = np.sqrt(1.0 - np.clip(hv, 0.0, 1.0))
+            weight = root[:, :, None] * root[:, None, :]
+            A = P * weight
+            np.subtract(eye, A, out=A)
+            if kernels:
+                out[lo:lo + len(t)] = [err.get(k, (A[k], float(w[k]))) for k in b.tolist()]
+                continue
+            det1 = np.linalg.det(A)
+            term = 0.0
+            semi = use_semi_reduced & (s >= 0) & (q > PALM_PIVOT_TOL)
+            if semi.any():
+                # the kernel also retaining the silent node: a second Palm
+                # step at it, then its row and column pinned to the identity;
+                # P is exactly symmetric, so is the downdate, and
+                # palm_reduced's symmetrization would change no bit
+                sp = np.where(s >= 0, s - (s > t), 0)
+                col = P[b, :, sp]
+                S = col[:, :, None] * col[:, None, :]
+                S /= P[b, sp, sp][:, None, None]
+                np.subtract(P, S, out=S)
+                S[b, sp, :] = 0.0
+                S[b, :, sp] = 0.0
+                S[b, sp, sp] = 1.0
+                S *= weight
+                np.subtract(eye, S, out=S)
+                term = np.where(semi, q * np.linalg.det(S), 0.0)
+            raw = ((w / (1.0 - q)) * (det1 - term)).tolist()
+        out[lo:lo + len(t)] = [err.get(k, v) for k, v in enumerate(raw)]
+    return out
 
 
 def _unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _coverage(geometry, K, params, t: int, p: int, s: int) -> float:
-    sel = _selection(K, t, s)
+def _one(geometry, K, params, row: tuple, **kwargs):
+    """``_evaluate`` on one link-table row, raising the row's error."""
+    out = _evaluate(geometry, K, params, np.array([row]), **kwargs)[0]
+    if isinstance(out, DetschedError):
+        raise out
+    return out
+
+
+def _coverage(geometry, K, params, row: tuple) -> float:
+    sel = float(_selections(K, np.array([row]))[0])
     if sel <= PALM_PIVOT_TOL:
         return 0.0
-    return sel * _unit(_conditional_raw(geometry, K, params, t, p, s))
+    return sel * _unit(_one(geometry, K, params, row))
 
 
 def conditional_pair_coverage(
@@ -157,7 +274,7 @@ def conditional_pair_coverage(
     discount, clamped to [0, 1].  The Palm step raises NeverScheduled for a
     transmitter with zero scheduling probability.
     """
-    return _unit(_conditional_raw(geometry, K, params, *_pair_link(geometry, K, link)))
+    return _unit(_one(geometry, K, params, _pair_link(geometry, K, link)))
 
 
 def pair_coverage(
@@ -168,7 +285,7 @@ def pair_coverage(
     Scheduling probability times conditional coverage; exactly 0 for a
     never-scheduled transmitter.
     """
-    return _coverage(geometry, K, params, *_pair_link(geometry, K, link))
+    return _coverage(geometry, K, params, _pair_link(geometry, K, link))
 
 
 def coverage_kernel(
@@ -180,14 +297,12 @@ def coverage_kernel(
     I - K'{h} on the other nodes, the entry w * K_ll at (link, link), and
     zero cross terms.
     """
-    _pair_link(geometry, K, link)
+    block, w = _one(geometry, K, params, _pair_link(geometry, K, link), kernels=True)
     n = K.n
-    palm = palm_reduced(K, K.node_ids[link])
-    hv, d_sig = _discounts(geometry, params, link, link)
     out = np.zeros((n, n))
     others = np.array([i for i in range(n) if i != link], dtype=np.intp)
-    out[np.ix_(others, others)] = np.eye(n - 1) - scale_kernel(palm.matrix, hv)
-    out[link, link] = noise_factor(d_sig, params) * float(K.matrix[link, link])
+    out[np.ix_(others, others)] = block
+    out[link, link] = w * float(K.matrix[link, link])
     return out
 
 
@@ -211,7 +326,7 @@ def txrx_conditional_coverage(
     forcing it on or off selects the variant explicitly.
     """
     row = _txrx_link(geometry, K, transmitter, receiver)
-    return _unit(_conditional_raw(geometry, K, params, *row, use_semi_reduced))
+    return _unit(_one(geometry, K, params, row, use_semi_reduced=use_semi_reduced))
 
 
 def txrx_coverage(
@@ -227,7 +342,7 @@ def txrx_coverage(
     times the conditional coverage; exactly 0 when that event has
     (near-)zero probability.
     """
-    return _coverage(geometry, K, params, *_txrx_link(geometry, K, transmitter, receiver))
+    return _coverage(geometry, K, params, _txrx_link(geometry, K, transmitter, receiver))
 
 
 @dataclass(frozen=True)
@@ -294,24 +409,32 @@ def kernel_fingerprint(K: MarginalKernel) -> str:
     return h.hexdigest()
 
 
-def _link_report(geometry, K, params, t: int, p: int, s: int) -> LinkReport:
-    rx = None if s < 0 else p
-    sel = _selection(K, t, s)
-    if sel <= PALM_PIVOT_TOL:
-        flag = (
-            "never_scheduled"
-            if float(K.matrix[t, t]) <= PALM_PIVOT_TOL
-            else "receiver_always_scheduled"
-        )
-        return LinkReport(t, rx, sel, None, 0.0, math.inf, flags=(flag,))
-    try:
-        raw = _conditional_raw(geometry, K, params, t, p, s)
-    except DetschedError as e:
-        return LinkReport(t, rx, sel, None, None, None, error=str(e))
-    cond = _unit(raw)
-    flags = ("clamped",) if abs(raw - cond) > 1e-9 else ()
-    cov = sel * cond
-    return LinkReport(t, rx, sel, cond, cov, local_delay(cov).mean, flags=flags)
+def _link_reports(geometry, K, params, rows: np.ndarray) -> tuple:
+    """One LinkReport per link-table row; per-link failures become error
+    strings."""
+    sel = _selections(K, rows)
+    scheduled = sel > PALM_PIVOT_TOL
+    raws = iter(_evaluate(geometry, K, params, rows[scheduled]))
+    out = []
+    for (t, p, s), q, ok in zip(rows.tolist(), sel.tolist(), scheduled.tolist()):
+        rx = None if s < 0 else p
+        if not ok:
+            flag = (
+                "never_scheduled"
+                if float(K.matrix[t, t]) <= PALM_PIVOT_TOL
+                else "receiver_always_scheduled"
+            )
+            out.append(LinkReport(t, rx, q, None, 0.0, math.inf, flags=(flag,)))
+            continue
+        raw = next(raws)
+        if isinstance(raw, DetschedError):
+            out.append(LinkReport(t, rx, q, None, None, None, error=str(raw)))
+            continue
+        cond = _unit(raw)
+        flags = ("clamped",) if abs(raw - cond) > 1e-9 else ()
+        cov = q * cond
+        out.append(LinkReport(t, rx, q, cond, cov, local_delay(cov).mean, flags=flags))
+    return tuple(out)
 
 
 def full_report(
@@ -325,9 +448,7 @@ def full_report(
     """
     if K.n != geometry.n:
         raise BadArgument(f"kernel has {K.n} nodes but geometry has {geometry.n}")
-    links = tuple(
-        _link_report(geometry, K, params, t, p, s) for t, p, s in geometry.links().tolist()
-    )
+    links = _link_reports(geometry, K, params, geometry.links())
     return CoverageReport(
         mode=geometry.mode,
         links=links,

@@ -187,6 +187,37 @@ def _distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(math.sqrt(float(np.sum((p - q) ** 2))))
 
 
+def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_distance`` from each point of ``a`` to each point of ``b``, equal
+    to it bit for bit (``distances`` sums the squares in another order)."""
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
+
+
+def _path_losses(model: PathLoss, r: np.ndarray) -> np.ndarray:
+    """``path_loss`` at each distance in ``r``, equal to it bit for bit, and
+    NaN where it raises.  Power laws go through Python's float power, which
+    can differ from ``np.power`` in the last place."""
+    if isinstance(model, TabulatedPathLoss):
+        inside = (r >= model.radii[0]) & (r <= model.radii[-1])
+        return np.where(inside, np.interp(r, model.radii, model.values), np.nan)
+    out = np.full(r.shape, np.nan)
+    ok = r > SINGULAR_DISTANCE_TOL
+    try:
+        e = -model.exponent
+        out[ok] = [x ** e for x in (model.kappa * r[ok]).tolist()]
+    except ArithmeticError:
+        # an over- or underflow the scalar form raises on: mark it per entry
+        out[ok] = [_loss_or_nan(model, x) for x in r[ok].tolist()]
+    return out
+
+
+def _loss_or_nan(model: PathLoss, r: float) -> float:
+    try:
+        return model.evaluate(r)
+    except ArithmeticError:
+        return math.nan
+
+
 def interferer_factor(
     interferer_distance: float, signal_distance: float, params: PropagationParams
 ) -> float:

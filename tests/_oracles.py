@@ -269,3 +269,75 @@ def phase2_loops(V, u):
                 for i in range(n):
                     V[i, j] *= inv
     return chosen
+
+
+
+def conditional_raw_loops(geometry, K, params, t, p, s, use_semi_reduced=None):
+    """Reference unclamped conditional coverage of link-table row (t, p, s).
+
+    The scalar per-link evaluation the library used before it batched its
+    closed forms: one Palm downdate and one determinant per link, and one
+    ``_distance`` and one ``interferer_factor`` call per interferer.  Its
+    errors come in the scalar order: Palm pivot, silent node, signal,
+    interferers in ground-set order, discount range.
+    """
+    from detsched.dpp import (
+        CLAMP_TOL, PALM_PIVOT_TOL, palm_reduced, palm_semi_reduced, scale_kernel,
+    )
+    from detsched.errors import AlwaysScheduledReceiver
+    from detsched.propagation import _distance, interferer_factor, noise_factor
+
+    tx_id = K.node_ids[t]
+    palm = palm_reduced(K, tx_id)
+    q = 0.0
+    if s >= 0:
+        rx_id = K.node_ids[s]
+        q = float(palm.matrix[palm.index(rx_id), palm.index(rx_id)])
+        if q >= 1.0 - CLAMP_TOL:
+            raise AlwaysScheduledReceiver(
+                f"node {s} transmits with conditional probability {q:.12g}, "
+                "so it can never listen"
+            )
+    pts = geometry.transmitter_points()
+    y = geometry.receiver_location(p)
+    d_sig = _distance(pts[t], y)
+    hv = np.array([interferer_factor(_distance(pts[z], y), d_sig, params)
+                   for z in range(geometry.n) if z != t])
+    m = K.n - 1
+    det1 = float(np.linalg.det(np.eye(m) - scale_kernel(palm.matrix, hv)))
+    if use_semi_reduced is None:
+        use_semi_reduced = not params.pathloss.singular_at_zero
+    term = 0.0
+    if use_semi_reduced and q > PALM_PIVOT_TOL:
+        semi = palm_semi_reduced(K, tx_id, rx_id)
+        det2 = float(np.linalg.det(np.eye(m) - scale_kernel(semi.matrix, hv)))
+        term = q * det2
+    return (noise_factor(d_sig, params) / (1.0 - q)) * (det1 - term)
+
+
+def link_report_loops(geometry, K, params, t, p, s):
+    """Reference LinkReport of link-table row (t, p, s), built on
+    ``conditional_raw_loops``; ``full_report`` must reproduce it exactly,
+    flags and error strings included."""
+    from detsched.coverage import LinkReport, local_delay
+    from detsched.dpp import PALM_PIVOT_TOL
+    from detsched.errors import DetschedError
+
+    rx = None if s < 0 else p
+    if s < 0:
+        sel = max(float(K.matrix[t, t]), 0.0)
+    else:
+        pair = K.matrix[np.ix_((t, s), (t, s))]
+        sel = max(float(K.matrix[t, t]) - float(np.linalg.det(pair)), 0.0)
+    if sel <= PALM_PIVOT_TOL:
+        flag = ("never_scheduled" if float(K.matrix[t, t]) <= PALM_PIVOT_TOL
+                else "receiver_always_scheduled")
+        return LinkReport(t, rx, sel, None, 0.0, math.inf, flags=(flag,))
+    try:
+        raw = conditional_raw_loops(geometry, K, params, t, p, s)
+    except DetschedError as e:
+        return LinkReport(t, rx, sel, None, None, None, error=str(e))
+    cond = min(max(raw, 0.0), 1.0)
+    flags = ("clamped",) if abs(raw - cond) > 1e-9 else ()
+    cov = sel * cond
+    return LinkReport(t, rx, sel, cond, cov, local_delay(cov).mean, flags=flags)

@@ -393,3 +393,55 @@ def test_infinite_delay_serializes_as_null_with_flag(tmp_path, capsys):
     assert dead["delay_mean"] is None
     assert "infinite_delay" in dead["flags"]
     assert "never_scheduled" in dead["flags"]
+
+
+def test_simulate_delay_only_plan_evaluates_reported_links(tmp_path, capsys, monkeypatch):
+    # closed forms are computed for the reported links only, with the
+    # same values the full report gives them
+    rng = np.random.default_rng(5)
+    doc = {
+        "mode": "txrx",
+        "nodes": rng.uniform(0.0, 1.0, size=(6, 2)).tolist(),
+        "kernel": {"type": "gaussian", "sigma": 0.5, "scale": 0.6},
+        "pathloss": {"type": "power_law", "kappa": 1.0, "beta": 3.0},
+        "threshold": 0.5,
+        "noise": 0.05,
+        "simulate": {"reps": 200, "seed": 3, "targets": [["delay", [0, 1]], ["delay", [4, 2]]]},
+    }
+    path = _write(tmp_path, doc)
+    from detsched import coverage
+    evaluated = []
+    real = coverage._evaluate
+
+    def spy(geometry, K, params, rows, *args, **kwargs):
+        evaluated.append(rows.tolist())
+        return real(geometry, K, params, rows, *args, **kwargs)
+
+    monkeypatch.setattr(coverage, "_evaluate", spy)
+    assert cli.main(["simulate", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert evaluated == [[[0, 1, 1], [4, 2, 2]]]
+    cfg = cli.parse_config_dict(doc)
+    K = ds.l_to_k(ds.build_L(cfg.kernel_spec, cfg.geometry))
+    report = ds.full_report(cfg.geometry, K, cfg.params)
+    cov = {(lr.transmitter, lr.receiver): lr.coverage for lr in report.links}
+    got = {(r["transmitter"], r["receiver"]): r["closed_form"] for r in out["results"]}
+    assert [r["target"] for r in out["results"]] == ["delay", "delay"]
+    assert got == {(0, 1): 1.0 / cov[(0, 1)], (4, 2): 1.0 / cov[(4, 2)]}
+
+
+def test_kernel_built_once_per_invocation(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.build_K
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "build_K", counting)
+    path = _write(tmp_path, _base_config())
+    for command in ("coverage", "validate"):
+        calls.clear()
+        assert cli.main([command, path]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()

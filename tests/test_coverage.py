@@ -6,7 +6,14 @@ import pytest
 
 import detsched as ds
 
-from _oracles import pmf_from_l, random_pairs_geometry, random_psd_l
+from _oracles import (
+    conditional_raw_loops,
+    link_report_loops,
+    pmf_from_l,
+    random_pairs_geometry,
+    random_psd_l,
+)
+from detsched import coverage as coverage_module
 
 
 def _power_params(tau=1.0, beta=2.0, noise=0.0, mu=1.0):
@@ -399,3 +406,153 @@ def test_zero_kernel_gives_zero_coverage_and_infinite_delay():
     rep = ds.full_report(geo, K, _power_params())
     assert rep.links[0].delay_mean == math.inf
     assert "never_scheduled" in rep.links[0].flags
+
+
+_TABLES = {
+    "table": ([0.0, 0.5, 1.0, 3.0], [1.5, 0.6, 0.25, 0.01]),
+    # shorter than some interferer distances (BadArgument)
+    "short": ([0.0, 0.4, 0.8], [1.2, 0.5, 0.2]),
+    # no entry at distance 0, where a txrx receiver interferes with itself
+    "no_zero": ([0.02, 0.5, 3.0], [1.0, 0.4, 0.02]),
+    # zero beyond 0.7: a longer signal is degenerate (DegenerateSignal)
+    "zero_tail": ([0.0, 0.4, 0.7, 3.0], [1.0, 0.3, 0.0, 0.0]),
+}
+
+
+def _branch_instance(rng, case):
+    """A random instance (n <= 8) whose options cycle through every branch
+    of the link evaluation."""
+    n = 1 if case % 11 == 0 else int(rng.integers(2, 9))
+    mode = "pairs" if n == 1 else ("pairs", "txrx")[case % 2]
+    loss = ("power", "table", "short", "no_zero", "zero_tail")[(case // 2) % 5]
+    if loss == "power":
+        model = ds.PowerLawPathLoss(float(rng.uniform(0.5, 2.0)), float(rng.uniform(2.0, 4.0)))
+    else:
+        model = ds.TabulatedPathLoss(np.array(_TABLES[loss][0]), np.array(_TABLES[loss][1]))
+    threshold = (0.0, 0.7, 3.0)[case % 3]
+    noise = (0.0, 0.1)[(case // 3) % 2]
+    params = ds.PropagationParams(model, threshold=threshold, noise=noise, fading_mean=1.3)
+    if mode == "pairs":
+        tx, rx = random_pairs_geometry(rng, n)
+        if case % 4 == 2:
+            rx[0] = tx[0]  # zero-length link (SingularDistance under a power law)
+        geo = ds.NetworkGeometry.pairs(tx, rx)
+    else:
+        pts = rng.uniform(0.0, 1.0, size=(n, 2))
+        if case % 4 == 3:
+            pts[1] = pts[0]  # coincident nodes
+        geo = ds.NetworkGeometry.txrx(pts)
+    k = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n))).matrix.copy()
+    if n > 2 and case % 5 == 1:
+        k[-1, :] = k[:, -1] = 0.0  # never scheduled
+    if n > 2 and case % 5 == 2:
+        k[-1, :] = k[:, -1] = 0.0
+        k[-1, -1] = 1.0  # always scheduled
+    return geo, ds.MarginalKernel.from_matrix(k), params
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ds.DetschedError as e:
+        return type(e), str(e)
+
+
+def test_full_report_matches_scalar_reference():
+    # the batched evaluation reproduces the scalar per-link one exactly:
+    # values, flags, error strings, and the public per-link functions
+    rng = np.random.default_rng(79)
+    seen_errors = set()
+    seen_flags = set()
+    for case in range(120):
+        geo, K, params = _branch_instance(rng, case)
+        rows = geo.links().tolist()
+        rep = ds.full_report(geo, K, params)
+        expect = tuple(link_report_loops(geo, K, params, *row) for row in rows)
+        assert rep.links == expect
+        seen_errors |= {lr.error.split(" ")[0] for lr in rep.links if lr.error}
+        seen_flags |= {f for lr in rep.links for f in lr.flags}
+        for t, p, s in rows:
+            def ref(semi=None):
+                return _outcome(lambda: coverage_module._unit(
+                    conditional_raw_loops(geo, K, params, t, p, s, semi)))
+            if s < 0:
+                assert _outcome(ds.conditional_pair_coverage, geo, K, t, params) == ref()
+                lr = link_report_loops(geo, K, params, t, p, s)
+                if lr.error is None:
+                    assert ds.pair_coverage(geo, K, t, params) == lr.coverage
+                continue
+            assert _outcome(ds.txrx_conditional_coverage, geo, K, t, p, params) == ref()
+            for semi in (False, True):
+                got = _outcome(ds.txrx_conditional_coverage, geo, K, t, p, params,
+                               use_semi_reduced=semi)
+                assert got == ref(semi)
+    assert {"never_scheduled", "receiver_always_scheduled"} <= seen_flags
+    # SingularDistance, BadArgument ("distance ... outside"), DegenerateSignal
+    assert {"power-law", "distance", "path"} <= seen_errors
+
+
+def test_coverage_kernel_matches_scalar_reference():
+    rng = np.random.default_rng(80)
+    for case in range(40):
+        geo, K, params = _branch_instance(rng, 2 * case)
+        if geo.mode != "pairs":
+            continue
+        n = K.n
+        for link in range(n):
+            got = _outcome(ds.coverage_kernel, geo, K, link, params)
+
+            def ref():
+                palm = ds.palm_reduced(K, K.node_ids[link])
+                pts, y = geo.transmitters, geo.receivers[link]
+                d_sig = ds.propagation._distance(pts[link], y)
+                hv = np.array([ds.interferer_factor(ds.propagation._distance(pts[z], y),
+                                                    d_sig, params)
+                               for z in range(n) if z != link])
+                out = np.zeros((n, n))
+                others = [z for z in range(n) if z != link]
+                out[np.ix_(others, others)] = np.eye(n - 1) - ds.scale_kernel(palm.matrix, hv)
+                out[link, link] = ds.noise_factor(d_sig, params) * float(K.matrix[link, link])
+                return out
+
+            expect = _outcome(ref)
+            if isinstance(expect, np.ndarray):
+                assert np.array_equal(got, expect)
+            else:
+                assert got == expect
+
+
+def test_block_size_does_not_change_results(monkeypatch):
+    # one row per block splits every transmitter's rows across blocks
+    rng = np.random.default_rng(81)
+    table = ds.TabulatedPathLoss(np.array([0.0, 0.5, 1.0, 3.0]), np.array([1.5, 0.6, 0.25, 0.01]))
+    cases = [(ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(40, 2))), table),
+             (ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(12, 2))),
+              ds.PowerLawPathLoss(1.0, 3.0)),
+             (ds.NetworkGeometry.pairs(*random_pairs_geometry(rng, 20)),
+              ds.PowerLawPathLoss(1.0, 3.0))]
+    for geo, model in cases:
+        n = geo.n
+        K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n)))
+        params = ds.PropagationParams(model, threshold=0.8, noise=0.05)
+        default = ds.full_report(geo, K, params)
+        monkeypatch.setattr(coverage_module, "_BLOCK_BYTES", 8 * (n - 1) ** 2)
+        assert ds.full_report(geo, K, params) == default
+        monkeypatch.undo()
+
+
+def test_loss_overflow_behaves_as_scalar():
+    # transmitter 1 sits 5e-4 from receiver 0, where r^-150 overflows: the
+    # scalar form raises OverflowError once that interferer is evaluated,
+    # and never evaluates it at threshold 0
+    geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [1.0005, 0.0]], [[1.0, 0.0], [2.0, 0.0]])
+    K = ds.MarginalKernel.from_matrix(np.diag([0.5, 0.5]))
+    model = ds.PowerLawPathLoss(1.0, 150.0)
+    quiet = ds.PropagationParams(model, threshold=0.0)
+    rep = ds.full_report(geo, K, quiet)
+    assert rep.links == tuple(link_report_loops(geo, K, quiet, t, p, s)
+                              for t, p, s in geo.links().tolist())
+    with pytest.raises(OverflowError):
+        ds.full_report(geo, K, ds.PropagationParams(model, threshold=1.0))
+    with pytest.raises(OverflowError):
+        link_report_loops(geo, K, ds.PropagationParams(model, threshold=1.0), 0, 0, -1)
