@@ -15,9 +15,11 @@ calling thread.
 Coverage replications run in blocks: each fills one row of uniforms from
 its own substream, then the block's point selections and SINR tests run as
 stacked array operations, each replication's arithmetic independent of the
-rest of its block.  Delay replications play one slot at a time through
-``_sampling.draw_mask``, because each continues its stream from slot to
-slot.
+rest of its block.  A block derives its generator states through
+``rng.block_uniforms`` (numpy's seeding hash over the whole block, one
+reused generator), which tests pin to ``substream`` bit for bit.  Delay
+replications play one slot at a time through ``_sampling.draw_mask``,
+because each continues its stream from slot to slot.
 """
 
 import math
@@ -36,7 +38,7 @@ from .propagation import (
     PropagationParams,
     distances,
 )
-from .rng import exponential_fading, substream
+from .rng import block_uniforms, exponential_fading, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
 
@@ -219,20 +221,18 @@ class _Arena:
     def block_counts(self, seed: int, reps: range) -> np.ndarray:
         """Summed success indicators of replications ``reps``, one slot each.
 
-        Each replication fills one row from its own substream in contract
-        order: n coins, one uniform per selected point, then the n-by-n
-        fading block.  A row holds 2n + n^2 uniforms, enough for any number
-        of selected points; what a replication does not use is never read,
-        and its generator is discarded.
+        Each replication fills one row from its own substream, derived for
+        the whole block by ``block_uniforms``, in contract order: n coins,
+        one uniform per selected point, then the n-by-n fading block.  A
+        row holds 2n + n^2 uniforms, enough for any number of selected
+        points; what a replication does not use is never read.
         """
         n = self.n
         counts = 0
         step = max(1, _BLOCK_BYTES // (8 * (2 * n + n * n)))
         for lo in range(0, len(reps), step):
             block = reps[lo:lo + step]
-            buf = np.empty((len(block), 2 * n + n * n))
-            for row, r in zip(buf, block):
-                substream(seed, r).random(out=row)
+            buf = block_uniforms(seed, block, 2 * n + n * n)
             sel = buf[:, :n] < self.lvals / (1.0 + self.lvals)
             mask = _sampling.select_block(self.lvecs, sel, buf[:, n:2 * n])
             k = np.count_nonzero(sel, axis=1)

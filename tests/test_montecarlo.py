@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import detsched as ds
-from detsched import _sampling
+from detsched import _sampling, montecarlo
 from detsched.rng import substream
 
 from _oracles import phase2_loops, random_pairs_geometry, random_psd_l
@@ -186,6 +186,31 @@ def test_replication_stream_contract():
         ref = substream(5, r)
         ref.random(5 + k)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_block_boundaries_do_not_change_estimates(monkeypatch):
+    # one row per block and uneven splits of the replications give the
+    # default block's estimates and the rep-by-rep replay's counts, for
+    # seeds of one and of five entropy words
+    params = _power_params(tau=0.5, noise=0.05)
+    geo, L = _instance(11, n=4)
+    rng = np.random.default_rng(12)
+    tgeo = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(5, 2)))
+    tl = ds.LEnsemble.from_matrix(random_psd_l(rng, 5, scale=2.0))
+    for seed in (78, 2**128 + 78):
+        plan = ds.SimulationPlan(300, seed)
+        for g, l, sim in ((geo, L, ds.simulate_pair_coverage), (tgeo, tl, ds.simulate_txrx)):
+            default = sim(g, l, params, plan)
+            row_bytes = 8 * (2 * g.n + g.n ** 2)
+            for rows in (1, 7, 64, 299):
+                monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", rows * row_bytes)
+                assert sim(g, l, params, plan) == default
+            monkeypatch.undo()
+            hits = _replay_coverage(g, l, params, plan)
+            if g.mode == "pairs":
+                default = {(i, i): est for i, est in enumerate(default)}
+            for (i, j), est in default.items():
+                assert est.mean * plan.replications == pytest.approx(hits[i, j], abs=1e-9)
 
 
 def test_single_link_simulation_value():
