@@ -64,11 +64,11 @@ from .kernels import (
 )
 from .montecarlo import SimulationPlan
 from .propagation import (
-    SINGULAR_DISTANCE_TOL,
     NetworkGeometry,
     PowerLawPathLoss,
     PropagationParams,
     TabulatedPathLoss,
+    _channel,
 )
 from .rng import substream
 
@@ -407,13 +407,9 @@ def parse_config_dict(doc) -> RunConfig:
                 errors.append(
                     ("kernel", f"kernel has {K.n} nodes but geometry has {geometry.n}")
                 )
-    if (
-        geometry is not None
-        and geometry.mode == "pairs"
-        and isinstance(pathloss, PowerLawPathLoss)
-    ):
-        gaps = np.sqrt(((geometry.transmitters - geometry.receivers) ** 2).sum(axis=1))
-        for i in np.flatnonzero(gaps <= SINGULAR_DISTANCE_TOL):
+    if geometry is not None and geometry.mode == "pairs" and pathloss is not None:
+        _, _, drowned = _channel(pathloss, geometry.transmitters, geometry.receivers)
+        for i in np.flatnonzero(drowned.diagonal()):
             errors.append(
                 ("geometry", f"transmitter {int(i)} coincides with its receiver "
                              "under power_law path loss")

@@ -43,11 +43,9 @@ from .dpp import (
 from .errors import AlwaysScheduledReceiver, BadArgument, DetschedError, SameNode
 from .kernels import MarginalKernel
 from .propagation import (
-    SINGULAR_DISTANCE_TOL,
     NetworkGeometry,
     PropagationParams,
-    _distance_matrix,
-    _path_losses,
+    _channel,
     interferer_factor,
     noise_factor,
 )
@@ -148,7 +146,7 @@ def _evaluate(geometry, K, params, rows: np.ndarray,
     is singular at zero: the silent node's own discount is then exactly 0,
     which forces the correction's determinant to 0.
 
-    Rows run in blocks: the path losses come from one distance matrix to
+    Rows run in blocks: the path losses come from one channel table to
     the rows' receiver slots, each transmitter of a block gets one Palm
     downdate, and the determinants are stacked.  A row's checks run in the
     scalar order (transmitter pivot, silent node, signal, interferers in
@@ -164,9 +162,8 @@ def _evaluate(geometry, K, params, rows: np.ndarray,
     if use_semi_reduced is None:
         use_semi_reduced = not model.singular_at_zero
     slots, col_of = np.unique(rows[:, 1], return_inverse=True)
-    dist = _distance_matrix(geometry.transmitter_points(), geometry.receiver_points()[slots])
-    loss = _path_losses(model, dist)
-    drowned = model.singular_at_zero & (dist <= SINGULAR_DISTANCE_TOL)
+    dist, loss, drowned = _channel(
+        model, geometry.transmitter_points(), geometry.receiver_points()[slots])
     # noise_factor's exponent, its operations in its order
     rate = -(theta / params.fading_mean) * params.noise
     silenced = theta == 0 or params.noise == 0

@@ -5,12 +5,15 @@ checks the SINR of each link directly, with no reuse of the closed-form
 machinery.  Links are the rows of the geometry's link table (transmitter,
 receiver slot, silent node); one SINR test serves both modes, a txrx
 link's receiving node being the slot's silent node, which must not
-transmit.  Replication r always uses substream(seed, r) and consumes it in
-a fixed order (scheduling draw, then the n-by-n fading block, row major;
-delay replications repeat that per slot), so results depend on the seed
-alone.  The ``workers`` arguments are accepted for compatibility and
-change neither the results nor the work done: replications run in the
-calling thread.
+transmit.  Distances and path losses come from ``propagation._channel``,
+the channel table the closed forms read, so both engines test SINR against
+the same numbers, and a path loss the scalar ``path_loss`` cannot evaluate
+fails here with its error.  Replication r always uses substream(seed, r)
+and consumes it in a fixed order (scheduling draw, then the n-by-n fading
+block, row major; delay replications repeat that per slot), so results
+depend on the seed alone.  The ``workers`` arguments are accepted for
+compatibility and change neither the results nor the work done:
+replications run in the calling thread.
 
 Coverage replications run in blocks: each fills one row of uniforms from
 its own substream, then the block's point selections and SINR tests run as
@@ -31,19 +34,18 @@ import numpy as np
 from . import _sampling
 from .errors import BadArgument, SingularDistance
 from .kernels import LEnsemble
-from .propagation import (
-    SINGULAR_DISTANCE_TOL,
-    NetworkGeometry,
-    PowerLawPathLoss,
-    PropagationParams,
-    distances,
-)
+from .propagation import NetworkGeometry, PropagationParams, _channel, path_loss
 from .rng import block_uniforms, exponential_fading, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
 
 
 VALID_TARGET_KINDS = ("coverage", "delay")
+
+
+def _is_int(x) -> bool:
+    """An integer that is not a bool, as the CLI's ``_get_int`` requires."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,9 @@ class SimulationPlan:
     delay_cap: int = DEFAULT_DELAY_CAP
 
     def __post_init__(self):
-        if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
+        if not _is_int(self.replications) or self.replications < 1:
             raise BadArgument(f"replications must be >= 1, got {self.replications!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise BadArgument(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not self.targets:
             raise BadArgument("simulation plan needs at least one target")
@@ -71,7 +73,7 @@ class SimulationPlan:
             kind = t[0] if isinstance(t, tuple) else t
             if kind not in VALID_TARGET_KINDS:
                 raise BadArgument(f"unknown simulation target {t!r}")
-        if not isinstance(self.delay_cap, (int, np.integer)) or self.delay_cap < 1:
+        if not _is_int(self.delay_cap) or self.delay_cap < 1:
             raise BadArgument(f"delay cap must be >= 1, got {self.delay_cap!r}")
 
     def delay_links(self):
@@ -118,23 +120,6 @@ def _bernoulli_estimate(successes: int, reps: int) -> Estimate:
     return Estimate(mean=p, std_error=std / math.sqrt(reps), replications=reps)
 
 
-def _loss_matrix(model, dist: np.ndarray) -> np.ndarray:
-    """Elementwise path loss; +inf marks singular (zero-distance) entries
-    under a power law."""
-    if isinstance(model, PowerLawPathLoss):
-        singular = dist <= SINGULAR_DISTANCE_TOL
-        safe = np.where(singular, 1.0, dist)
-        out = (model.kappa * safe) ** (-model.exponent)
-        out[singular] = np.inf
-        return out
-    lo, hi = model.radii[0], model.radii[-1]
-    if np.any(dist < lo) or np.any(dist > hi):
-        raise BadArgument(
-            f"a link distance falls outside the tabulated range [{lo!r}, {hi!r}]"
-        )
-    return np.interp(dist, model.radii, model.values)
-
-
 # Coverage replications run in blocks whose uniform buffer, the largest
 # array a block holds, stays near this many bytes.
 _BLOCK_BYTES = 1 << 20
@@ -143,13 +128,13 @@ _BLOCK_BYTES = 1 << 20
 class _Arena:
     """Precomputed quantities shared by every replication of one simulation.
 
-    ``loss`` is the finite path loss from each node to each receiver slot,
-    zero where it is infinite or where the node is the slot's silent node;
-    ``deafening`` marks the (node, slot) entries that, when the node
-    transmits, leave the slot unable to decode anything: an interferer at
-    zero distance under a singular path loss, or the slot's own silent node.
+    ``loss`` is the channel table's path loss from each node to each
+    receiver slot, zero where the node deafens the slot; ``deafening`` marks
+    the (node, slot) entries that, when the node transmits, leave the slot
+    unable to decode anything: the channel's drowned entries (zero distance
+    under a singular path loss) and the slot's own silent node.
     ``keys``, ``tx`` and ``rx`` list the links whose success is tested, the
-    links of the geometry's table with a defined (finite) signal: an int per
+    links of the geometry's table whose signal is not drowned: an int per
     dedicated link, a (tx, rx) tuple per txrx link.
     """
 
@@ -159,23 +144,25 @@ class _Arena:
             raise BadArgument(f"{mode}-mode simulation got {geometry.mode!r} geometry")
         if L.n != geometry.n:
             raise BadArgument(f"kernel has {L.n} nodes but geometry has {geometry.n}")
-        n = self.n = geometry.n
+        self.n = geometry.n
         self.lvals, self.lvecs = L.eigh
         self.params = params
         links = geometry.links()
         tx, rx, silent = links.T
-        self.deafening = np.zeros((n, n), dtype=bool)
-        self.deafening[silent[silent >= 0], rx[silent >= 0]] = True
-        dist = distances(geometry.transmitter_points(), geometry.receiver_points())
-        loss = np.zeros((n, n))
-        loss[~self.deafening] = _loss_matrix(params.pathloss, dist[~self.deafening])
-        singular = np.isinf(loss)
-        defined = ~singular[tx, rx]
+        dist, loss, drowned = _channel(
+            params.pathloss, geometry.transmitter_points(), geometry.receiver_points())
+        defined = ~drowned[tx, rx]
         if geometry.mode == "pairs" and not defined.all():
             bad = int(tx[~defined][0])
             raise SingularDistance(f"link {bad} has zero length under a singular path loss")
-        self.deafening |= singular
-        self.loss = np.where(singular, 0.0, loss)
+        self.deafening = drowned
+        self.deafening[silent[silent >= 0], rx[silent >= 0]] = True
+        # a silent node's entry is never judged; any other entry the scalar
+        # path loss cannot evaluate fails with its error
+        bad = np.argwhere(np.isnan(loss) & ~self.deafening)
+        if len(bad):
+            path_loss(params.pathloss, dist[tuple(bad[0])])
+        self.loss = np.where(self.deafening, 0.0, loss)
         self.tx, self.rx = tx[defined], rx[defined]
         self.keys = [t if s < 0 else (t, r) for t, r, s in links[defined].tolist()]
 

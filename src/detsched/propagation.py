@@ -5,6 +5,12 @@ its own dedicated receiver at a fixed offset; in "txrx" mode a single set
 of nodes both transmits and receives, and links are ordered node pairs.
 Signal power through a link is fading * pathloss(distance); a link is
 covered when its SINR clears the detection threshold.
+
+``_channel`` is the one channel table both engines read: the distance and
+path loss from each node to each receiver slot, equal bit for bit to the
+scalar ``path_loss`` (NaN where it raises), and the entries an interferer
+drowns under a path loss singular at zero.  The closed forms and the Monte
+Carlo both evaluate it, so they test SINR against the same numbers.
 """
 
 import math
@@ -16,6 +22,7 @@ import numpy as np
 from .errors import (
     BadArgument,
     DegenerateSignal,
+    DetschedError,
     IncompleteFading,
     SameNode,
     SingularDistance,
@@ -26,7 +33,8 @@ SINGULAR_DISTANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PowerLawPathLoss:
-    """Path loss (kappa * r) ** (-exponent), singular at zero distance."""
+    """Path loss (kappa * r) ** (-exponent), singular at zero distance and
+    wherever the power overflows a double."""
 
     kappa: float
     exponent: float
@@ -44,7 +52,12 @@ class PowerLawPathLoss:
             raise SingularDistance(
                 f"power-law path loss is singular at distance {r!r}"
             )
-        return (self.kappa * r) ** (-self.exponent)
+        try:
+            return (self.kappa * r) ** (-self.exponent)
+        except ArithmeticError:
+            raise SingularDistance(
+                f"power-law path loss overflows at distance {r!r}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -177,19 +190,13 @@ class NetworkGeometry:
         return np.stack([i, j, j], axis=1)
 
 
-def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between two point sets, shape (len a, len b)."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def _distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(math.sqrt(float(np.sum((p - q) ** 2))))
 
 
 def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``_distance`` from each point of ``a`` to each point of ``b``, equal
-    to it bit for bit (``distances`` sums the squares in another order)."""
+    to it bit for bit, shape (len a, len b)."""
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
 
 
@@ -206,7 +213,7 @@ def _path_losses(model: PathLoss, r: np.ndarray) -> np.ndarray:
         e = -model.exponent
         out[ok] = [x ** e for x in (model.kappa * r[ok]).tolist()]
     except ArithmeticError:
-        # an over- or underflow the scalar form raises on: mark it per entry
+        # an overflow the scalar form raises on: mark it per entry
         out[ok] = [_loss_or_nan(model, x) for x in r[ok].tolist()]
     return out
 
@@ -214,8 +221,17 @@ def _path_losses(model: PathLoss, r: np.ndarray) -> np.ndarray:
 def _loss_or_nan(model: PathLoss, r: float) -> float:
     try:
         return model.evaluate(r)
-    except ArithmeticError:
+    except DetschedError:
         return math.nan
+
+
+def _channel(model: PathLoss, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(dist, loss, drowned) from each point of ``a`` to each point of ``b``:
+    ``_distance_matrix``, ``_path_losses``, and where a path loss singular at
+    zero puts the transmitter on top of the receiver, drowning any signal."""
+    dist = _distance_matrix(a, b)
+    drowned = model.singular_at_zero & (dist <= SINGULAR_DISTANCE_TOL)
+    return dist, _path_losses(model, dist), drowned
 
 
 def interferer_factor(

@@ -240,6 +240,29 @@ def test_exit_code_computation_error(tmp_path, capsys):
     assert "computation failed" in capsys.readouterr().err
 
 
+def test_path_loss_overflow_is_a_computation_error(tmp_path, capsys):
+    # r^-400 overflows a double at r = 0.1: coverage reports the affected
+    # links as error rows, and simulate refuses the instance
+    doc = _base_config(
+        mode="txrx",
+        nodes=[[0.0, 0.0], [0.1, 0.0], [1.0, 0.0]],
+        kernel={"type": "aloha_diagonal", "probabilities": [0.5, 0.5, 0.5]},
+        pathloss={"type": "power_law", "kappa": 1.0, "beta": 400.0},
+    )
+    del doc["transmitters"], doc["receivers"]
+    path = _write(tmp_path, doc)
+    assert cli.main(["coverage", path]) == 0
+    captured = capsys.readouterr()
+    errors = {(r["transmitter"], r["receiver"]): r["error"]
+              for r in json.loads(captured.out)["links"]}
+    assert errors[(1, 2)] is None
+    assert errors[(0, 1)] == errors[(2, 1)] == "power-law path loss overflows at distance 0.1"
+    assert "Traceback" not in captured.err
+    assert cli.main(["simulate", path]) == 3
+    err = capsys.readouterr().err
+    assert "overflows at distance 0.1" in err and "Traceback" not in err
+
+
 def test_simulate_command(tmp_path, capsys):
     doc = _base_config()
     doc["simulate"]["targets"] = ["coverage", "delay"]

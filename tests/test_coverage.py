@@ -543,16 +543,15 @@ def test_block_size_does_not_change_results(monkeypatch):
 
 def test_loss_overflow_behaves_as_scalar():
     # transmitter 1 sits 5e-4 from receiver 0, where r^-150 overflows: the
-    # scalar form raises OverflowError once that interferer is evaluated,
+    # scalar form raises SingularDistance once that interferer is evaluated,
     # and never evaluates it at threshold 0
     geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [1.0005, 0.0]], [[1.0, 0.0], [2.0, 0.0]])
     K = ds.MarginalKernel.from_matrix(np.diag([0.5, 0.5]))
     model = ds.PowerLawPathLoss(1.0, 150.0)
-    quiet = ds.PropagationParams(model, threshold=0.0)
-    rep = ds.full_report(geo, K, quiet)
-    assert rep.links == tuple(link_report_loops(geo, K, quiet, t, p, s)
-                              for t, p, s in geo.links().tolist())
-    with pytest.raises(OverflowError):
-        ds.full_report(geo, K, ds.PropagationParams(model, threshold=1.0))
-    with pytest.raises(OverflowError):
-        link_report_loops(geo, K, ds.PropagationParams(model, threshold=1.0), 0, 0, -1)
+    for threshold in (0.0, 1.0):
+        params = ds.PropagationParams(model, threshold=threshold)
+        rep = ds.full_report(geo, K, params)
+        assert rep.links == tuple(link_report_loops(geo, K, params, t, p, s)
+                                  for t, p, s in geo.links().tolist())
+    assert rep.links[0].error.startswith("power-law path loss overflows at distance")
+    assert rep.links[1].error is None

@@ -40,6 +40,10 @@ def test_plan_validation():
         ds.SimulationPlan(10, 1, targets=("latency",))
     with pytest.raises(ds.BadArgument):
         ds.SimulationPlan(10, 1, delay_cap=0)
+    # bools are ints to Python, but not counts or seeds
+    for bad in ((True, 1, 10), (10, False, 10), (10, 1, True)):
+        with pytest.raises(ds.BadArgument):
+            ds.SimulationPlan(bad[0], bad[1], delay_cap=bad[2])
     plan = ds.SimulationPlan(10, 1, targets=("coverage", ("delay", 2)))
     assert plan.wants("coverage") and plan.wants("delay")
     assert plan.delay_links() == [2]
@@ -299,3 +303,86 @@ def test_kernel_size_mismatch():
     L = ds.LEnsemble.from_matrix([[1.0]])
     with pytest.raises(ds.BadArgument):
         ds.simulate_pair_coverage(geo, L, _power_params(), ds.SimulationPlan(10, 1))
+
+
+def test_arena_loss_is_the_scalar_path_loss():
+    # the simulator reads the closed forms' channel table: every entry its
+    # SINR test uses is scalar path_loss bit for bit, the rest deafen
+    from detsched.propagation import _distance
+
+    rng = np.random.default_rng(91)
+    table = ds.TabulatedPathLoss(np.array([0.0, 0.5, 1.0, 3.0]),
+                                 np.array([1.5, 0.6, 0.25, 0.01]))
+    for model in (ds.PowerLawPathLoss(1.3, 3.7), table):
+        params = ds.PropagationParams(model, threshold=1.0)
+        tx, rx = random_pairs_geometry(rng, 6)
+        tx[1] = rx[0]  # an interferer on top of a receiver
+        pts = rng.uniform(0.0, 1.0, size=(6, 2))
+        pts[1] = pts[0]  # coincident nodes
+        for geo in (ds.NetworkGeometry.pairs(tx, rx), ds.NetworkGeometry.txrx(pts)):
+            L = ds.LEnsemble.from_matrix(random_psd_l(rng, 6))
+            arena = montecarlo._Arena(geo, L, params)
+            a, b = geo.transmitter_points(), geo.receiver_points()
+            for z in range(6):
+                for p in range(6):
+                    d = _distance(a[z], b[p])
+                    silent = geo.mode == "txrx" and z == p
+                    drowned = model.singular_at_zero and d <= 1e-12
+                    assert arena.deafening[z, p] == (silent or drowned)
+                    expect = 0.0 if silent or drowned else ds.path_loss(model, d)
+                    assert arena.loss[z, p] == expect
+
+
+def _table(name):
+    from test_coverage import _TABLES
+
+    radii, values = _TABLES[name]
+    return ds.TabulatedPathLoss(np.array(radii), np.array(values))
+
+
+def test_simulation_table_without_zero_distance():
+    # a txrx receiver sits at distance 0 from itself, outside this table;
+    # as a silent node it is never judged, so the simulation runs
+    rng = np.random.default_rng(92)
+    geo = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(4, 2)))
+    L = ds.LEnsemble.from_matrix(random_psd_l(rng, 4, scale=1.5))
+    params = ds.PropagationParams(_table("no_zero"), threshold=0.5, noise=0.05)
+    ests = ds.simulate_txrx(geo, L, params, ds.SimulationPlan(300, 93))
+    assert set(ests) == {(i, j) for i in range(4) for j in range(4) if i != j}
+    assert 0.0 < sum(est.mean for est in ests.values())
+
+
+def test_simulation_raises_the_scalar_path_loss_error():
+    # a distance beyond the table: the simulator raises what path_loss
+    # raises at the first such (node, receiver slot) entry
+    from detsched.propagation import _distance
+
+    rng = np.random.default_rng(94)
+    pts = rng.uniform(0.0, 1.0, size=(5, 2))
+    geo = ds.NetworkGeometry.txrx(pts)
+    L = ds.LEnsemble.from_matrix(random_psd_l(rng, 5))
+    short = _table("short")
+    far = next(d for d in (_distance(pts[z], pts[p]) for z in range(5) for p in range(5))
+               if d > 0.8)
+    with pytest.raises(ds.BadArgument) as want:
+        ds.path_loss(short, far)
+    params = ds.PropagationParams(short, threshold=1.0)
+    for simulate in (ds.simulate_txrx, ds.simulate_local_delay):
+        with pytest.raises(ds.BadArgument) as got:
+            simulate(geo, L, params, ds.SimulationPlan(10, 1))
+        assert str(got.value) == str(want.value)
+
+
+def test_simulation_power_law_overflow_is_singular():
+    # r^-400 overflows a double at r = 0.1: the closed forms report it per
+    # link, the simulator refuses the instance rather than drop the links
+    geo = ds.NetworkGeometry.txrx([[0.0, 0.0], [0.1, 0.0], [1.0, 0.0]])
+    L = ds.LEnsemble.from_matrix(np.eye(3))
+    params = _power_params(beta=400.0)
+    for simulate in (ds.simulate_txrx, ds.simulate_local_delay):
+        with pytest.raises(ds.SingularDistance, match="overflows at distance 0.1"):
+            simulate(geo, L, params, ds.SimulationPlan(10, 1))
+    pairs = ds.NetworkGeometry.pairs([[0.0, 0.0], [1.0, 0.0]], [[0.1, 0.0], [0.95, 0.0]])
+    with pytest.raises(ds.SingularDistance, match="overflows"):
+        ds.simulate_pair_coverage(pairs, ds.LEnsemble.from_matrix(np.eye(2)), params,
+                                  ds.SimulationPlan(10, 1))

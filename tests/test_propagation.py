@@ -97,9 +97,9 @@ def test_network_geometry():
 
 
 def test_distances():
-    from detsched.propagation import distances
+    from detsched.propagation import _distance_matrix
 
-    d = distances(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0], [0.0, 1.0]]))
+    d = _distance_matrix(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0], [0.0, 1.0]]))
     np.testing.assert_allclose(d, [[5.0, 1.0]])
 
 
