@@ -68,7 +68,8 @@ from .propagation import (
     PowerLawPathLoss,
     PropagationParams,
     TabulatedPathLoss,
-    _channel,
+    _distance_matrix,
+    _drowned,
 )
 from .rng import substream
 
@@ -177,10 +178,7 @@ def _point_list(obj, key, errors):
     if key not in obj:
         errors.append((key, "required"))
         return None
-    rows = _matrix(obj[key], key, errors)
-    if rows is None:
-        return None
-    return rows
+    return _matrix(obj[key], key, errors)
 
 
 def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
@@ -408,8 +406,8 @@ def parse_config_dict(doc) -> RunConfig:
                     ("kernel", f"kernel has {K.n} nodes but geometry has {geometry.n}")
                 )
     if geometry is not None and geometry.mode == "pairs" and pathloss is not None:
-        _, _, drowned = _channel(pathloss, geometry.transmitters, geometry.receivers)
-        for i in np.flatnonzero(drowned.diagonal()):
+        dist = _distance_matrix(geometry.transmitters, geometry.receivers).diagonal()
+        for i in np.flatnonzero(_drowned(pathloss, dist)):
             errors.append(
                 ("geometry", f"transmitter {int(i)} coincides with its receiver "
                              "under power_law path loss")

@@ -225,13 +225,16 @@ def _loss_or_nan(model: PathLoss, r: float) -> float:
         return math.nan
 
 
+def _drowned(model: PathLoss, dist):
+    """Where a node at ``dist`` sits on a receiver whose loss is singular at zero."""
+    return model.singular_at_zero & (dist <= SINGULAR_DISTANCE_TOL)
+
+
 def _channel(model: PathLoss, a: np.ndarray, b: np.ndarray) -> tuple:
     """(dist, loss, drowned) from each point of ``a`` to each point of ``b``:
-    ``_distance_matrix``, ``_path_losses``, and where a path loss singular at
-    zero puts the transmitter on top of the receiver, drowning any signal."""
+    ``_distance_matrix``, ``_path_losses`` and ``_drowned``."""
     dist = _distance_matrix(a, b)
-    drowned = model.singular_at_zero & (dist <= SINGULAR_DISTANCE_TOL)
-    return dist, _path_losses(model, dist), drowned
+    return dist, _path_losses(model, dist), _drowned(model, dist)
 
 
 def interferer_factor(
@@ -249,7 +252,7 @@ def interferer_factor(
         raise DegenerateSignal(
             f"path loss at signal distance {signal_distance!r} is {ell_r!r}"
         )
-    if params.pathloss.singular_at_zero and interferer_distance <= SINGULAR_DISTANCE_TOL:
+    if _drowned(params.pathloss, interferer_distance):
         return 0.0
     if params.threshold == 0:
         return 1.0
@@ -348,7 +351,7 @@ def sinr(
     interference = 0.0
     for z in zs:
         dz = _distance(pts[z], y)
-        if params.pathloss.singular_at_zero and dz <= SINGULAR_DISTANCE_TOL:
+        if _drowned(params.pathloss, dz):
             return 0.0
         interference += _fading_value(fading, z, slot) * path_loss(params.pathloss, dz)
     denom = params.noise + interference

@@ -75,6 +75,42 @@ def pmf_from_k_signed(K):
     return out
 
 
+def exact_pmf_array_loops(kernel, max_size=20):
+    """Reference ``dpp.exact_pmf_array``: one index array and one
+    np.linalg.det per subset, then the Moebius pass over index masks.  The
+    library's size-batched enumeration must equal it bit for bit."""
+    from detsched.dpp import CLAMP_TOL
+    from detsched.errors import EnumerationTooLarge
+    from detsched.kernels import LEnsemble
+
+    n = kernel.n
+    if n > max_size:
+        raise EnumerationTooLarge(f"ground set of {n} nodes exceeds cap {max_size}")
+    size = 1 << n
+    masks = np.arange(size)
+    out = np.empty(size, dtype=float)
+    mat = kernel.matrix
+    positions = [np.flatnonzero([(m >> b) & 1 for b in range(n)]) for m in range(size)]
+    if isinstance(kernel, LEnsemble):
+        norm = kernel.normalization
+        for m in range(size):
+            idx = positions[m]
+            out[m] = float(np.linalg.det(mat[np.ix_(idx, idx)])) / norm if m else 1.0 / norm
+    else:
+        # containment determinants, then Moebius inversion down the
+        # superset lattice turns them into exact-outcome probabilities
+        for m in range(size):
+            idx = positions[m]
+            out[m] = float(np.linalg.det(mat[np.ix_(idx, idx)])) if m else 1.0
+        for b in range(n):
+            bit = 1 << b
+            without = masks[(masks & bit) == 0]
+            out[without] -= out[without | bit]
+    tiny = (out < 0.0) & (out >= -CLAMP_TOL)
+    out[tiny] = 0.0
+    return out
+
+
 def power_law(r, kappa, beta):
     return (kappa * r) ** (-beta)
 

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import detsched as ds
-from detsched import _sampling
+from detsched import _sampling, dpp
 from detsched.dpp import exact_pmf_array
 
 from _oracles import (
     all_subsets,
+    exact_pmf_array_loops,
     laplace_oracle,
     mean_size,
     phase2_loops,
@@ -95,6 +98,63 @@ def test_exact_pmf_size_cap():
     K4 = ds.MarginalKernel.from_matrix(np.diag([0.5] * 4))
     with pytest.raises(ds.EnumerationTooLarge):
         ds.exact_pmf(K4, max_size=3)
+
+
+def _enumeration_kernels(rng, n):
+    """One kernel of each kind the enumeration must reproduce exactly."""
+    L = ds.LEnsemble.from_matrix(random_psd_l(rng, n))
+    low = rng.normal(size=(n, n // 2))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = rng.uniform(0.05, 0.95, size=n)
+    lam[0] = 1.0
+    bigger = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n + 1)))
+    return {
+        "L": L,
+        "K": ds.l_to_k(L),
+        "rank-deficient L": ds.LEnsemble.from_matrix(low @ low.T),
+        "K with eigenvalue one": ds.MarginalKernel.from_matrix((q * lam) @ q.T),
+        "diagonal K": ds.MarginalKernel.from_matrix(np.diag(rng.uniform(0.0, 1.0, size=n))),
+        "Palm K": ds.palm_reduced(bigger, n),
+    }
+
+
+def test_exact_pmf_array_matches_loop_reference(monkeypatch):
+    # bit for bit, with the default chunks, one subset per chunk, and a few
+    # subsets per chunk (1000 bytes hold 125 subsets of size 1, 7 of size 4,
+    # 2 of size 7), so that chunk boundaries fall inside a subset size
+    rng = np.random.default_rng(41)
+    default = dpp._BLOCK_BYTES
+    for n in range(1, 13):
+        for name, kernel in _enumeration_kernels(rng, n).items():
+            ref = exact_pmf_array_loops(kernel)
+            for budget in (default, 1, 1000):
+                monkeypatch.setattr(dpp, "_BLOCK_BYTES", budget)
+                assert np.array_equal(exact_pmf_array(kernel), ref), (n, name, budget)
+
+
+@st.composite
+def _psd_l(draw):
+    n = draw(st.integers(1, 7))
+    a = draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+    return a @ a.T
+
+
+@settings(derandomize=True, deadline=None)
+@given(_psd_l())
+def test_enumeration_properties(mat):
+    n = mat.shape[0]
+    L = ds.LEnsemble.from_matrix(mat)
+    K = ds.l_to_k(L)
+    by_l = exact_pmf_array(L)
+    by_k = exact_pmf_array(K)
+    oracle = pmf_from_l(L.matrix)
+    want = np.empty(1 << n)
+    for subset, p in oracle.items():
+        want[sum(1 << z for z in subset)] = p
+    np.testing.assert_allclose(by_l, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(by_k, by_l, rtol=0, atol=1e-12)
+    assert abs(by_l.sum() - 1.0) <= 1e-12 and abs(by_k.sum() - 1.0) <= 1e-12
+    np.testing.assert_allclose(ds.k_to_l(K).matrix, L.matrix, rtol=0, atol=1e-10)
 
 
 def test_palm_reduced_determinant_identity():
