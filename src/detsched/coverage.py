@@ -13,17 +13,20 @@ Every link is one row (transmitter, receiver slot, silent node) of the
 geometry's link table, and one batched code path, ``_evaluate``, computes
 any set of rows; ``full_report`` runs it on the whole table and each
 public per-link function on a single row.  In txrx mode the receiving
-node belongs to the scheduled set and must stay silent: the formula gains
-the semi-reduced Palm correction and a rescaling by the probability the
-node is silent.  A pairs link has no silent node (-1), so that correction
-vanishes and the same code computes the plain Palm determinant.
+node belongs to the scheduled set and must stay silent.  In the Laplace
+functional that is an infinite rate at the node: its discount is 0, so
+the same determinant gives the probability, given the transmitter is
+scheduled, that the link is covered and the node silent, and dividing by
+the probability the node is silent conditions on it.  A pairs link has no silent node (-1), so neither step
+applies and the same code computes the plain Palm determinant.
 
 The batched pass repeats the floating-point operations of the scalar
-functions it replaces (``palm_reduced``, ``palm_semi_reduced``,
-``scale_kernel``, ``interferer_factor``, ``noise_factor``), so its results
-equal theirs bit for bit, and it calls them to re-raise a link's failure
-with the same type and message.  perfbench's tracer wraps these names
-here, so they stay module attributes.
+functions it replaces (``palm_reduced``, ``scale_kernel``,
+``interferer_factor``, ``noise_factor``), so its results equal theirs bit
+for bit, and it calls them to re-raise a link's failure with the same
+type and message.  perfbench's tracer wraps these names here, so they
+stay module attributes, ``palm_semi_reduced`` too: nothing here calls it,
+but ``perfbench/run.py --trace 1`` wraps it and fails without it.
 """
 
 import hashlib
@@ -132,19 +135,16 @@ def _raised(fn, *args) -> DetschedError:
     raise AssertionError(f"{fn.__name__} did not fail where the batched pass did")
 
 
-def _evaluate(geometry, K, params, rows: np.ndarray,
-              use_semi_reduced: Optional[bool] = None, kernels: bool = False) -> list:
+def _evaluate(geometry, K, params, rows: np.ndarray, kernels: bool = False) -> list:
     """Unclamped coverage of each link-table row (t, p, s), given ``t`` is
     scheduled and silent node ``s`` (if s >= 0) is not; or the DetschedError
     its evaluation raises.
 
-    The one-fold Palm determinant times the noise discount; a silent node
-    scheduled with conditional probability q subtracts q times the
-    determinant of the kernel that also retains it, and rescales by 1 - q.
-    With no silent node q = 0 and both steps are exact no-ops.  With
-    ``use_semi_reduced`` unset the correction is skipped when the path loss
-    is singular at zero: the silent node's own discount is then exactly 0,
-    which forces the correction's determinant to 0.
+    The one-fold Palm determinant times the noise discount.  A silent node
+    gets the discount 0, whatever its distance to the slot (which is never
+    evaluated), so the determinant is the expectation restricted to the
+    node being silent; dividing by 1 - q, its conditional probability of
+    being silent, conditions on it.  With no silent node q = 0.
 
     Rows run in blocks: the path losses come from one channel table to
     the rows' receiver slots, each transmitter of a block gets one Palm
@@ -159,8 +159,6 @@ def _evaluate(geometry, K, params, rows: np.ndarray,
     mat = K.matrix
     model = params.pathloss
     theta = params.threshold
-    if use_semi_reduced is None:
-        use_semi_reduced = not model.singular_at_zero
     slots, col_of = np.unique(rows[:, 1], return_inverse=True)
     dist, loss, drowned = _channel(
         model, geometry.transmitter_points(), geometry.receiver_points()[slots])
@@ -175,7 +173,6 @@ def _evaluate(geometry, K, params, rows: np.ndarray,
     for lo in range(0, len(rows), step):
         t, _, s = rows[lo:lo + step].T
         c = col_of[lo:lo + step]
-        b = np.arange(len(t))
         err = {}
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             piv = mat[t, t]
@@ -201,6 +198,8 @@ def _evaluate(geometry, K, params, rows: np.ndarray,
             else:
                 hv = 1.0 / (theta * loss[ob, c[:, None]] / signal[:, None] + 1.0)
             hv[drowned[ob, c[:, None]]] = 0.0
+            silent = np.flatnonzero(s >= 0)
+            hv[silent, s[silent] - (s[silent] > t[silent])] = 0.0
             for k in np.flatnonzero(np.isnan(hv).any(axis=1)).tolist():
                 if k not in err:
                     z = int(ob[k, np.flatnonzero(np.isnan(hv[k]))[0]])
@@ -213,32 +212,12 @@ def _evaluate(geometry, K, params, rows: np.ndarray,
                 if k not in err:
                     err[k] = _raised(scale_kernel, P[k], hv[k])
             root = np.sqrt(1.0 - np.clip(hv, 0.0, 1.0))
-            weight = root[:, :, None] * root[:, None, :]
-            A = P * weight
+            A = P * (root[:, :, None] * root[:, None, :])
             np.subtract(eye, A, out=A)
             if kernels:
-                out[lo:lo + len(t)] = [err.get(k, (A[k], float(w[k]))) for k in b.tolist()]
+                out[lo:lo + len(t)] = [err.get(k, (A[k], float(w[k]))) for k in range(len(t))]
                 continue
-            det1 = np.linalg.det(A)
-            term = 0.0
-            semi = use_semi_reduced & (s >= 0) & (q > PALM_PIVOT_TOL)
-            if semi.any():
-                # the kernel also retaining the silent node: a second Palm
-                # step at it, then its row and column pinned to the identity;
-                # P is exactly symmetric, so is the downdate, and
-                # palm_reduced's symmetrization would change no bit
-                sp = np.where(s >= 0, s - (s > t), 0)
-                col = P[b, :, sp]
-                S = col[:, :, None] * col[:, None, :]
-                S /= P[b, sp, sp][:, None, None]
-                np.subtract(P, S, out=S)
-                S[b, sp, :] = 0.0
-                S[b, :, sp] = 0.0
-                S[b, sp, sp] = 1.0
-                S *= weight
-                np.subtract(eye, S, out=S)
-                term = np.where(semi, q * np.linalg.det(S), 0.0)
-            raw = ((w / (1.0 - q)) * (det1 - term)).tolist()
+            raw = ((w / (1.0 - q)) * np.linalg.det(A)).tolist()
         out[lo:lo + len(t)] = [err.get(k, v) for k, v in enumerate(raw)]
     return out
 
@@ -247,9 +226,9 @@ def _unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _one(geometry, K, params, row: tuple, **kwargs):
+def _one(geometry, K, params, row: tuple, kernels: bool = False):
     """``_evaluate`` on one link-table row, raising the row's error."""
-    out = _evaluate(geometry, K, params, np.array([row]), **kwargs)[0]
+    out = _evaluate(geometry, K, params, np.array([row]), kernels)[0]
     if isinstance(out, DetschedError):
         raise out
     return out
@@ -309,21 +288,17 @@ def txrx_conditional_coverage(
     transmitter: int,
     receiver: int,
     params: PropagationParams,
-    use_semi_reduced: Optional[bool] = None,
 ) -> float:
     """Coverage of the link transmitter -> receiver, given the transmitter
     is scheduled and the receiver is not.
 
-    Both nodes belong to the same scheduled set, so the receiver's own
-    potential transmission is averaged out: the one-fold Palm determinant
-    minus the receiver-retained two-fold correction, rescaled by the
-    conditional probability the receiver stays silent, clamped to [0, 1].
-    With ``use_semi_reduced`` unset the correction is skipped automatically
-    when the path loss is singular at zero (it vanishes identically);
-    forcing it on or off selects the variant explicitly.
+    Both nodes belong to the same scheduled set, so the receiver must stay
+    silent: the one-fold Palm determinant with the receiver's discount set
+    to 0, divided by the conditional probability the receiver stays
+    silent, clamped to [0, 1].  The receiver's path loss to itself is never
+    evaluated.
     """
-    row = _txrx_link(geometry, K, transmitter, receiver)
-    return _unit(_one(geometry, K, params, row, use_semi_reduced=use_semi_reduced))
+    return _unit(_one(geometry, K, params, _txrx_link(geometry, K, transmitter, receiver)))
 
 
 def txrx_coverage(

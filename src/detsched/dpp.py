@@ -116,10 +116,11 @@ def exact_pmf_array(kernel, max_size: int = ENUMERATION_CAP) -> np.ndarray:
 def exact_pmf(kernel, max_size: int = ENUMERATION_CAP) -> dict:
     """Exact outcome distribution as {sorted node-id tuple: probability}."""
     arr = exact_pmf_array(kernel, max_size)
-    return {
-        tuple(sorted(kernel.node_ids[b] for b in range(kernel.n) if (m >> b) & 1)): p
-        for m, p in enumerate(arr.tolist())
-    }
+    # subsets in mask order: bit b of a mask is node_ids[b]
+    keys = [()]
+    for i in kernel.node_ids:
+        keys += [k + (i,) for k in keys]
+    return dict(zip((tuple(sorted(k)) for k in keys), arr.tolist()))
 
 
 def _conditioning_of(kernel) -> tuple:

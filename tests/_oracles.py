@@ -308,14 +308,52 @@ def phase2_loops(V, u):
 
 
 
-def conditional_raw_loops(geometry, K, params, t, p, s, use_semi_reduced=None):
+def conditional_raw_loops(geometry, K, params, t, p, s):
     """Reference unclamped conditional coverage of link-table row (t, p, s).
 
-    The scalar per-link evaluation the library used before it batched its
-    closed forms: one Palm downdate and one determinant per link, and one
-    ``_distance`` and one ``interferer_factor`` call per interferer.  Its
+    The scalar per-link evaluation of the batched closed forms: one Palm
+    downdate and one determinant per link, and one ``_distance`` and one
+    ``interferer_factor`` call per interferer.  The silent node s (if
+    s >= 0) gets the discount 0 without any path loss evaluation, and the
+    result is divided by its conditional probability of being silent.  Its
     errors come in the scalar order: Palm pivot, silent node, signal,
     interferers in ground-set order, discount range.
+    """
+    from detsched.dpp import CLAMP_TOL, palm_reduced, scale_kernel
+    from detsched.errors import AlwaysScheduledReceiver
+    from detsched.propagation import _distance, interferer_factor, noise_factor
+
+    palm = palm_reduced(K, K.node_ids[t])
+    q = 0.0
+    if s >= 0:
+        rx_id = K.node_ids[s]
+        q = float(palm.matrix[palm.index(rx_id), palm.index(rx_id)])
+        if q >= 1.0 - CLAMP_TOL:
+            raise AlwaysScheduledReceiver(
+                f"node {s} transmits with conditional probability {q:.12g}, "
+                "so it can never listen"
+            )
+    pts = geometry.transmitter_points()
+    y = geometry.receiver_location(p)
+    d_sig = _distance(pts[t], y)
+    hv = np.array([0.0 if z == s else interferer_factor(_distance(pts[z], y), d_sig, params)
+                   for z in range(geometry.n) if z != t])
+    m = K.n - 1
+    det = float(np.linalg.det(np.eye(m) - scale_kernel(palm.matrix, hv)))
+    return (noise_factor(d_sig, params) / (1.0 - q)) * det
+
+
+def conditional_raw_semi_reduced(geometry, K, params, t, p, s, use_semi_reduced=None):
+    """Unclamped conditional coverage of link-table row (t, p, s) by the
+    two-fold Palm identity: det(I - K'_h) - q det(I - K''_h), over 1 - q.
+
+    An independent form of what ``conditional_raw_loops`` computes with a
+    zero discount at s: K' is the one-fold Palm kernel at t and K'' the
+    semi-reduced kernel that also retains s, both scaled by every node's
+    discount, s's own included.  ``use_semi_reduced`` unset skips the
+    correction under a path loss singular at zero, where s's discount is
+    exactly 0 and the correction's determinant vanishes; forced on it is
+    always applied.  The difference of two determinants cancels as q -> 1.
     """
     from detsched.dpp import (
         CLAMP_TOL, PALM_PIVOT_TOL, palm_reduced, palm_semi_reduced, scale_kernel,

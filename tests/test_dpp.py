@@ -100,6 +100,24 @@ def test_exact_pmf_size_cap():
         ds.exact_pmf(K4, max_size=3)
 
 
+def test_exact_pmf_keys_values_and_order():
+    # the dict pinned, order included, against the per-mask comprehension
+    # it replaced: sorted node-id tuples in mask order, on unsorted ids
+    rng = np.random.default_rng(45)
+    for n in range(1, 9):
+        mat = random_psd_l(rng, n)
+        for ids in (list(rng.permutation(10 * n)[:n].tolist()),
+                    [chr(ord("a") + i) for i in rng.permutation(n).tolist()]):
+            kernel = ds.LEnsemble.from_matrix(mat, node_ids=ids)
+            arr = exact_pmf_array(kernel)
+            want = {
+                tuple(sorted(kernel.node_ids[b] for b in range(n) if (m >> b) & 1)): p
+                for m, p in enumerate(arr.tolist())
+            }
+            got = ds.exact_pmf(kernel)
+            assert list(got.items()) == list(want.items())
+
+
 def _enumeration_kernels(rng, n):
     """One kernel of each kind the enumeration must reproduce exactly."""
     L = ds.LEnsemble.from_matrix(random_psd_l(rng, n))
