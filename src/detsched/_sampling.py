@@ -12,7 +12,10 @@ Single draws (``draw_mask``) and blocks of draws (``select_block``) run the
 same selection in two array shapes: the block form pays numpy's per-call
 overhead once per step for the whole block, the single form avoids the
 block's padding and per-block set-up, which cost more than they save for one
-draw.  Both consume the uniforms identically.
+draw.  Both consume the uniforms identically.  The block form stores the
+Gram-Schmidt vectors step-major, (draw, step, point), so a draw's first t
+steps are one contiguous prefix and both projections of a step are
+``np.matmul`` over the stack of draws.
 """
 
 import math
@@ -80,7 +83,8 @@ def select_block(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray
     are zeroed rather than removed, so every draw is an (n, n) slice of one
     stack whose shape, and so whose arithmetic, does not depend on the other
     draws in the block.  Draws are processed in decreasing k so the ones
-    still selecting at step t are a leading slice.
+    still selecting at step t are a leading slice.  ``C[r, t]`` is draw r's
+    Gram-Schmidt vector of step t over the n points.
     """
     R, n = sel.shape
     k = sel.sum(axis=1)
@@ -90,7 +94,7 @@ def select_block(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray
     V = vecs[None, :, :] * sel[order][:, None, :]
     norms = (V * V).sum(axis=2)
     kmax = int(k[0])
-    C = np.zeros((R, n, kmax))
+    C = np.zeros((R, kmax, n))
     mask = np.zeros((R, n), dtype=bool)
     live = np.searchsorted(-k, -np.arange(kmax), side="left")  # draws with k > t
     rows = np.arange(R)
@@ -102,11 +106,11 @@ def select_block(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray
         mask[order[:m], x] = True
         if t + 1 == kmax:
             break
-        c = (V[:m] * V[r, x][:, None, :]).sum(axis=2)
+        c = np.matmul(V[:m], V[r, x][:, :, None])[:, :, 0]
         if t:
-            c -= (C[:m, :, :t] * C[r, x, :t][:, None, :]).sum(axis=2)
+            c -= np.matmul(C[r, None, :t, x], C[:m, :t])[:, 0]
         c /= np.sqrt(norms[r, x])[:, None]
-        C[:m, :, t] = c
+        C[:m, t] = c
         norms[:m] -= c * c
         norms[r, x] = 0.0
         np.maximum(norms[:m], 0.0, out=norms[:m])

@@ -99,7 +99,11 @@ def exact_pmf_array(kernel, max_size: int = ENUMERATION_CAP) -> np.ndarray:
         step = max(1, _BLOCK_BYTES // (8 * s * s))
         for _ in range(0, math.comb(n, s), step):
             rows = np.fromiter(chain.from_iterable(islice(combos, step)), np.intp).reshape(-1, s)
-            out[(1 << rows).sum(axis=1)] = np.linalg.det(mat[rows[:, :, None], rows[:, None, :]])
+            # the LU raises a division-by-zero flag on some blocks with
+            # subnormal entries, while their determinants come out finite
+            with np.errstate(divide="ignore"):
+                dets = np.linalg.det(mat[rows[:, :, None], rows[:, None, :]])
+            out[(1 << rows).sum(axis=1)] = dets
     if isinstance(kernel, LEnsemble):
         out /= kernel.normalization
     else:

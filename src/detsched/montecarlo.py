@@ -18,11 +18,12 @@ replications run in the calling thread.
 Coverage replications run in blocks: each fills one row of uniforms from
 its own substream, then the block's point selections and SINR tests run as
 stacked array operations, each replication's arithmetic independent of the
-rest of its block.  A block derives its generator states through
-``rng.block_uniforms`` (numpy's seeding hash over the whole block, one
-reused generator), which tests pin to ``substream`` bit for bit.  Delay
-replications play one slot at a time through ``_sampling.draw_mask``,
-because each continues its stream from slot to slot.
+rest of its block.  A block's rows come from ``rng.block_uniforms``
+(numpy's seeding hash and PCG64's stepping as array arithmetic over the
+block, with no generator object), which tests pin to ``substream`` bit for
+bit.  Delay replications play one slot at a time through
+``_sampling.draw_mask``, because each continues its stream from slot to
+slot.
 """
 
 import math
@@ -111,17 +112,9 @@ class DelayEstimate:
     censored: int
 
 
-def _bernoulli_estimate(successes: int, reps: int) -> Estimate:
-    p = successes / reps
-    if reps > 1:
-        std = math.sqrt(max(reps * p * (1.0 - p), 0.0) / (reps - 1))
-    else:
-        std = 0.0
-    return Estimate(mean=p, std_error=std / math.sqrt(reps), replications=reps)
-
-
 # Coverage replications run in blocks whose uniform buffer, the largest
-# array a block holds, stays near this many bytes.
+# array a block holds, stays near this many bytes; generating it holds at
+# most about twice as much again.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -208,18 +201,19 @@ class _Arena:
     def block_counts(self, seed: int, reps: range) -> np.ndarray:
         """Summed success indicators of replications ``reps``, one slot each.
 
-        Each replication fills one row from its own substream, derived for
+        Each replication fills one row from its own substream, generated for
         the whole block by ``block_uniforms``, in contract order: n coins,
         one uniform per selected point, then the n-by-n fading block.  A
         row holds 2n + n^2 uniforms, enough for any number of selected
         points; what a replication does not use is never read.
         """
         n = self.n
+        row = 2 * n + n * n
         counts = 0
-        step = max(1, _BLOCK_BYTES // (8 * (2 * n + n * n)))
+        step = max(1, _BLOCK_BYTES // (8 * row))
         for lo in range(0, len(reps), step):
             block = reps[lo:lo + step]
-            buf = block_uniforms(seed, block, 2 * n + n * n)
+            buf = block_uniforms(seed, block, row)
             sel = buf[:, :n] < self.lvals / (1.0 + self.lvals)
             mask = _sampling.select_block(self.lvecs, sel, buf[:, n:2 * n])
             k = np.count_nonzero(sel, axis=1)
@@ -230,12 +224,25 @@ class _Arena:
         return counts
 
 
+def _bernoulli_estimates(successes: np.ndarray, reps: int) -> list:
+    """One Estimate per success count out of ``reps``: the rate p and its
+    standard error sqrt(reps p (1 - p) / (reps - 1)) / sqrt(reps), 0 for
+    one replication."""
+    p = successes / reps
+    if reps > 1:
+        std = np.sqrt(np.maximum(reps * p * (1.0 - p), 0.0) / (reps - 1))
+    else:
+        std = np.zeros_like(p)
+    se = std / math.sqrt(reps)
+    return [Estimate(mean=m, std_error=s, replications=reps)
+            for m, s in zip(p.tolist(), se.tolist())]
+
+
 def _simulate_coverage(geometry, L, params, plan: SimulationPlan, mode=None) -> dict:
     """{link key: Estimate} for every link with a defined signal."""
     arena = _Arena(geometry, L, params, mode)
     counts = arena.block_counts(plan.seed, range(plan.replications))
-    return {key: _bernoulli_estimate(int(c), plan.replications)
-            for key, c in zip(arena.keys, counts)}
+    return dict(zip(arena.keys, _bernoulli_estimates(counts, plan.replications)))
 
 
 def simulate_pair_coverage(

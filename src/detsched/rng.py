@@ -18,23 +18,32 @@ Stream contract, which cross-language reimplementations must match:
   block; they are never read.
 
 ``substream`` is the definition.  ``block_uniforms`` fills many substreams'
-leading uniforms at once by repeating numpy's SeedSequence hash in
-arithmetic: the seed's share of the hash once, the keys' share as uint32
-array operations over the whole block, and the PCG64 seeding step in
-Python ints written into one reused generator.  Tests pin it to
-``substream`` bit for bit, generator states included.
+leading uniforms at once, with no generator object: it repeats numpy's
+SeedSequence hash in arithmetic (the seed's share once, the keys' share as
+uint32 array operations over the whole block), then runs PCG64 itself on
+128-bit states held as (high, low) pairs of uint64 arrays.  PCG64 seeds
+with inc = 2q + 1 and state = (inc + s) * M + inc, steps a state x to
+M * x + inc, and outputs each new state as the double
+(rotr64(high ^ low, high >> 58) >> 11) * 2^-53.  j steps make the affine
+map x -> A_j * x + C_j * inc, with A_j = M^j and C_j = M^(j-1) + ... + 1,
+so the state before any draw is a multiply-add away from the seeded state.
+Tests pin ``block_uniforms`` to ``substream`` bit for bit, seeded states
+included.
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # numpy's SeedSequence hash constants (pool of 4 words) and PCG64's
 # 128-bit LCG multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW, _1, _11, _32, _58, _63 = (np.uint64(v) for v in (_MASK32, 1, 11, 32, 58, 63))
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -63,10 +72,82 @@ def _constants(h, mult, k):
                     dtype=np.uint32)[:, None]
 
 
-def _pcg64_states(seed: int, keys) -> list:
-    """``substream(seed, key).bit_generator.state["state"]`` for each key."""
+def _words(values, shape):
+    """128-bit Python ints as a (high, low) pair of uint64 arrays."""
+    return tuple(np.array([v >> s & _MASK64 for v in values], dtype=np.uint64).reshape(shape)
+                 for s in (64, 0))
+
+
+def _mul(x, k):
+    """x * k mod 2^128 for (high, low) pairs of broadcasting uint64 arrays;
+    the high word of the low words' product is summed from 32-bit halves."""
+    (xh, xl), (kh, kl) = x, k
+    x0, x1 = xl & _LOW, xl >> _32
+    k0, k1 = kl & _LOW, kl >> _32
+    t = x1 * k0
+    p = x0 * k0
+    p >>= _32
+    t += p
+    w = t & _LOW
+    w += np.multiply(x0, k1, out=p)
+    high = x1 * k1
+    t >>= _32
+    high += t
+    w >>= _32
+    high += w
+    high += np.multiply(xl, kh, out=p)
+    high += np.multiply(xh, kl, out=p)
+    return high, np.multiply(xl, kl, out=t)
+
+
+def _add(x, y):
+    """x + y mod 2^128, written into x, to whose shape y broadcasts."""
+    (xh, xl), (yh, yl) = x, y
+    xl += yl
+    xh += yh
+    xh += xl < yl
+    return x
+
+
+def _doubles(x, out):
+    """PCG64's doubles for states x, written to ``out``: the top 53 bits of
+    rotr64(high ^ low, high >> 58), times 2^-53.  Overwrites x."""
+    v, low = x
+    turn = v >> _58
+    v ^= low
+    right = np.right_shift(v, turn, out=low)
+    np.negative(turn, out=turn)
+    turn &= _63
+    v <<= turn
+    v |= right
+    v >>= _11
+    np.multiply(v, 2.0 ** -53, out=out)
+
+
+@functools.lru_cache(maxsize=None)
+def _jumps(width: int):
+    """``block_uniforms``' chunk length b (about sqrt(width)) and chunk count
+    at this width, and the (A_j, C_j) of its jumps as (high, low) word
+    pairs: for j = 1..b, shaped (b, 1), and for j = b, 2b, ... below the
+    width, shaped (chunks - 1, 1, 1)."""
+    b = math.isqrt(max(width, 1) - 1) + 1
+    a, c, head = 1, 0, []
+    for _ in range(b):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        head.append((a, c))
+    (ab, cb), tail = head[-1], []
+    for _ in range(b, width, b):
+        tail.append((a, c))
+        a, c = a * ab & _MASK128, (c * ab + cb) & _MASK128
+    return (b, 1 + len(tail), [_words(col, (b, 1)) for col in zip(*head)],
+            [_words(col, (-1, 1, 1)) for col in zip(*tail)])
+
+
+def _pcg64_states(seed: int, keys):
+    """Seeded PCG64 ``(state, inc)`` of ``substream(seed, key)`` for every
+    key, each a (high, low) pair of uint64 arrays over the keys."""
     seed = int(seed)
-    rest = np.array([int(k) for k in keys], dtype=object)
+    rest = np.array(keys, dtype=object)
     if seed < 0 or (len(rest) and rest.min() < 0):
         raise ValueError("seed and keys must be nonnegative")
     # the seed's words, zero-padded to the pool size, fill the pool, which
@@ -100,26 +181,38 @@ def _pcg64_states(seed: int, keys) -> list:
     # and seeds with inc = 2q + 1, state = (inc + s) * M + inc
     half, _ = _hashmix(pool[[0, 1, 2, 3] * 2], _constants(_INIT_B, _MULT_B, 8), _MULT_B)
     half = half.astype(np.uint64)
-    states = []
-    for a, b, c, d in zip(*(half[0::2] | half[1::2] << np.uint64(32)).tolist()):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append({"state": ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128,
-                       "inc": inc})
-    return states
+    s_hi, s_lo, q_hi, q_lo = half[0::2] | half[1::2] << _32
+    inc = (q_hi << _1 | q_lo >> _63, q_lo << _1 | _1)
+    state = _add(_mul(_add((s_hi, s_lo), inc), _words([_PCG_MULT], (1,))), inc)
+    return state, inc
 
 
 def block_uniforms(seed: int, keys, width: int) -> np.ndarray:
     """(len(keys), width) array whose row r is bit for bit
-    ``substream(seed, keys[r]).random(width)``."""
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    out = np.empty((len(keys), width))
-    for row, pcg in zip(out, _pcg64_states(seed, keys)):
-        state["state"] = pcg
-        bitgen.state = state
-        gen.random(out=row)
-    return out
+    ``substream(seed, keys[r]).random(width)``.
+
+    Columns come in chunks of b, about sqrt(width): the first chunk's
+    states are one jump each from the seeded states, every later chunk's one
+    jump from the first chunk's.  States are laid out (chunk, column, key),
+    so numpy's inner loops run over keys or whole chunks.  The later chunks
+    are generated a quarter at a time, which keeps the temporaries within
+    about twice the output's size.
+    """
+    state, inc = _pcg64_states(seed, keys)
+    b, chunks, head, tail = _jumps(width)
+    rows = len(inc[0])
+    out = np.empty((rows, chunks * b))
+    grid = out.reshape(rows, chunks, b).transpose(1, 2, 0)
+    first = _add(_mul(state, head[0]), _mul(inc, head[1]))
+    if tail:
+        (a_hi, a_lo), (c_hi, c_lo) = tail[0], _mul(inc, tail[1])
+        step = -(-(chunks - 1) // 4)
+        for lo in range(0, chunks - 1, step):
+            g = slice(lo, lo + step)
+            states = _add(_mul(first, (a_hi[g], a_lo[g])), (c_hi[g], c_lo[g]))
+            _doubles(states, grid[1 + lo:1 + lo + step])
+    _doubles(first, grid[0])
+    return out[:, :width]
 
 
 def exponential_fading(rng: np.random.Generator, mean: float, size) -> np.ndarray:

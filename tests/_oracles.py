@@ -415,3 +415,17 @@ def link_report_loops(geometry, K, params, t, p, s):
     flags = ("clamped",) if abs(raw - cond) > 1e-9 else ()
     cov = sel * cond
     return LinkReport(t, rx, sel, cond, cov, local_delay(cov).mean, flags=flags)
+
+
+def bernoulli_estimate(successes, reps):
+    """Reference Monte Carlo coverage estimate from one success count, in
+    scalar float arithmetic: the rate and the sample standard deviation of
+    the 0/1 indicators over sqrt(reps)."""
+    from detsched.montecarlo import Estimate
+
+    p = successes / reps
+    if reps > 1:
+        std = math.sqrt(max(reps * p * (1.0 - p), 0.0) / (reps - 1))
+    else:
+        std = 0.0
+    return Estimate(mean=p, std_error=std / math.sqrt(reps), replications=reps)

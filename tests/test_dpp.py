@@ -150,6 +150,23 @@ def test_exact_pmf_array_matches_loop_reference(monkeypatch):
                 assert np.array_equal(exact_pmf_array(kernel), ref), (n, name, budget)
 
 
+def test_exact_pmf_array_subnormal_l_ensemble():
+    # the stacked LU flags a division by zero on this kernel's subnormal
+    # blocks; the library keeps that quiet (RuntimeWarnings are errors here)
+    # and its probabilities equal the per-subset reference and sum to 1
+    n = 6
+    mat = np.zeros((n, n))
+    mat[1, :] = mat[:, 1] = 1.1e-308
+    mat[1, 1] = 0.25
+    L = ds.LEnsemble.from_matrix(mat)
+    got = exact_pmf_array(L)
+    with np.errstate(divide="ignore"):  # the reference runs the same LU per subset
+        ref = exact_pmf_array_loops(L)
+    assert np.array_equal(got, ref)
+    assert math.fsum(got) == pytest.approx(1.0, abs=1e-15)
+    assert np.isfinite(got).all()
+
+
 @st.composite
 def _psd_l(draw):
     n = draw(st.integers(1, 7))

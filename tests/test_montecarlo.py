@@ -7,7 +7,7 @@ import detsched as ds
 from detsched import _sampling, montecarlo
 from detsched.rng import substream
 
-from _oracles import phase2_loops, random_pairs_geometry, random_psd_l
+from _oracles import bernoulli_estimate, phase2_loops, random_pairs_geometry, random_psd_l
 
 
 def _power_params(tau=1.0, beta=2.0, noise=0.0, mu=1.0):
@@ -195,15 +195,22 @@ def test_replication_stream_contract():
 def test_block_boundaries_do_not_change_estimates(monkeypatch):
     # one row per block and uneven splits of the replications give the
     # default block's estimates and the rep-by-rep replay's counts, for
-    # seeds of one and of five entropy words
+    # seeds of one and of five entropy words.  Each block generates its
+    # rows' later chunks of uniforms a quarter at a time: rows of 24
+    # uniforms (pairs, n=4) come in 5 chunks of 5, the later four one group
+    # each; rows of 35 (txrx, n=5) in 6 chunks of 6, the later five in groups
+    # of 2, 2 and 1; rows of 99 (pairs, n=9) in 10 chunks of 10, the later
+    # nine in three groups of 3; each row's last chunk is cut short
     params = _power_params(tau=0.5, noise=0.05)
     geo, L = _instance(11, n=4)
+    geo9, L9 = _instance(13, n=9)
     rng = np.random.default_rng(12)
     tgeo = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(5, 2)))
     tl = ds.LEnsemble.from_matrix(random_psd_l(rng, 5, scale=2.0))
     for seed in (78, 2**128 + 78):
         plan = ds.SimulationPlan(300, seed)
-        for g, l, sim in ((geo, L, ds.simulate_pair_coverage), (tgeo, tl, ds.simulate_txrx)):
+        for g, l, sim in ((geo, L, ds.simulate_pair_coverage), (tgeo, tl, ds.simulate_txrx),
+                          (geo9, L9, ds.simulate_pair_coverage)):
             default = sim(g, l, params, plan)
             row_bytes = 8 * (2 * g.n + g.n ** 2)
             for rows in (1, 7, 64, 299):
@@ -215,6 +222,16 @@ def test_block_boundaries_do_not_change_estimates(monkeypatch):
                 default = {(i, i): est for i, est in enumerate(default)}
             for (i, j), est in default.items():
                 assert est.mean * plan.replications == pytest.approx(hits[i, j], abs=1e-9)
+
+
+def test_bernoulli_estimates_match_scalar_reference():
+    # every success count of a few replication counts, as arrays, gives
+    # exactly the scalar estimate, in Python floats
+    for reps in (1, 2, 3, 10, 997):
+        counts = np.arange(reps + 1)
+        got = montecarlo._bernoulli_estimates(counts, reps)
+        assert got == [bernoulli_estimate(c, reps) for c in range(reps + 1)]
+        assert all(type(e.mean) is float and type(e.std_error) is float for e in got)
 
 
 def test_single_link_simulation_value():

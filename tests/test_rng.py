@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detsched.rng import _pcg64_states, block_uniforms, substream
 
@@ -32,8 +33,11 @@ def test_block_seeding_matches_seed_sequence_bit_for_bit():
         keys = (EDGE_KEYS + list(range(base, base + 1800))
                 + [_random_int(rng, 100) for _ in range(200 - len(EDGE_KEYS))])
         refs = [_reference(seed, key) for key in keys]
-        states = [{"bit_generator": "PCG64", "state": st, "has_uint32": 0, "uinteger": 0}
-                  for st in _pcg64_states(seed, keys)]
+        (s_hi, s_lo), (i_hi, i_lo) = _pcg64_states(seed, keys)
+        states = [{"bit_generator": "PCG64",
+                   "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+                   "has_uint32": 0, "uinteger": 0}
+                  for sh, sl, ih, il in zip(*(a.tolist() for a in (s_hi, s_lo, i_hi, i_lo)))]
         assert states == [ref.state for ref in refs]
         draws = np.array([np.random.Generator(ref).random(width) for ref in refs])
         assert np.array_equal(block_uniforms(seed, keys, width), draws)
@@ -53,6 +57,30 @@ def test_block_uniforms_rows_are_substreams():
                 assert np.array_equal(row, substream(seed, key).random(width))
     assert np.array_equal(block_uniforms(5, [9], 6)[0], substream(5, 9).random(6))
     assert block_uniforms(5, range(0), 6).shape == (0, 6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**200 - 1),
+       keys=st.lists(st.integers(0, 2**100 - 1), min_size=1, max_size=6),
+       width=st.integers(1, 1100))
+def test_block_uniforms_stream_contract(seed, keys, width):
+    # every row is its substream's leading uniforms, whatever the word
+    # counts of seed and key and however the width cuts into chunks
+    got = block_uniforms(seed, keys, width)
+    assert got.shape == (len(keys), width)
+    for row, key in zip(got, keys):
+        assert np.array_equal(row, substream(seed, key).random(width))
+
+
+def test_one_row_width_one_blocks_at_word_edges():
+    # single uint64 elements run through the 128-bit arithmetic, with keys
+    # up to 2**64 - 1; RuntimeWarnings are errors here, so a uint64 scalar
+    # overflow would fail the test
+    for seed in EDGE_SEEDS:
+        for key in EDGE_KEYS + [np.uint64(2**64 - 1)]:
+            got = block_uniforms(seed, [key], 1)
+            assert got.shape == (1, 1)
+            assert got[0, 0] == substream(seed, key).random()
 
 
 @pytest.mark.parametrize("seed, keys", [(-1, [0]), (1, [3, -2])])
