@@ -21,9 +21,9 @@ stacked array operations, each replication's arithmetic independent of the
 rest of its block.  A block's rows come from ``rng.block_uniforms``
 (numpy's seeding hash and PCG64's stepping as array arithmetic over the
 block, with no generator object), which tests pin to ``substream`` bit for
-bit.  Delay replications play one slot at a time through
-``_sampling.draw_mask``, because each continues its stream from slot to
-slot.
+bit.  Delay replications run in blocks too: in each slot every live
+replication draws through ``_sampling.draw_mask`` and fills its fading row
+from its own substream, and one SINR test judges them all.
 """
 
 import math
@@ -36,7 +36,7 @@ from . import _sampling
 from .errors import BadArgument, SingularDistance
 from .kernels import LEnsemble
 from .propagation import NetworkGeometry, PropagationParams, _channel, path_loss
-from .rng import block_uniforms, exponential_fading, substream
+from .rng import block_uniforms, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
 
@@ -112,10 +112,11 @@ class DelayEstimate:
     censored: int
 
 
-# Coverage replications run in blocks whose uniform buffer, the largest
-# array a block holds, stays near this many bytes; generating it holds at
-# most about twice as much again.
+# Monte Carlo blocks stay near this many bytes: a coverage block's uniform
+# buffer (generating it holds at most about twice as much again), a delay
+# block's n-by-n fading rows plus its generators of _GENERATOR_BYTES each.
 _BLOCK_BYTES = 1 << 20
+_GENERATOR_BYTES = 900
 
 
 class _Arena:
@@ -186,17 +187,8 @@ class _Arena:
         deaf = (mask[..., :, None] & self.deafening).any(axis=-2)
         signal = power[..., self.tx, self.rx]
         interference = total[..., self.rx] - signal
-        return (
-            mask[..., self.tx]
-            & ~deaf[..., self.rx]
-            & (signal > p.threshold * (p.noise + interference))
-        )
-
-    def covered(self, rng) -> np.ndarray:
-        """One slot: scheduling draw + fading, success indicators."""
-        mask = _sampling.draw_mask(self.lvals, self.lvecs, rng)
-        fading = exponential_fading(rng, self.params.fading_mean, (self.n, self.n))
-        return self.success(mask, fading)
+        return (mask[..., self.tx] & ~deaf[..., self.rx]
+                & (signal > p.threshold * (p.noise + interference)))
 
     def block_counts(self, seed: int, reps: range) -> np.ndarray:
         """Summed success indicators of replications ``reps``, one slot each.
@@ -222,6 +214,38 @@ class _Arena:
             fading = -self.params.fading_mean * np.log1p(-u)
             counts = counts + self.success(mask, fading).sum(axis=0)
         return counts
+
+
+def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
+    """(reps, links) first-success slots of the tracked links, ``cap``
+    where censored, and each link's count of censored replications.  Each
+    slot, every live row of a block draws its scheduled set and fills its
+    fading row from its own substream; one SINR test judges the stack."""
+    n, links = arena.n, len(arena.keys)
+    delays = np.full((reps, links), cap, dtype=np.int64)
+    censored = np.zeros(links, dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (8 * n * n + _GENERATOR_BYTES))
+    for lo in range(0, reps, step):
+        rows = np.arange(lo, min(lo + step, reps))
+        gens = [substream(seed, r) for r in rows.tolist()]
+        waiting = np.ones((len(rows), links), dtype=bool)
+        mask, u = np.empty((len(rows), n), dtype=bool), np.empty((len(rows), n, n))
+        slot = 0
+        while waiting.size and slot < cap:
+            slot += 1
+            for i, g in enumerate(gens):
+                mask[i] = _sampling.draw_mask(arena.lvals, arena.lvecs, g)
+                g.random(out=u[i])
+            fading = -arena.params.fading_mean * np.log1p(-u[:len(gens)])
+            hit = arena.success(mask[:len(gens)], fading) & waiting
+            r, t = np.nonzero(hit)
+            delays[rows[r], t] = slot
+            waiting &= ~hit
+            keep = waiting.any(axis=1)
+            rows, waiting = rows[keep], waiting[keep]
+            gens = [g for g, k in zip(gens, keep.tolist()) if k]
+        censored += waiting.sum(axis=0)
+    return delays, censored
 
 
 def _bernoulli_estimates(successes: np.ndarray, reps: int) -> list:
@@ -289,45 +313,21 @@ def simulate_local_delay(
     Links are ints in pairs mode and (tx, rx) tuples in txrx mode; by
     default every link the coverage simulation reports is tracked, and
     naming a link with no defined signal raises BadArgument.  Each
-    replication plays slots until all tracked links have succeeded or the
-    plan's delay cap is reached.  ``workers`` is accepted for
-    compatibility; it changes neither the results nor the work done.
+    replication plays slots, together with its block's other live
+    replications, until all tracked links have succeeded or the plan's
+    delay cap is reached.  ``workers`` is accepted for compatibility; it
+    changes neither the results nor the work done.
     """
     arena = _Arena(geometry, L, params)
     if links is not None and not list(links):
         raise BadArgument("empty target list for the delay simulation")
     targets = arena.track(arena.keys if links is None else links)
     reps = plan.replications
-    cap = plan.delay_cap
-    rows = []
-    censored = [0] * len(targets)
-    for r in range(reps):
-        rng = substream(plan.seed, r)
-        row = [cap] * len(targets)
-        waiting = list(range(len(targets)))
-        slot = 0
-        while waiting and slot < cap:
-            slot += 1
-            hit = arena.covered(rng).tolist()
-            still = []
-            for t in waiting:
-                if hit[t]:
-                    row[t] = slot
-                else:
-                    still.append(t)
-            waiting = still
-        for t in waiting:
-            censored[t] += 1
-        rows.append(row)
-    delays = np.array(rows, dtype=np.int64)
+    delays, censored = _first_successes(arena, plan.seed, reps, plan.delay_cap)
     out = {}
     for t, tgt in enumerate(targets):
         vals = delays[:, t].astype(float)
         std = float(vals.std(ddof=1)) if reps > 1 else 0.0
-        out[tgt] = DelayEstimate(
-            mean=float(vals.mean()),
-            std_error=std / math.sqrt(reps),
-            replications=reps,
-            censored=censored[t],
-        )
+        out[tgt] = DelayEstimate(mean=float(vals.mean()), std_error=std / math.sqrt(reps),
+                                 replications=reps, censored=int(censored[t]))
     return out

@@ -429,3 +429,38 @@ def bernoulli_estimate(successes, reps):
     else:
         std = 0.0
     return Estimate(mean=p, std_error=std / math.sqrt(reps), replications=reps)
+
+
+def local_delay_loops(arena, seed, reps, cap):
+    """Reference ``montecarlo._first_successes``: replication by replication
+    and slot by slot, a scheduling draw then an n-by-n fading block from
+    substream(seed, r) and one SINR test per slot, with a Python list of the
+    links still waiting.  Returns the (reps, links) int64 first-success
+    slots, ``cap`` where censored, and each link's censored count."""
+    from detsched import _sampling
+    from detsched.rng import exponential_fading, substream
+
+    targets = arena.keys
+    rows = []
+    censored = [0] * len(targets)
+    for r in range(reps):
+        rng = substream(seed, r)
+        row = [cap] * len(targets)
+        waiting = list(range(len(targets)))
+        slot = 0
+        while waiting and slot < cap:
+            slot += 1
+            mask = _sampling.draw_mask(arena.lvals, arena.lvecs, rng)
+            fading = exponential_fading(rng, arena.params.fading_mean, (arena.n, arena.n))
+            hit = arena.success(mask, fading).tolist()
+            still = []
+            for t in waiting:
+                if hit[t]:
+                    row[t] = slot
+                else:
+                    still.append(t)
+            waiting = still
+        for t in waiting:
+            censored[t] += 1
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(reps, len(targets)), np.array(censored)

@@ -7,7 +7,9 @@ import detsched as ds
 from detsched import _sampling, montecarlo
 from detsched.rng import substream
 
-from _oracles import bernoulli_estimate, phase2_loops, random_pairs_geometry, random_psd_l
+from _oracles import (
+    bernoulli_estimate, local_delay_loops, phase2_loops, random_pairs_geometry, random_psd_l,
+)
 
 
 def _power_params(tau=1.0, beta=2.0, noise=0.0, mu=1.0):
@@ -222,6 +224,93 @@ def test_block_boundaries_do_not_change_estimates(monkeypatch):
                 default = {(i, i): est for i, est in enumerate(default)}
             for (i, j), est in default.items():
                 assert est.mean * plan.replications == pytest.approx(hits[i, j], abs=1e-9)
+
+
+def _delay_instances():
+    """A pairs, a txrx and a txrx instance with two coincident nodes (whose
+    links between each other have no signal, and each deafens the other's
+    slot), with every link covered often enough to play to its first
+    success at the default cap."""
+    geo, L = _instance(14, n=4)
+    rng = np.random.default_rng(15)
+    tgeo = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(4, 2)))
+    tl = ds.LEnsemble.from_matrix(random_psd_l(rng, 4, scale=0.8))
+    cgeo = ds.NetworkGeometry.txrx([[0.0, 0.0], [0.0, 0.0], [0.6, 0.1], [0.2, 0.5]])
+    cl = ds.LEnsemble.from_matrix(random_psd_l(rng, 4, scale=0.8))
+    return [(geo, L, [2], [0, 3]), (tgeo, tl, [(1, 3)], [(0, 2), (3, 1)]),
+            (cgeo, cl, [(2, 0)], [(0, 3), (3, 1)])]
+
+
+def test_first_successes_match_slot_loops():
+    # per replication, not just in the mean: every tracked link's first
+    # success slot and the censored counts equal the slot-by-slot
+    # reference, with every link or one or two links tracked, at caps that
+    # censor and at the default
+    params = _power_params(tau=0.3, noise=0.02)
+    for geo, L, one, two in _delay_instances():
+        for keys in (None, one, two):
+            arena = montecarlo._Arena(geo, L, params)
+            if keys is not None:
+                arena.track(keys)
+            for cap in (1, 3, 7, montecarlo.DEFAULT_DELAY_CAP):
+                delays, censored = montecarlo._first_successes(arena, 41, 60, cap)
+                ref, ref_censored = local_delay_loops(arena, 41, 60, cap)
+                assert delays.dtype == ref.dtype and np.array_equal(delays, ref)
+                assert np.array_equal(censored, ref_censored)
+                if cap == 3:
+                    assert censored.sum() > 0
+
+
+def test_delay_block_boundaries_do_not_change_estimates(monkeypatch):
+    # one replication per block and an uneven split (blocks of 7 out of
+    # 60) give the default block's delay estimates, with and without
+    # censoring, for seeds of one and of five entropy words
+    params = _power_params(tau=0.3, noise=0.02)
+    for geo, L, _, two in _delay_instances():
+        gen_row = 8 * geo.n ** 2 + montecarlo._GENERATOR_BYTES
+        for seed in (78, 2**128 + 78):
+            for plan, keys in ((ds.SimulationPlan(60, seed), None),
+                               (ds.SimulationPlan(60, seed, delay_cap=3), two)):
+                default = ds.simulate_local_delay(geo, L, params, plan, links=keys)
+                for rows in (1, 7):
+                    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", rows * gen_row)
+                    assert ds.simulate_local_delay(geo, L, params, plan, links=keys) == default
+                monkeypatch.undo()
+
+
+def test_delay_draws_once_per_played_slot(monkeypatch):
+    # perfbench's mc_delay counts its items (slots) by wrapping
+    # _sampling.draw_mask on the module during an untimed replay, so the
+    # delay engine must call it through the module, once per played
+    # (replication, slot) pair.  When the benchmark counts slots another
+    # way (ROADMAP item 1), this pin changes with it.
+    params = _power_params(tau=0.3, noise=0.02)
+    draw = _sampling.draw_mask
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return draw(*args)
+
+    for geo, L, _, two in _delay_instances():
+        for cap, keys in ((montecarlo.DEFAULT_DELAY_CAP, None), (3, two)):
+            arena = montecarlo._Arena(geo, L, params)
+            arena.track(arena.keys if keys is None else keys)
+            ref, _ = local_delay_loops(arena, 5, 40, cap)
+            monkeypatch.setattr(_sampling, "draw_mask", counting)
+            calls[0] = 0
+            ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(40, 5, delay_cap=cap),
+                                    links=keys)
+            monkeypatch.undo()
+            # a replication plays until its last first success, or the cap
+            assert calls[0] == ref.max(axis=1).sum()
+    # with no link to track (two coincident nodes) no slot is played
+    geo = ds.NetworkGeometry.txrx([[0.0, 0.0], [0.0, 0.0]])
+    monkeypatch.setattr(_sampling, "draw_mask", counting)
+    calls[0] = 0
+    assert ds.simulate_local_delay(geo, ds.LEnsemble.from_matrix(np.eye(2)), params,
+                                   ds.SimulationPlan(5, 1)) == {}
+    assert calls[0] == 0
 
 
 def test_bernoulli_estimates_match_scalar_reference():
