@@ -531,20 +531,62 @@ def _emit_csv(header, rows, output):
     _emit(buf.getvalue(), output)
 
 
-def _link_row(lr) -> dict:
-    flags = list(lr.flags)
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_strings(v) -> str:
+    """A list of strings as the value of a record field, indent=2."""
+    if not v:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_json_str, v)) + "\n      ]"
+
+
+# the encoding json.dumps gives each type a record field may hold
+_JSON_VALUE = {type(None): lambda v: "null", float: float.__repr__, int: int.__repr__,
+               str: _json_str, tuple: _json_strings}
+# float.__repr__ of the non-finite floats; a string encodes with its quotes
+_NON_FINITE = frozenset(("inf", "-inf", "nan"))
+
+
+def _json_values(row) -> tuple:
+    values = tuple([_JSON_VALUE[type(v)](v) for v in row])
+    if not _NON_FINITE.isdisjoint(values):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return values
+
+
+def _emit_table(header: dict, key: str, fields: tuple, rows: list, output):
+    """Write ``header`` plus ``key``: one object per row, byte for byte as
+    json.dumps(indent=2, allow_nan=False) writes that document.
+
+    Row i holds the values of ``fields`` in order.  The header goes through
+    json.dumps; each row fills a fixed record template, which skips the
+    pure-Python indenting encoder.  A non-finite float raises ValueError,
+    as allow_nan=False does.
+    """
+    text = json.dumps({**header, key: []}, indent=2, allow_nan=False)
+    if rows:
+        record = "    {\n" + ",\n".join(
+            f"      {_json_str(f)}: %s" for f in fields) + "\n    }"
+        body = ",\n".join([record % _json_values(row) for row in rows])
+        text = text[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+    _emit(text + "\n", output)
+
+
+# One row shape per table: the CSV header and the JSON record fields.
+_LINK_FIELDS = ("transmitter", "receiver", "selection_probability",
+                "conditional_coverage", "coverage", "delay_mean", "flags", "error")
+_RESULT_FIELDS = ("target", "transmitter", "receiver", "closed_form", "estimate",
+                  "std_error", "z_score", "censored")
+
+
+def _link_row(lr) -> tuple:
+    flags = lr.flags
     if lr.delay_mean is not None and math.isinf(lr.delay_mean):
-        flags.append("infinite_delay")
-    return {
-        "transmitter": lr.transmitter,
-        "receiver": lr.receiver,
-        "selection_probability": _finite(lr.selection_probability),
-        "conditional_coverage": _finite(lr.conditional_coverage),
-        "coverage": _finite(lr.coverage),
-        "delay_mean": _finite(lr.delay_mean),
-        "flags": flags,
-        "error": lr.error,
-    }
+        flags = flags + ("infinite_delay",)
+    return (lr.transmitter, lr.receiver, _finite(lr.selection_probability),
+            _finite(lr.conditional_coverage), _finite(lr.coverage),
+            _finite(lr.delay_mean), flags, lr.error)
 
 
 # ---------------------------------------------------------------------------
@@ -556,29 +598,17 @@ def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None
     report = _coverage.full_report(cfg.geometry, cfg.marginal_kernel(), cfg.params)
     rows = [_link_row(lr) for lr in report.links]
     if fmt == "csv":
-        header = ["transmitter", "receiver", "selection_probability",
-                  "conditional_coverage", "coverage", "delay_mean", "flags", "error"]
-        _emit_csv(
-            header,
-            [
-                [r["transmitter"], r["receiver"], r["selection_probability"],
-                 r["conditional_coverage"], r["coverage"], r["delay_mean"],
-                 ";".join(r["flags"]), r["error"] or ""]
-                for r in rows
-            ],
-            output,
-        )
+        _emit_csv(_LINK_FIELDS, [(*r[:6], ";".join(r[6]), r[7] or "") for r in rows], output)
     else:
-        _emit_json(
+        _emit_table(
             {
                 "mode": report.mode,
                 "kernel_fingerprint": report.kernel_fingerprint,
                 "threshold": cfg.params.threshold,
                 "fading_mean": cfg.params.fading_mean,
                 "noise": cfg.params.noise,
-                "links": rows,
             },
-            output,
+            "links", _LINK_FIELDS, rows, output,
         )
     return 0
 
@@ -655,35 +685,15 @@ def cmd_simulate(
         if target == "delay":
             c = (1.0 / c) if c else None
         tx, rx = (key, None) if isinstance(key, int) else key
-        rows.append((target, tx, rx, c, est.mean, est.std_error,
-                     _z_score(c, est.mean, est.std_error), censored))
-    header = ["target", "transmitter", "receiver", "closed_form", "estimate",
-              "std_error", "z_score", "censored"]
+        rows.append((target, tx, rx, _finite(c), _finite(est.mean), _finite(est.std_error),
+                     _finite(_z_score(c, est.mean, est.std_error)), censored))
     if fmt == "csv":
-        _emit_csv(
-            header,
-            [[t, tx, rx, _finite(c), _finite(e), _finite(se), _finite(z), cen]
-             for (t, tx, rx, c, e, se, z, cen) in rows],
-            output,
-        )
+        _emit_csv(_RESULT_FIELDS, rows, output)
     else:
-        _emit_json(
-            {
-                "mode": cfg.mode,
-                "replications": plan.replications,
-                "seed": plan.seed,
-                "workers": nworkers,
-                "results": [
-                    {
-                        "target": t, "transmitter": tx, "receiver": rx,
-                        "closed_form": _finite(c), "estimate": _finite(e),
-                        "std_error": _finite(se), "z_score": _finite(z),
-                        "censored": cen,
-                    }
-                    for (t, tx, rx, c, e, se, z, cen) in rows
-                ],
-            },
-            output,
+        _emit_table(
+            {"mode": cfg.mode, "replications": plan.replications, "seed": plan.seed,
+             "workers": nworkers},
+            "results", _RESULT_FIELDS, rows, output,
         )
     return 0
 

@@ -86,8 +86,10 @@ def _txrx_link(geometry, K, transmitter: int, receiver: int) -> tuple:
 
 
 # Links are evaluated in blocks whose stacked matrices, one (n-1) x (n-1)
-# matrix per link, stay near this many bytes each.
-_BLOCK_BYTES = 1 << 18
+# matrix per link, stay near this many bytes each.  512 KB: 256 KB left
+# blocks of 3 links at n = 100, and a block's few stacked temporaries
+# still fit a 2 MB L2 cache.
+_BLOCK_BYTES = 1 << 19
 
 
 def _selections(K: MarginalKernel, rows: np.ndarray) -> np.ndarray:
@@ -405,7 +407,9 @@ def _link_reports(geometry, K, params, rows: np.ndarray) -> tuple:
         cond = _unit(raw)
         flags = ("clamped",) if abs(raw - cond) > 1e-9 else ()
         cov = q * cond
-        out.append(LinkReport(t, rx, q, cond, cov, local_delay(cov).mean, flags=flags))
+        # local_delay's mean; cov lies in [0, 1] by construction
+        delay = math.inf if cov == 0.0 else 1.0 / cov
+        out.append(LinkReport(t, rx, q, cond, cov, delay, flags=flags))
     return tuple(out)
 
 

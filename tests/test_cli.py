@@ -437,6 +437,23 @@ def test_infinite_delay_serializes_as_null_with_flag(tmp_path, capsys):
     assert "never_scheduled" in dead["flags"]
 
 
+def test_csv_tables_share_the_json_fields(tmp_path, capsys):
+    doc = _base_config(kernel={"type": "explicit_K", "matrix": [[0.0, 0.0], [0.0, 0.5]]})
+    path = _write(tmp_path, doc)
+    assert cli.main(["coverage", path, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "transmitter,receiver,selection_probability,conditional_coverage," \
+                       "coverage,delay_mean,flags,error"
+    assert lines[1] == "0,,0,,0,,never_scheduled;infinite_delay,"
+    assert cli.main(["coverage", path]) == 0
+    assert tuple(json.loads(capsys.readouterr().out)["links"][0]) == cli._LINK_FIELDS
+    assert cli.main(["simulate", path, "--format", "csv"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "target,transmitter,receiver,closed_form,estimate,std_error,z_score,censored"
+    assert cli.main(["simulate", path]) == 0
+    assert tuple(json.loads(capsys.readouterr().out)["results"][0]) == cli._RESULT_FIELDS
+
+
 def test_simulate_delay_only_plan_evaluates_reported_links(tmp_path, capsys, monkeypatch):
     # closed forms are computed for the reported links only, with the
     # same values the full report gives them
@@ -487,3 +504,108 @@ def test_kernel_built_once_per_invocation(tmp_path, capsys, monkeypatch):
         assert cli.main([command, path]) == 0
         assert len(calls) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the table writer
+
+
+def _dumps(header, key, fields, rows):
+    doc = {**header, key: [dict(zip(fields, row)) for row in rows]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+_COVERAGE_HEADER = {"mode": "pairs", "kernel_fingerprint": "ab" * 32,
+                    "threshold": 1.0, "fading_mean": 0.5, "noise": 0.0}
+_SIMULATE_HEADER = {"mode": "txrx", "replications": 100, "seed": 7, "workers": 2}
+
+
+@pytest.mark.parametrize("header, key, fields, rows", [
+    # pairs rows
+    (_COVERAGE_HEADER, "links", cli._LINK_FIELDS, [
+        (0, None, 0.5, 0.25, 0.125, 8.0, (), None),
+        (1, None, 1e-300, 0.1 + 0.2, 3.0000000000000004e-301, 3.3333333333333335e+300, (), None),
+    ]),
+    # txrx rows, a two-flag row, a clamped row and error strings with quotes,
+    # backslashes, control and non-ASCII characters
+    ({**_COVERAGE_HEADER, "mode": "txrx"}, "links", cli._LINK_FIELDS, [
+        (0, 1, 0.0, None, 0.0, None, ("never_scheduled", "infinite_delay"), None),
+        (1, 0, 0.4, 1.0, 0.4, 2.5, ("clamped",), None),
+        (2, 0, 0.3, None, None, None, (), 'distance 0.0 outside "tabulated" range \\ [0.1, 2]'),
+        (2, 1, 0.3, None, None, None, (), "échec à 0.5 m: Δ → ∞, 距离\ttab\n😀"),
+    ]),
+    # an empty table: txrx with one node
+    ({**_COVERAGE_HEADER, "mode": "txrx"}, "links", cli._LINK_FIELDS, []),
+    # simulate rows with integer censored counts and null z-scores
+    (_SIMULATE_HEADER, "results", cli._RESULT_FIELDS, [
+        ("coverage", 0, 1, 0.25, 0.26, 0.01, 1.0000000000000009, None),
+        ("coverage", 1, 0, None, 0.0, 0.0, None, None),
+        ("delay", 0, 1, 4.0, 3.9, 0.2, 0.5, 0),
+        ("delay", 2, 0, None, 5.5, 1.25, None, 12),
+    ]),
+    (_SIMULATE_HEADER, "results", cli._RESULT_FIELDS, []),
+])
+def test_emit_table_equals_json_dumps(tmp_path, header, key, fields, rows):
+    out = tmp_path / "table.json"
+    cli._emit_table(header, key, fields, rows, str(out))
+    assert out.read_text(encoding="utf-8") == _dumps(header, key, fields, rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_emit_table_rejects_non_finite(tmp_path, bad):
+    row = (0, None, 0.5, bad, 0.25, 4.0, (), None)
+    with pytest.raises(ValueError):
+        _dumps(_COVERAGE_HEADER, "links", cli._LINK_FIELDS, [row])
+    with pytest.raises(ValueError):
+        cli._emit_table(_COVERAGE_HEADER, "links", cli._LINK_FIELDS, [row],
+                        str(tmp_path / "x.json"))
+
+
+def _cli_docs():
+    """Configs whose reports hold pairs and txrx rows, flags, error rows, an
+    empty table and censored delay targets."""
+    rng = np.random.default_rng(11)
+    txrx = {
+        "mode": "txrx",
+        "nodes": rng.uniform(0.0, 1.0, size=(6, 2)).tolist(),
+        "kernel": {"type": "gaussian", "sigma": 0.5, "scale": 0.6},
+        "pathloss": {"type": "power_law", "kappa": 1.0, "beta": 3.0},
+        "threshold": 0.5,
+        "noise": 0.05,
+        "simulate": {"reps": 300, "seed": 3, "targets": ["coverage", "delay"], "delay_cap": 2},
+    }
+    dead = _base_config(kernel={"type": "explicit_K", "matrix": [[0.0, 0.0], [0.0, 0.5]]})
+    dead["simulate"] = {"reps": 50, "seed": 1, "targets": [["delay", 1]], "delay_cap": 1}
+    one = {**txrx, "nodes": [[0.0, 0.0]]}
+    short_table = {**txrx, "pathloss": {"type": "custom", "radii": [0.1, 0.7],
+                                        "values": [0.9, 0.1]}}
+    overflow = {
+        "mode": "txrx",
+        "nodes": [[0.0, 0.0], [0.1, 0.0], [1.0, 0.0]],
+        "kernel": {"type": "aloha_diagonal", "probabilities": [0.5, 0.5, 0.5]},
+        "pathloss": {"type": "power_law", "kappa": 1.0, "beta": 400.0},
+        "threshold": 1.0,
+    }
+    return [("coverage", _base_config()), ("simulate", _base_config()),
+            ("coverage", txrx), ("simulate", txrx), ("coverage", dead),
+            ("simulate", dead), ("coverage", one), ("simulate", one),
+            ("coverage", short_table), ("coverage", overflow)]
+
+
+def test_cli_reports_are_json_dumps_bytes(tmp_path, capsys):
+    # a portable byte pin: the report is exactly what json.dumps(indent=2)
+    # writes for its own parse
+    seen = set()
+    for i, (command, doc) in enumerate(_cli_docs()):
+        assert cli.main([command, _write(tmp_path, doc, f"c{i}.json")]) == 0
+        out = capsys.readouterr().out
+        parsed = json.loads(out)
+        assert json.dumps(parsed, indent=2, allow_nan=False) + "\n" == out
+        rows = parsed.get("links", parsed.get("results"))
+        seen |= {"empty"} if not rows else set()
+        seen |= {f for r in rows for f in r.get("flags", ())}
+        seen |= {"error" for r in rows if r.get("error")}
+        seen |= {"censored" for r in rows if r.get("censored")}
+        seen |= {"null z" for r in rows if "z_score" in r and r["z_score"] is None}
+    assert seen >= {"empty", "never_scheduled", "infinite_delay", "error", "censored",
+                    "null z"}
