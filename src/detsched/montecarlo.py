@@ -1,7 +1,7 @@
 """Monte Carlo estimation of coverage and local delay.
 
-Every replication draws one scheduled set and one full fading matrix, then
-checks the SINR of each link directly, with no reuse of the closed-form
+Every replication draws one scheduled set and a fading matrix, then checks
+the SINR of each link directly, with no reuse of the closed-form
 machinery.  Links are the rows of the geometry's link table (transmitter,
 receiver slot, silent node); one SINR test serves both modes, a txrx
 link's receiving node being the slot's silent node, which must not
@@ -15,19 +15,24 @@ depend on the seed alone.  The ``workers`` arguments are accepted for
 compatibility and change neither the results nor the work done:
 replications run in the calling thread.
 
-Coverage replications run in blocks: each fills one row of uniforms from
-its own substream, then the block's point selections and SINR tests run as
-stacked array operations, each replication's arithmetic independent of the
-rest of its block.  A block's rows come from ``rng.block_uniforms``
-(numpy's seeding hash and PCG64's stepping as array arithmetic over the
-block, with no generator object), which tests pin to ``substream`` bit for
-bit.  Delay replications run in blocks too: in each slot every live
-replication draws through ``_sampling.draw_mask`` and fills its fading row
-from its own substream, and one SINR test judges them all.
+Coverage replications run in blocks, with the block's point selections
+and SINR tests as stacked array operations, each replication's arithmetic
+independent of the rest of its block.  A block's substreams are seeded once
+and read through ``rng._fill`` and ``rng._advance`` (numpy's seeding hash
+and PCG64's stepping as array arithmetic over the block, with no generator
+object), which tests pin to ``substream`` bit for bit: a head of 2n
+uniforms per replication for the coins and the selection, then the fading
+row of each scheduled transmitter, read from where it starts in the
+stream.  The SINR test never reads the fading rows of nodes that do not
+transmit, so coverage blocks never generate them.  Delay replications run
+in blocks too: in each slot every live replication draws through
+``_sampling.draw_mask`` and fills its fading row from its own substream,
+and one SINR test judges them all.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -36,7 +41,7 @@ from . import _sampling
 from .errors import BadArgument, SingularDistance
 from .kernels import LEnsemble
 from .propagation import NetworkGeometry, PropagationParams, _channel, path_loss
-from .rng import block_uniforms, substream
+from .rng import _advance, _fill, _pcg64_states, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
 
@@ -112,9 +117,10 @@ class DelayEstimate:
     censored: int
 
 
-# Monte Carlo blocks stay near this many bytes: a coverage block's uniform
-# buffer (generating it holds at most about twice as much again), a delay
-# block's n-by-n fading rows plus its generators of _GENERATOR_BYTES each.
+# Monte Carlo blocks stay near this many bytes: a coverage block's 2n-wide
+# head of uniforms plus its zeroed n-by-n fading rows (filling the
+# scheduled rows holds at most about twice as much again), a delay block's
+# n-by-n fading rows plus its generators of _GENERATOR_BYTES each.
 _BLOCK_BYTES = 1 << 20
 _GENERATOR_BYTES = 900
 
@@ -193,25 +199,30 @@ class _Arena:
     def block_counts(self, seed: int, reps: range) -> np.ndarray:
         """Summed success indicators of replications ``reps``, one slot each.
 
-        Each replication fills one row from its own substream, generated for
-        the whole block by ``block_uniforms``, in contract order: n coins,
-        one uniform per selected point, then the n-by-n fading block.  A
-        row holds 2n + n^2 uniforms, enough for any number of selected
-        points; what a replication does not use is never read.
+        Each replication reads its own substream in contract order: n coins,
+        one uniform per selected point, then the n-by-n fading block.  The
+        block's streams are seeded once; a head of 2n uniforms per row holds
+        the coins and enough for any number of selected points.  Only the
+        fading rows of scheduled transmitters are read, so each is filled
+        from its row's seeded state advanced to where it starts, into a
+        zeroed (rows, n, n) block; the rows of silent nodes stay zero, and
+        ``success`` masks them out.
         """
         n = self.n
-        row = 2 * n + n * n
         counts = 0
-        step = max(1, _BLOCK_BYTES // (8 * row))
+        step = max(1, _BLOCK_BYTES // (8 * (2 * n + n * n)))
         for lo in range(0, len(reps), step):
             block = reps[lo:lo + step]
-            buf = block_uniforms(seed, block, row)
-            sel = buf[:, :n] < self.lvals / (1.0 + self.lvals)
-            mask = _sampling.select_block(self.lvecs, sel, buf[:, n:2 * n])
-            k = np.count_nonzero(sel, axis=1)
-            cols = n + k[:, None] + np.arange(n * n)
-            u = np.take_along_axis(buf, cols, axis=1).reshape(len(block), n, n)
-            fading = -self.params.fading_mean * np.log1p(-u)
+            state, inc = _pcg64_states(seed, block)
+            head = _fill(state, inc, 2 * n)
+            sel = head[:, :n] < self.lvals / (1.0 + self.lvals)
+            mask = _sampling.select_block(self.lvecs, sel, head[:, n:])
+            r, i = np.nonzero(mask)
+            run_inc = tuple(w[r] for w in inc)
+            start = _advance(tuple(w[r] for w in state), run_inc,
+                             n + np.count_nonzero(sel, axis=1)[r] + i * n)
+            fading = np.zeros((len(block), n, n))
+            fading[r, i] = -self.params.fading_mean * np.log1p(-_fill(start, run_inc, n))
             counts = counts + self.success(mask, fading).sum(axis=0)
         return counts
 
@@ -258,8 +269,7 @@ def _bernoulli_estimates(successes: np.ndarray, reps: int) -> list:
     else:
         std = np.zeros_like(p)
     se = std / math.sqrt(reps)
-    return [Estimate(mean=m, std_error=s, replications=reps)
-            for m, s in zip(p.tolist(), se.tolist())]
+    return list(map(Estimate, p.tolist(), se.tolist(), repeat(reps)))
 
 
 def _simulate_coverage(geometry, L, params, plan: SimulationPlan, mode=None) -> dict:

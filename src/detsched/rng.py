@@ -18,17 +18,21 @@ Stream contract, which cross-language reimplementations must match:
   block; they are never read.
 
 ``substream`` is the definition.  ``block_uniforms`` fills many substreams'
-leading uniforms at once, with no generator object: it repeats numpy's
-SeedSequence hash in arithmetic (the seed's share once, the keys' share as
-uint32 array operations over the whole block), then runs PCG64 itself on
-128-bit states held as (high, low) pairs of uint64 arrays.  PCG64 seeds
-with inc = 2q + 1 and state = (inc + s) * M + inc, steps a state x to
-M * x + inc, and outputs each new state as the double
-(rotr64(high ^ low, high >> 58) >> 11) * 2^-53.  j steps make the affine
-map x -> A_j * x + C_j * inc, with A_j = M^j and C_j = M^(j-1) + ... + 1,
-so the state before any draw is a multiply-add away from the seeded state.
-Tests pin ``block_uniforms`` to ``substream`` bit for bit, seeded states
-included.
+leading uniforms at once, with no generator object: ``_pcg64_states``
+repeats numpy's SeedSequence hash in arithmetic (the seed's share once, the
+keys' share as uint32 array operations over the whole block), then
+``_fill`` runs PCG64 itself on 128-bit states held as (high, low) pairs of
+uint64 arrays.  PCG64 seeds with inc = 2q + 1 and state = (inc + s) * M +
+inc, steps a state x to M * x + inc, and outputs each new state as the
+double (rotr64(high ^ low, high >> 58) >> 11) * 2^-53.  j steps make the
+affine map x -> A_j * x + C_j * inc, with A_j = M^j and C_j = M^(j-1) +
+... + 1 (F. Brown, "Random number generation with arbitrary strides",
+1994), so the state before any draw is a multiply-add away from the seeded
+state: ``_advance`` jumps each state by its own step count, and ``_fill``
+starts from any states, so a caller can read a stream's uniforms from any
+position without generating the ones before it.  Tests pin
+``block_uniforms``, ``_advance`` and ``_fill`` to ``substream`` bit for
+bit, seeded states included.
 """
 
 import functools
@@ -44,6 +48,9 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW, _1, _11, _32, _58, _63 = (np.uint64(v) for v in (_MASK32, 1, 11, 32, 58, 63))
+_MULT_A4 = np.uint32(pow(_MULT_A, 4, 1 << 32))
+# _fill sizes (in doubles) below which one pass beats quarter groups
+_ONE_PASS = 1 << 14
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -66,8 +73,10 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
+@functools.lru_cache(maxsize=None)
 def _constants(h, mult, k):
-    """Column of the k consecutive hash constants h, h*mult, h*mult^2, ..."""
+    """Column of the k consecutive hash constants h, h*mult, h*mult^2, ...
+    (cached: h after a seed depends only on the seed's word count)."""
     return np.array([h * pow(mult, t, 1 << 32) & _MASK32 for t in range(k)],
                     dtype=np.uint32)[:, None]
 
@@ -76,6 +85,10 @@ def _words(values, shape):
     """128-bit Python ints as a (high, low) pair of uint64 arrays."""
     return tuple(np.array([v >> s & _MASK64 for v in values], dtype=np.uint64).reshape(shape)
                  for s in (64, 0))
+
+
+# PCG64's multiplier as a (high, low) pair
+_M = _words([_PCG_MULT], (1,))
 
 
 def _mul(x, k):
@@ -126,10 +139,10 @@ def _doubles(x, out):
 
 @functools.lru_cache(maxsize=None)
 def _jumps(width: int):
-    """``block_uniforms``' chunk length b (about sqrt(width)) and chunk count
-    at this width, and the (A_j, C_j) of its jumps as (high, low) word
-    pairs: for j = 1..b, shaped (b, 1), and for j = b, 2b, ... below the
-    width, shaped (chunks - 1, 1, 1)."""
+    """``_fill``'s chunk length b (about sqrt(width)) and chunk count at this
+    width, and the (A_j, C_j) of its jumps as (high, low) word pairs: for
+    j = 1..b, shaped (b, 1), and for j = b, 2b, ... below the width, shaped
+    (chunks - 1, 1, 1)."""
     b = math.isqrt(max(width, 1) - 1) + 1
     a, c, head = 1, 0, []
     for _ in range(b):
@@ -143,11 +156,41 @@ def _jumps(width: int):
             [_words(col, (-1, 1, 1)) for col in zip(*tail)])
 
 
+@functools.lru_cache(maxsize=None)
+def _strides(size: int):
+    """(A_c, C_c) for every jump c below ``size``, as (high, low) word
+    pairs shaped (size,)."""
+    a, c, table = 1, 0, []
+    for _ in range(size):
+        table.append((a, c))
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    return [_words(col, (size,)) for col in zip(*table)]
+
+
+def _advance(state, inc, steps):
+    """The states ``steps`` draws on, each by its own count (an int array
+    shaped like the states): A_c * state + C_c * inc, from a table of
+    strides sized to the next power of two above the largest count."""
+    (a_hi, a_lo), (c_hi, c_lo) = _strides(1 << int(np.max(steps, initial=0)).bit_length())
+    return _add(_mul(state, (a_hi[steps], a_lo[steps])), _mul(inc, (c_hi[steps], c_lo[steps])))
+
+
+def _key_words(keys):
+    """Keys as an array to split into 32-bit words: uint64 for a range
+    within [0, 2^63), else an object array of Python ints."""
+    if isinstance(keys, range) and all(0 <= k < 1 << 63 for k in (*keys[:1], *keys[-1:])):
+        words = np.arange(len(keys), dtype=np.uint64)
+        words *= np.uint64(keys.step % (1 << 64))
+        words += np.uint64(keys.start % (1 << 64))
+        return words
+    return np.array(keys, dtype=object)
+
+
 def _pcg64_states(seed: int, keys):
     """Seeded PCG64 ``(state, inc)`` of ``substream(seed, key)`` for every
     key, each a (high, low) pair of uint64 arrays over the keys."""
     seed = int(seed)
-    rest = np.array(keys, dtype=object)
+    rest = _key_words(keys)
     if seed < 0 or (len(rest) and rest.min() < 0):
         raise ValueError("seed and keys must be nonnegative")
     # the seed's words, zero-padded to the pool size, fill the pool, which
@@ -173,7 +216,7 @@ def _pcg64_states(seed: int, keys):
     while present.any():
         v, _ = _hashmix((rest & _MASK32).astype(np.uint32), hs)
         pool = np.where(present, _mix(pool, v), pool)
-        hs = hs * np.uint32(pow(_MULT_A, 4, 1 << 32))
+        hs = hs * _MULT_A4
         rest = rest >> 32
         present = rest > 0
     # generate_state(4, uint64) hashes the pool twice over into 4 uint64s,
@@ -183,22 +226,23 @@ def _pcg64_states(seed: int, keys):
     half = half.astype(np.uint64)
     s_hi, s_lo, q_hi, q_lo = half[0::2] | half[1::2] << _32
     inc = (q_hi << _1 | q_lo >> _63, q_lo << _1 | _1)
-    state = _add(_mul(_add((s_hi, s_lo), inc), _words([_PCG_MULT], (1,))), inc)
+    state = _add(_mul(_add((s_hi, s_lo), inc), _M), inc)
     return state, inc
 
 
-def block_uniforms(seed: int, keys, width: int) -> np.ndarray:
-    """(len(keys), width) array whose row r is bit for bit
-    ``substream(seed, keys[r]).random(width)``.
+def _fill(state, inc, width: int) -> np.ndarray:
+    """(rows, width) array whose row r is the ``width`` doubles PCG64 draws
+    next from state ``(state[r], inc[r])``; the states are left as they were.
 
     Columns come in chunks of b, about sqrt(width): the first chunk's
-    states are one jump each from the seeded states, every later chunk's one
-    jump from the first chunk's.  States are laid out (chunk, column, key),
-    so numpy's inner loops run over keys or whole chunks.  The later chunks
-    are generated a quarter at a time, which keeps the temporaries within
-    about twice the output's size.
+    states are one jump each from the given states, every later chunk's one
+    jump from the first chunk's.  States are laid out (chunk, column, row),
+    so numpy's inner loops run over rows or whole chunks.  Below
+    ``_ONE_PASS`` doubles the later chunks are generated in one pass, since
+    numpy's per-call cost dominates there; larger fills generate them a
+    quarter at a time, which keeps the temporaries within about twice the
+    output's size and runs faster once they outgrow the cache.
     """
-    state, inc = _pcg64_states(seed, keys)
     b, chunks, head, tail = _jumps(width)
     rows = len(inc[0])
     out = np.empty((rows, chunks * b))
@@ -206,13 +250,19 @@ def block_uniforms(seed: int, keys, width: int) -> np.ndarray:
     first = _add(_mul(state, head[0]), _mul(inc, head[1]))
     if tail:
         (a_hi, a_lo), (c_hi, c_lo) = tail[0], _mul(inc, tail[1])
-        step = -(-(chunks - 1) // 4)
+        step = chunks - 1 if out.size < _ONE_PASS else -(-(chunks - 1) // 4)
         for lo in range(0, chunks - 1, step):
             g = slice(lo, lo + step)
             states = _add(_mul(first, (a_hi[g], a_lo[g])), (c_hi[g], c_lo[g]))
             _doubles(states, grid[1 + lo:1 + lo + step])
     _doubles(first, grid[0])
     return out[:, :width]
+
+
+def block_uniforms(seed: int, keys, width: int) -> np.ndarray:
+    """(len(keys), width) array whose row r is bit for bit
+    ``substream(seed, keys[r]).random(width)``."""
+    return _fill(*_pcg64_states(seed, keys), width)
 
 
 def exponential_fading(rng: np.random.Generator, mean: float, size) -> np.ndarray:

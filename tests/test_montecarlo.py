@@ -197,12 +197,11 @@ def test_replication_stream_contract():
 def test_block_boundaries_do_not_change_estimates(monkeypatch):
     # one row per block and uneven splits of the replications give the
     # default block's estimates and the rep-by-rep replay's counts, for
-    # seeds of one and of five entropy words.  Each block generates its
-    # rows' later chunks of uniforms a quarter at a time: rows of 24
-    # uniforms (pairs, n=4) come in 5 chunks of 5, the later four one group
-    # each; rows of 35 (txrx, n=5) in 6 chunks of 6, the later five in groups
-    # of 2, 2 and 1; rows of 99 (pairs, n=9) in 10 chunks of 10, the later
-    # nine in three groups of 3; each row's last chunk is cut short
+    # seeds of one and of five entropy words.  Each block fills a head of
+    # 2n uniforms per row and n per scheduled transmitter's fading row:
+    # heads of 8 (pairs, n=4), 10 (txrx, n=5) and 18 (pairs, n=9) come in 3
+    # chunks of 3, 3 of 4 and 4 of 5, each cut short; fading rows of 4, 5
+    # and 9 in 2 chunks of 2, 2 of 3 (cut short) and 3 of 3
     params = _power_params(tau=0.5, noise=0.05)
     geo, L = _instance(11, n=4)
     geo9, L9 = _instance(13, n=9)
@@ -224,6 +223,35 @@ def test_block_boundaries_do_not_change_estimates(monkeypatch):
                 default = {(i, i): est for i, est in enumerate(default)}
             for (i, j), est in default.items():
                 assert est.mean * plan.replications == pytest.approx(hits[i, j], abs=1e-9)
+
+
+def test_coverage_with_empty_and_full_schedules(monkeypatch):
+    # only scheduled transmitters' fading rows are generated: with L near 0
+    # most replications schedule nobody and generate none (0.02 I leaves a
+    # few scheduled nodes), with L huge every node is scheduled and every
+    # row is generated; counts replay rep by rep at one and 7 rows a block
+    params = _power_params(tau=0.5, noise=0.05)
+    plan = ds.SimulationPlan(120, 2**64 + 9)
+    rng = np.random.default_rng(21)
+    pgeo, _ = _instance(22, n=5)
+    tgeo = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(5, 2)))
+    for scale in (1e-9, 0.02, 1e9):
+        L = ds.LEnsemble.from_matrix(scale * np.eye(5))
+        for geo, sim in ((pgeo, ds.simulate_pair_coverage), (tgeo, ds.simulate_txrx)):
+            hits = _replay_coverage(geo, L, params, plan)
+            for rows in (1, 7):
+                monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", rows * 8 * (2 * 5 + 5 ** 2))
+                got = sim(geo, L, params, plan)
+                monkeypatch.undo()
+                if geo.mode == "pairs":
+                    got = {(i, i): est for i, est in enumerate(got)}
+                assert len(got) == (5 if geo.mode == "pairs" else 20)
+                for (i, j), est in got.items():
+                    assert est.mean * plan.replications == pytest.approx(hits[i, j], abs=1e-9)
+            if scale == 0.02 or (scale == 1e9 and geo.mode == "pairs"):
+                assert hits.sum() > 0
+            else:
+                assert hits.sum() == 0
 
 
 def _delay_instances():

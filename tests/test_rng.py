@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detsched.rng import _pcg64_states, block_uniforms, substream
+from detsched import rng
+from detsched.rng import _advance, _fill, _jumps, _key_words, _pcg64_states, block_uniforms, substream
 
 # word boundaries of the entropy (one to five 32-bit words; five leave no
 # zero padding) and of the spawn key (one to three words)
@@ -57,6 +58,14 @@ def test_block_uniforms_rows_are_substreams():
                 assert np.array_equal(row, substream(seed, key).random(width))
     assert np.array_equal(block_uniforms(5, [9], 6)[0], substream(5, 9).random(6))
     assert block_uniforms(5, range(0), 6).shape == (0, 6)
+    # fills of 2^14 doubles or more generate their later chunks a quarter at
+    # a time: at width 999, 31 later chunks of 32 in groups of 8, 8, 8 and
+    # 7; at width 6000, 76 of 78 in four groups of 19
+    for rows, width in ((17, 999), (3, 6000)):
+        got = block_uniforms(11, range(rows), width)
+        assert got.size >= rng._ONE_PASS
+        for key, row in enumerate(got):
+            assert np.array_equal(row, substream(11, key).random(width))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -70,6 +79,60 @@ def test_block_uniforms_stream_contract(seed, keys, width):
     assert got.shape == (len(keys), width)
     for row, key in zip(got, keys):
         assert np.array_equal(row, substream(seed, key).random(width))
+
+
+def _state_dicts(state, inc):
+    """PCG64 ``bit_generator.state`` dicts of (high, low) word arrays."""
+    return [{"bit_generator": "PCG64",
+             "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+             "has_uint32": 0, "uinteger": 0}
+            for sh, sl, ih, il in zip(*(a.tolist() for a in (*state, *inc)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**160 - 1),
+       keys=st.lists(st.tuples(st.integers(0, 2**160 - 1), st.integers(0, 40),
+                               st.integers(-1, 1), st.booleans()),
+                     min_size=1, max_size=4),
+       width=st.integers(1, 1100))
+def test_advance_and_fill_stream_contract(seed, keys, width):
+    # seeds and keys of one to five words; each state jumps by its own
+    # count c, often a multiple of the width's chunk length b (or one off
+    # it), sometimes 0: the advanced state is the substream's after c
+    # doubles, and _fill from it gives that generator's next doubles
+    b = _jumps(width)[0]
+    steps = np.array([max(0, m * b + off) if jump else 0 for _, m, off, jump in keys])
+    keys = [key for key, *_ in keys]
+    state, inc = _pcg64_states(seed, keys)
+    seeded = _state_dicts(state, inc)
+    moved = _advance(state, inc, steps)
+    assert _state_dicts(state, inc) == seeded
+    gens = [substream(seed, key) for key in keys]
+    for g, c in zip(gens, steps.tolist()):
+        g.random(c)
+    advanced = _state_dicts(moved, inc)
+    assert advanced == [g.bit_generator.state for g in gens]
+    got = _fill(moved, inc, width)
+    assert _state_dicts(moved, inc) == advanced
+    assert got.shape == (len(keys), width)
+    for row, g in zip(got, gens):
+        assert np.array_equal(row, g.random(width))
+
+
+def test_range_keys_take_the_uint64_path():
+    # ranges within [0, 2^63) are split into words as uint64 arrays, others
+    # as Python ints; both seed the same states as the keys in a list
+    cases = [(range(0), np.uint64), (range(5, 5), np.uint64), (range(7), np.uint64),
+             (range(2**32 - 3, 2**32 + 3), np.uint64), (range(2**32 + 9, 2**32 - 9, -4), np.uint64),
+             (range(2**63 - 4, 2**63 - 1), np.uint64), (range(2**63 - 4, 2**63 + 2), object),
+             (range(2**63, 2**63 + 3), object), (range(2**64 - 2, 2**64 + 2), object),
+             (range(2**70, 2**70), np.uint64)]
+    for keys, dtype in cases:
+        assert _key_words(keys).dtype == dtype
+        for seed in (3, 2**130 + 1):
+            got = _state_dicts(*_pcg64_states(seed, keys))
+            assert got == _state_dicts(*_pcg64_states(seed, list(keys)))
+            assert got == [_reference(seed, k).state for k in keys]
 
 
 def test_one_row_width_one_blocks_at_word_edges():
