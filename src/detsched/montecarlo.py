@@ -118,9 +118,10 @@ class DelayEstimate:
 
 
 # Monte Carlo blocks stay near this many bytes: a coverage block's 2n-wide
-# head of uniforms plus its zeroed n-by-n fading rows (filling the
-# scheduled rows holds at most about twice as much again), a delay block's
-# n-by-n fading rows plus its generators of _GENERATOR_BYTES each.
+# head of uniforms plus its zeroed n-by-n fading rows (the fills and the
+# SINR test's temporaries peak at about six times as much with every node
+# scheduled), a delay block's n-by-n fading rows plus its generators of
+# _GENERATOR_BYTES each.
 _BLOCK_BYTES = 1 << 20
 _GENERATOR_BYTES = 900
 
@@ -204,9 +205,11 @@ class _Arena:
         block's streams are seeded once; a head of 2n uniforms per row holds
         the coins and enough for any number of selected points.  Only the
         fading rows of scheduled transmitters are read, so each is filled
-        from its row's seeded state advanced to where it starts, into a
-        zeroed (rows, n, n) block; the rows of silent nodes stay zero, and
-        ``success`` masks them out.
+        from where it starts, into a zeroed (rows, n, n) block: a row's
+        seeded state jumps past its coins and selection, then by whole
+        fading rows of n to each of its transmitters, so the jump tables
+        grow with n, not n squared.  The rows of silent nodes stay zero,
+        and ``success`` masks them out.
         """
         n = self.n
         counts = 0
@@ -217,10 +220,12 @@ class _Arena:
             head = _fill(state, inc, 2 * n)
             sel = head[:, :n] < self.lvals / (1.0 + self.lvals)
             mask = _sampling.select_block(self.lvecs, sel, head[:, n:])
+            # each row's state past its coins and selection, then past i
+            # fading rows of n for its scheduled transmitter i
+            after = _advance(state, inc, n + np.count_nonzero(sel, axis=1))
             r, i = np.nonzero(mask)
             run_inc = tuple(w[r] for w in inc)
-            start = _advance(tuple(w[r] for w in state), run_inc,
-                             n + np.count_nonzero(sel, axis=1)[r] + i * n)
+            start = _advance(tuple(w[r] for w in after), run_inc, i, n)
             fading = np.zeros((len(block), n, n))
             fading[r, i] = -self.params.fading_mean * np.log1p(-_fill(start, run_inc, n))
             counts = counts + self.success(mask, fading).sum(axis=0)

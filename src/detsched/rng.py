@@ -28,9 +28,9 @@ double (rotr64(high ^ low, high >> 58) >> 11) * 2^-53.  j steps make the
 affine map x -> A_j * x + C_j * inc, with A_j = M^j and C_j = M^(j-1) +
 ... + 1 (F. Brown, "Random number generation with arbitrary strides",
 1994), so the state before any draw is a multiply-add away from the seeded
-state: ``_advance`` jumps each state by its own step count, and ``_fill``
-starts from any states, so a caller can read a stream's uniforms from any
-position without generating the ones before it.  Tests pin
+state: ``_advance`` jumps each state by its own count of a stride, and
+``_fill`` starts from any states, so a caller can read a stream's uniforms
+from any position without generating the ones before it.  Tests pin
 ``block_uniforms``, ``_advance`` and ``_fill`` to ``substream`` bit for
 bit, seeded states included.
 """
@@ -49,8 +49,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW, _1, _11, _32, _58, _63 = (np.uint64(v) for v in (_MASK32, 1, 11, 32, 58, 63))
 _MULT_A4 = np.uint32(pow(_MULT_A, 4, 1 << 32))
-# _fill sizes (in doubles) below which one pass beats quarter groups
-_ONE_PASS = 1 << 14
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -137,6 +135,16 @@ def _doubles(x, out):
     np.multiply(v, 2.0 ** -53, out=out)
 
 
+def _strides(count: int, a: int = _PCG_MULT, c: int = 1) -> list:
+    """(A, C) of the jumps 0, j, 2j, ..., (count - 1)j as Python ints, where
+    (a, c) is the (A_j, C_j) of one jump j (by default one draw)."""
+    table, x, y = [], 1, 0
+    for _ in range(count):
+        table.append((x, y))
+        x, y = x * a & _MASK128, (y * a + c) & _MASK128
+    return table
+
+
 @functools.lru_cache(maxsize=None)
 def _jumps(width: int):
     """``_fill``'s chunk length b (about sqrt(width)) and chunk count at this
@@ -144,34 +152,27 @@ def _jumps(width: int):
     j = 1..b, shaped (b, 1), and for j = b, 2b, ... below the width, shaped
     (chunks - 1, 1, 1)."""
     b = math.isqrt(max(width, 1) - 1) + 1
-    a, c, head = 1, 0, []
-    for _ in range(b):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        head.append((a, c))
-    (ab, cb), tail = head[-1], []
-    for _ in range(b, width, b):
-        tail.append((a, c))
-        a, c = a * ab & _MASK128, (c * ab + cb) & _MASK128
+    head = _strides(b + 1)[1:]
+    tail = _strides(-(-width // b), *head[-1])[1:]
     return (b, 1 + len(tail), [_words(col, (b, 1)) for col in zip(*head)],
             [_words(col, (-1, 1, 1)) for col in zip(*tail)])
 
 
 @functools.lru_cache(maxsize=None)
-def _strides(size: int):
-    """(A_c, C_c) for every jump c below ``size``, as (high, low) word
-    pairs shaped (size,)."""
-    a, c, table = 1, 0, []
-    for _ in range(size):
-        table.append((a, c))
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-    return [_words(col, (size,)) for col in zip(*table)]
+def _stride_table(size: int, stride: int):
+    """``_strides`` of ``size`` jumps of ``stride`` draws each, as (high,
+    low) word pairs shaped (size,)."""
+    return [_words(col, (size,)) for col in zip(*_strides(size, *_strides(stride + 1)[-1]))]
 
 
-def _advance(state, inc, steps):
-    """The states ``steps`` draws on, each by its own count (an int array
-    shaped like the states): A_c * state + C_c * inc, from a table of
-    strides sized to the next power of two above the largest count."""
-    (a_hi, a_lo), (c_hi, c_lo) = _strides(1 << int(np.max(steps, initial=0)).bit_length())
+def _advance(state, inc, steps, stride: int = 1):
+    """The states ``steps * stride`` draws on, each by its own count (an int
+    array shaped like the states): A_c * state + C_c * inc.  The table of
+    (A_c, C_c) holds one entry per count up to the next power of two above
+    the largest, so a long jump is best taken as a few counts of a long
+    stride."""
+    (a_hi, a_lo), (c_hi, c_lo) = _stride_table(
+        1 << int(np.max(steps, initial=0)).bit_length(), stride)
     return _add(_mul(state, (a_hi[steps], a_lo[steps])), _mul(inc, (c_hi[steps], c_lo[steps])))
 
 
@@ -237,11 +238,9 @@ def _fill(state, inc, width: int) -> np.ndarray:
     Columns come in chunks of b, about sqrt(width): the first chunk's
     states are one jump each from the given states, every later chunk's one
     jump from the first chunk's.  States are laid out (chunk, column, row),
-    so numpy's inner loops run over rows or whole chunks.  Below
-    ``_ONE_PASS`` doubles the later chunks are generated in one pass, since
-    numpy's per-call cost dominates there; larger fills generate them a
-    quarter at a time, which keeps the temporaries within about twice the
-    output's size and runs faster once they outgrow the cache.
+    so numpy's inner loops run over rows or whole chunks.  The later chunks
+    are generated in one pass, whose temporaries hold a few times the
+    output's size; callers bound the fill (coverage fills stay near 1 MB).
     """
     b, chunks, head, tail = _jumps(width)
     rows = len(inc[0])
@@ -249,12 +248,7 @@ def _fill(state, inc, width: int) -> np.ndarray:
     grid = out.reshape(rows, chunks, b).transpose(1, 2, 0)
     first = _add(_mul(state, head[0]), _mul(inc, head[1]))
     if tail:
-        (a_hi, a_lo), (c_hi, c_lo) = tail[0], _mul(inc, tail[1])
-        step = chunks - 1 if out.size < _ONE_PASS else -(-(chunks - 1) // 4)
-        for lo in range(0, chunks - 1, step):
-            g = slice(lo, lo + step)
-            states = _add(_mul(first, (a_hi[g], a_lo[g])), (c_hi[g], c_lo[g]))
-            _doubles(states, grid[1 + lo:1 + lo + step])
+        _doubles(_add(_mul(first, tail[0]), _mul(inc, tail[1])), grid[1:])
     _doubles(first, grid[0])
     return out[:, :width]
 

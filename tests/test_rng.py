@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detsched import rng
 from detsched.rng import _advance, _fill, _jumps, _key_words, _pcg64_states, block_uniforms, substream
 
 # word boundaries of the entropy (one to five 32-bit words; five leave no
@@ -58,12 +57,10 @@ def test_block_uniforms_rows_are_substreams():
                 assert np.array_equal(row, substream(seed, key).random(width))
     assert np.array_equal(block_uniforms(5, [9], 6)[0], substream(5, 9).random(6))
     assert block_uniforms(5, range(0), 6).shape == (0, 6)
-    # fills of 2^14 doubles or more generate their later chunks a quarter at
-    # a time: at width 999, 31 later chunks of 32 in groups of 8, 8, 8 and
-    # 7; at width 6000, 76 of 78 in four groups of 19
+    # wide fills: at width 999, 31 later chunks of 32; at width 6000, 76
+    # later chunks of 78
     for rows, width in ((17, 999), (3, 6000)):
         got = block_uniforms(11, range(rows), width)
-        assert got.size >= rng._ONE_PASS
         for key, row in enumerate(got):
             assert np.array_equal(row, substream(11, key).random(width))
 
@@ -117,6 +114,24 @@ def test_advance_and_fill_stream_contract(seed, keys, width):
     assert got.shape == (len(keys), width)
     for row, g in zip(got, gens):
         assert np.array_equal(row, g.random(width))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**160 - 1),
+       keys=st.lists(st.tuples(st.integers(0, 2**100 - 1), st.integers(0, 1100)),
+                     min_size=1, max_size=4),
+       stride=st.integers(1, 1100))
+def test_advance_by_strides_matches_pcg64_advance(seed, keys, stride):
+    # counts of a long stride reach a million draws and more from a table
+    # that holds one entry per count
+    steps = np.array([c for _, c in keys])
+    keys = [key for key, _ in keys]
+    state, inc = _pcg64_states(seed, keys)
+    refs = [_reference(seed, key) for key in keys]
+    for ref, c in zip(refs, steps.tolist()):
+        ref.advance(c * stride)
+    got = _state_dicts(_advance(state, inc, steps, stride), inc)
+    assert [g["state"] for g in got] == [ref.state["state"] for ref in refs]
 
 
 def test_range_keys_take_the_uint64_path():
