@@ -23,7 +23,11 @@ One JSON document fully describes a run::
 Kernel types: gaussian{sigma, scale}, quality_similarity{quality,
 similarity}, explicit_K{matrix}, explicit_L{matrix},
 aloha_diagonal{probabilities}.  Path loss types: power_law{kappa, beta}
-and custom{radii, values} (piecewise-linear table).  Delay targets may
+and custom{radii, values} (piecewise-linear table).  The type table
+``_TYPES`` is the schema of these two sections: each row names the class a
+type builds and reads its keys in the order of the class's fields.
+Parsing, the unknown-key check and --echo-config all come from it, and a
+missing key is reported as required at its own path.  Delay targets may
 name a single link: ["delay", 2] in pairs mode, ["delay", [0, 1]] in txrx
 mode.
 
@@ -37,11 +41,13 @@ output; non-finite numbers serialize as null (JSON) / empty (CSV), with an
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -81,24 +87,20 @@ class RunConfig:
     geometry: NetworkGeometry
     kernel_spec: object
     params: PropagationParams
+    K: MarginalKernel  # the marginal kernel of kernel_spec, built once
     plan: Optional[SimulationPlan] = None
     workers: int = 1
-    # the marginal kernel of kernel_spec, built once: when the config is
-    # validated, or else on first use
-    K: Optional[MarginalKernel] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def mode(self) -> str:
         return self.geometry.mode
 
-    def marginal_kernel(self) -> MarginalKernel:
-        if self.K is None:
-            self.K = build_K(self.kernel_spec, self.geometry)
-        return self.K
-
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# A reader takes a key's value and its path, and returns the parsed value, or
+# None after appending (path, message) to the error list.
 
 
 def _reject_unknown(obj: dict, allowed, path: str, errors):
@@ -107,54 +109,79 @@ def _reject_unknown(obj: dict, allowed, path: str, errors):
             errors.append((f"{path}.{key}" if path else key, "unknown key"))
 
 
-def _get_number(obj, key, path, errors, minimum=None, strict_min=None, default=None, required=False):
-    if key not in obj:
-        if required:
-            errors.append((f"{path}{key}", "required"))
-        return default
-    v = obj[key]
+def _field(obj, key, path, read, errors, default=MISSING):
+    """``read`` of ``obj[key]`` at ``path + key``; an absent key reads as
+    ``default``, or is reported as required when there is none."""
+    if key in obj:
+        return read(obj[key], path + key, errors)
+    if default is MISSING:
+        errors.append((path + key, "required"))
+        return None
+    return default
+
+
+def _float(v) -> Optional[float]:
+    """``v`` as a finite float; None for a bool, a non-number, nan, ±inf and
+    an integer beyond the largest double."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errors.append((f"{path}{key}", f"must be a number, got {v!r}"))
         return None
-    v = float(v)
-    if not math.isfinite(v):
-        errors.append((f"{path}{key}", "must be finite"))
+    try:
+        v = float(v)
+    except OverflowError:
         return None
-    if minimum is not None and v < minimum:
-        errors.append((f"{path}{key}", f"must be >= {minimum}, got {v}"))
-        return None
-    if strict_min is not None and v <= strict_min:
-        errors.append((f"{path}{key}", f"must be > {strict_min}, got {v}"))
+    return v if math.isfinite(v) else None
+
+
+def _number(v, path, errors):
+    f = _float(v)
+    if f is None:
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        errors.append((path, "must be finite" if number else f"must be a number, got {v!r}"))
+    return f
+
+
+def _positive(v, path, errors):
+    v = _number(v, path, errors)
+    if v is not None and v <= 0.0:
+        errors.append((path, f"must be > 0.0, got {v}"))
         return None
     return v
 
 
-def _get_int(obj, key, path, errors, minimum=None, default=None, required=False):
-    if key not in obj:
-        if required:
-            errors.append((f"{path}{key}", "required"))
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        errors.append((f"{path}{key}", f"must be an integer, got {v!r}"))
-        return None
-    if minimum is not None and v < minimum:
-        errors.append((f"{path}{key}", f"must be >= {minimum}, got {v}"))
+def _nonnegative(v, path, errors):
+    v = _number(v, path, errors)
+    if v is not None and v < 0.0:
+        errors.append((path, f"must be >= 0.0, got {v}"))
         return None
     return v
+
+
+def _integer(minimum):
+    """A reader of integers >= ``minimum``."""
+    def read(v, path, errors):
+        if isinstance(v, bool) or not isinstance(v, int):
+            errors.append((path, f"must be an integer, got {v!r}"))
+            return None
+        if v < minimum:
+            errors.append((path, f"must be >= {minimum}, got {v}"))
+            return None
+        return v
+    return read
 
 
 def _number_list(value, path, errors):
     if not isinstance(value, list) or not value:
         errors.append((path, "must be a nonempty list of numbers"))
         return None
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-            errors.append((f"{path}[{i}]", f"must be a finite number, got {v!r}"))
-            return None
-        out.append(float(v))
-    return out
+    out = [_float(v) for v in value]
+    if None not in out:
+        return np.array(out)
+    i = out.index(None)
+    v = value[i]
+    # an int that is no float is beyond the doubles
+    errors.append((f"{path}[{i}]", "must be finite" if type(v) is int
+                   else f"must be a finite number, got {v!r}"))
+    return None
 
 
 def _matrix(value, path, errors):
@@ -171,14 +198,69 @@ def _matrix(value, path, errors):
     if any(len(r) != width for r in rows):
         errors.append((path, "rows must all have the same length"))
         return None
-    return rows
+    return np.array(rows)
 
 
-def _point_list(obj, key, errors):
-    if key not in obj:
-        errors.append((key, "required"))
+def _square(value, path, errors):
+    m = _matrix(value, path, errors)
+    if m is not None and m.shape[0] != m.shape[1]:
+        errors.append((path, f"must be square, got {m.shape[0]}x{m.shape[1]}"))
         return None
-    return _matrix(obj[key], key, errors)
+    return m
+
+
+# The schema of the typed sections: each type's name maps to the class it
+# builds and a reader per key, in the order of the class's fields.  A key
+# whose field has a default may be left out.  Parsing, the unknown-key check
+# and the --echo-config document all come from this table.
+_TYPES = {
+    "kernel": {
+        "gaussian": (GaussianSpec, {"sigma": _positive, "scale": _positive}),
+        "quality_similarity": (QualitySimilaritySpec,
+                               {"quality": _number_list, "similarity": _matrix}),
+        "explicit_K": (ExplicitMarginalSpec, {"matrix": _square}),
+        "explicit_L": (ExplicitLSpec, {"matrix": _square}),
+        "aloha_diagonal": (AlohaSpec, {"probabilities": _number_list}),
+    },
+    "pathloss": {
+        "power_law": (PowerLawPathLoss, {"kappa": _positive, "beta": _positive}),
+        "custom": (TabulatedPathLoss, {"radii": _number_list, "values": _number_list}),
+    },
+}
+
+
+def _parse_typed(doc, section, errors):
+    """The object that ``doc[section]`` describes, built by its _TYPES row."""
+    obj = doc.get(section)
+    if not isinstance(obj, dict):
+        errors.append((section, "required object"))
+        return None
+    types = _TYPES[section]
+    name = obj.get("type")
+    if not isinstance(name, str) or name not in types:
+        errors.append((f"{section}.type", f"must be one of {sorted(types)}, got {name!r}"))
+        return None
+    cls, readers = types[name]
+    _reject_unknown(obj, {"type", *readers}, section, errors)
+    values = [_field(obj, key, f"{section}.", read, errors, f.default)
+              for (key, read), f in zip(readers.items(), fields(cls))]
+    if any(v is None for v in values):
+        return None
+    try:
+        return cls(*values)
+    except DetschedError as e:
+        errors.append((section, str(e)))
+        return None
+
+
+def _echo_typed(section, obj) -> dict:
+    """The ``section`` document that parses back to ``obj``."""
+    for name, (cls, readers) in _TYPES[section].items():
+        if type(obj) is cls:
+            values = [getattr(obj, f.name) for f in fields(cls)]
+            return {"type": name, **{key: v.tolist() if isinstance(v, np.ndarray) else v
+                                     for key, v in zip(readers, values)}}
+    raise TypeError(f"no {section} type builds {type(obj).__name__}")
 
 
 def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
@@ -189,8 +271,8 @@ def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
     if mode == "pairs":
         if "nodes" in doc:
             errors.append(("nodes", "not allowed in pairs mode"))
-        tx = _point_list(doc, "transmitters", errors)
-        rx = _point_list(doc, "receivers", errors)
+        tx = _field(doc, "transmitters", "", _matrix, errors)
+        rx = _field(doc, "receivers", "", _matrix, errors)
         if tx is None or rx is None:
             return None
         if len(tx) != len(rx):
@@ -211,7 +293,7 @@ def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
     for key in ("transmitters", "receivers"):
         if key in doc:
             errors.append((key, "not allowed in txrx mode"))
-    nodes = _point_list(doc, "nodes", errors)
+    nodes = _field(doc, "nodes", "", _matrix, errors)
     if nodes is None:
         return None
     try:
@@ -219,94 +301,6 @@ def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
     except DetschedError as e:
         errors.append(("nodes", str(e)))
         return None
-
-
-_KERNEL_KEYS = {
-    "gaussian": {"type", "sigma", "scale"},
-    "quality_similarity": {"type", "quality", "similarity"},
-    "explicit_K": {"type", "matrix"},
-    "explicit_L": {"type", "matrix"},
-    "aloha_diagonal": {"type", "probabilities"},
-}
-
-
-def _parse_kernel(doc, errors):
-    obj = doc.get("kernel")
-    if not isinstance(obj, dict):
-        errors.append(("kernel", "required object"))
-        return None
-    ktype = obj.get("type")
-    if ktype not in _KERNEL_KEYS:
-        errors.append(
-            ("kernel.type", f"must be one of {sorted(_KERNEL_KEYS)}, got {ktype!r}")
-        )
-        return None
-    _reject_unknown(obj, _KERNEL_KEYS[ktype], "kernel", errors)
-    if ktype == "gaussian":
-        sigma = _get_number(obj, "sigma", "kernel.", errors, strict_min=0.0, required=True)
-        scale = _get_number(obj, "scale", "kernel.", errors, strict_min=0.0, default=1.0)
-        if sigma is None or scale is None:
-            return None
-        return GaussianSpec(sigma=sigma, scale=scale)
-    if ktype == "quality_similarity":
-        if "quality" not in obj or "similarity" not in obj:
-            errors.append(("kernel", "quality_similarity needs 'quality' and 'similarity'"))
-            return None
-        q = _number_list(obj["quality"], "kernel.quality", errors)
-        s = _matrix(obj["similarity"], "kernel.similarity", errors)
-        if q is None or s is None:
-            return None
-        return QualitySimilaritySpec(quality=np.array(q), similarity=np.array(s))
-    if ktype in ("explicit_K", "explicit_L"):
-        if "matrix" not in obj:
-            errors.append(("kernel.matrix", "required"))
-            return None
-        m = _matrix(obj["matrix"], "kernel.matrix", errors)
-        if m is None:
-            return None
-        if len(m) != len(m[0]):
-            errors.append(("kernel.matrix", f"must be square, got {len(m)}x{len(m[0])}"))
-            return None
-        cls = ExplicitMarginalSpec if ktype == "explicit_K" else ExplicitLSpec
-        return cls(matrix=np.array(m))
-    if "probabilities" not in obj:
-        errors.append(("kernel.probabilities", "required"))
-        return None
-    p = _number_list(obj["probabilities"], "kernel.probabilities", errors)
-    if p is None:
-        return None
-    return AlohaSpec(probabilities=np.array(p))
-
-
-def _parse_pathloss(doc, errors):
-    obj = doc.get("pathloss")
-    if not isinstance(obj, dict):
-        errors.append(("pathloss", "required object"))
-        return None
-    ptype = obj.get("type")
-    if ptype == "power_law":
-        _reject_unknown(obj, {"type", "kappa", "beta"}, "pathloss", errors)
-        kappa = _get_number(obj, "kappa", "pathloss.", errors, strict_min=0.0, required=True)
-        beta = _get_number(obj, "beta", "pathloss.", errors, strict_min=0.0, required=True)
-        if kappa is None or beta is None:
-            return None
-        return PowerLawPathLoss(kappa=kappa, exponent=beta)
-    if ptype == "custom":
-        _reject_unknown(obj, {"type", "radii", "values"}, "pathloss", errors)
-        if "radii" not in obj or "values" not in obj:
-            errors.append(("pathloss", "custom path loss needs 'radii' and 'values'"))
-            return None
-        radii = _number_list(obj["radii"], "pathloss.radii", errors)
-        values = _number_list(obj["values"], "pathloss.values", errors)
-        if radii is None or values is None:
-            return None
-        try:
-            return TabulatedPathLoss(radii=np.array(radii), values=np.array(values))
-        except DetschedError as e:
-            errors.append(("pathloss", str(e)))
-            return None
-    errors.append(("pathloss.type", f"must be 'power_law' or 'custom', got {ptype!r}"))
-    return None
 
 
 def _parse_target(entry, index, mode, n, errors):
@@ -342,11 +336,11 @@ def _parse_simulate(doc, mode, n, errors):
         errors.append(("simulate", "must be an object"))
         return None, 1
     _reject_unknown(obj, {"reps", "seed", "targets", "delay_cap", "workers"}, "simulate", errors)
-    reps = _get_int(obj, "reps", "simulate.", errors, minimum=1, required=True)
-    seed = _get_int(obj, "seed", "simulate.", errors, minimum=0, required=True)
-    delay_cap = _get_int(obj, "delay_cap", "simulate.", errors, minimum=1,
-                         default=_montecarlo.DEFAULT_DELAY_CAP)
-    workers = _get_int(obj, "workers", "simulate.", errors, minimum=1, default=1)
+    reps = _field(obj, "reps", "simulate.", _integer(1), errors)
+    seed = _field(obj, "seed", "simulate.", _integer(0), errors)
+    delay_cap = _field(obj, "delay_cap", "simulate.", _integer(1), errors,
+                       _montecarlo.DEFAULT_DELAY_CAP)
+    workers = _field(obj, "workers", "simulate.", _integer(1), errors, 1)
     targets = ("coverage",)
     if "targets" in obj:
         raw = obj["targets"]
@@ -378,11 +372,11 @@ def parse_config_dict(doc) -> RunConfig:
     errors = []
     _reject_unknown(doc, _TOP_KEYS, "", errors)
     geometry = _parse_geometry(doc, errors)
-    kernel_spec = _parse_kernel(doc, errors)
-    pathloss = _parse_pathloss(doc, errors)
-    threshold = _get_number(doc, "threshold", "", errors, minimum=0.0, required=True)
-    fading_mean = _get_number(doc, "fading_mean", "", errors, strict_min=0.0, default=1.0)
-    noise = _get_number(doc, "noise", "", errors, minimum=0.0, default=0.0)
+    kernel_spec = _parse_typed(doc, "kernel", errors)
+    pathloss = _parse_typed(doc, "pathloss", errors)
+    threshold = _field(doc, "threshold", "", _nonnegative, errors)
+    fading_mean = _field(doc, "fading_mean", "", _positive, errors, 1.0)
+    noise = _field(doc, "noise", "", _nonnegative, errors, 0.0)
     params = None
     if pathloss is not None and None not in (threshold, fading_mean, noise):
         try:
@@ -415,12 +409,8 @@ def parse_config_dict(doc) -> RunConfig:
     plan, workers = _parse_simulate(doc, doc.get("mode"), geometry.n if geometry else None, errors)
     if errors:
         raise ConfigError(errors)
-    cfg = RunConfig(
-        geometry=geometry, kernel_spec=kernel_spec, params=params,
-        plan=plan, workers=workers,
-    )
-    cfg.K = K
-    return cfg
+    return RunConfig(geometry=geometry, kernel_spec=kernel_spec, params=params, K=K,
+                     plan=plan, workers=workers)
 
 
 def parse_config(path) -> RunConfig:
@@ -439,37 +429,12 @@ def config_dict(cfg: RunConfig) -> dict:
     """Normalized config document; parsing it reproduces ``cfg``."""
     d = {"mode": cfg.mode}
     if cfg.mode == "pairs":
-        d["transmitters"] = [[float(v) for v in p] for p in cfg.geometry.transmitters]
-        d["receivers"] = [[float(v) for v in p] for p in cfg.geometry.receivers]
+        d["transmitters"] = cfg.geometry.transmitters.tolist()
+        d["receivers"] = cfg.geometry.receivers.tolist()
     else:
-        d["nodes"] = [[float(v) for v in p] for p in cfg.geometry.nodes]
-    spec = cfg.kernel_spec
-    if isinstance(spec, GaussianSpec):
-        d["kernel"] = {"type": "gaussian", "sigma": spec.sigma, "scale": spec.scale}
-    elif isinstance(spec, QualitySimilaritySpec):
-        d["kernel"] = {
-            "type": "quality_similarity",
-            "quality": [float(v) for v in spec.quality],
-            "similarity": [[float(v) for v in row] for row in spec.similarity],
-        }
-    elif isinstance(spec, ExplicitMarginalSpec):
-        d["kernel"] = {"type": "explicit_K",
-                       "matrix": [[float(v) for v in row] for row in spec.matrix]}
-    elif isinstance(spec, ExplicitLSpec):
-        d["kernel"] = {"type": "explicit_L",
-                       "matrix": [[float(v) for v in row] for row in spec.matrix]}
-    else:
-        d["kernel"] = {"type": "aloha_diagonal",
-                       "probabilities": [float(v) for v in spec.probabilities]}
-    model = cfg.params.pathloss
-    if isinstance(model, PowerLawPathLoss):
-        d["pathloss"] = {"type": "power_law", "kappa": model.kappa, "beta": model.exponent}
-    else:
-        d["pathloss"] = {
-            "type": "custom",
-            "radii": [float(v) for v in model.radii],
-            "values": [float(v) for v in model.values],
-        }
+        d["nodes"] = cfg.geometry.nodes.tolist()
+    d["kernel"] = _echo_typed("kernel", cfg.kernel_spec)
+    d["pathloss"] = _echo_typed("pathloss", cfg.params.pathloss)
     d["threshold"] = cfg.params.threshold
     d["fading_mean"] = cfg.params.fading_mean
     d["noise"] = cfg.params.noise
@@ -595,7 +560,7 @@ def _link_row(lr) -> tuple:
 
 def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None) -> int:
     """Closed-form coverage report for every link."""
-    report = _coverage.full_report(cfg.geometry, cfg.marginal_kernel(), cfg.params)
+    report = _coverage.full_report(cfg.geometry, cfg.K, cfg.params)
     rows = [_link_row(lr) for lr in report.links]
     if fmt == "csv":
         _emit_csv(_LINK_FIELDS, [(*r[:6], ";".join(r[6]), r[7] or "") for r in rows], output)
@@ -632,15 +597,14 @@ def _check_flags(flags: dict):
         raise ConfigError(problems)
 
 
-def _closed_coverages(cfg: RunConfig, K: MarginalKernel, keys) -> dict:
-    """{link key: closed-form coverage} for the links ``keys`` (ints in
-    pairs mode, (tx, rx) tuples in txrx mode), evaluating only those."""
-    links = cfg.geometry.links()
-    wanted = np.array([(t if s < 0 else (t, p)) in keys for t, p, s in links.tolist()],
-                      dtype=bool)
-    return {lr.transmitter if lr.receiver is None else (lr.transmitter, lr.receiver):
-            lr.coverage for lr in _coverage._link_reports(cfg.geometry, K, cfg.params,
-                                                          links[wanted])}
+def _closed_reports(cfg: RunConfig, K: MarginalKernel, keys) -> dict:
+    """{link key: LinkReport} for the links ``keys`` (``link_keys()``
+    entries), evaluating only those."""
+    all_keys = cfg.geometry.link_keys()
+    wanted = [key in keys for key in all_keys]
+    rows = cfg.geometry.links()[np.array(wanted, dtype=bool)]
+    return dict(zip(compress(all_keys, wanted),
+                    _coverage._link_reports(cfg.geometry, K, cfg.params, rows)))
 
 
 def cmd_simulate(
@@ -678,14 +642,14 @@ def cmd_simulate(
             cfg.geometry, L, cfg.params, plan, links=plan.delay_links(), workers=nworkers
         )
         found += [("delay", key, est, est.censored) for key, est in sorted(delays.items())]
-    closed = _closed_coverages(cfg, l_to_k(L), {key for _, key, _, _ in found})
+    closed = _closed_reports(cfg, l_to_k(L), {key for _, key, _, _ in found})
     rows = []
     for target, key, est, censored in found:
-        c = closed[key]
+        lr = closed[key]
+        c = lr.coverage
         if target == "delay":
             c = (1.0 / c) if c else None
-        tx, rx = (key, None) if isinstance(key, int) else key
-        rows.append((target, tx, rx, _finite(c), _finite(est.mean), _finite(est.std_error),
+        rows.append((target, lr.transmitter, lr.receiver, _finite(c), _finite(est.mean), _finite(est.std_error),
                      _finite(_z_score(c, est.mean, est.std_error)), censored))
     if fmt == "csv":
         _emit_csv(_RESULT_FIELDS, rows, output)
@@ -726,7 +690,7 @@ def cmd_sample(
 def _kernel_metrics(cfg_or_doc) -> Optional[dict]:
     try:
         if isinstance(cfg_or_doc, RunConfig):
-            report = validate_kernel(cfg_or_doc.marginal_kernel().matrix)
+            report = validate_kernel(cfg_or_doc.K.matrix)
         else:
             kernel = cfg_or_doc.get("kernel") if isinstance(cfg_or_doc, dict) else None
             if not isinstance(kernel, dict) or kernel.get("type") != "explicit_K":
@@ -779,7 +743,10 @@ def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> 
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parse_args leaves it
+    unchanged, so every call reuses it."""
     p = argparse.ArgumentParser(
         prog="detsched",
         description="Exact coverage analysis for determinantally scheduled networks.",
@@ -826,7 +793,7 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ConfigError as e:

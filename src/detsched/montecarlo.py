@@ -32,7 +32,7 @@ and one SINR test judges them all.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -165,7 +165,7 @@ class _Arena:
             path_loss(params.pathloss, dist[tuple(bad[0])])
         self.loss = np.where(self.deafening, 0.0, loss)
         self.tx, self.rx = tx[defined], rx[defined]
-        self.keys = [t if s < 0 else (t, r) for t, r, s in links[defined].tolist()]
+        self.keys = list(compress(geometry.link_keys(), defined.tolist()))
 
     def track(self, keys) -> list:
         """Restrict the SINR test to the links ``keys``, in that order, and

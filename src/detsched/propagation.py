@@ -189,6 +189,11 @@ class NetworkGeometry:
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         return np.stack([i, j, j], axis=1)
 
+    def link_keys(self) -> list:
+        """One key per row of ``links()``: the transmitter of a pairs link,
+        the (transmitter, receiver) tuple of a txrx link."""
+        return [t if s < 0 else (t, r) for t, r, s in self.links().tolist()]
+
 
 def _distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(math.sqrt(float(np.sum((p - q) ** 2))))

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 
@@ -27,6 +29,37 @@ def _write(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# one section of each kernel and path-loss type, valid for three nodes
+_KERNELS = {
+    "gaussian": {"type": "gaussian", "sigma": 0.8, "scale": 0.6},
+    "quality_similarity": {"type": "quality_similarity", "quality": [0.9, 0.5, 1.1],
+                           "similarity": [[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]},
+    "explicit_K": {"type": "explicit_K",
+                   "matrix": [[0.4, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.5]]},
+    "explicit_L": {"type": "explicit_L",
+                   "matrix": [[1.5, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 2.0]]},
+    "aloha_diagonal": {"type": "aloha_diagonal", "probabilities": [0.3, 0.5, 0.2]},
+}
+_PATHLOSSES = {
+    "power_law": {"type": "power_law", "kappa": 1.0, "beta": 3.0},
+    "custom": {"type": "custom", "radii": [0.0, 0.5, 3.0], "values": [1.0, 0.2, 0.01]},
+}
+
+
+def _typed_config(mode="txrx", kernel="aloha_diagonal", pathloss="power_law"):
+    """A three-node config with the named kernel and path-loss types."""
+    points = [[0.0, 0.0], [0.7, 0.1], [0.2, 0.9]]
+    if mode == "pairs":
+        geometry = {"transmitters": points, "receivers": [[x + 0.1, y] for x, y in points]}
+        link = 1
+    else:
+        geometry = {"nodes": points}
+        link = [2, 0]
+    return {"mode": mode, **geometry, "kernel": copy.deepcopy(_KERNELS[kernel]),
+            "pathloss": copy.deepcopy(_PATHLOSSES[pathloss]), "threshold": 0.5,
+            "simulate": {"reps": 10, "seed": 1, "targets": ["coverage", ["delay", link]]}}
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +96,14 @@ def test_parse_config_collects_every_problem():
 def test_parse_config_rejects_unknown_keys():
     doc = _base_config(extra=1)
     doc["kernel"]["bogus"] = 2
+    doc["pathloss"]["gamma"] = 4
     doc["simulate"]["typo"] = 3
     with pytest.raises(ds.ConfigError) as err:
         cli.parse_config_dict(doc)
     paths = [p for p, _ in err.value.problems]
     assert "extra" in paths
     assert "kernel.bogus" in paths
+    assert "pathloss.gamma" in paths
     assert "simulate.typo" in paths
 
 
@@ -145,6 +180,128 @@ def test_parse_config_targets():
 def test_parse_config_top_level_must_be_object():
     with pytest.raises(ds.ConfigError):
         cli.parse_config_dict([1, 2, 3])
+    with pytest.raises(ds.ConfigError) as err:
+        cli.parse_config_dict(_base_config(kernel=[1], pathloss="power_law"))
+    assert err.value.problems == [("kernel", "required object"), ("pathloss", "required object")]
+
+
+_NAMES = {"kernel": "['aloha_diagonal', 'explicit_K', 'explicit_L', 'gaussian', "
+                    "'quality_similarity']",
+          "pathloss": "['custom', 'power_law']"}
+_SQUARE = [[0.4, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.5]]
+_SIMILARITY = _KERNELS["quality_similarity"]["similarity"]
+
+
+@pytest.mark.parametrize("section, body, problems", [
+    # per type: a missing key, a wrong kind, out of range, an unknown key
+    ("kernel", {"type": "gaussian", "scale": 0.6}, [("kernel.sigma", "required")]),
+    ("kernel", {"type": "gaussian", "sigma": "x"},
+     [("kernel.sigma", "must be a number, got 'x'")]),
+    ("kernel", {"type": "gaussian", "sigma": 0, "scale": -1},
+     [("kernel.sigma", "must be > 0.0, got 0.0"), ("kernel.scale", "must be > 0.0, got -1.0")]),
+    ("kernel", {"type": "gaussian", "sigma": 0.8, "bogus": 1}, [("kernel.bogus", "unknown key")]),
+    ("kernel", {"type": "quality_similarity", "similarity": _SIMILARITY},
+     [("kernel.quality", "required")]),
+    ("kernel", {"type": "quality_similarity"},
+     [("kernel.quality", "required"), ("kernel.similarity", "required")]),
+    ("kernel", {"type": "quality_similarity", "quality": [0.9, 0.5, 1.1], "similarity": "x"},
+     [("kernel.similarity", "must be a nonempty list of rows")]),
+    ("kernel", {"type": "quality_similarity", "quality": [0.9, 0.5, 1.1],
+                "similarity": [[1.0, 0.3], [0.3]]},
+     [("kernel.similarity", "rows must all have the same length")]),
+    ("kernel", {"type": "quality_similarity", "quality": [-0.9, 0.5, 1.1],
+                "similarity": _SIMILARITY},
+     [("kernel", "quality values must be strictly positive")]),
+    ("kernel", {"type": "quality_similarity", "quality": [0.9, True, 1.1],
+                "similarity": _SIMILARITY, "bogus": 1},
+     [("kernel.bogus", "unknown key"), ("kernel.quality[1]", "must be a finite number, got True")]),
+    ("kernel", {"type": "explicit_K"}, [("kernel.matrix", "required")]),
+    ("kernel", {"type": "explicit_K", "matrix": [[0.1, 0.2]]},
+     [("kernel.matrix", "must be square, got 1x2")]),
+    ("kernel", {"type": "explicit_K", "matrix": [[0.1, "a"], [0.0, 0.1]]},
+     [("kernel.matrix[0][1]", "must be a finite number, got 'a'")]),
+    ("kernel", {"type": "explicit_K", "matrix": [[1.3, 0.0, 0.0], [0.0, 0.5, 0.0],
+                                                 [0.0, 0.0, 0.5]]},
+     [("kernel", "marginal kernel eigenvalues must lie in [0, 1]; found range [0.5, 1.3]")]),
+    ("kernel", {"type": "explicit_K", "matrix": _SQUARE, "bogus": 1},
+     [("kernel.bogus", "unknown key")]),
+    ("kernel", {"type": "explicit_L"}, [("kernel.matrix", "required")]),
+    ("kernel", {"type": "explicit_L", "matrix": 3},
+     [("kernel.matrix", "must be a nonempty list of rows")]),
+    ("kernel", {"type": "explicit_L", "matrix": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                                                 [0.0, 0.0, 1.0]]},
+     [("kernel", "likelihood kernel must be positive semidefinite; smallest eigenvalue -1")]),
+    ("kernel", {"type": "explicit_L", "matrix": _SQUARE, "bogus": 1},
+     [("kernel.bogus", "unknown key")]),
+    ("kernel", {"type": "aloha_diagonal"}, [("kernel.probabilities", "required")]),
+    ("kernel", {"type": "aloha_diagonal", "probabilities": "x"},
+     [("kernel.probabilities", "must be a nonempty list of numbers")]),
+    ("kernel", {"type": "aloha_diagonal", "probabilities": [0.3, 1.5, 0.2]},
+     [("kernel", "access probabilities must lie in [0, 1]")]),
+    ("kernel", {"type": "aloha_diagonal", "probabilities": [0.3, 0.5, 0.2], "bogus": 1},
+     [("kernel.bogus", "unknown key")]),
+    ("pathloss", {"type": "power_law", "beta": 3.0}, [("pathloss.kappa", "required")]),
+    ("pathloss", {"type": "power_law"},
+     [("pathloss.kappa", "required"), ("pathloss.beta", "required")]),
+    ("pathloss", {"type": "power_law", "kappa": "x", "beta": 3.0},
+     [("pathloss.kappa", "must be a number, got 'x'")]),
+    ("pathloss", {"type": "power_law", "kappa": -1.0, "beta": 0},
+     [("pathloss.kappa", "must be > 0.0, got -1.0"), ("pathloss.beta", "must be > 0.0, got 0.0")]),
+    ("pathloss", {"type": "power_law", "kappa": 1.0, "beta": 3.0, "bogus": 1},
+     [("pathloss.bogus", "unknown key")]),
+    ("pathloss", {"type": "custom", "values": [1.0, 0.1]}, [("pathloss.radii", "required")]),
+    ("pathloss", {"type": "custom", "bogus": 1},
+     [("pathloss.bogus", "unknown key"), ("pathloss.radii", "required"),
+      ("pathloss.values", "required")]),
+    ("pathloss", {"type": "custom", "radii": [0.0, "a"], "values": [1.0, 0.1]},
+     [("pathloss.radii[1]", "must be a finite number, got 'a'")]),
+    ("pathloss", {"type": "custom", "radii": [0.0, 3.0, 2.0], "values": [1.0, 0.1, 0.0]},
+     [("pathloss", "radii must be nonnegative and strictly increasing")]),
+    ("pathloss", {"type": "custom", "radii": [0.0, 3.0], "values": [1.0, 0.1], "bogus": 1},
+     [("pathloss.bogus", "unknown key")]),
+    # unknown types, one message form for both sections
+    ("kernel", {"type": "nope"}, [("kernel.type", f"must be one of {_NAMES['kernel']}, got 'nope'")]),
+    ("kernel", {"type": [1]}, [("kernel.type", f"must be one of {_NAMES['kernel']}, got [1]")]),
+    ("kernel", {}, [("kernel.type", f"must be one of {_NAMES['kernel']}, got None")]),
+    ("pathloss", {"type": "nope"},
+     [("pathloss.type", f"must be one of {_NAMES['pathloss']}, got 'nope'")]),
+    ("pathloss", {"type": {"a": 1}},
+     [("pathloss.type", f"must be one of {_NAMES['pathloss']}, got {{'a': 1}}")]),
+])
+def test_parse_config_typed_section_problems(section, body, problems):
+    doc = _typed_config()
+    doc[section] = body
+    with pytest.raises(ds.ConfigError) as err:
+        cli.parse_config_dict(doc)
+    assert err.value.problems == problems
+
+
+_HUGE = "1" + "0" * 400  # an integer beyond the largest double
+
+
+@pytest.mark.parametrize("path, where", [
+    ("threshold", lambda doc: (doc, "threshold")),
+    ("kernel.sigma", lambda doc: (doc["kernel"], "sigma")),
+    ("kernel.probabilities[0]", lambda doc: (doc["kernel"]["probabilities"], 0)),
+    ("pathloss.radii[1]", lambda doc: (doc["pathloss"]["radii"], 1)),
+    ("nodes[1][0]", lambda doc: (doc["nodes"][1], 0)),
+])
+def test_huge_integers_are_not_finite(tmp_path, capsys, path, where):
+    kernel = "gaussian" if path == "kernel.sigma" else "aloha_diagonal"
+    pathloss = "custom" if path.startswith("pathloss") else "power_law"
+    doc = _typed_config(kernel=kernel, pathloss=pathloss)
+    del doc["simulate"]  # its link targets need the geometry
+    container, key = where(doc)
+    container[key] = "@huge@"
+    text = json.dumps(doc).replace('"@huge@"', _HUGE)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["coverage", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error at {path}: must be finite\n"
+    assert cli.main(["validate", str(cfg)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+    assert report["problems"] == [{"path": path, "message": "must be finite"}]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +343,20 @@ def test_coverage_csv_matches_json_numbers(tmp_path, capsys):
             assert float(row[key]) == jlink[key]
 
 
-def test_echo_config_round_trip(tmp_path, capsys):
-    path = _write(tmp_path, _base_config())
+def _same(a, b):
+    """Equal dataclasses, field by field, arrays by value."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("pathloss", sorted(_PATHLOSSES))
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+@pytest.mark.parametrize("mode", ["pairs", "txrx"])
+def test_echo_config_round_trip(tmp_path, capsys, mode, kernel, pathloss):
+    doc = _typed_config(mode, kernel, pathloss)
+    path = _write(tmp_path, doc)
     assert cli.main(["coverage", path, "--echo-config"]) == 0
     first = capsys.readouterr().out
     path2 = tmp_path / "normalized.json"
@@ -195,6 +364,22 @@ def test_echo_config_round_trip(tmp_path, capsys):
     assert cli.main(["coverage", str(path2), "--echo-config"]) == 0
     second = capsys.readouterr().out
     assert first == second
+    echoed = json.loads(first)
+    assert echoed["kernel"] == doc["kernel"] and echoed["pathloss"] == doc["pathloss"]
+    cfg, again = cli.parse_config_dict(doc), cli.parse_config_dict(echoed)
+    assert _same(cfg.kernel_spec, again.kernel_spec)
+    assert _same(cfg.params, again.params)
+    assert _same(cfg.geometry, again.geometry) and _same(cfg.plan, again.plan)
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    path = _write(tmp_path, _base_config())
+    parser = cli._parser()
+    simulate = parser.parse_args(["simulate", path, "--reps", "5"])
+    coverage = parser.parse_args(["coverage", path, "--format", "csv"])
+    assert (simulate.command, simulate.reps, simulate.format) == ("simulate", 5, "json")
+    assert coverage.command == "coverage" and not hasattr(coverage, "reps")
+    assert cli._parser() is parser
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

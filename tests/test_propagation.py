@@ -86,6 +86,12 @@ def test_network_geometry():
     np.testing.assert_allclose(nodes.receiver_location(2), [0.0, 2.0])
     np.testing.assert_allclose(nodes.transmitter_points(), nodes.nodes)
 
+    # one link key per link-table row: the transmitter of a pairs link, the
+    # (transmitter, receiver) pair of a txrx link
+    assert geo.link_keys() == [0, 1]
+    assert nodes.link_keys() == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    assert nodes.link_keys() == [(t, r) for t, r, _ in nodes.links().tolist()]
+
     with pytest.raises(ds.BadArgument):
         ds.NetworkGeometry.pairs([[0.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ds.BadArgument):
