@@ -59,6 +59,7 @@ from .errors import (
     EnumerationTooLarge,
     IncompleteFading,
     KernelInvalid,
+    MalformedConfig,
     NeverScheduled,
     NotLRepresentable,
     SameNode,
@@ -123,6 +124,7 @@ __all__ = [
     "IncompleteFading",
     "KernelInvalid",
     "LEnsemble",
+    "MalformedConfig",
     "LinkReport",
     "LocalDelay",
     "MarginalKernel",

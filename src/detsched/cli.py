@@ -55,7 +55,7 @@ import numpy as np
 from . import coverage as _coverage
 from . import montecarlo as _montecarlo
 from .dpp import sample as _sample_subset
-from .errors import ConfigError, DetschedError
+from .errors import ConfigError, DetschedError, MalformedConfig
 from .kernels import (
     AlohaSpec,
     ExplicitLSpec,
@@ -303,32 +303,26 @@ def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
         return None
 
 
-def _parse_target(entry, index, mode, n, errors):
+def _parse_target(entry, index, geometry, keys, errors):
+    """A target; a delay link must be one of ``keys``, the link keys."""
     path = f"simulate.targets[{index}]"
     if entry in ("coverage", "delay"):
         return entry
-    if isinstance(entry, list) and len(entry) == 2 and entry[0] == "delay":
-        link = entry[1]
-        if mode == "pairs":
-            if isinstance(link, bool) or not isinstance(link, int) or not (0 <= link < (n or 0)):
-                errors.append((path, f"link must be an int in [0, {n}), got {link!r}"))
-                return None
-            return ("delay", link)
-        if (
-            isinstance(link, list)
-            and len(link) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in link)
-            and link[0] != link[1]
-            and all(0 <= x < (n or 0) for x in link)
-        ):
-            return ("delay", (link[0], link[1]))
-        errors.append((path, f"link must be [tx, rx] with distinct ints in [0, {n}), got {link!r}"))
+    if not (isinstance(entry, list) and len(entry) == 2 and entry[0] == "delay"):
+        errors.append((path, f"must be 'coverage', 'delay', or ['delay', link]; got {entry!r}"))
         return None
-    errors.append((path, f"must be 'coverage', 'delay', or ['delay', link]; got {entry!r}"))
+    if geometry is None:  # its own problem is reported
+        return None
+    link = entry[1]
+    key = tuple(link) if isinstance(link, list) else link
+    if all(type(x) is int for x in (key if isinstance(key, tuple) else (key,))) and key in keys:
+        return ("delay", key)
+    shape = "an int" if geometry.mode == "pairs" else "[tx, rx] with distinct ints"
+    errors.append((path, f"link must be {shape} in [0, {geometry.n}), got {link!r}"))
     return None
 
 
-def _parse_simulate(doc, mode, n, errors):
+def _parse_simulate(doc, geometry, errors):
     obj = doc.get("simulate")
     if obj is None:
         return None, 1
@@ -347,7 +341,8 @@ def _parse_simulate(doc, mode, n, errors):
         if not isinstance(raw, list) or not raw:
             errors.append(("simulate.targets", "must be a nonempty list"))
         else:
-            parsed = [_parse_target(t, i, mode, n, errors) for i, t in enumerate(raw)]
+            keys = set(geometry.link_keys()) if geometry else None
+            parsed = [_parse_target(t, i, geometry, keys, errors) for i, t in enumerate(raw)]
             if all(t is not None for t in parsed):
                 targets = tuple(parsed)
     if reps is None or seed is None or delay_cap is None or workers is None:
@@ -406,23 +401,32 @@ def parse_config_dict(doc) -> RunConfig:
                 ("geometry", f"transmitter {int(i)} coincides with its receiver "
                              "under power_law path loss")
             )
-    plan, workers = _parse_simulate(doc, doc.get("mode"), geometry.n if geometry else None, errors)
+    plan, workers = _parse_simulate(doc, geometry, errors)
     if errors:
         raise ConfigError(errors)
     return RunConfig(geometry=geometry, kernel_spec=kernel_spec, params=params, K=K,
                      plan=plan, workers=workers)
 
 
+def _load(path):
+    """The JSON document in the file ``path``.  Each ValueError of reading
+    and decoding it becomes MalformedConfig: bad UTF-8, bad JSON, and an
+    integer past Python's digit limit, which json raises as a bare one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:
+            raise MalformedConfig(str(e)) from e
+
+
 def parse_config(path) -> RunConfig:
     """Load and validate a config file.
 
-    Raises OSError / json.JSONDecodeError for unreadable or malformed
-    files, ConfigError (with every field-level problem) for schema and
-    invariant violations.
+    Raises OSError / MalformedConfig for unreadable or malformed files,
+    ConfigError (with every field-level problem) for schema and invariant
+    violations.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return parse_config_dict(doc)
+    return parse_config_dict(_load(path))
 
 
 def config_dict(cfg: RunConfig) -> dict:
@@ -711,8 +715,7 @@ def _kernel_metrics(cfg_or_doc) -> Optional[dict]:
 
 def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> int:
     """Check a config end to end; exit 0 iff everything passes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load(path)
     problems = []
     cfg = None
     try:
@@ -787,9 +790,7 @@ def _dispatch(args) -> int:
     if args.command == "simulate":
         return cmd_simulate(cfg, args.format, args.output,
                             reps=args.reps, seed=args.seed, workers=args.workers)
-    if args.command == "sample":
-        return cmd_sample(cfg, args.output, count=args.count, seed=args.seed)
-    return cmd_validate(args.config, args.format, args.output)
+    return cmd_sample(cfg, args.output, count=args.count, seed=args.seed)
 
 
 def main(argv=None) -> int:
@@ -800,7 +801,7 @@ def main(argv=None) -> int:
         for path, msg in e.problems:
             sys.stderr.write(f"config error at {path}: {msg}\n")
         return 1
-    except json.JSONDecodeError as e:
+    except MalformedConfig as e:
         sys.stderr.write(f"cannot parse config: {e}\n")
         return 2
     except OSError as e:

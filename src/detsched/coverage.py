@@ -10,23 +10,26 @@ noise discount.  Local delay statistics follow from coverage through the
 geometric law of the first successful slot.
 
 Every link is one row (transmitter, receiver slot, silent node) of the
-geometry's link table, and one batched code path, ``_evaluate``, computes
-any set of rows; ``full_report`` runs it on the whole table and each
-public per-link function on a single row.  In txrx mode the receiving
-node belongs to the scheduled set and must stay silent.  In the Laplace
-functional that is an infinite rate at the node: its discount is 0, so
-the same determinant gives the probability, given the transmitter is
-scheduled, that the link is covered and the node silent, and dividing by
-the probability the node is silent conditions on it.  A pairs link has no silent node (-1), so neither step
-applies and the same code computes the plain Palm determinant.
+geometry's link table.  ``full_report`` runs ``_evaluate`` on the whole
+table and each public per-link function on a single row.  In txrx mode
+the receiving node belongs to the scheduled set and must stay silent.
+In the Laplace functional that is an infinite rate at the node: its
+discount is 0, so the same determinant gives the probability, given the
+transmitter is scheduled, that the link is covered and the node silent,
+and dividing by the probability the node is silent conditions on it.  A
+pairs link has no silent node (-1), so neither step applies and the same
+code computes the plain Palm determinant.
 
-The batched pass repeats the floating-point operations of the scalar
-functions it replaces (``palm_reduced``, ``scale_kernel``,
-``interferer_factor``, ``noise_factor``), so its results equal theirs bit
-for bit, and it calls them to re-raise a link's failure with the same
-type and message.  perfbench's tracer wraps these names here, so they
-stay module attributes, ``palm_semi_reduced`` too: nothing here calls it,
-but ``perfbench/run.py --trace 1`` wraps it and fails without it.
+``_evaluate`` runs blocks of rows through three stages, ``_discounts``,
+``_palms`` and ``_scaled``, then takes one stacked determinant, and
+``coverage_kernel`` runs the same stages.  They repeat the floating-point
+operations of the scalar functions they replace (``palm_reduced``,
+``scale_kernel``, ``interferer_factor``, ``noise_factor``), so results
+equal theirs bit for bit, and call them to re-raise a link's failure
+with the same type and message.  perfbench's tracer wraps these names
+here, so they stay module attributes, ``palm_semi_reduced`` too: nothing
+here calls it, but ``perfbench/run.py --trace 1`` wraps it and fails
+without it.
 """
 
 import hashlib
@@ -36,13 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dpp import (
-    CLAMP_TOL,
-    PALM_PIVOT_TOL,
-    palm_reduced,
-    palm_semi_reduced,
-    scale_kernel,
-)
+from .dpp import CLAMP_TOL, PALM_PIVOT_TOL, palm_reduced, palm_semi_reduced, scale_kernel
 from .errors import AlwaysScheduledReceiver, BadArgument, DetschedError, SameNode
 from .kernels import MarginalKernel
 from .propagation import (
@@ -58,9 +55,7 @@ def _require(geometry: NetworkGeometry, K: MarginalKernel, mode: str):
     if geometry.mode != mode:
         raise BadArgument(f"this computation needs {mode!r} geometry, got {geometry.mode!r}")
     if K.n != geometry.n:
-        raise BadArgument(
-            f"kernel has {K.n} nodes but geometry has {geometry.n}"
-        )
+        raise BadArgument(f"kernel has {K.n} nodes but geometry has {geometry.n}")
 
 
 def _check_index(i: int, n: int, what: str):
@@ -91,6 +86,9 @@ def _txrx_link(geometry, K, transmitter: int, receiver: int) -> tuple:
 # still fit a 2 MB L2 cache.
 _BLOCK_BYTES = 1 << 19
 
+# a failed row's arithmetic may divide by zero; its error is its result
+_quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
 
 def _selections(K: MarginalKernel, rows: np.ndarray) -> np.ndarray:
     """Probability each row's transmitter is scheduled and its silent node
@@ -105,28 +103,6 @@ def _selections(K: MarginalKernel, rows: np.ndarray) -> np.ndarray:
     return np.maximum(sel, 0.0)
 
 
-def _palms(mat: np.ndarray, tx: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """One-fold Palm kernels of ``mat`` at each node in ``tx``, stacked;
-    ``others[t]`` lists the nodes other than t.
-
-    The operations of ``palm_reduced`` (downdate, then symmetrize), so the
-    entries match it bit for bit.
-    """
-    n = mat.shape[0]
-    sub = np.empty((len(tx), n - 1, n - 1))
-    for k, t in enumerate(tx.tolist()):
-        # the kernel without row and column t, as four slices
-        sub[k, :t, :t] = mat[:t, :t]
-        sub[k, :t, t:] = mat[:t, t + 1:]
-        sub[k, t:, :t] = mat[t + 1:, :t]
-        sub[k, t:, t:] = mat[t + 1:, t + 1:]
-    col = mat[others[tx], tx[:, None]]
-    out = col[:, :, None] * col[:, None, :]
-    out /= mat[tx, tx][:, None, None]
-    np.subtract(sub, out, out=out)
-    return (out + out.swapaxes(1, 2)) / 2.0
-
-
 def _raised(fn, *args) -> DetschedError:
     """The error the scalar ``fn(*args)`` raises.  The batched pass only
     detects a failure; the scalar call reproduces its type and message."""
@@ -137,90 +113,109 @@ def _raised(fn, *args) -> DetschedError:
     raise AssertionError(f"{fn.__name__} did not fail where the batched pass did")
 
 
-def _evaluate(geometry, K, params, rows: np.ndarray, kernels: bool = False) -> list:
-    """Unclamped coverage of each link-table row (t, p, s), given ``t`` is
-    scheduled and silent node ``s`` (if s >= 0) is not; or the DetschedError
-    its evaluation raises.
+def _discounts(K, params, channel, t, s, c, err: dict) -> tuple:
+    """Silent-node probabilities q, noise discounts w and interferer
+    discounts h (a column per node other than t) of rows (t, ., s) at the
+    channel columns ``c``.  Each row's first failure goes to ``err``, in
+    the scalar order: pivot, silent node, signal, interferers by node."""
+    mat, theta = K.matrix, params.threshold
+    dist, loss, drowned = channel
+    piv = mat[t, t]
+    for k in np.flatnonzero(piv <= PALM_PIVOT_TOL).tolist():
+        err[k] = _raised(palm_reduced, K, K.node_ids[t[k]])
+    q = np.where(s >= 0, mat[s, s] - mat[s, t] * mat[s, t] / piv, 0.0)
+    for k in np.flatnonzero(q >= 1.0 - CLAMP_TOL).tolist():
+        err.setdefault(k, AlwaysScheduledReceiver(
+            f"node {int(s[k])} transmits with conditional probability "
+            f"{float(q[k]):.12g}, so it can never listen"))
+    d_sig = dist[t, c]
+    signal = loss[t, c]
+    for k in np.flatnonzero(~(signal > 0)).tolist():
+        if k not in err:
+            err[k] = _raised(noise_factor, float(d_sig[k]), params)
+    if theta == 0 or params.noise == 0:
+        w = np.ones(len(t))
+    else:
+        # noise_factor's exponent, its operations in its order
+        rate = -(theta / params.fading_mean) * params.noise
+        w = np.array([math.exp(rate / x) if x > 0 else 1.0 for x in signal.tolist()])
+    j = np.arange(K.n - 1)
+    ob = j + (j >= t[:, None])
+    if theta == 0:
+        h = np.ones(ob.shape)
+    else:
+        h = 1.0 / (theta * loss[ob, c[:, None]] / signal[:, None] + 1.0)
+    h[drowned[ob, c[:, None]]] = 0.0
+    h[ob == s[:, None]] = 0.0  # the silent node, whatever its loss
+    for k in np.flatnonzero(np.isnan(h).any(axis=1)).tolist():
+        if k not in err:
+            z = int(ob[k, np.flatnonzero(np.isnan(h[k]))[0]])
+            err[k] = _raised(interferer_factor, float(dist[z, c[k]]), float(d_sig[k]), params)
+    return q, w, h
 
-    The one-fold Palm determinant times the noise discount.  A silent node
-    gets the discount 0, whatever its distance to the slot (which is never
-    evaluated), so the determinant is the expectation restricted to the
-    node being silent; dividing by 1 - q, its conditional probability of
-    being silent, conditions on it.  With no silent node q = 0.
 
-    Rows run in blocks: the path losses come from one channel table to
-    the rows' receiver slots, each transmitter of a block gets one Palm
-    downdate, and the determinants are stacked.  A row's checks run in the
-    scalar order (transmitter pivot, silent node, signal, interferers in
-    ground-set order, discount range) and its first failure is its result.
-    With ``kernels`` each result is instead the pair (I - K'_h, noise
-    discount) of the row.
-    """
-    n = K.n
-    m = n - 1
-    mat = K.matrix
-    model = params.pathloss
-    theta = params.threshold
+def _palms(mat: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """One-fold Palm kernels of ``mat`` at each node in ``tx``, stacked, by
+    the operations of ``palm_reduced`` (downdate, then symmetrize), so the
+    entries match it bit for bit."""
+    n = mat.shape[0]
+    sub = np.empty((len(tx), n - 1, n - 1))
+    col = np.empty((len(tx), n - 1))
+    for k, t in enumerate(tx.tolist()):
+        # the kernel without row and column t, as four slices
+        sub[k, :t, :t] = mat[:t, :t]
+        sub[k, :t, t:] = mat[:t, t + 1:]
+        sub[k, t:, :t] = mat[t + 1:, :t]
+        sub[k, t:, t:] = mat[t + 1:, t + 1:]
+        col[k, :t], col[k, t:] = mat[:t, t], mat[t + 1:, t]
+    out = col[:, :, None] * col[:, None, :]
+    out /= mat[tx, tx][:, None, None]
+    np.subtract(sub, out, out=out)
+    return (out + out.swapaxes(1, 2)) / 2.0
+
+
+def _scaled(P: np.ndarray, h: np.ndarray, err: dict) -> np.ndarray:
+    """I - K'_h for each stacked Palm kernel P[k] and its discounts h[k],
+    by the operations of ``scale_kernel``, whose error a row gets if its
+    discounts leave [0, 1] by more than CLAMP_TOL."""
+    outside = ((h < -CLAMP_TOL) | (h > 1.0 + CLAMP_TOL)).any(axis=1)
+    for k in np.flatnonzero(outside).tolist():
+        if k not in err:
+            err[k] = _raised(scale_kernel, P[k], h[k])
+    root = np.sqrt(1.0 - np.clip(h, 0.0, 1.0))
+    A = root[:, :, None] * root[:, None, :]
+    A *= P
+    return np.subtract(np.eye(P.shape[1]), A, out=A)
+
+
+def _blocks(geometry, K, params, rows: np.ndarray):
+    """Per block of ``rows``: its offset, its rows' errors by position, the
+    factors w / (1 - q) and the stacked I - K'_h.  The path losses come
+    from one channel table to the rows' receiver slots, and each
+    transmitter of a block gets one Palm downdate."""
     slots, col_of = np.unique(rows[:, 1], return_inverse=True)
-    dist, loss, drowned = _channel(
-        model, geometry.transmitter_points(), geometry.receiver_points()[slots])
-    # noise_factor's exponent, its operations in its order
-    rate = -(theta / params.fading_mean) * params.noise
-    silenced = theta == 0 or params.noise == 0
-    j = np.arange(m)
-    others = j[None, :] + (j[None, :] >= np.arange(n)[:, None])
-    eye = np.eye(m)
-    out = [None] * len(rows)
-    step = max(1, _BLOCK_BYTES // (8 * max(m, 1) ** 2))
+    channel = _channel(params.pathloss, geometry.transmitter_points(),
+                       geometry.receiver_points()[slots])
+    step = max(1, _BLOCK_BYTES // (8 * max(K.n - 1, 1) ** 2))
     for lo in range(0, len(rows), step):
         t, _, s = rows[lo:lo + step].T
-        c = col_of[lo:lo + step]
         err = {}
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            piv = mat[t, t]
-            for k in np.flatnonzero(piv <= PALM_PIVOT_TOL).tolist():
-                err[k] = _raised(palm_reduced, K, K.node_ids[t[k]])
-            q = np.where(s >= 0, mat[s, s] - mat[s, t] * mat[s, t] / piv, 0.0)
-            for k in np.flatnonzero(q >= 1.0 - CLAMP_TOL).tolist():
-                err.setdefault(k, AlwaysScheduledReceiver(
-                    f"node {int(s[k])} transmits with conditional probability "
-                    f"{float(q[k]):.12g}, so it can never listen"))
-            d_sig = dist[t, c]
-            signal = loss[t, c]
-            for k in np.flatnonzero(~(signal > 0)).tolist():
-                if k not in err:
-                    err[k] = _raised(noise_factor, float(d_sig[k]), params)
-            if silenced:
-                w = np.ones(len(t))
-            else:
-                w = np.array([math.exp(rate / x) if x > 0 else 1.0 for x in signal.tolist()])
-            ob = others[t]
-            if theta == 0:
-                hv = np.ones((len(t), m))
-            else:
-                hv = 1.0 / (theta * loss[ob, c[:, None]] / signal[:, None] + 1.0)
-            hv[drowned[ob, c[:, None]]] = 0.0
-            silent = np.flatnonzero(s >= 0)
-            hv[silent, s[silent] - (s[silent] > t[silent])] = 0.0
-            for k in np.flatnonzero(np.isnan(hv).any(axis=1)).tolist():
-                if k not in err:
-                    z = int(ob[k, np.flatnonzero(np.isnan(hv[k]))[0]])
-                    err[k] = _raised(interferer_factor, float(dist[z, c[k]]),
-                                     float(d_sig[k]), params)
-            tx, tx_of = np.unique(t, return_inverse=True)
-            P = _palms(mat, tx, others)[tx_of]
-            outside = ((hv < -CLAMP_TOL) | (hv > 1.0 + CLAMP_TOL)).any(axis=1)
-            for k in np.flatnonzero(outside).tolist():
-                if k not in err:
-                    err[k] = _raised(scale_kernel, P[k], hv[k])
-            root = np.sqrt(1.0 - np.clip(hv, 0.0, 1.0))
-            A = P * (root[:, :, None] * root[:, None, :])
-            np.subtract(eye, A, out=A)
-            if kernels:
-                out[lo:lo + len(t)] = [err.get(k, (A[k], float(w[k]))) for k in range(len(t))]
-                continue
-            raw = ((w / (1.0 - q)) * np.linalg.det(A)).tolist()
-        out[lo:lo + len(t)] = [err.get(k, v) for k, v in enumerate(raw)]
+        q, w, h = _discounts(K, params, channel, t, s, col_of[lo:lo + step], err)
+        tx, tx_of = np.unique(t, return_inverse=True)
+        # held until the next block's exists: freed first, it cost 1.7x
+        # the page faults at n = 100
+        P = _palms(K.matrix, tx)[tx_of]
+        yield lo, err, w / (1.0 - q), _scaled(P, h, err)
+
+
+@_quiet
+def _evaluate(geometry, K, params, rows: np.ndarray) -> list:
+    """Unclamped coverage of each link-table row (t, p, s) given t scheduled
+    and s (if s >= 0) silent: det(I - K'_h) w / (1 - q), or its failure."""
+    out = [None] * len(rows)
+    for lo, err, factor, A in _blocks(geometry, K, params, rows):
+        raw = (factor * np.linalg.det(A)).tolist()
+        out[lo:lo + len(raw)] = [err.get(k, v) for k, v in enumerate(raw)]
     return out
 
 
@@ -228,9 +223,9 @@ def _unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _one(geometry, K, params, row: tuple, kernels: bool = False):
+def _one(geometry, K, params, row: tuple):
     """``_evaluate`` on one link-table row, raising the row's error."""
-    out = _evaluate(geometry, K, params, np.array([row]), kernels)[0]
+    out = _evaluate(geometry, K, params, np.array([row]))[0]
     if isinstance(out, DetschedError):
         raise out
     return out
@@ -266,6 +261,7 @@ def pair_coverage(
     return _coverage(geometry, K, params, _pair_link(geometry, K, link))
 
 
+@_quiet
 def coverage_kernel(
     geometry: NetworkGeometry, K: MarginalKernel, link: int, params: PropagationParams
 ) -> np.ndarray:
@@ -275,12 +271,11 @@ def coverage_kernel(
     I - K'{h} on the other nodes, the entry w * K_ll at (link, link), and
     zero cross terms.
     """
-    block, w = _one(geometry, K, params, _pair_link(geometry, K, link), kernels=True)
-    n = K.n
-    out = np.zeros((n, n))
-    others = np.array([i for i in range(n) if i != link], dtype=np.intp)
-    out[np.ix_(others, others)] = block
-    out[link, link] = w * float(K.matrix[link, link])
+    [(_, err, w, block)] = _blocks(geometry, K, params, np.array([_pair_link(geometry, K, link)]))
+    if err:
+        raise err[0]
+    out = np.insert(np.insert(block[0], link, 0.0, axis=0), link, 0.0, axis=1)
+    out[link, link] = w[0] * float(K.matrix[link, link])
     return out
 
 
@@ -393,11 +388,8 @@ def _link_reports(geometry, K, params, rows: np.ndarray) -> tuple:
     for (t, p, s), q, ok in zip(rows.tolist(), sel.tolist(), scheduled.tolist()):
         rx = None if s < 0 else p
         if not ok:
-            flag = (
-                "never_scheduled"
-                if float(K.matrix[t, t]) <= PALM_PIVOT_TOL
-                else "receiver_always_scheduled"
-            )
+            never = float(K.matrix[t, t]) <= PALM_PIVOT_TOL
+            flag = "never_scheduled" if never else "receiver_always_scheduled"
             out.append(LinkReport(t, rx, q, None, 0.0, math.inf, flags=(flag,)))
             continue
         raw = next(raws)

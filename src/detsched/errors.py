@@ -67,6 +67,10 @@ class AlwaysScheduledReceiver(DetschedError):
     conditional coverage of the link is undefined."""
 
 
+class MalformedConfig(DetschedError):
+    """A config file holds no JSON document that Python can load."""
+
+
 class ConfigError(DetschedError):
     """One or more problems found while parsing a run configuration.
 

@@ -172,9 +172,28 @@ def test_parse_config_targets():
     }
     cfg = cli.parse_config_dict(txrx)
     assert cfg.plan.targets == (("delay", (0, 1)),)
-    txrx["simulate"]["targets"] = [["delay", [0, 0]]]
-    with pytest.raises(ds.ConfigError):
-        cli.parse_config_dict(txrx)
+    # a link that is no link key of the geometry, in either mode
+    for doc, shape, links in (
+            (_base_config(), "an int", [5, -1, True, 1.0, "1", [1], None]),
+            (txrx, "[tx, rx] with distinct ints",
+             [[0, 0], [0, 2], [True, 0], [0.0, 1], [0, 1, 1], 1, [[0], 1]])):
+        for link in links:
+            doc["simulate"]["targets"] = [["delay", link]]
+            with pytest.raises(ds.ConfigError) as err:
+                cli.parse_config_dict(doc)
+            assert err.value.problems == [
+                ("simulate.targets[0]", f"link must be {shape} in [0, 2), got {link!r}")]
+
+
+@pytest.mark.parametrize("mode, broken", [("pairs", "transmitters"), ("txrx", "nodes")])
+def test_failed_geometry_is_the_only_target_problem(mode, broken):
+    # the delay link cannot be checked without a geometry, so it adds no
+    # second problem
+    doc = _typed_config(mode)
+    doc[broken] = "x"
+    with pytest.raises(ds.ConfigError) as err:
+        cli.parse_config_dict(doc)
+    assert err.value.problems == [(broken, "must be a nonempty list of rows")]
 
 
 def test_parse_config_top_level_must_be_object():
@@ -416,9 +435,32 @@ def test_exit_code_missing_file(capsys):
 
 def test_exit_code_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{nope")
-    assert cli.main(["coverage", str(path)]) == 2
-    assert "cannot parse" in capsys.readouterr().err
+    for content in (b"{nope", b'{"mode": "\xff"}'):  # invalid JSON, invalid UTF-8
+        path.write_bytes(content)
+        assert cli.main(["coverage", str(path)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["coverage"], ["simulate"], ["sample", "--count", "2"],
+                                  ["validate"]])
+def test_exit_code_overlong_integer(tmp_path, capsys, argv):
+    # json raises a bare ValueError, not a JSONDecodeError, for an integer
+    # past Python's int digit limit (4300 digits by default)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_base_config(threshold="@")).replace('"@"', "1" * 5001))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("cannot parse config: ")
+
+
+def test_linalg_error_is_not_a_parse_error(tmp_path, monkeypatch):
+    # LinAlgError is a ValueError; a failed computation must not read as a
+    # malformed config
+    def fail(*args):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(cli._coverage, "full_report", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        cli.main(["coverage", _write(tmp_path, _base_config())])
 
 
 def test_exit_code_computation_error(tmp_path, capsys):

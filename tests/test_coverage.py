@@ -624,6 +624,74 @@ def test_txrx_receiver_almost_always_scheduled():
             assert got == pytest.approx(base, rel=1e-13, abs=0.0), (tx, e)
 
 
+def _loss(model, r):
+    """Path loss at distance r, from first principles."""
+    if isinstance(model, ds.PowerLawPathLoss):
+        return (model.kappa * r) ** (-model.exponent)
+    return float(np.interp(r, model.radii, model.values))
+
+
+def test_aloha_kernel_is_independent_thinning_in_txrx_and_under_tables():
+    # K = diag(p) schedules each node on its own (spatial Aloha: Baccelli,
+    # Blaszczyszyn & Muhlethaler, IEEE Trans. IT 52(2), 2006), so the
+    # closed forms reduce to products with no determinant.  Criterion 5
+    # checks pairs links under a power law; these are the txrx links and
+    # pairs links under a table.
+    table = ds.TabulatedPathLoss(*(np.array(v) for v in _TABLES["table"]))
+    rng = np.random.default_rng(84)
+    for case in range(40):
+        n = int(rng.integers(2, 9))
+        p = rng.uniform(0.0, 0.95, size=n)
+        K = ds.build_K(ds.AlohaSpec(probabilities=p))
+        model = ds.PowerLawPathLoss(1.0, 3.0) if case % 3 == 0 else table
+        theta = (0.5, 2.0)[case % 2]
+        params = ds.PropagationParams(model, threshold=theta, noise=(0.0, 0.1)[(case // 2) % 2],
+                                      fading_mean=1.3)
+        if case % 3 == 2:
+            tx, rx = random_pairs_geometry(rng, n)
+            geo = ds.NetworkGeometry.pairs(tx, rx)
+        else:
+            tx = rx = _spread_points(rng, n, 0.05)
+            geo = ds.NetworkGeometry.txrx(tx)
+        for lr in ds.full_report(geo, K, params).links:
+            t = lr.transmitter
+            r = t if lr.receiver is None else lr.receiver
+            def ell(j):
+                return _loss(model, float(np.linalg.norm(tx[j] - rx[r])))
+
+            want = math.exp(-theta / params.fading_mean * params.noise / ell(t))
+            for j in set(range(n)) - {t, r}:
+                want *= 1.0 - p[j] * (1.0 - 1.0 / (1.0 + theta * ell(j) / ell(t)))
+            selection = p[t] if lr.receiver is None else p[t] * (1.0 - p[r])
+            assert lr.error is None
+            assert lr.selection_probability == pytest.approx(selection, rel=0.0, abs=1e-12)
+            assert lr.conditional_coverage == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def test_closed_form_stages_are_seams(monkeypatch):
+    # each stage is looked up through the module at call time, once per
+    # block, so a wrapper sees every call without changing a result
+    rng = np.random.default_rng(85)
+    n = 9
+    geo = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(n, 2)))
+    pairs = ds.NetworkGeometry.pairs(*random_pairs_geometry(rng, n))
+    K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n)))
+    params = _power_params(tau=0.8, beta=3.0, noise=0.05)
+    report, kernel = ds.full_report(geo, K, params), ds.coverage_kernel(pairs, K, 4, params)
+    calls = dict.fromkeys(("_discounts", "_palms", "_scaled"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(coverage_module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(coverage_module, name, counting)
+    monkeypatch.setattr(coverage_module, "_BLOCK_BYTES", 10 * 8 * (n - 1) ** 2)
+    assert ds.full_report(geo, K, params) == report
+    assert calls == dict.fromkeys(calls, 8)  # 72 links, 10 a block
+    calls.update(dict.fromkeys(calls, 0))
+    assert np.array_equal(ds.coverage_kernel(pairs, K, 4, params), kernel)
+    assert calls == dict.fromkeys(calls, 1)
+
+
 @st.composite
 def _link_instance(draw):
     """A random instance with n <= 6 nodes on a grid of spacing 0.14 (so
