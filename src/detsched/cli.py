@@ -76,6 +76,7 @@ from .propagation import (
     TabulatedPathLoss,
     _distance_matrix,
     _drowned,
+    _require,
 )
 from .rng import substream
 
@@ -275,20 +276,10 @@ def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
         rx = _field(doc, "receivers", "", _matrix, errors)
         if tx is None or rx is None:
             return None
-        if len(tx) != len(rx):
-            errors.append(
-                ("receivers", f"length {len(rx)} does not match transmitters length {len(tx)}")
-            )
-            return None
-        if len(tx[0]) != len(rx[0]):
-            errors.append(
-                ("receivers", "coordinate dimension differs from transmitters")
-            )
-            return None
         try:
             return NetworkGeometry.pairs(tx, rx)
-        except DetschedError as e:
-            errors.append(("transmitters", str(e)))
+        except DetschedError as e:  # after _matrix, only a shape mismatch
+            errors.append(("receivers", str(e)))
             return None
     for key in ("transmitters", "receivers"):
         if key in doc:
@@ -387,13 +378,10 @@ def parse_config_dict(doc) -> RunConfig:
     ):
         try:
             K = build_K(kernel_spec, geometry)
+            if geometry is not None:
+                _require(geometry, K)
         except DetschedError as e:
             errors.append(("kernel", str(e)))
-        else:
-            if geometry is not None and K.n != geometry.n:
-                errors.append(
-                    ("kernel", f"kernel has {K.n} nodes but geometry has {geometry.n}")
-                )
     if geometry is not None and geometry.mode == "pairs" and pathloss is not None:
         dist = _distance_matrix(geometry.transmitters, geometry.receivers).diagonal()
         for i in np.flatnonzero(_drowned(pathloss, dist)):

@@ -11,7 +11,9 @@ geometric law of the first successful slot.
 
 Every link is one row (transmitter, receiver slot, silent node) of the
 geometry's link table.  ``full_report`` runs ``_evaluate`` on the whole
-table and each public per-link function on a single row.  In txrx mode
+table and each public per-link function on the row that
+``NetworkGeometry.link`` resolves its arguments to, after
+``propagation._require`` checks the kernel.  In txrx mode
 the receiving node belongs to the scheduled set and must stay silent.
 In the Laplace functional that is an infinite rate at the node: its
 discount is 0, so the same determinant gives the probability, given the
@@ -40,44 +42,21 @@ from typing import Optional
 import numpy as np
 
 from .dpp import CLAMP_TOL, PALM_PIVOT_TOL, palm_reduced, palm_semi_reduced, scale_kernel
-from .errors import AlwaysScheduledReceiver, BadArgument, DetschedError, SameNode
+from .errors import AlwaysScheduledReceiver, BadArgument, DetschedError
 from .kernels import MarginalKernel
 from .propagation import (
     NetworkGeometry,
     PropagationParams,
     _channel,
+    _require,
     interferer_factor,
     noise_factor,
 )
 
 
-def _require(geometry: NetworkGeometry, K: MarginalKernel, mode: str):
-    if geometry.mode != mode:
-        raise BadArgument(f"this computation needs {mode!r} geometry, got {geometry.mode!r}")
-    if K.n != geometry.n:
-        raise BadArgument(f"kernel has {K.n} nodes but geometry has {geometry.n}")
-
-
-def _check_index(i: int, n: int, what: str):
-    if not isinstance(i, (int, np.integer)) or not (0 <= i < n):
-        raise BadArgument(f"{what} index {i!r} out of range for {n} nodes")
-
-
-def _pair_link(geometry, K, link: int) -> tuple:
-    """Validated link-table row of dedicated link ``link``."""
-    _require(geometry, K, "pairs")
-    _check_index(link, K.n, "link")
-    return link, link, -1
-
-
-def _txrx_link(geometry, K, transmitter: int, receiver: int) -> tuple:
-    """Validated link-table row of the link transmitter -> receiver."""
-    _require(geometry, K, "txrx")
-    _check_index(transmitter, K.n, "transmitter")
-    _check_index(receiver, K.n, "receiver")
-    if transmitter == receiver:
-        raise SameNode(f"node {transmitter} cannot transmit to itself")
-    return transmitter, receiver, receiver
+def _link(geometry, K, mode: str, transmitter, receiver=None) -> tuple:
+    _require(geometry, K, mode)
+    return geometry.link(transmitter, receiver)
 
 
 # Links are evaluated in blocks whose stacked matrices, one (n-1) x (n-1)
@@ -247,7 +226,7 @@ def conditional_pair_coverage(
     discount, clamped to [0, 1].  The Palm step raises NeverScheduled for a
     transmitter with zero scheduling probability.
     """
-    return _unit(_one(geometry, K, params, _pair_link(geometry, K, link)))
+    return _unit(_one(geometry, K, params, _link(geometry, K, "pairs", link)))
 
 
 def pair_coverage(
@@ -258,7 +237,7 @@ def pair_coverage(
     Scheduling probability times conditional coverage; exactly 0 for a
     never-scheduled transmitter.
     """
-    return _coverage(geometry, K, params, _pair_link(geometry, K, link))
+    return _coverage(geometry, K, params, _link(geometry, K, "pairs", link))
 
 
 @_quiet
@@ -271,7 +250,8 @@ def coverage_kernel(
     I - K'{h} on the other nodes, the entry w * K_ll at (link, link), and
     zero cross terms.
     """
-    [(_, err, w, block)] = _blocks(geometry, K, params, np.array([_pair_link(geometry, K, link)]))
+    row = _link(geometry, K, "pairs", link)
+    [(_, err, w, block)] = _blocks(geometry, K, params, np.array([row]))
     if err:
         raise err[0]
     out = np.insert(np.insert(block[0], link, 0.0, axis=0), link, 0.0, axis=1)
@@ -295,7 +275,7 @@ def txrx_conditional_coverage(
     silent, clamped to [0, 1].  The receiver's path loss to itself is never
     evaluated.
     """
-    return _unit(_one(geometry, K, params, _txrx_link(geometry, K, transmitter, receiver)))
+    return _unit(_one(geometry, K, params, _link(geometry, K, "txrx", transmitter, receiver)))
 
 
 def txrx_coverage(
@@ -311,7 +291,7 @@ def txrx_coverage(
     times the conditional coverage; exactly 0 when that event has
     (near-)zero probability.
     """
-    return _coverage(geometry, K, params, _txrx_link(geometry, K, transmitter, receiver))
+    return _coverage(geometry, K, params, _link(geometry, K, "txrx", transmitter, receiver))
 
 
 @dataclass(frozen=True)
@@ -414,8 +394,7 @@ def full_report(
     pairs mode, per ordered node pair in txrx mode.  Per-link failures are
     captured as error strings rather than aborting the report.
     """
-    if K.n != geometry.n:
-        raise BadArgument(f"kernel has {K.n} nodes but geometry has {geometry.n}")
+    _require(geometry, K)
     links = _link_reports(geometry, K, params, geometry.links())
     return CoverageReport(
         mode=geometry.mode,

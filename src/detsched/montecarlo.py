@@ -40,7 +40,7 @@ import numpy as np
 from . import _sampling
 from .errors import BadArgument, SingularDistance
 from .kernels import LEnsemble
-from .propagation import NetworkGeometry, PropagationParams, _channel, path_loss
+from .propagation import NetworkGeometry, PropagationParams, _channel, _require, path_loss
 from .rng import _advance, _fill, _pcg64_states, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
@@ -141,10 +141,7 @@ class _Arena:
 
     def __init__(self, geometry: NetworkGeometry, L: LEnsemble, params: PropagationParams,
                  mode: Optional[str] = None):
-        if mode is not None and geometry.mode != mode:
-            raise BadArgument(f"{mode}-mode simulation got {geometry.mode!r} geometry")
-        if L.n != geometry.n:
-            raise BadArgument(f"kernel has {L.n} nodes but geometry has {geometry.n}")
+        _require(geometry, L, mode)
         self.n = geometry.n
         self.lvals, self.lvecs = L.eigh
         self.params = params

@@ -11,6 +11,9 @@ path loss from each node to each receiver slot, equal bit for bit to the
 scalar ``path_loss`` (NaN where it raises), and the entries an interferer
 drowns under a path loss singular at zero.  The closed forms and the Monte
 Carlo both evaluate it, so they test SINR against the same numbers.
+
+``NetworkGeometry.link`` alone resolves and validates a link reference;
+``_check_index`` and ``_require`` are the checks every module shares.
 """
 
 import math
@@ -194,6 +197,35 @@ class NetworkGeometry:
         the (transmitter, receiver) tuple of a txrx link."""
         return [t if s < 0 else (t, r) for t, r, s in self.links().tolist()]
 
+    def link(self, transmitter, receiver=None) -> tuple:
+        """The ``links()`` row (t, slot, silent) a reference names: a pairs
+        link's receiver is absent or its transmitter, a txrx link's another node."""
+        _check_index(transmitter, self.n, "transmitter")
+        if receiver is not None:
+            _check_index(receiver, self.n, "receiver")
+        t = int(transmitter)
+        if self.mode == "pairs":
+            if receiver is not None and receiver != t:
+                raise BadArgument("pairs mode has a dedicated receiver per transmitter")
+            return t, t, -1
+        if receiver is None:
+            raise BadArgument("txrx mode needs an explicit receiver node")
+        if receiver == t:
+            raise SameNode(f"node {t} cannot transmit to itself")
+        return t, int(receiver), int(receiver)
+
+
+def _check_index(i, n: int, what: str):
+    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not (0 <= i < n):
+        raise BadArgument(f"{what} index {i!r} out of range for {n} nodes")
+
+
+def _require(geometry: NetworkGeometry, kernel, mode: Optional[str] = None):
+    if mode is not None and geometry.mode != mode:
+        raise BadArgument(f"this computation needs {mode!r} geometry, got {geometry.mode!r}")
+    if kernel.n != geometry.n:
+        raise BadArgument(f"kernel has {kernel.n} nodes but geometry has {geometry.n}")
+
 
 def _distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(math.sqrt(float(np.sum((p - q) ** 2))))
@@ -301,33 +333,17 @@ def _fading_value(fading, tx: int, slot: int) -> float:
     return v
 
 
-def _resolve_link(geometry: NetworkGeometry, transmitter: int, receiver):
-    n = geometry.n
-    if not (0 <= transmitter < n):
-        raise BadArgument(f"transmitter index {transmitter} out of range")
-    if geometry.mode == "pairs":
-        if receiver is not None and receiver != transmitter:
-            raise BadArgument("pairs mode has a dedicated receiver per transmitter")
-        return transmitter
-    if receiver is None:
-        raise BadArgument("txrx mode needs an explicit receiver node")
-    if not (0 <= receiver < n):
-        raise BadArgument(f"receiver index {receiver} out of range")
-    if receiver == transmitter:
-        raise SameNode(f"node {transmitter} cannot transmit to itself")
-    return receiver
-
-
-def _check_interferers(interferers, transmitter: int, slot: int, geometry) -> list:
+def _check_interferers(interferers, link: tuple, n: int) -> list:
+    """Distinct interferer indices, neither ``link``'s transmitter nor its silent node."""
+    t, _, silent = link
     zs = list(interferers)
+    for z in zs:
+        _check_index(z, n, "interferer")
     if len(set(zs)) != len(zs):
         raise BadArgument("duplicate interferer indices")
-    for z in zs:
-        if not (0 <= z < geometry.n):
-            raise BadArgument(f"interferer index {z} out of range")
-    if transmitter in zs:
+    if t in zs:
         raise BadArgument("the intended transmitter cannot interfere with itself")
-    if geometry.mode == "txrx" and slot in zs:
+    if silent in zs:
         raise BadArgument("the receiving node is silent and cannot interfere")
     return zs
 
@@ -347,8 +363,8 @@ def sinr(
     under a singular path loss gives SINR 0; returns +inf only when the
     denominator is exactly zero and the signal power is positive.
     """
-    slot = _resolve_link(geometry, transmitter, receiver)
-    zs = _check_interferers(interferers, transmitter, slot, geometry)
+    transmitter, slot, _ = link = geometry.link(transmitter, receiver)
+    zs = _check_interferers(interferers, link, geometry.n)
     pts = geometry.transmitter_points()
     y = geometry.receiver_location(slot)
     d_sig = _distance(pts[transmitter], y)
@@ -378,8 +394,8 @@ def pair_coverage_fixed(
     per-interferer discounts.  This is the building block the scheduling
     average is taken over.
     """
-    slot = _resolve_link(geometry, transmitter, receiver)
-    zs = _check_interferers(interferers, transmitter, slot, geometry)
+    transmitter, slot, _ = link = geometry.link(transmitter, receiver)
+    zs = _check_interferers(interferers, link, geometry.n)
     pts = geometry.transmitter_points()
     y = geometry.receiver_location(slot)
     d_sig = _distance(pts[transmitter], y)

@@ -276,6 +276,14 @@ def test_txrx_argument_checks():
     pairs_geo = ds.NetworkGeometry.pairs([[0.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(ds.BadArgument):
         ds.txrx_coverage(pairs_geo, ds.MarginalKernel.from_matrix([[0.5]]), 0, 0, _power_params())
+    for fn in (ds.txrx_coverage, ds.txrx_conditional_coverage):
+        for bad in (True, 1.0):
+            with pytest.raises(ds.BadArgument, match="transmitter index"):
+                fn(geo, K, bad, 0, _power_params())
+            with pytest.raises(ds.BadArgument, match="receiver index"):
+                fn(geo, K, 0, bad, _power_params())
+        got = fn(geo, K, np.int64(0), np.int64(1), _power_params())
+        assert got == fn(geo, K, 0, 1, _power_params())
 
 
 def test_mode_and_size_checks():
@@ -286,6 +294,14 @@ def test_mode_and_size_checks():
     pairs_geo = ds.NetworkGeometry.pairs([[0.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(ds.BadArgument):
         ds.pair_coverage(pairs_geo, K, 0, _power_params())
+    # link 1 exists: True and 1.0 must not name it
+    two = ds.NetworkGeometry.pairs([[0.0, 0.0], [3.0, 0.0]], [[1.0, 0.0], [4.0, 0.0]])
+    for fn in (ds.pair_coverage, ds.conditional_pair_coverage, ds.coverage_kernel):
+        for bad in (True, 1.0):
+            with pytest.raises(ds.BadArgument, match="transmitter index"):
+                fn(two, K, bad, _power_params())
+        np.testing.assert_array_equal(fn(two, K, np.int64(1), _power_params()),
+                                      fn(two, K, 1, _power_params()))
 
 
 def test_local_delay():

@@ -437,6 +437,13 @@ def test_kernel_size_mismatch():
     L = ds.LEnsemble.from_matrix([[1.0]])
     with pytest.raises(ds.BadArgument):
         ds.simulate_pair_coverage(geo, L, _power_params(), ds.SimulationPlan(10, 1))
+    # the right size in the wrong mode
+    _, L3 = _instance(10, n=3)
+    nodes = ds.NetworkGeometry.txrx(geo.transmitter_points())
+    with pytest.raises(ds.BadArgument, match="'pairs' geometry"):
+        ds.simulate_pair_coverage(nodes, L3, _power_params(), ds.SimulationPlan(10, 1))
+    with pytest.raises(ds.BadArgument, match="'txrx' geometry"):
+        ds.simulate_txrx(geo, L3, _power_params(), ds.SimulationPlan(10, 1))
 
 
 def test_arena_loss_is_the_scalar_path_loss():

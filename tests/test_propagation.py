@@ -192,6 +192,25 @@ def test_sinr_argument_validation():
     got = ds.sinr(nodes, _params(), 0, [2], fading3, receiver=1)
     assert got > 0
 
+    # an index is an int, not a bool or a float, in both functions
+    fixed_coverage = lambda g, t, zs, r=None: ds.pair_coverage_fixed(g, _params(), t, zs, receiver=r)
+    fixed_sinr = lambda g, t, zs, r=None: ds.sinr(g, _params(), t, zs, fading3, receiver=r)
+    for fn in (fixed_coverage, fixed_sinr):
+        for bad in (True, 1.0):
+            with pytest.raises(ds.BadArgument, match="transmitter index"):
+                fn(nodes, bad, [], 2)
+            with pytest.raises(ds.BadArgument, match="receiver index"):
+                fn(nodes, 0, [], bad)
+            with pytest.raises(ds.BadArgument, match="interferer index"):
+                fn(nodes, 0, [bad], 2)
+            with pytest.raises(ds.BadArgument, match="transmitter index"):
+                fn(geo, bad, [])
+            with pytest.raises(ds.BadArgument, match="interferer index"):
+                fn(geo, 0, [bad])
+        i = np.int64
+        assert fn(nodes, i(0), [i(2)], i(1)) == fn(nodes, 0, [2], 1)
+        assert fn(geo, i(0), [i(1)], i(0)) == fn(geo, 0, [1])
+
 
 def test_sinr_fading_lookup():
     geo = _two_pair_geometry()
