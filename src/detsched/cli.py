@@ -54,7 +54,6 @@ import numpy as np
 
 from . import coverage as _coverage
 from . import montecarlo as _montecarlo
-from .dpp import sample as _sample_subset
 from .errors import ConfigError, DetschedError, MalformedConfig
 from .kernels import (
     AlohaSpec,
@@ -65,7 +64,6 @@ from .kernels import (
     QualitySimilaritySpec,
     build_K,
     build_L,
-    l_to_k,
     validate as validate_kernel,
 )
 from .montecarlo import SimulationPlan
@@ -78,7 +76,6 @@ from .propagation import (
     _drowned,
     _require,
 )
-from .rng import substream
 
 
 @dataclass
@@ -589,14 +586,15 @@ def _check_flags(flags: dict):
         raise ConfigError(problems)
 
 
-def _closed_reports(cfg: RunConfig, K: MarginalKernel, keys) -> dict:
+def _closed_reports(cfg: RunConfig, keys) -> dict:
     """{link key: LinkReport} for the links ``keys`` (``link_keys()``
-    entries), evaluating only those."""
+    entries), evaluating only those on the run's marginal kernel, so each
+    equals the coverage report's."""
     all_keys = cfg.geometry.link_keys()
     wanted = [key in keys for key in all_keys]
     rows = cfg.geometry.links()[np.array(wanted, dtype=bool)]
     return dict(zip(compress(all_keys, wanted),
-                    _coverage._link_reports(cfg.geometry, K, cfg.params, rows)))
+                    _coverage._link_reports(cfg.geometry, cfg.K, cfg.params, rows)))
 
 
 def cmd_simulate(
@@ -634,7 +632,7 @@ def cmd_simulate(
             cfg.geometry, L, cfg.params, plan, links=plan.delay_links(), workers=nworkers
         )
         found += [("delay", key, est, est.censored) for key, est in sorted(delays.items())]
-    closed = _closed_reports(cfg, l_to_k(L), {key for _, key, _, _ in found})
+    closed = _closed_reports(cfg, {key for _, key, _, _ in found})
     rows = []
     for target, key, est, censored in found:
         lr = closed[key]
@@ -660,8 +658,9 @@ def cmd_sample(
 ) -> int:
     """Draw scheduled sets; one sorted JSON array of node indices per line.
 
-    Draw k uses substream(seed, k), so any prefix of the output is stable
-    under a larger count.
+    Draw k reads work item k's stream of ``seed`` under the rng stream
+    contract, so any prefix of the output is stable under a larger count.
+    The draws run in seeded blocks, as coverage replications do.
     """
     _check_flags({"--count": (count, 1), "--seed": (seed, 0)})
     if seed is None:
@@ -670,11 +669,8 @@ def cmd_sample(
                 [("simulate.seed", "required: set it in the config or pass --seed")]
             )
         seed = cfg.plan.seed
-    L = build_L(cfg.kernel_spec, cfg.geometry)
-    lines = []
-    for k in range(count):
-        subset = _sample_subset(L, substream(seed, k))
-        lines.append(json.dumps(list(subset)))
+    draws = _montecarlo._draws(*build_L(cfg.kernel_spec, cfg.geometry).eigh, seed, range(count))
+    lines = [json.dumps(np.flatnonzero(row).tolist()) for _, _, mask in draws for row in mask]
     _emit("\n".join(lines) + "\n", output)
     return 0
 

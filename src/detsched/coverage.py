@@ -48,6 +48,7 @@ from .propagation import (
     NetworkGeometry,
     PropagationParams,
     _channel,
+    _is_int,
     _require,
     interferer_factor,
     noise_factor,
@@ -303,7 +304,7 @@ class LocalDelay:
 
     def cdf(self, slots: int) -> float:
         """Probability of at least one success within ``slots`` attempts."""
-        if not isinstance(slots, (int, np.integer)) or slots < 0:
+        if not _is_int(slots) or slots < 0:
             raise BadArgument(f"slot count must be a nonnegative integer, got {slots!r}")
         return 1.0 - (1.0 - self.success_probability) ** slots
 
@@ -326,7 +327,7 @@ def min_coverage_for_success(epsilon: float, slots: int) -> float:
     e = float(epsilon)
     if not (0.0 <= e < 1.0):
         raise BadArgument(f"target probability must lie in [0, 1), got {epsilon!r}")
-    if not isinstance(slots, (int, np.integer)) or slots < 1:
+    if not _is_int(slots) or slots < 1:
         raise BadArgument(f"slot count must be a positive integer, got {slots!r}")
     return 1.0 - (1.0 - e) ** (1.0 / slots)
 

@@ -15,19 +15,18 @@ depend on the seed alone.  The ``workers`` arguments are accepted for
 compatibility and change neither the results nor the work done:
 replications run in the calling thread.
 
-Coverage replications run in blocks, with the block's point selections
-and SINR tests as stacked array operations, each replication's arithmetic
-independent of the rest of its block.  A block's substreams are seeded once
-and read through ``rng._fill`` and ``rng._advance`` (numpy's seeding hash
-and PCG64's stepping as array arithmetic over the block, with no generator
-object), which tests pin to ``substream`` bit for bit: a head of 2n
-uniforms per replication for the coins and the selection, then the fading
-row of each scheduled transmitter, read from where it starts in the
-stream.  The SINR test never reads the fading rows of nodes that do not
-transmit, so coverage blocks never generate them.  Delay replications run
-in blocks too: in each slot every live replication draws through
-``_sampling.draw_mask`` and fills its fading row from its own substream,
-and one SINR test judges them all.
+Coverage replications run in blocks, with the block's point selections and
+SINR tests as stacked array operations, each replication's arithmetic
+independent of the rest of its block.  ``_draws`` makes a block's
+scheduling draws, for coverage and for the CLI's ``sample``: its
+substreams are seeded once and read through ``rng._fill`` (numpy's seeding
+hash and PCG64's stepping as array arithmetic, with no generator object),
+which tests pin to ``substream`` bit for bit, a head of 2n uniforms per
+draw for the coins and the selection.  Coverage then reads only the fading
+rows of scheduled transmitters, each from where it starts in the stream
+(``rng._advance``).  Delay replications run in blocks too: in each slot
+every live replication draws through ``_sampling.draw_mask`` and fills its
+fading row from its own substream, and one SINR test judges them all.
 """
 
 import math
@@ -40,18 +39,13 @@ import numpy as np
 from . import _sampling
 from .errors import BadArgument, SingularDistance
 from .kernels import LEnsemble
-from .propagation import NetworkGeometry, PropagationParams, _channel, _require, path_loss
+from .propagation import NetworkGeometry, PropagationParams, _channel, _is_int, _require, path_loss
 from .rng import _advance, _fill, _pcg64_states, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
 
 
 VALID_TARGET_KINDS = ("coverage", "delay")
-
-
-def _is_int(x) -> bool:
-    """An integer that is not a bool, as the CLI's ``_get_int`` requires."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -126,6 +120,21 @@ _BLOCK_BYTES = 1 << 20
 _GENERATOR_BYTES = 900
 
 
+def _draws(lvals: np.ndarray, lvecs: np.ndarray, seed: int, keys):
+    """The scheduling draws of ``substream(seed, key)`` for ``keys``, in
+    coverage-sized blocks: per block, its seeded ``(state, inc)``, each
+    row's count of kept eigenvectors and the (rows, n) masks, read from a
+    head of 2n uniforms per row (the coins, then the selection's)."""
+    n = len(lvals)
+    step = max(1, _BLOCK_BYTES // (8 * (2 * n + n * n)))
+    for lo in range(0, len(keys), step):
+        state, inc = _pcg64_states(seed, keys[lo:lo + step])
+        head = _fill(state, inc, 2 * n)
+        sel = head[:, :n] < lvals / (1.0 + lvals)
+        yield ((state, inc), np.count_nonzero(sel, axis=1),
+               _sampling.select_block(lvecs, sel, head[:, n:]))
+
+
 class _Arena:
     """Precomputed quantities shared by every replication of one simulation.
 
@@ -198,32 +207,24 @@ class _Arena:
         """Summed success indicators of replications ``reps``, one slot each.
 
         Each replication reads its own substream in contract order: n coins,
-        one uniform per selected point, then the n-by-n fading block.  The
-        block's streams are seeded once; a head of 2n uniforms per row holds
-        the coins and enough for any number of selected points.  Only the
-        fading rows of scheduled transmitters are read, so each is filled
-        from where it starts, into a zeroed (rows, n, n) block: a row's
-        seeded state jumps past its coins and selection, then by whole
-        fading rows of n to each of its transmitters, so the jump tables
-        grow with n, not n squared.  The rows of silent nodes stay zero,
-        and ``success`` masks them out.
+        one uniform per selected point (``_draws``), then the n-by-n fading
+        block.  Only the fading rows of scheduled transmitters are read, so
+        each is filled from where it starts, into a zeroed (rows, n, n)
+        block: a row's seeded state jumps past its coins and selection, then
+        by whole fading rows of n to each of its transmitters, so the jump
+        tables grow with n, not n squared.  The rows of silent nodes stay
+        zero, and ``success`` masks them out.
         """
         n = self.n
         counts = 0
-        step = max(1, _BLOCK_BYTES // (8 * (2 * n + n * n)))
-        for lo in range(0, len(reps), step):
-            block = reps[lo:lo + step]
-            state, inc = _pcg64_states(seed, block)
-            head = _fill(state, inc, 2 * n)
-            sel = head[:, :n] < self.lvals / (1.0 + self.lvals)
-            mask = _sampling.select_block(self.lvecs, sel, head[:, n:])
+        for (state, inc), k, mask in _draws(self.lvals, self.lvecs, seed, reps):
             # each row's state past its coins and selection, then past i
             # fading rows of n for its scheduled transmitter i
-            after = _advance(state, inc, n + np.count_nonzero(sel, axis=1))
+            after = _advance(state, inc, n + k)
             r, i = np.nonzero(mask)
             run_inc = tuple(w[r] for w in inc)
             start = _advance(tuple(w[r] for w in after), run_inc, i, n)
-            fading = np.zeros((len(block), n, n))
+            fading = np.zeros((len(mask), n, n))
             fading[r, i] = -self.params.fading_mean * np.log1p(-_fill(start, run_inc, n))
             counts = counts + self.success(mask, fading).sum(axis=0)
         return counts

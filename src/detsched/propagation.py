@@ -13,7 +13,7 @@ drowns under a path loss singular at zero.  The closed forms and the Monte
 Carlo both evaluate it, so they test SINR against the same numbers.
 
 ``NetworkGeometry.link`` alone resolves and validates a link reference;
-``_check_index`` and ``_require`` are the checks every module shares.
+``_is_int``, ``_check_index`` and ``_require`` are the shared checks.
 """
 
 import math
@@ -215,8 +215,13 @@ class NetworkGeometry:
         return t, int(receiver), int(receiver)
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool, as the CLI's integer keys require."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_index(i, n: int, what: str):
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not (0 <= i < n):
+    if not _is_int(i) or not (0 <= i < n):
         raise BadArgument(f"{what} index {i!r} out of range for {n} nodes")
 
 

@@ -613,6 +613,37 @@ def test_sample_seed_falls_back_to_config(tmp_path, capsys):
     assert cli.main(["sample", bare, "--count", "3"]) == 1
 
 
+def _random_l(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    return a @ a.T / n * 2.0
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+@pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**160 + 5])
+@pytest.mark.parametrize("matrix, subset", [
+    *((_random_l(n), None) for n in (1, 4, 10, 40)),
+    (1e-9 * np.eye(5), []),
+    (1e9 * np.eye(5), [0, 1, 2, 3, 4]),
+], ids=["n1", "n4", "n10", "n40", "never", "always"])
+def test_sample_lines_are_substream_draws(tmp_path, capsys, monkeypatch, matrix, subset,
+                                          seed, rows):
+    # line k is dpp.sample on substream(seed, k), however the draws are
+    # blocked; 3-row blocks put block boundaries inside the count of 10
+    from detsched import montecarlo
+    n = len(matrix)
+    if rows:
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", rows * 8 * (2 * n + n * n))
+    points = [[float(i), 0.0] for i in range(n)]
+    doc = _base_config(transmitters=points, receivers=[[x, 0.5] for x, _ in points],
+                       kernel={"type": "explicit_L", "matrix": matrix.tolist()})
+    assert cli.main(["sample", _write(tmp_path, doc), "--count", "10", "--seed", str(seed)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    L = ds.LEnsemble.from_matrix(matrix)
+    assert lines == [json.dumps(list(ds.sample(L, ds.substream(seed, k)))) for k in range(10)]
+    if subset is not None:
+        assert set(lines) == {json.dumps(subset)}
+
+
 def test_validate_command(tmp_path, capsys):
     path = _write(tmp_path, _base_config())
     assert cli.main(["validate", path]) == 0
@@ -725,6 +756,27 @@ def test_simulate_delay_only_plan_evaluates_reported_links(tmp_path, capsys, mon
     got = {(r["transmitter"], r["receiver"]): r["closed_form"] for r in out["results"]}
     assert [r["target"] for r in out["results"]] == ["delay", "delay"]
     assert got == {(0, 1): 1.0 / cov[(0, 1)], (4, 2): 1.0 / cov[(4, 2)]}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+@pytest.mark.parametrize("mode", ["pairs", "txrx"])
+def test_simulate_closed_forms_are_the_coverage_report(tmp_path, capsys, mode, kernel):
+    # both commands evaluate the config's marginal kernel, so every
+    # closed_form is the coverage report's number, bit for bit; none of
+    # these probabilities survives the round trip through L unchanged
+    doc = _typed_config(mode, kernel)
+    if kernel == "aloha_diagonal":
+        doc["kernel"]["probabilities"] = [0.35, 0.45, 0.6]
+    path = _write(tmp_path, doc)
+    assert cli.main(["coverage", path]) == 0
+    cov = {(r["transmitter"], r["receiver"]): r["coverage"]
+           for r in json.loads(capsys.readouterr().out)["links"]}
+    assert cli.main(["simulate", path]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert {r["target"] for r in rows} == {"coverage", "delay"}
+    for r in rows:
+        c = cov[(r["transmitter"], r["receiver"])]
+        assert r["closed_form"] == (c if r["target"] == "coverage" else 1.0 / c)
 
 
 def test_kernel_built_once_per_invocation(tmp_path, capsys, monkeypatch):

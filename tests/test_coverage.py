@@ -315,6 +315,11 @@ def test_local_delay():
         d.cdf(-1)
     with pytest.raises(ds.BadArgument):
         ds.local_delay(1.5)
+    # a slot count is an int, not a bool or a float; numpy ints count
+    for bad in (True, 1.0):
+        with pytest.raises(ds.BadArgument, match="slot count must be a nonnegative integer"):
+            d.cdf(bad)
+    assert d.cdf(np.int64(2)) == d.cdf(2)
 
 
 def test_min_coverage_for_success():
@@ -326,6 +331,10 @@ def test_min_coverage_for_success():
         ds.min_coverage_for_success(1.0, 5)
     with pytest.raises(ds.BadArgument):
         ds.min_coverage_for_success(0.5, 0)
+    for bad in (True, 1.0):
+        with pytest.raises(ds.BadArgument, match="slot count must be a positive integer"):
+            ds.min_coverage_for_success(0.5, bad)
+    assert ds.min_coverage_for_success(0.99, np.int64(10)) == got
 
 
 def test_kernel_fingerprint():
