@@ -23,13 +23,15 @@ One JSON document fully describes a run::
 Kernel types: gaussian{sigma, scale}, quality_similarity{quality,
 similarity}, explicit_K{matrix}, explicit_L{matrix},
 aloha_diagonal{probabilities}.  Path loss types: power_law{kappa, beta}
-and custom{radii, values} (piecewise-linear table).  The type table
-``_TYPES`` is the schema of these two sections: each row names the class a
-type builds and reads its keys in the order of the class's fields.
-Parsing, the unknown-key check and --echo-config all come from it, and a
+and custom{radii, values} (piecewise-linear table).  The schema is four
+tables of one reader per key: ``_TYPES`` for these two sections (a row per
+type, naming the class it builds, keys in the order of its fields),
+``_GEOMETRY`` per mode, ``_CHANNEL`` for threshold, fading_mean and noise,
+and the one in ``_parse_simulate``.  Parsing, the unknown and not-allowed
+key checks, the top-level keys and --echo-config all come from them, and a
 missing key is reported as required at its own path.  Delay targets may
 name a single link: ["delay", 2] in pairs mode, ["delay", [0, 1]] in txrx
-mode.
+mode; a bare "delay" names every link.
 
 Subcommands: coverage | simulate | sample | validate, each taking the
 config path plus --format {json,csv}, --output PATH, and --echo-config.
@@ -46,7 +48,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import compress
 from typing import Optional
 
@@ -242,12 +244,17 @@ def _parse_typed(doc, section, errors):
     _reject_unknown(obj, {"type", *readers}, section, errors)
     values = [_field(obj, key, f"{section}.", read, errors, f.default)
               for (key, read), f in zip(readers.items(), fields(cls))]
+    return _build(cls, values, section, errors)
+
+
+def _build(build, values, path, errors):
+    """``build(*values)``; None if a value is None or build raises (reported at ``path``)."""
     if any(v is None for v in values):
         return None
     try:
-        return cls(*values)
+        return build(*values)
     except DetschedError as e:
-        errors.append((section, str(e)))
+        errors.append((path, str(e)))
         return None
 
 
@@ -261,39 +268,34 @@ def _echo_typed(section, obj) -> dict:
     raise TypeError(f"no {section} type builds {type(obj).__name__}")
 
 
+# The schema of the untyped sections.  A geometry mode maps to the
+# constructor it calls and a reader per key, in the order of its arguments;
+# a key of another mode is not allowed.  Each channel key names a field of
+# PropagationParams, whose default an absent key takes.
+_GEOMETRY = {
+    "pairs": (NetworkGeometry.pairs, {"transmitters": _matrix, "receivers": _matrix}),
+    "txrx": (NetworkGeometry.txrx, {"nodes": _matrix}),
+}
+_CHANNEL = {"threshold": _nonnegative, "fading_mean": _positive, "noise": _nonnegative}
+_TOP_KEYS = {"mode", *(key for _, keys in _GEOMETRY.values() for key in keys),
+             *_TYPES, *_CHANNEL, "simulate"}
+
+
 def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
     mode = doc.get("mode")
-    if mode not in ("pairs", "txrx"):
-        errors.append(("mode", f"must be 'pairs' or 'txrx', got {mode!r}"))
+    if not isinstance(mode, str) or mode not in _GEOMETRY:
+        errors.append(("mode", f"must be {' or '.join(map(repr, _GEOMETRY))}, got {mode!r}"))
         return None
-    if mode == "pairs":
-        if "nodes" in doc:
-            errors.append(("nodes", "not allowed in pairs mode"))
-        tx = _field(doc, "transmitters", "", _matrix, errors)
-        rx = _field(doc, "receivers", "", _matrix, errors)
-        if tx is None or rx is None:
-            return None
-        try:
-            return NetworkGeometry.pairs(tx, rx)
-        except DetschedError as e:  # after _matrix, only a shape mismatch
-            errors.append(("receivers", str(e)))
-            return None
-    for key in ("transmitters", "receivers"):
-        if key in doc:
-            errors.append((key, "not allowed in txrx mode"))
-    nodes = _field(doc, "nodes", "", _matrix, errors)
-    if nodes is None:
-        return None
-    try:
-        return NetworkGeometry.txrx(nodes)
-    except DetschedError as e:
-        errors.append(("nodes", str(e)))
-        return None
+    build, readers = _GEOMETRY[mode]
+    errors.extend((key, f"not allowed in {mode} mode") for other, (_, keys) in _GEOMETRY.items()
+                  if other != mode for key in keys if key in doc)
+    values = [_field(doc, key, "", read, errors) for key, read in readers.items()]
+    # after _matrix, build raises only for a shape mismatch, at the last key
+    return _build(build, values, [*readers][-1], errors)
 
 
-def _parse_target(entry, index, geometry, keys, errors):
+def _parse_target(entry, path, geometry, keys, errors):
     """A target; a delay link must be one of ``keys``, the link keys."""
-    path = f"simulate.targets[{index}]"
     if entry in ("coverage", "delay"):
         return entry
     if not (isinstance(entry, list) and len(entry) == 2 and entry[0] == "delay"):
@@ -311,41 +313,37 @@ def _parse_target(entry, index, geometry, keys, errors):
 
 
 def _parse_simulate(doc, geometry, errors):
+    """The plan and the worker count of ``doc["simulate"]``."""
     obj = doc.get("simulate")
-    if obj is None:
-        return None, 1
     if not isinstance(obj, dict):
-        errors.append(("simulate", "must be an object"))
+        if obj is not None:
+            errors.append(("simulate", "must be an object"))
         return None, 1
-    _reject_unknown(obj, {"reps", "seed", "targets", "delay_cap", "workers"}, "simulate", errors)
-    reps = _field(obj, "reps", "simulate.", _integer(1), errors)
-    seed = _field(obj, "seed", "simulate.", _integer(0), errors)
-    delay_cap = _field(obj, "delay_cap", "simulate.", _integer(1), errors,
-                       _montecarlo.DEFAULT_DELAY_CAP)
-    workers = _field(obj, "workers", "simulate.", _integer(1), errors, 1)
-    targets = ("coverage",)
-    if "targets" in obj:
-        raw = obj["targets"]
+
+    def targets(raw, path, errors):
         if not isinstance(raw, list) or not raw:
-            errors.append(("simulate.targets", "must be a nonempty list"))
-        else:
-            keys = set(geometry.link_keys()) if geometry else None
-            parsed = [_parse_target(t, i, geometry, keys, errors) for i, t in enumerate(raw)]
-            if all(t is not None for t in parsed):
-                targets = tuple(parsed)
-    if reps is None or seed is None or delay_cap is None or workers is None:
-        return None, workers or 1
-    try:
-        return SimulationPlan(reps, seed, targets, delay_cap), workers
-    except DetschedError as e:
-        errors.append(("simulate", str(e)))
-        return None, workers
+            errors.append((path, "must be a nonempty list"))
+            return None
+        keys = set(geometry.link_keys()) if geometry else None
+        parsed = [_parse_target(t, f"{path}[{i}]", geometry, keys, errors)
+                  for i, t in enumerate(raw)]
+        return None if None in parsed else tuple(parsed)
 
-
-_TOP_KEYS = {
-    "mode", "transmitters", "receivers", "nodes", "kernel", "pathloss",
-    "threshold", "fading_mean", "noise", "simulate",
-}
+    # a reader per key, in the order of their problems, and the default of a
+    # key that may be left out; built here, as the targets reader needs the geometry
+    schema = {
+        "reps": (_integer(1), MISSING),
+        "seed": (_integer(0), MISSING),
+        "delay_cap": (_integer(1), _montecarlo.DEFAULT_DELAY_CAP),
+        "workers": (_integer(1), 1),
+        "targets": (targets, ("coverage",)),
+    }
+    _reject_unknown(obj, schema, "simulate", errors)
+    v = {key: _field(obj, key, "simulate.", read, errors, default)
+         for key, (read, default) in schema.items()}
+    if None in v.values():
+        return None, 1
+    return SimulationPlan(v["reps"], v["seed"], v["targets"], v["delay_cap"]), v["workers"]
 
 
 def parse_config_dict(doc) -> RunConfig:
@@ -357,18 +355,11 @@ def parse_config_dict(doc) -> RunConfig:
     geometry = _parse_geometry(doc, errors)
     kernel_spec = _parse_typed(doc, "kernel", errors)
     pathloss = _parse_typed(doc, "pathloss", errors)
-    threshold = _field(doc, "threshold", "", _nonnegative, errors)
-    fading_mean = _field(doc, "fading_mean", "", _positive, errors, 1.0)
-    noise = _field(doc, "noise", "", _nonnegative, errors, 0.0)
-    params = None
-    if pathloss is not None and None not in (threshold, fading_mean, noise):
-        try:
-            params = PropagationParams(
-                pathloss=pathloss, threshold=threshold,
-                fading_mean=fading_mean, noise=noise,
-            )
-        except DetschedError as e:
-            errors.append(("pathloss", str(e)))
+    channel = {f.name: _field(doc, f.name, "", _CHANNEL[f.name], errors, f.default)
+               for f in fields(PropagationParams) if f.name in _CHANNEL}
+    # the readers hold the constructor's bounds, so it cannot raise
+    params = (PropagationParams(pathloss, **channel)
+              if pathloss is not None and None not in channel.values() else None)
     K = None
     if kernel_spec is not None and (
         geometry is not None or not isinstance(kernel_spec, GaussianSpec)
@@ -416,32 +407,17 @@ def parse_config(path) -> RunConfig:
 
 def config_dict(cfg: RunConfig) -> dict:
     """Normalized config document; parsing it reproduces ``cfg``."""
-    d = {"mode": cfg.mode}
-    if cfg.mode == "pairs":
-        d["transmitters"] = cfg.geometry.transmitters.tolist()
-        d["receivers"] = cfg.geometry.receivers.tolist()
-    else:
-        d["nodes"] = cfg.geometry.nodes.tolist()
-    d["kernel"] = _echo_typed("kernel", cfg.kernel_spec)
-    d["pathloss"] = _echo_typed("pathloss", cfg.params.pathloss)
-    d["threshold"] = cfg.params.threshold
-    d["fading_mean"] = cfg.params.fading_mean
-    d["noise"] = cfg.params.noise
-    if cfg.plan is not None:
-        targets = []
-        for t in cfg.plan.targets:
-            if isinstance(t, tuple):
-                link = t[1]
-                targets.append(["delay", list(link) if isinstance(link, tuple) else link])
-            else:
-                targets.append(t)
-        d["simulate"] = {
-            "reps": cfg.plan.replications,
-            "seed": cfg.plan.seed,
-            "targets": targets,
-            "delay_cap": cfg.plan.delay_cap,
-            "workers": cfg.workers,
-        }
+    d = {"mode": cfg.mode,
+         **{key: getattr(cfg.geometry, key).tolist() for key in _GEOMETRY[cfg.mode][1]},
+         "kernel": _echo_typed("kernel", cfg.kernel_spec),
+         "pathloss": _echo_typed("pathloss", cfg.params.pathloss),
+         **{key: getattr(cfg.params, key) for key in _CHANNEL}}
+    plan = cfg.plan
+    if plan is not None:
+        d["simulate"] = {"reps": plan.replications, "seed": plan.seed,
+                         # the link tuples as the lists JSON reads them back as
+                         "targets": json.loads(json.dumps(plan.targets)),
+                         "delay_cap": plan.delay_cap, "workers": cfg.workers}
     return d
 
 
@@ -686,15 +662,7 @@ def _kernel_metrics(cfg_or_doc) -> Optional[dict]:
             report = validate_kernel(np.array(kernel["matrix"], dtype=float))
     except Exception:
         return None
-    return {
-        "symmetry_defect": report.symmetry_defect,
-        "min_eigenvalue": report.min_eigenvalue,
-        "max_eigenvalue": report.max_eigenvalue,
-        "min_diagonal": report.min_diagonal,
-        "max_diagonal": report.max_diagonal,
-        "valid": report.valid,
-        "problems": list(report.problems),
-    }
+    return {**asdict(report), "problems": list(report.problems)}
 
 
 def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> int:

@@ -70,16 +70,18 @@ class SimulationPlan:
         if not self.targets:
             raise BadArgument("simulation plan needs at least one target")
         for t in self.targets:
-            kind = t[0] if isinstance(t, tuple) else t
-            if kind not in VALID_TARGET_KINDS:
+            if t not in VALID_TARGET_KINDS and not (
+                    isinstance(t, tuple) and len(t) == 2 and t[0] == "delay"):
                 raise BadArgument(f"unknown simulation target {t!r}")
         if not _is_int(self.delay_cap) or self.delay_cap < 1:
             raise BadArgument(f"delay cap must be >= 1, got {self.delay_cap!r}")
 
     def delay_links(self):
-        """Explicit delay links named in targets, or None for all links."""
-        picked = [t[1] for t in self.targets if isinstance(t, tuple) and t[0] == "delay"]
-        return picked or None
+        """Explicit delay links named in targets, or None for all links:
+        when no link is named, or a bare "delay" names them all."""
+        if "delay" in self.targets:
+            return None
+        return [t[1] for t in self.targets if isinstance(t, tuple)] or None
 
     def wants(self, kind: str) -> bool:
         return any(
@@ -332,7 +334,7 @@ def simulate_local_delay(
     changes neither the results nor the work done.
     """
     arena = _Arena(geometry, L, params)
-    if links is not None and not list(links):
+    if links is not None and not (links := list(links)):
         raise BadArgument("empty target list for the delay simulation")
     targets = arena.track(arena.keys if links is None else links)
     reps = plan.replications

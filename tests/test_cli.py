@@ -295,6 +295,71 @@ def test_parse_config_typed_section_problems(section, body, problems):
     assert err.value.problems == problems
 
 
+_ABSENT = object()  # a key left out of the document
+_MODE = "must be 'pairs' or 'txrx', got "
+_SIMULATE_OBJECT = ("simulate", "must be an object")
+
+
+@pytest.mark.parametrize("mode, changes, problems", [
+    # geometry: the mode, the other mode's keys, the mode's own keys
+    ("txrx", {"mode": "ring"}, [("mode", _MODE + "'ring'")]),
+    ("txrx", {"mode": [1]}, [("mode", _MODE + "[1]")]),
+    ("txrx", {"mode": _ABSENT}, [("mode", _MODE + "None")]),
+    ("txrx", {"bogus": 1, "mode": "ring"}, [("bogus", "unknown key"), ("mode", _MODE + "'ring'")]),
+    ("txrx", {"receivers": [[0.0, 0.0]], "transmitters": [[0.0, 0.0]]},
+     [("transmitters", "not allowed in txrx mode"), ("receivers", "not allowed in txrx mode")]),
+    ("pairs", {"nodes": [[0.0, 0.0]]}, [("nodes", "not allowed in pairs mode")]),
+    ("pairs", {"nodes": [[0.0, 0.0]], "receivers": _ABSENT},
+     [("nodes", "not allowed in pairs mode"), ("receivers", "required")]),
+    ("pairs", {"receivers": [[0.1, 0.0], [0.8, 0.1]]},
+     [("receivers", "transmitters (3, 2) and receivers (2, 2) must match")]),
+    ("pairs", {"transmitters": [[0.0, 0.0, 0.0], [0.7, 0.1, 0.0], [0.2, 0.9, 0.0]]},
+     [("receivers", "transmitters (3, 3) and receivers (3, 2) must match")]),
+    ("txrx", {"nodes": _ABSENT}, [("nodes", "required")]),
+    ("txrx", {"nodes": [[0.0, 0.0], [1.0]]}, [("nodes", "rows must all have the same length")]),
+    # channel: missing, not a number, out of range
+    ("txrx", {"threshold": _ABSENT}, [("threshold", "required")]),
+    ("txrx", {"threshold": "x"}, [("threshold", "must be a number, got 'x'")]),
+    ("txrx", {"threshold": -1}, [("threshold", "must be >= 0.0, got -1.0")]),
+    ("txrx", {"fading_mean": None}, [("fading_mean", "must be a number, got None")]),
+    ("txrx", {"fading_mean": 0}, [("fading_mean", "must be > 0.0, got 0.0")]),
+    ("txrx", {"noise": [0.1]}, [("noise", "must be a number, got [0.1]")]),
+    ("txrx", {"noise": -0.5}, [("noise", "must be >= 0.0, got -0.5")]),
+    ("txrx", {"noise": True, "fading_mean": -2.0, "threshold": _ABSENT},
+     [("threshold", "required"), ("fading_mean", "must be > 0.0, got -2.0"),
+      ("noise", "must be a number, got True")]),
+    # simulate
+    ("txrx", {"simulate": [1]}, [_SIMULATE_OBJECT]),
+    ("txrx", {"simulate": "x"}, [_SIMULATE_OBJECT]),
+    ("txrx", {"simulate": {}}, [("simulate.reps", "required"), ("simulate.seed", "required")]),
+    ("txrx", {"simulate": {"reps": 0, "seed": -1, "delay_cap": 0, "workers": 0, "targets": [],
+                           "bogus": 1}},
+     [("simulate.bogus", "unknown key"), ("simulate.reps", "must be >= 1, got 0"),
+      ("simulate.seed", "must be >= 0, got -1"), ("simulate.delay_cap", "must be >= 1, got 0"),
+      ("simulate.workers", "must be >= 1, got 0"), ("simulate.targets", "must be a nonempty list")]),
+    ("txrx", {"simulate": {"targets": "delay", "workers": 1.5, "delay_cap": True, "seed": "7",
+                           "reps": None}},
+     [("simulate.reps", "must be an integer, got None"),
+      ("simulate.seed", "must be an integer, got '7'"),
+      ("simulate.delay_cap", "must be an integer, got True"),
+      ("simulate.workers", "must be an integer, got 1.5"),
+      ("simulate.targets", "must be a nonempty list")]),
+    ("pairs", {"simulate": {"reps": 10, "seed": 1, "targets": ["latency", ["delay", 7], "delay"]}},
+     [("simulate.targets[0]", "must be 'coverage', 'delay', or ['delay', link]; got 'latency'"),
+      ("simulate.targets[1]", "link must be an int in [0, 3), got 7")]),
+])
+def test_parse_config_untyped_section_problems(mode, changes, problems):
+    doc = _typed_config(mode)
+    for key, value in changes.items():
+        if value is _ABSENT:
+            del doc[key]
+        else:
+            doc[key] = value
+    with pytest.raises(ds.ConfigError) as err:
+        cli.parse_config_dict(doc)
+    assert err.value.problems == problems
+
+
 _HUGE = "1" + "0" * 400  # an integer beyond the largest double
 
 
@@ -386,6 +451,8 @@ def test_echo_config_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["pairs", "txrx"])
 def test_echo_config_round_trip_every_schema(tmp_path, capsys, mode, kernel, pathloss):
     doc = _typed_config(mode, kernel, pathloss)
+    doc.update(fading_mean=2.5, noise=0.05)
+    doc["simulate"].update(delay_cap=40, workers=3)
     path = _write(tmp_path, doc)
     assert cli.main(["coverage", path, "--echo-config"]) == 0
     first = capsys.readouterr().out
@@ -400,6 +467,10 @@ def test_echo_config_round_trip_every_schema(tmp_path, capsys, mode, kernel, pat
     assert _same(cfg.kernel_spec, again.kernel_spec)
     assert _same(cfg.params, again.params)
     assert _same(cfg.geometry, again.geometry) and _same(cfg.plan, again.plan)
+    assert (cfg.params.fading_mean, cfg.params.noise) == (2.5, 0.05)
+    assert (cfg.plan.delay_cap, cfg.workers) == (40, 3)
+    # in memory too: a txrx delay link echoes as a list, which parses back
+    assert _same(cli.parse_config_dict(cli.config_dict(cfg)), cfg)
 
 
 def test_parser_is_built_once_and_reused(tmp_path):
@@ -756,6 +827,16 @@ def test_simulate_delay_only_plan_evaluates_reported_links(tmp_path, capsys, mon
     got = {(r["transmitter"], r["receiver"]): r["closed_form"] for r in out["results"]}
     assert [r["target"] for r in out["results"]] == ["delay", "delay"]
     assert got == {(0, 1): 1.0 / cov[(0, 1)], (4, 2): 1.0 / cov[(4, 2)]}
+
+
+def test_simulate_bare_delay_target_reports_every_link_once(tmp_path, capsys):
+    # "delay" names every link, so a single-link target beside it adds none
+    doc = _typed_config("pairs")
+    doc["simulate"]["targets"] = ["delay", ["delay", 1]]
+    assert cli.main(["simulate", _write(tmp_path, doc)]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["target"], r["transmitter"]) for r in rows] == [("delay", 0), ("delay", 1),
+                                                              ("delay", 2)]
 
 
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))

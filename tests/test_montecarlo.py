@@ -50,6 +50,14 @@ def test_plan_validation():
     assert plan.wants("coverage") and plan.wants("delay")
     assert plan.delay_links() == [2]
     assert ds.SimulationPlan(10, 1, targets=("delay",)).delay_links() is None
+    # a bare "delay" names every link, whatever single links sit beside it
+    assert ds.SimulationPlan(10, 1, targets=(("delay", 2), "delay")).delay_links() is None
+
+
+@pytest.mark.parametrize("target", [("delay",), ("coverage", 3), ("delay", 1, 2)])
+def test_plan_rejects_malformed_link_targets(target):
+    with pytest.raises(ds.BadArgument, match="unknown simulation target"):
+        ds.SimulationPlan(10, 1, targets=(target,))
 
 
 def test_estimate_standard_error_formula():
@@ -378,6 +386,11 @@ def test_local_delay_links_selection_and_validation():
     params = _power_params()
     out = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(50, 3), links=[1])
     assert set(out) == {1}
+    # any iterable of links, a generator too, tracks the links it yields
+    pair = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(50, 3), links=[2, 0])
+    assert ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(50, 3),
+                                   links=(i for i in (2, 0))) == pair
+    assert len(pair) == 2
     with pytest.raises(ds.BadArgument):
         ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(50, 3), links=[9])
     with pytest.raises(ds.BadArgument):
