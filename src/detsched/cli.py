@@ -48,7 +48,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import compress
 from typing import Optional
 
@@ -432,12 +432,19 @@ def _finite(v):
     return v if math.isfinite(v) else None
 
 
+class _WriteFailed(OSError):
+    """The output file could not be written; main reports it, exit 2."""
+
+
 def _emit(text: str, output: Optional[str]):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise _WriteFailed(e.errno, e.strerror, output) from e
 
 
 def _emit_json(doc, output):
@@ -504,8 +511,7 @@ def _emit_table(header: dict, key: str, fields: tuple, rows: list, output):
 
 
 # One row shape per table: the CSV header and the JSON record fields.
-_LINK_FIELDS = ("transmitter", "receiver", "selection_probability",
-                "conditional_coverage", "coverage", "delay_mean", "flags", "error")
+_LINK_FIELDS = tuple(f.name for f in fields(_coverage.LinkReport))
 _RESULT_FIELDS = ("target", "transmitter", "receiver", "closed_form", "estimate",
                   "std_error", "z_score", "censored")
 
@@ -530,16 +536,9 @@ def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None
     if fmt == "csv":
         _emit_csv(_LINK_FIELDS, [(*r[:6], ";".join(r[6]), r[7] or "") for r in rows], output)
     else:
-        _emit_table(
-            {
-                "mode": report.mode,
-                "kernel_fingerprint": report.kernel_fingerprint,
-                "threshold": cfg.params.threshold,
-                "fading_mean": cfg.params.fading_mean,
-                "noise": cfg.params.noise,
-            },
-            "links", _LINK_FIELDS, rows, output,
-        )
+        header = {"mode": report.mode, "kernel_fingerprint": report.kernel_fingerprint,
+                  **{key: getattr(cfg.params, key) for key in _CHANNEL}}
+        _emit_table(header, "links", _LINK_FIELDS, rows, output)
     return 0
 
 
@@ -552,12 +551,16 @@ def _z_score(closed, estimate, std_error):
     return 0.0 if diff == 0.0 else None
 
 
-def _check_flags(flags: dict):
+def _check_flags(cfg: RunConfig, flags: dict, required: tuple):
     """Raise ConfigError for command-line flags below their minimum, as the
     matching config keys would be; ``flags`` maps a flag to (value, minimum)
-    and unset flags (None) pass."""
+    and unset flags (None) pass.  Then, if the config has no simulate
+    section, raise it for each ``required`` flag left unset."""
     problems = [(flag, f"must be >= {low}, got {v}")
                 for flag, (v, low) in flags.items() if v is not None and v < low]
+    if not problems and cfg.plan is None:
+        problems = [(f"simulate.{flag[2:]}", f"required: set it in the config or pass {flag}")
+                    for flag in required if flags[flag][0] is None]
     if problems:
         raise ConfigError(problems)
 
@@ -582,21 +585,10 @@ def cmd_simulate(
     workers: Optional[int] = None,
 ) -> int:
     """Monte Carlo estimates side by side with the closed forms."""
-    _check_flags({"--reps": (reps, 1), "--seed": (seed, 0), "--workers": (workers, 1)})
-    base = cfg.plan
-    problems = []
-    if reps is None and base is None:
-        problems.append(("simulate.reps", "required: set it in the config or pass --reps"))
-    if seed is None and base is None:
-        problems.append(("simulate.seed", "required: set it in the config or pass --seed"))
-    if problems:
-        raise ConfigError(problems)
-    plan = SimulationPlan(
-        reps if reps is not None else base.replications,
-        seed if seed is not None else base.seed,
-        base.targets if base is not None else ("coverage",),
-        base.delay_cap if base is not None else _montecarlo.DEFAULT_DELAY_CAP,
-    )
+    _check_flags(cfg, {"--reps": (reps, 1), "--seed": (seed, 0), "--workers": (workers, 1)},
+                 ("--reps", "--seed"))
+    flags = {name: v for name, v in (("replications", reps), ("seed", seed)) if v is not None}
+    plan = replace(cfg.plan, **flags) if cfg.plan is not None else SimulationPlan(reps, seed)
     nworkers = workers if workers is not None else cfg.workers
     L = build_L(cfg.kernel_spec, cfg.geometry)
     found = []
@@ -638,13 +630,8 @@ def cmd_sample(
     contract, so any prefix of the output is stable under a larger count.
     The draws run in seeded blocks, as coverage replications do.
     """
-    _check_flags({"--count": (count, 1), "--seed": (seed, 0)})
-    if seed is None:
-        if cfg.plan is None:
-            raise ConfigError(
-                [("simulate.seed", "required: set it in the config or pass --seed")]
-            )
-        seed = cfg.plan.seed
+    _check_flags(cfg, {"--count": (count, 1), "--seed": (seed, 0)}, ("--seed",))
+    seed = cfg.plan.seed if seed is None else seed
     draws = _montecarlo._draws(*build_L(cfg.kernel_spec, cfg.geometry).eigh, seed, range(count))
     lines = [json.dumps(np.flatnonzero(row).tolist()) for _, _, mask in draws for row in mask]
     _emit("\n".join(lines) + "\n", output)
@@ -662,7 +649,7 @@ def _kernel_metrics(cfg_or_doc) -> Optional[dict]:
             report = validate_kernel(np.array(kernel["matrix"], dtype=float))
     except Exception:
         return None
-    return {**asdict(report), "problems": list(report.problems)}
+    return asdict(report)
 
 
 def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> int:
@@ -682,12 +669,9 @@ def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> 
     }
     if fmt == "csv":
         rows = [["valid", str(report["valid"]).lower(), ""]]
-        if kernel:
-            for key in ("symmetry_defect", "min_eigenvalue", "max_eigenvalue",
-                        "min_diagonal", "max_diagonal"):
-                rows.append([key, kernel[key], ""])
-        for p, m in problems:
-            rows.append(["problem", p, m])
+        # the kernel's metrics are its float fields
+        rows += [[key, v, ""] for key, v in (kernel or {}).items() if isinstance(v, float)]
+        rows += [["problem", p, m] for p, m in problems]
         _emit_csv(["field", "value", "detail"], rows, output)
     else:
         _emit_json(report, output)
@@ -755,6 +739,9 @@ def main(argv=None) -> int:
         return 1
     except MalformedConfig as e:
         sys.stderr.write(f"cannot parse config: {e}\n")
+        return 2
+    except _WriteFailed as e:
+        sys.stderr.write(f"cannot write output: {e}\n")
         return 2
     except OSError as e:
         sys.stderr.write(f"cannot read config: {e}\n")

@@ -36,6 +36,7 @@ without it.
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -295,6 +296,11 @@ def txrx_coverage(
     return _coverage(geometry, K, params, _link(geometry, K, "txrx", transmitter, receiver))
 
 
+def _fitted(slots):
+    """``slots``, or inf past the largest double, where the formulas reach their limits."""
+    return slots if slots <= sys.float_info.max else math.inf
+
+
 @dataclass(frozen=True)
 class LocalDelay:
     """Slots until first success for a link with per-slot coverage p."""
@@ -306,7 +312,7 @@ class LocalDelay:
         """Probability of at least one success within ``slots`` attempts."""
         if not _is_int(slots) or slots < 0:
             raise BadArgument(f"slot count must be a nonnegative integer, got {slots!r}")
-        return 1.0 - (1.0 - self.success_probability) ** slots
+        return 1.0 - (1.0 - self.success_probability) ** _fitted(slots)
 
 
 def local_delay(coverage_probability: float) -> LocalDelay:
@@ -329,7 +335,7 @@ def min_coverage_for_success(epsilon: float, slots: int) -> float:
         raise BadArgument(f"target probability must lie in [0, 1), got {epsilon!r}")
     if not _is_int(slots) or slots < 1:
         raise BadArgument(f"slot count must be a positive integer, got {slots!r}")
-    return 1.0 - (1.0 - e) ** (1.0 / slots)
+    return 1.0 - (1.0 - e) ** (1.0 / _fitted(slots))
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,19 @@ def _clamp01(x: float) -> float:
     return float(x)
 
 
+def _minor(kernel, nodes) -> float:
+    """Determinant of the kernel submatrix on ``nodes``; 1 for the empty set."""
+    idx = kernel.indices(nodes)
+    return float(np.linalg.det(kernel.matrix[np.ix_(idx, idx)])) if idx.size else 1.0
+
+
 def inclusion_probability(K: AnyMarginal, nodes) -> float:
     """Probability that every node in ``nodes`` is scheduled together.
 
     The determinant of the kernel submatrix on ``nodes``; 1 for the empty
     set.
     """
-    idx = K.indices(nodes)
-    if idx.size == 0:
-        return 1.0
-    sub = K.matrix[np.ix_(idx, idx)]
-    return _clamp01(float(np.linalg.det(sub)))
+    return _clamp01(_minor(K, nodes))
 
 
 def subset_probability(L: LEnsemble, nodes) -> float:
@@ -74,10 +76,7 @@ def subset_probability(L: LEnsemble, nodes) -> float:
 
     det(L restricted to nodes) / det(L + I).
     """
-    idx = L.indices(nodes)
-    sub = L.matrix[np.ix_(idx, idx)]
-    d = float(np.linalg.det(sub)) if idx.size else 1.0
-    return _clamp01(d / L.normalization)
+    return _clamp01(_minor(L, nodes) / L.normalization)
 
 
 def exact_pmf_array(kernel, max_size: int = ENUMERATION_CAP) -> np.ndarray:
@@ -160,11 +159,8 @@ def palm_retained(kernel: AnyMarginal, node) -> PalmKernel:
     diagonal entry of one and zero cross terms, pinning it as scheduled.
     """
     idx = kernel.index(node)
-    reduced = palm_reduced(kernel, node)
-    n = kernel.n
-    out = np.zeros((n, n))
-    keep = np.array([i for i in range(n) if i != idx], dtype=np.intp)
-    out[np.ix_(keep, keep)] = reduced.matrix
+    reduced = palm_reduced(kernel, node).matrix
+    out = np.insert(np.insert(reduced, idx, 0.0, axis=0), idx, 0.0, axis=1)
     out[idx, idx] = 1.0
     return PalmKernel(
         _frozen(out), kernel.node_ids, _conditioning_of(kernel) + ((node, "retained"),)

@@ -19,10 +19,10 @@ Stream contract, which cross-language reimplementations must match:
 
 ``substream`` is the definition.  ``block_uniforms`` fills many substreams'
 leading uniforms at once, with no generator object: ``_pcg64_states``
-repeats numpy's SeedSequence hash in arithmetic (the seed's share once, the
-keys' share as uint32 array operations over the whole block), then
-``_fill`` runs PCG64 itself on 128-bit states held as (high, low) pairs of
-uint64 arrays.  PCG64 seeds with inc = 2q + 1 and state = (inc + s) * M +
+takes the seed's share of the hash from numpy's own ``SeedSequence(seed)``
+and repeats only the keys' share, as uint32 array operations over the whole
+block, then ``_fill`` runs PCG64 itself on 128-bit states held as (high,
+low) pairs of uint64 arrays.  PCG64 seeds with inc = 2q + 1 and state = (inc + s) * M +
 inc, steps a state x to M * x + inc, and outputs each new state as the
 double (rotr64(high ^ low, high >> 58) >> 11) * 2^-53.  j steps make the
 affine map x -> A_j * x + C_j * inc, with A_j = M^j and C_j = M^(j-1) +
@@ -36,7 +36,6 @@ bit, seeded states included.
 """
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -58,12 +57,11 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def _hashmix(value, h, mult=_MULT_A):
-    """SeedSequence's hash step on ints or broadcast uint32 arrays; returns
-    the hashed value and the next hash constant."""
+    """SeedSequence's hash step on broadcast uint32 arrays, whose hash
+    constant is h before the step."""
     value = value ^ h
-    h = (h * mult) & _MASK32
-    value = (value * h) & _MASK32
-    return value ^ (value >> 16), h
+    value = (value * (h * mult & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
 
 
 def _mix(x, y):
@@ -194,28 +192,20 @@ def _pcg64_states(seed: int, keys):
     rest = _key_words(keys)
     if seed < 0 or (len(rest) and rest.min() < 0):
         raise ValueError("seed and keys must be nonnegative")
-    # the seed's words, zero-padded to the pool size, fill the pool, which
-    # is then mixed with itself; its words past the fourth are mixed in
-    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool, h = [], _INIT_A
-    for w in words[:4]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src, dst in itertools.permutations(range(4), 2):
-        v, h = _hashmix(pool[src], h)
-        pool[dst] = _mix(pool[dst], v)
-    for w, dst in itertools.product(words[4:], range(4)):
-        v, h = _hashmix(w, h)
-        pool[dst] = _mix(pool[dst], v)
-    # so are the key's words, as (pool word, key) arrays: the pool words mix
-    # in the word hashed with 4 consecutive constants, which depend on the
-    # word position alone; keys with fewer words stop early
-    pool = np.array(pool, dtype=np.uint32)[:, None].repeat(len(rest), axis=1)
+    # numpy's SeedSequence(seed) holds the pool after the seed's words: they
+    # fill it (zero-padded to 4), it is mixed with itself, and its words past
+    # the fourth are mixed in, 16 + 4 * (words - 4) hash steps in all, each of
+    # which multiplied the hash constant by _MULT_A
+    words = -(-max(seed.bit_length(), 1) // 32)
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(words - 4, 0), 1 << 32) & _MASK32
+    # then each key's words are mixed in, as (pool word, key) arrays: the
+    # pool words mix in the word hashed with 4 consecutive constants, which
+    # depend on the word position alone; keys with fewer words stop early
+    pool = np.random.SeedSequence(seed).pool[:, None].repeat(len(rest), axis=1)
     hs = _constants(h, _MULT_A, 4)
     present = np.ones(len(rest), dtype=bool)
     while present.any():
-        v, _ = _hashmix((rest & _MASK32).astype(np.uint32), hs)
+        v = _hashmix((rest & _MASK32).astype(np.uint32), hs)
         pool = np.where(present, _mix(pool, v), pool)
         hs = hs * _MULT_A4
         rest = rest >> 32
@@ -223,7 +213,7 @@ def _pcg64_states(seed: int, keys):
     # generate_state(4, uint64) hashes the pool twice over into 4 uint64s,
     # little-endian word pairs; PCG64 joins them high first into s and q
     # and seeds with inc = 2q + 1, state = (inc + s) * M + inc
-    half, _ = _hashmix(pool[[0, 1, 2, 3] * 2], _constants(_INIT_B, _MULT_B, 8), _MULT_B)
+    half = _hashmix(pool[[0, 1, 2, 3] * 2], _constants(_INIT_B, _MULT_B, 8), _MULT_B)
     half = half.astype(np.uint64)
     s_hi, s_lo, q_hi, q_lo = half[0::2] | half[1::2] << _32
     inc = (q_hi << _1 | q_lo >> _63, q_lo << _1 | _1)

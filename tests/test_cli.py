@@ -1,5 +1,7 @@
 import copy
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -492,6 +494,19 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert doc["mode"] == "pairs"
 
 
+@pytest.mark.parametrize("argv", [["coverage"], ["sample", "--count", "2"]])
+def test_write_failure_is_not_a_read_failure(tmp_path, capsys, argv):
+    # an output that cannot be opened for writing is reported as such, with
+    # its path, and exits 2; nothing reaches stdout
+    path = _write(tmp_path, _base_config())
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        assert cli.main([argv[0], path, *argv[1:], "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write output: ")
+        assert repr(str(out)) in captured.err
+
+
 def test_exit_code_validation_failure(tmp_path, capsys):
     path = _write(tmp_path, _base_config(threshold=-1.0))
     assert cli.main(["coverage", path]) == 1
@@ -623,6 +638,46 @@ def test_simulate_requires_plan_or_flags(tmp_path, capsys):
     assert cli.main(["simulate", path, "--reps", "50", "--seed", "3"]) == 0
 
 
+def test_simulate_missing_plan_keys_are_reported_per_flag(tmp_path):
+    doc = _base_config()
+    del doc["simulate"]
+    cfg = cli.parse_config(_write(tmp_path, doc))
+    for flags, problems in [
+        ({}, [("simulate.reps", "required: set it in the config or pass --reps"),
+              ("simulate.seed", "required: set it in the config or pass --seed")]),
+        ({"reps": 5}, [("simulate.seed", "required: set it in the config or pass --seed")]),
+        ({"seed": 5}, [("simulate.reps", "required: set it in the config or pass --reps")]),
+        # out-of-range flags are reported first, alone
+        ({"reps": 0}, [("--reps", "must be >= 1, got 0")]),
+    ]:
+        with pytest.raises(ds.ConfigError) as info:
+            cli.cmd_simulate(cfg, **flags)
+        assert info.value.problems == problems
+    # sample needs only a seed
+    with pytest.raises(ds.ConfigError) as info:
+        cli.cmd_sample(cfg, count=2)
+    assert info.value.problems == [
+        ("simulate.seed", "required: set it in the config or pass --seed")]
+
+
+def test_simulate_one_flag_keeps_the_rest_of_the_plan(tmp_path, capsys):
+    # a flag replaces its own key of the config's plan only: the output
+    # equals that of the config with the key set to the flag's value
+    doc = _base_config()
+    doc["simulate"] = {"reps": 40, "seed": 3, "targets": ["coverage", ["delay", 1]],
+                       "delay_cap": 7}
+    path = _write(tmp_path, doc)
+    for flag, key, value in [("--seed", "seed", 9), ("--reps", "reps", 25)]:
+        assert cli.main(["simulate", path, flag, str(value)]) == 0
+        by_flag = capsys.readouterr().out
+        edited = copy.deepcopy(doc)
+        edited["simulate"][key] = value
+        assert cli.main(["simulate", _write(tmp_path, edited, "edited.json")]) == 0
+        assert by_flag == capsys.readouterr().out
+        rows = json.loads(by_flag)["results"]
+        assert [r["target"] for r in rows] == ["coverage", "coverage", "delay"]
+
+
 def test_simulate_byte_determinism_and_worker_invariance(tmp_path):
     path = _write(tmp_path, _base_config())
     a, b, c = (tmp_path / x for x in ("a.json", "b.json", "c.json"))
@@ -746,6 +801,36 @@ def test_validate_csv_format(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "field,value,detail"
     assert lines[1].startswith("valid,true")
+
+
+def test_validate_csv_rows(tmp_path, capsys):
+    # every row, in order: validity, the kernel's metrics in field order,
+    # then one row per problem
+    metrics = ["symmetry_defect", "min_eigenvalue", "max_eigenvalue",
+               "min_diagonal", "max_diagonal"]
+    matrix = [[0.5, 0.1], [0.1, 0.5]]
+    for doc, code, problems in [
+        (_base_config(), 0, []),
+        (_base_config(kernel={"type": "explicit_K", "matrix": matrix}, threshold=-1.0), 1,
+         [["problem", "threshold", "must be >= 0.0, got -1.0"]]),
+    ]:
+        path = _write(tmp_path, doc)
+        assert cli.main(["validate", path, "--format", "csv"]) == code
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        K = cli.parse_config_dict({**doc, "threshold": 1.0}).K
+        report = ds.validate(K.matrix)
+        assert rows == [["field", "value", "detail"], ["valid", "false" if code else "true", ""],
+                        *([m, format(getattr(report, m), ".17g"), ""] for m in metrics),
+                        *problems]
+
+
+def test_coverage_json_header(tmp_path, capsys):
+    path = _write(tmp_path, _base_config(fading_mean=2.0))
+    assert cli.main(["coverage", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["mode", "kernel_fingerprint", "threshold", "fading_mean",
+                         "noise", "links"]
+    assert (doc["threshold"], doc["fading_mean"], doc["noise"]) == (1.0, 2.0, 0.1)
 
 
 def test_txrx_coverage_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +321,12 @@ def test_local_delay():
         with pytest.raises(ds.BadArgument, match="slot count must be a nonnegative integer"):
             d.cdf(bad)
     assert d.cdf(np.int64(2)) == d.cdf(2)
+    # a count past the largest double gives the formula's limit, not an
+    # OverflowError; the largest count that fits keeps the formula's value
+    huge, top = 10**400, int(sys.float_info.max)
+    assert d.cdf(huge) == 1.0 and ds.local_delay(1.0).cdf(huge) == 1.0
+    assert never.cdf(huge) == 0.0
+    assert d.cdf(top) == 1.0 - 0.75 ** float(top) and never.cdf(top) == 0.0
 
 
 def test_min_coverage_for_success():
@@ -335,6 +342,11 @@ def test_min_coverage_for_success():
         with pytest.raises(ds.BadArgument, match="slot count must be a positive integer"):
             ds.min_coverage_for_success(0.5, bad)
     assert ds.min_coverage_for_success(0.99, np.int64(10)) == got
+    # a count past the largest double gives the formula's limit, 0
+    for e in (0.0, 0.5, 0.99):
+        assert ds.min_coverage_for_success(e, 10**400) == 0.0
+    top = int(sys.float_info.max)
+    assert ds.min_coverage_for_success(0.5, top) == 1.0 - 0.5 ** (1.0 / float(top))
 
 
 def test_kernel_fingerprint():

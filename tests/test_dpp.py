@@ -252,6 +252,39 @@ def test_palm_semi_reduced():
         ds.palm_semi_reduced(K, 1, 1)
 
 
+def test_palm_retained_is_the_reduced_matrix_padded():
+    # on every node of random kernels, plain and already conditioned: the
+    # reduced matrix with a zero row and column inserted, 1 at the node
+    rng = np.random.default_rng(25)
+    for n in range(1, 9):
+        K = _rand_k(rng, n)
+        K = ds.MarginalKernel.from_matrix(K.matrix, node_ids=[f"v{i}" for i in range(n)])
+        kernels = [K] + ([ds.palm_reduced(K, "v0")] if n > 1 else [])
+        for kernel in kernels:
+            for idx, node in enumerate(kernel.node_ids):
+                ret = ds.palm_retained(kernel, node)
+                red = ds.palm_reduced(kernel, node).matrix
+                want = np.zeros((kernel.n, kernel.n))
+                rest = [i for i in range(kernel.n) if i != idx]
+                want[np.ix_(rest, rest)] = red
+                want[idx, idx] = 1.0
+                assert np.array_equal(ret.matrix, want)
+                assert ret.node_ids == kernel.node_ids
+                assert ret.conditioned_on == (
+                    dpp._conditioning_of(kernel) + ((node, "retained"),))
+
+
+def test_empty_set_minors():
+    rng = np.random.default_rng(26)
+    for n in range(1, 9):
+        K = _rand_k(rng, n)
+        assert ds.inclusion_probability(K, []) == 1.0
+        L = ds.k_to_l(K)
+        assert ds.subset_probability(L, []) == 1.0 / L.normalization
+        assert ds.subset_probability(L, []) == pytest.approx(
+            1.0 / np.linalg.det(L.matrix + np.eye(n)), rel=1e-12)
+
+
 def test_scale_kernel_known_values():
     K = np.array([[0.5, 0.2], [0.2, 0.5]])
     out = ds.scale_kernel(K, np.array([0.0, 0.75]))
