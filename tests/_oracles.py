@@ -75,40 +75,77 @@ def pmf_from_k_signed(K):
     return out
 
 
-def exact_pmf_array_loops(kernel, max_size=20):
-    """Reference ``dpp.exact_pmf_array``: one index array and one
-    np.linalg.det per subset, then the Moebius pass over index masks.  The
-    library's size-batched enumeration must equal it bit for bit."""
+def _pmf_from_minors(kernel, minors):
+    """Subset law from principal minors listed by bitmask (bit b is
+    position b): over det(L + I) for an L-ensemble; for a marginal kernel,
+    Moebius inversion down the superset lattice turns containment minors
+    into exact-outcome probabilities.  Negatives within CLAMP_TOL become 0."""
     from detsched.dpp import CLAMP_TOL
-    from detsched.errors import EnumerationTooLarge
     from detsched.kernels import LEnsemble
 
-    n = kernel.n
-    if n > max_size:
-        raise EnumerationTooLarge(f"ground set of {n} nodes exceeds cap {max_size}")
-    size = 1 << n
+    size = len(minors)
     masks = np.arange(size)
-    out = np.empty(size, dtype=float)
-    mat = kernel.matrix
-    positions = [np.flatnonzero([(m >> b) & 1 for b in range(n)]) for m in range(size)]
+    out = np.array(minors, dtype=float)
     if isinstance(kernel, LEnsemble):
-        norm = kernel.normalization
-        for m in range(size):
-            idx = positions[m]
-            out[m] = float(np.linalg.det(mat[np.ix_(idx, idx)])) / norm if m else 1.0 / norm
+        out /= kernel.normalization
     else:
-        # containment determinants, then Moebius inversion down the
-        # superset lattice turns them into exact-outcome probabilities
-        for m in range(size):
-            idx = positions[m]
-            out[m] = float(np.linalg.det(mat[np.ix_(idx, idx)])) if m else 1.0
-        for b in range(n):
+        for b in range(kernel.n):
             bit = 1 << b
             without = masks[(masks & bit) == 0]
             out[without] -= out[without | bit]
     tiny = (out < 0.0) & (out >= -CLAMP_TOL)
     out[tiny] = 0.0
     return out
+
+
+def _check_cap(kernel, max_size):
+    from detsched.errors import EnumerationTooLarge
+
+    if kernel.n > max_size:
+        raise EnumerationTooLarge(f"ground set of {kernel.n} nodes exceeds cap {max_size}")
+
+
+def exact_pmf_array_loops(kernel, max_size=20):
+    """Independent reference for ``dpp.exact_pmf_array``: one index array
+    and one np.linalg.det (an LU) per subset."""
+    _check_cap(kernel, max_size)
+    n = kernel.n
+    mat = kernel.matrix
+    minors = [1.0]
+    for m in range(1, 1 << n):
+        idx = np.flatnonzero([(m >> b) & 1 for b in range(n)])
+        minors.append(float(np.linalg.det(mat[np.ix_(idx, idx)])))
+    return _pmf_from_minors(kernel, minors)
+
+
+def exact_pmf_array_elimination(kernel, max_size=20):
+    """Reference ``dpp.exact_pmf_array`` must equal bit for bit.
+
+    Per subset, Gaussian elimination without pivoting on Python floats over
+    the members in increasing position: at pivot p = c[s][s], each later
+    row takes f = c[i][s] / p and then c[i][j] - f * c[s][j].  The minor is
+    the running product 1.0 * p * p' * ...; a pivot <= 0 makes it 0.
+    """
+    _check_cap(kernel, max_size)
+    n = kernel.n
+    mat = kernel.matrix.tolist()
+    minors = []
+    for m in range(1 << n):
+        members = [b for b in range(n) if (m >> b) & 1]
+        c = [[mat[i][j] for j in members] for i in members]
+        det = 1.0
+        for s in range(len(members)):
+            p = c[s][s]
+            if p <= 0.0:
+                det = 0.0
+                break
+            det *= p
+            for i in range(s + 1, len(members)):
+                f = c[i][s] / p
+                for j in range(s + 1, len(members)):
+                    c[i][j] -= f * c[s][j]
+        minors.append(det)
+    return _pmf_from_minors(kernel, minors)
 
 
 def power_law(r, kappa, beta):

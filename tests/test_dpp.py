@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from detsched.dpp import exact_pmf_array
 
 from _oracles import (
     all_subsets,
+    exact_pmf_array_elimination,
     exact_pmf_array_loops,
     laplace_oracle,
     mean_size,
@@ -136,18 +138,16 @@ def _enumeration_kernels(rng, n):
     }
 
 
-def test_exact_pmf_array_matches_loop_reference(monkeypatch):
-    # bit for bit, with the default chunks, one subset per chunk, and a few
-    # subsets per chunk (1000 bytes hold 125 subsets of size 1, 7 of size 4,
-    # 2 of size 7), so that chunk boundaries fall inside a subset size
+def test_exact_pmf_array_matches_loop_reference():
+    # bit for bit against per-subset scalar elimination in the recursion's
+    # operation order; an LU per subset is the independent check
     rng = np.random.default_rng(41)
-    default = dpp._BLOCK_BYTES
     for n in range(1, 13):
         for name, kernel in _enumeration_kernels(rng, n).items():
-            ref = exact_pmf_array_loops(kernel)
-            for budget in (default, 1, 1000):
-                monkeypatch.setattr(dpp, "_BLOCK_BYTES", budget)
-                assert np.array_equal(exact_pmf_array(kernel), ref), (n, name, budget)
+            got = exact_pmf_array(kernel)
+            assert np.array_equal(got, exact_pmf_array_elimination(kernel)), (n, name)
+            np.testing.assert_allclose(got, exact_pmf_array_loops(kernel), rtol=0, atol=1e-14,
+                                       err_msg=f"n={n} {name}")
 
 
 def test_exact_pmf_array_subnormal_l_ensemble():
@@ -165,6 +165,81 @@ def test_exact_pmf_array_subnormal_l_ensemble():
     assert np.array_equal(got, ref)
     assert math.fsum(got) == pytest.approx(1.0, abs=1e-15)
     assert np.isfinite(got).all()
+
+
+def test_exact_pmf_array_diagonal_l_ensembles_exact_values():
+    # a diagonal L schedules each node independently with probability
+    # d / (1 + d); the L route carries one rounding per factor, the K route
+    # cancels in the Moebius pass
+    n = 14
+    rng = np.random.default_rng(44)
+    diagonals = {
+        "1e9 I": np.full(n, 1e9),
+        "1e-9 I": np.full(n, 1e-9),
+        "log-uniform 1e-6..1e6": 10.0 ** rng.uniform(-6.0, 6.0, size=n),
+    }
+    for name, d in diagonals.items():
+        exact = [Fraction(1)]
+        for x in map(Fraction, d.tolist()):
+            exact = [e / (1 + x) for e in exact] + [e * x / (1 + x) for e in exact]
+        L = ds.LEnsemble.from_matrix(np.diag(d))
+        by_l = exact_pmf_array(L).tolist()
+        by_k = exact_pmf_array(ds.l_to_k(L)).tolist()
+        rel = max(abs(Fraction(got) - e) / e for got, e in zip(by_l, exact))
+        assert rel <= n * np.finfo(float).eps, (name, float(rel))
+        err = max(abs(Fraction(got) - e) for got, e in zip(by_k, exact))
+        assert err <= 1e-13, (name, float(err))
+
+
+def _degenerate_l_ensembles(rng, n, zero):
+    pts = rng.uniform(0.0, 2.0, size=(n, 2))
+    pts[3] = pts[1]
+    low = rng.normal(size=(n, 2))
+    mat = random_psd_l(rng, n)
+    mat[zero, :] = mat[:, zero] = 0.0
+    return {
+        "coincident nodes": ds.build_L(ds.GaussianSpec(sigma=0.7), pts),
+        "rank 2": ds.LEnsemble.from_matrix(low @ low.T),
+        "zero row": ds.LEnsemble.from_matrix(mat),
+        "1e-9 I": ds.LEnsemble.from_matrix(1e-9 * np.eye(n)),
+    }
+
+
+def test_exact_pmf_array_degenerate_kernels():
+    rng = np.random.default_rng(43)
+    for n in (8, 12, 16):
+        zero = int(rng.integers(n))
+        for name, L in _degenerate_l_ensembles(rng, n, zero).items():
+            K = ds.l_to_k(L)
+            if name == "zero row":
+                # l_to_k leaves entries of order 1e-17 in the node's row, and
+                # from_matrix would smear the zeros again whenever it projects
+                # an eigenvalue of -1e-18 back to 0
+                kmat = K.matrix.copy()
+                kmat[zero, :] = kmat[:, zero] = 0.0
+                K = ds.MarginalKernel(kmat, K.node_ids)
+            for kernel in (L, K):
+                got = exact_pmf_array(kernel)  # RuntimeWarnings are errors here
+                where = (n, name, type(kernel).__name__)
+                assert np.isfinite(got).all(), where
+                assert abs(math.fsum(got) - 1.0) <= 1e-13, where
+                np.testing.assert_allclose(got, exact_pmf_array_loops(kernel), rtol=0, atol=1e-12,
+                                           err_msg=str(where))
+                if name == "zero row":
+                    masks = np.arange(1 << n)
+                    assert (got[(masks >> zero) & 1 == 1] == 0.0).all(), where
+
+
+def test_exact_pmf_array_at_the_cap():
+    n = dpp.ENUMERATION_CAP
+    rng = np.random.default_rng(46)
+    L = ds.build_L(ds.GaussianSpec(sigma=0.7), rng.uniform(0.0, math.sqrt(n), size=(n, 2)))
+    by_l = exact_pmf_array(L)
+    by_k = exact_pmf_array(ds.l_to_k(L))
+    assert abs(math.fsum(by_l) - 1.0) <= 1e-12 and abs(math.fsum(by_k) - 1.0) <= 1e-12
+    np.testing.assert_allclose(by_k, by_l, rtol=0, atol=1e-12)
+    with pytest.raises(ds.EnumerationTooLarge):
+        exact_pmf_array(ds.LEnsemble.from_matrix(np.eye(n + 1)))
 
 
 @st.composite
