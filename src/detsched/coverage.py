@@ -24,14 +24,14 @@ code computes the plain Palm determinant.
 
 ``_evaluate`` runs blocks of rows through three stages, ``_discounts``,
 ``_palms`` and ``_scaled``, then takes one stacked determinant, and
-``coverage_kernel`` runs the same stages.  They repeat the floating-point
-operations of the scalar functions they replace (``palm_reduced``,
-``scale_kernel``, ``interferer_factor``, ``noise_factor``), so results
-equal theirs bit for bit, and call them to re-raise a link's failure
-with the same type and message.  perfbench's tracer wraps these names
-here, so they stay module attributes, ``palm_semi_reduced`` too: nothing
-here calls it, but ``perfbench/run.py --trace 1`` wraps it and fails
-without it.
+``coverage_kernel`` runs the same stages.  They only compute: they repeat
+the floating-point operations of the scalar functions they replace
+(``palm_reduced``, ``scale_kernel``, ``interferer_factor``,
+``noise_factor``), so results equal theirs bit for bit.  ``_discounts``
+marks the rows that fail, and ``_failure`` replays each through that
+scalar chain for its error's type and message.  perfbench's tracer wraps
+these names here, so they stay module attributes, ``palm_semi_reduced``
+too: nothing here calls it, but ``perfbench/run.py --trace 1`` wraps it.
 """
 
 import hashlib
@@ -84,36 +84,17 @@ def _selections(K: MarginalKernel, rows: np.ndarray) -> np.ndarray:
     return np.maximum(sel, 0.0)
 
 
-def _raised(fn, *args) -> DetschedError:
-    """The error the scalar ``fn(*args)`` raises.  The batched pass only
-    detects a failure; the scalar call reproduces its type and message."""
-    try:
-        fn(*args)
-    except DetschedError as e:
-        return e
-    raise AssertionError(f"{fn.__name__} did not fail where the batched pass did")
-
-
-def _discounts(K, params, channel, t, s, c, err: dict) -> tuple:
-    """Silent-node probabilities q, noise discounts w and interferer
-    discounts h (a column per node other than t) of rows (t, ., s) at the
-    channel columns ``c``.  Each row's first failure goes to ``err``, in
-    the scalar order: pivot, silent node, signal, interferers by node."""
+def _discounts(K, params, channel, t, s, c) -> tuple:
+    """Silent-node probabilities q, noise discounts w, interferer discounts
+    h (a column per node other than t) and the failed mask of rows
+    (t, ., s) at the channel columns ``c``.  A row fails on a pivot at most
+    PALM_PIVOT_TOL, q within CLAMP_TOL of 1, a signal loss not above 0, or
+    a discount that is NaN or leaves [0, 1] by more than CLAMP_TOL."""
     mat, theta = K.matrix, params.threshold
-    dist, loss, drowned = channel
+    _, loss, drowned = channel
     piv = mat[t, t]
-    for k in np.flatnonzero(piv <= PALM_PIVOT_TOL).tolist():
-        err[k] = _raised(palm_reduced, K, K.node_ids[t[k]])
     q = np.where(s >= 0, mat[s, s] - mat[s, t] * mat[s, t] / piv, 0.0)
-    for k in np.flatnonzero(q >= 1.0 - CLAMP_TOL).tolist():
-        err.setdefault(k, AlwaysScheduledReceiver(
-            f"node {int(s[k])} transmits with conditional probability "
-            f"{float(q[k]):.12g}, so it can never listen"))
-    d_sig = dist[t, c]
     signal = loss[t, c]
-    for k in np.flatnonzero(~(signal > 0)).tolist():
-        if k not in err:
-            err[k] = _raised(noise_factor, float(d_sig[k]), params)
     if theta == 0 or params.noise == 0:
         w = np.ones(len(t))
     else:
@@ -128,17 +109,37 @@ def _discounts(K, params, channel, t, s, c, err: dict) -> tuple:
         h = 1.0 / (theta * loss[ob, c[:, None]] / signal[:, None] + 1.0)
     h[drowned[ob, c[:, None]]] = 0.0
     h[ob == s[:, None]] = 0.0  # the silent node, whatever its loss
-    for k in np.flatnonzero(np.isnan(h).any(axis=1)).tolist():
-        if k not in err:
-            z = int(ob[k, np.flatnonzero(np.isnan(h[k]))[0]])
-            err[k] = _raised(interferer_factor, float(dist[z, c[k]]), float(d_sig[k]), params)
-    return q, w, h
+    inside = ((h >= -CLAMP_TOL) & (h <= 1.0 + CLAMP_TOL)).all(axis=1)
+    failed = (piv <= PALM_PIVOT_TOL) | (q >= 1.0 - CLAMP_TOL) | ~(signal > 0) | ~inside
+    return q, w, h, failed
+
+
+def _failure(K, params, dist: np.ndarray, t: int, s: int) -> DetschedError:
+    """The first error of row (t, ., s) in the scalar chain's order: Palm
+    step, silent node, noise, interferers by node (at distances ``dist``
+    to the row's receiver slot), scaling."""
+    try:
+        P = palm_reduced(K, K.node_ids[t]).matrix
+        if s >= 0:
+            q = float(P[s - (s > t), s - (s > t)])
+            if q >= 1.0 - CLAMP_TOL:
+                raise AlwaysScheduledReceiver(
+                    f"node {s} transmits with conditional probability {q:.12g}, "
+                    "so it can never listen")
+        d_sig = float(dist[t])
+        noise_factor(d_sig, params)
+        h = [0.0 if z == s else interferer_factor(float(dist[z]), d_sig, params)
+             for z in range(K.n) if z != t]
+        scale_kernel(P, h)
+    except DetschedError as e:
+        return e
+    raise AssertionError(f"row ({t}, ., {s}) failed in the batched pass only")
 
 
 def _palms(mat: np.ndarray, tx: np.ndarray) -> np.ndarray:
     """One-fold Palm kernels of ``mat`` at each node in ``tx``, stacked, by
-    the operations of ``palm_reduced`` (downdate, then symmetrize), so the
-    entries match it bit for bit."""
+    ``palm_reduced``'s downdate.  Its symmetrize pass is skipped: ``mat``
+    must be exactly symmetric, as every kernel constructor leaves it."""
     n = mat.shape[0]
     sub = np.empty((len(tx), n - 1, n - 1))
     col = np.empty((len(tx), n - 1))
@@ -151,18 +152,12 @@ def _palms(mat: np.ndarray, tx: np.ndarray) -> np.ndarray:
         col[k, :t], col[k, t:] = mat[:t, t], mat[t + 1:, t]
     out = col[:, :, None] * col[:, None, :]
     out /= mat[tx, tx][:, None, None]
-    np.subtract(sub, out, out=out)
-    return (out + out.swapaxes(1, 2)) / 2.0
+    return np.subtract(sub, out, out=out)
 
 
-def _scaled(P: np.ndarray, h: np.ndarray, err: dict) -> np.ndarray:
+def _scaled(P: np.ndarray, h: np.ndarray) -> np.ndarray:
     """I - K'_h for each stacked Palm kernel P[k] and its discounts h[k],
-    by the operations of ``scale_kernel``, whose error a row gets if its
-    discounts leave [0, 1] by more than CLAMP_TOL."""
-    outside = ((h < -CLAMP_TOL) | (h > 1.0 + CLAMP_TOL)).any(axis=1)
-    for k in np.flatnonzero(outside).tolist():
-        if k not in err:
-            err[k] = _raised(scale_kernel, P[k], h[k])
+    by the operations of ``scale_kernel``."""
     root = np.sqrt(1.0 - np.clip(h, 0.0, 1.0))
     A = root[:, :, None] * root[:, None, :]
     A *= P
@@ -170,9 +165,9 @@ def _scaled(P: np.ndarray, h: np.ndarray, err: dict) -> np.ndarray:
 
 
 def _blocks(geometry, K, params, rows: np.ndarray):
-    """Per block of ``rows``: its offset, its rows' errors by position, the
-    factors w / (1 - q) and the stacked I - K'_h.  The path losses come
-    from one channel table to the rows' receiver slots, and each
+    """Per block of ``rows``, in order: its failed rows' errors by position,
+    the factors w / (1 - q) and the stacked I - K'_h.  The path losses
+    come from one channel table to the rows' receiver slots, and each
     transmitter of a block gets one Palm downdate."""
     slots, col_of = np.unique(rows[:, 1], return_inverse=True)
     channel = _channel(params.pathloss, geometry.transmitter_points(),
@@ -180,23 +175,24 @@ def _blocks(geometry, K, params, rows: np.ndarray):
     step = max(1, _BLOCK_BYTES // (8 * max(K.n - 1, 1) ** 2))
     for lo in range(0, len(rows), step):
         t, _, s = rows[lo:lo + step].T
-        err = {}
-        q, w, h = _discounts(K, params, channel, t, s, col_of[lo:lo + step], err)
+        c = col_of[lo:lo + step]
+        q, w, h, failed = _discounts(K, params, channel, t, s, c)
+        err = {k: _failure(K, params, channel[0][:, c[k]], int(t[k]), int(s[k]))
+               for k in np.flatnonzero(failed).tolist()}
         tx, tx_of = np.unique(t, return_inverse=True)
         # held until the next block's exists: freed first, it cost 1.7x
         # the page faults at n = 100
         P = _palms(K.matrix, tx)[tx_of]
-        yield lo, err, w / (1.0 - q), _scaled(P, h, err)
+        yield err, w / (1.0 - q), _scaled(P, h)
 
 
 @_quiet
 def _evaluate(geometry, K, params, rows: np.ndarray) -> list:
     """Unclamped coverage of each link-table row (t, p, s) given t scheduled
     and s (if s >= 0) silent: det(I - K'_h) w / (1 - q), or its failure."""
-    out = [None] * len(rows)
-    for lo, err, factor, A in _blocks(geometry, K, params, rows):
-        raw = (factor * np.linalg.det(A)).tolist()
-        out[lo:lo + len(raw)] = [err.get(k, v) for k, v in enumerate(raw)]
+    out = []
+    for err, factor, A in _blocks(geometry, K, params, rows):
+        out += [err.get(k, v) for k, v in enumerate((factor * np.linalg.det(A)).tolist())]
     return out
 
 
@@ -253,7 +249,7 @@ def coverage_kernel(
     zero cross terms.
     """
     row = _link(geometry, K, "pairs", link)
-    [(_, err, w, block)] = _blocks(geometry, K, params, np.array([row]))
+    [(err, w, block)] = _blocks(geometry, K, params, np.array([row]))
     if err:
         raise err[0]
     out = np.insert(np.insert(block[0], link, 0.0, axis=0), link, 0.0, axis=1)

@@ -214,9 +214,9 @@ def scale_kernel(kernel_or_matrix, weights) -> np.ndarray:
     mat, ids = _matrix_and_ids(kernel_or_matrix)
     n = mat.shape[0]
     vec = _per_node_values(weights, ids, n, "scaling", BadScaling)
-    if np.any(vec < -CLAMP_TOL) or np.any(vec > 1.0 + CLAMP_TOL):
-        bad = vec[(vec < -CLAMP_TOL) | (vec > 1.0 + CLAMP_TOL)][0]
-        raise BadScaling(f"scaling values must lie in [0, 1], found {bad!r}")
+    outside = ~((vec >= -CLAMP_TOL) & (vec <= 1.0 + CLAMP_TOL))
+    if outside.any():
+        raise BadScaling(f"scaling values must lie in [0, 1], found {float(vec[outside][0])!r}")
     s = np.sqrt(1.0 - np.clip(vec, 0.0, 1.0))
     return mat * np.outer(s, s)
 

@@ -95,7 +95,7 @@ class TabulatedPathLoss:
         if r < self.radii[0] or r > self.radii[-1]:
             raise BadArgument(
                 f"distance {r!r} outside tabulated range "
-                f"[{self.radii[0]!r}, {self.radii[-1]!r}]"
+                f"[{float(self.radii[0])!r}, {float(self.radii[-1])!r}]"
             )
         return float(np.interp(r, self.radii, self.values))
 
@@ -104,8 +104,11 @@ PathLoss = Union[PowerLawPathLoss, TabulatedPathLoss]
 
 
 def path_loss(model: PathLoss, r: float) -> float:
-    """Mean received-power fraction at distance ``r`` under ``model``."""
-    return model.evaluate(float(r))
+    """Mean received-power fraction at distance ``r`` under ``model``; NaN raises BadArgument."""
+    r = float(r)
+    if math.isnan(r):
+        raise BadArgument(f"distance must be a number, got {r!r}")
+    return model.evaluate(r)
 
 
 @dataclass(frozen=True)

@@ -507,6 +507,7 @@ def test_full_report_matches_scalar_reference():
     rng = np.random.default_rng(79)
     seen_errors = set()
     seen_flags = set()
+    raised = set()  # exception types of the per-link functions
     for case in range(120):
         geo, K, params = _branch_instance(rng, case)
         rows = geo.links().tolist()
@@ -520,13 +521,18 @@ def test_full_report_matches_scalar_reference():
                 return _outcome(lambda: coverage_module._unit(
                     conditional_raw_loops(geo, K, params, t, p, s)))
             if s < 0:
-                assert _outcome(ds.conditional_pair_coverage, geo, K, t, params) == ref()
+                got = _outcome(ds.conditional_pair_coverage, geo, K, t, params)
+                assert got == ref()
+                if isinstance(got, tuple):
+                    raised.add(got[0])
                 lr = link_report_loops(geo, K, params, t, p, s)
                 if lr.error is None:
                     assert ds.pair_coverage(geo, K, t, params) == lr.coverage
                 continue
             got = _outcome(ds.txrx_conditional_coverage, geo, K, t, p, params)
             assert got == ref()
+            if isinstance(got, tuple):
+                raised.add(got[0])
             # the two-fold identity, with the correction as the loss needs
             # it (None) and forced on, agrees wherever both evaluate
             for semi in (None, True):
@@ -537,6 +543,18 @@ def test_full_report_matches_scalar_reference():
     assert {"never_scheduled", "receiver_always_scheduled"} <= seen_flags
     # SingularDistance, BadArgument ("distance ... outside"), DegenerateSignal
     assert {"power-law", "distance", "path"} <= seen_errors
+    # every branch of the failure replay, in either mode
+    assert raised >= {ds.NeverScheduled, ds.AlwaysScheduledReceiver, ds.SingularDistance,
+                      ds.BadArgument, ds.DegenerateSignal}
+
+
+def test_report_error_row_prints_python_floats():
+    # the error text reaches CLI coverage rows: no np.float64(...) reprs
+    geo = ds.NetworkGeometry.pairs([[0.0, 0.0]], [[2.0, 0.0]])
+    K = ds.MarginalKernel.from_matrix([[0.5]])
+    model = ds.TabulatedPathLoss(np.array([0.5, 1.0]), np.array([1.0, 0.5]))
+    [link] = ds.full_report(geo, K, ds.PropagationParams(model, threshold=1.0)).links
+    assert link.error == "distance 2.0 outside tabulated range [0.5, 1.0]"
 
 
 def test_coverage_kernel_matches_scalar_reference():

@@ -373,10 +373,15 @@ def test_scale_kernel_inputs():
     K = ds.MarginalKernel.from_matrix([[0.5, 0.2], [0.2, 0.5]])
     by_map = ds.scale_kernel(K, {0: 0.0, 1: 0.75})
     np.testing.assert_allclose(by_map, [[0.5, 0.1], [0.1, 0.125]], atol=1e-15)
-    with pytest.raises(ds.BadScaling):
+    # the message prints a Python float, not numpy >= 2's np.float64(1.5)
+    with pytest.raises(ds.BadScaling) as e:
         ds.scale_kernel(K, np.array([0.0, 1.5]))
+    assert str(e.value) == "scaling values must lie in [0, 1], found 1.5"
     with pytest.raises(ds.BadScaling):
         ds.scale_kernel(K, np.array([-0.2, 0.5]))
+    with pytest.raises(ds.BadScaling) as e:
+        ds.scale_kernel(K, [math.nan, 0.5])
+    assert str(e.value) == "scaling values must lie in [0, 1], found nan"
     with pytest.raises(ds.BadScaling):
         ds.scale_kernel(K, {0: 0.5})
     with pytest.raises(ds.BadScaling):

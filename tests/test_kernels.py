@@ -189,3 +189,29 @@ def test_build_accepts_network_geometry():
     geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]])
     K = ds.build_K(ds.GaussianSpec(sigma=2.0), geo)
     assert K.n == 2
+
+
+def test_constructors_return_exactly_symmetric_matrices():
+    # the closed forms' batched Palm downdate skips palm_reduced's
+    # symmetrize pass, which is bit-exact only on exactly symmetric input
+    rng = np.random.default_rng(41)
+    n = 6
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    skew = 1e-11 * rng.normal(size=(n, n))  # inside SYMMETRY_TOL
+    plain = (q * rng.uniform(0.1, 0.9, size=n)) @ q.T + skew
+    edge = (q * np.array([-5e-10, 0.2, 0.4, 0.6, 0.8, 1.0 + 5e-10])) @ q.T + skew
+    vals = np.linalg.eigvalsh((edge + edge.T) / 2.0)
+    assert vals[0] < 0.0 and vals[-1] > 1.0  # from_matrix re-projects it
+    L = ds.LEnsemble.from_matrix(random_psd_l(rng, n))
+    pts = rng.uniform(0.0, 1.0, size=(n, 2))
+    specs = [ds.GaussianSpec(sigma=0.7, scale=2.0),
+             ds.QualitySimilaritySpec(rng.uniform(0.5, 2.0, size=n), random_psd_l(rng, n)),
+             ds.ExplicitMarginalSpec(plain),
+             ds.ExplicitLSpec(random_psd_l(rng, n)),
+             ds.AlohaSpec(rng.uniform(0.0, 0.9, size=n))]
+    kernels = [ds.MarginalKernel.from_matrix(plain), ds.MarginalKernel.from_matrix(edge),
+               ds.l_to_k(L), ds.k_to_l(ds.MarginalKernel.from_matrix(plain))]
+    kernels += [ds.build_K(spec, pts) for spec in specs]
+    kernels += [ds.palm_reduced(K, x) for K in kernels[:3] for x in K.node_ids]
+    for kernel in kernels:
+        assert np.array_equal(kernel.matrix, kernel.matrix.T)

@@ -42,10 +42,24 @@ def test_tabulated_path_loss():
     assert ds.path_loss(model, 0.5) == pytest.approx(0.75)
     assert ds.path_loss(model, 1.5) == pytest.approx(0.375)
     assert ds.path_loss(model, 2.0) == pytest.approx(0.25)
-    with pytest.raises(ds.BadArgument):
+    # the message prints Python floats, not numpy >= 2's np.float64(2.0)
+    with pytest.raises(ds.BadArgument) as e:
         ds.path_loss(model, 2.1)
+    assert str(e.value) == "distance 2.1 outside tabulated range [0.0, 2.0]"
     with pytest.raises(ds.BadArgument):
         ds.path_loss(model, -0.1)
+
+
+def test_nan_distance_raises_under_both_models():
+    table = ds.TabulatedPathLoss(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+    for model in (ds.PowerLawPathLoss(1.0, 2.0), table):
+        p = _params(pathloss=model, noise=0.1)
+        with pytest.raises(ds.BadArgument, match="distance must be a number, got nan"):
+            ds.path_loss(model, math.nan)
+        with pytest.raises(ds.BadArgument):
+            ds.interferer_factor(math.nan, 0.5, p)
+        with pytest.raises(ds.BadArgument):
+            ds.noise_factor(math.nan, p)
 
 
 def test_tabulated_path_loss_validation():
