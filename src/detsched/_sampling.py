@@ -15,7 +15,9 @@ block's padding and per-block set-up, which cost more than they save for one
 draw.  Both consume the uniforms identically.  The block form stores the
 Gram-Schmidt vectors step-major, (draw, step, point), so a draw's first t
 steps are one contiguous prefix and both projections of a step are
-``np.matmul`` over the stack of draws.
+``np.matmul`` over the stack of draws; a step's update runs only for the
+draws that select again (``live[t + 1]``), since a draw whose last pick is
+step t never reads it.
 """
 
 import math
@@ -87,25 +89,31 @@ def select_block(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray
     Gram-Schmidt vector of step t over the n points.
     """
     R, n = sel.shape
-    k = sel.sum(axis=1)
+    # 0/1 rows counted by matmuls: faster than reductions over n when rows
+    # are many, as fast when they are few
+    ones = np.ones(n, dtype=np.intp)
+    k = sel @ ones
     order = np.argsort(-k, kind="stable")
-    k = k[order]
-    u = u[order]
-    V = vecs[None, :, :] * sel[order][:, None, :]
+    kmax = int(k[order[0]])
+    live = np.searchsorted(-k[order], -np.arange(kmax + 1), side="left").tolist()  # draws with k > t
+    order = order[:live[0]]  # the draws that select at all
+    u = u.take(order, axis=0)
+    V = vecs * sel.take(order, axis=0)[:, None, :]
     norms = (V * V).sum(axis=2)
-    kmax = int(k[0])
-    C = np.zeros((R, kmax, n))
+    # a draw reads only the vectors of its own earlier steps
+    C = np.empty((len(order), kmax, n))
     mask = np.zeros((R, n), dtype=bool)
-    live = np.searchsorted(-k, -np.arange(kmax), side="left")  # draws with k > t
-    rows = np.arange(R)
+    rows = np.arange(len(order))
     for t in range(kmax):
-        m = int(live[t])
-        r = rows[:m]
+        m = live[t]
         cum = np.cumsum(norms[:m], axis=1)
-        x = (cum <= u[:m, t:t + 1] * cum[:, -1:]).sum(axis=1)
+        x = (cum <= u[:m, t:t + 1] * cum[:, -1:]) @ ones
         mask[order[:m], x] = True
-        if t + 1 == kmax:
+        # only the draws that select again read this step's update
+        m = live[t + 1]
+        if not m:
             break
+        r, x = rows[:m], x[:m]
         c = np.matmul(V[:m], V[r, x][:, :, None])[:, :, 0]
         if t:
             c -= np.matmul(C[r, None, :t, x], C[:m, :t])[:, 0]

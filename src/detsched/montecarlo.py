@@ -24,14 +24,15 @@ hash and PCG64's stepping as array arithmetic, with no generator object),
 which tests pin to ``substream`` bit for bit, a head of 2n uniforms per
 draw for the coins and the selection.  Coverage then reads only the fading
 rows of scheduled transmitters, each from where it starts in the stream
-(``rng._advance``).  Delay replications run in blocks too: in each slot
+(``rng._advance`` past the draw, then ``rng._fill`` at the row's offset).
+Delay replications run in blocks too: in each slot
 every live replication draws through ``_sampling.draw_mask`` and fills its
 fading row from its own substream, and one SINR test judges them all.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -133,7 +134,8 @@ def _draws(lvals: np.ndarray, lvecs: np.ndarray, seed: int, keys):
         state, inc = _pcg64_states(seed, keys[lo:lo + step])
         head = _fill(state, inc, 2 * n)
         sel = head[:, :n] < lvals / (1.0 + lvals)
-        yield ((state, inc), np.count_nonzero(sel, axis=1),
+        # a matmul counts 0/1 rows faster than a reduction over n
+        yield ((state, inc), sel @ np.ones(n, dtype=np.intp),
                _sampling.select_block(lvecs, sel, head[:, n:]))
 
 
@@ -141,10 +143,11 @@ class _Arena:
     """Precomputed quantities shared by every replication of one simulation.
 
     ``loss`` is the channel table's path loss from each node to each
-    receiver slot, zero where the node deafens the slot; ``deafening`` marks
-    the (node, slot) entries that, when the node transmits, leave the slot
-    unable to decode anything: the channel's drowned entries (zero distance
-    under a singular path loss) and the slot's own silent node.
+    receiver slot, zero where the node deafens the slot; ``deafening`` is 1.0
+    at the (node, slot) entries that, when the node transmits, leave the slot
+    unable to decode anything (the channel's drowned entries, zero distance
+    under a singular path loss, and the slot's own silent node), else 0.0, so
+    a float matmul of the masks counts each slot's deafeners exactly.
     ``keys``, ``tx`` and ``rx`` list the links whose success is tested, the
     links of the geometry's table whose signal is not drowned: an int per
     dedicated link, a (tx, rx) tuple per txrx link.
@@ -164,16 +167,18 @@ class _Arena:
         if geometry.mode == "pairs" and not defined.all():
             bad = int(tx[~defined][0])
             raise SingularDistance(f"link {bad} has zero length under a singular path loss")
-        self.deafening = drowned
-        self.deafening[silent[silent >= 0], rx[silent >= 0]] = True
+        deafening = drowned
+        deafening[silent[silent >= 0], rx[silent >= 0]] = True
         # a silent node's entry is never judged; any other entry the scalar
         # path loss cannot evaluate fails with its error
-        bad = np.argwhere(np.isnan(loss) & ~self.deafening)
+        bad = np.argwhere(np.isnan(loss) & ~deafening)
         if len(bad):
             path_loss(params.pathloss, dist[tuple(bad[0])])
-        self.loss = np.where(self.deafening, 0.0, loss)
+        self.loss = np.where(deafening, 0.0, loss)
+        self.deafening = deafening.astype(float)
         self.tx, self.rx = tx[defined], rx[defined]
-        self.keys = list(compress(geometry.link_keys(), defined.tolist()))
+        self.keys = (self.tx.tolist() if geometry.mode == "pairs"
+                     else list(zip(self.tx.tolist(), self.rx.tolist())))
 
     def track(self, keys) -> list:
         """Restrict the SINR test to the links ``keys``, in that order, and
@@ -197,13 +202,22 @@ class _Arena:
         deafened, and the signal clears the threshold over noise plus every
         other scheduled node's power at the slot."""
         p = self.params
-        power = fading * self.loss
-        total = np.where(mask[..., :, None], power, 0.0).sum(axis=-2)
-        deaf = (mask[..., :, None] & self.deafening).any(axis=-2)
+        # scheduled nodes' powers, else 0, node-major: summing whole planes in
+        # node order is np.where(mask, fading * loss, 0).sum(axis=-2) bit for
+        # bit, faster (a link whose transmitter is off fails regardless)
+        scheduled = np.zeros((self.n, *mask.shape[:-1], self.n))
+        power = scheduled.transpose(*range(1, mask.ndim), 0, mask.ndim)
+        np.multiply(fading, self.loss, out=power, where=mask[..., :, None])
         signal = power[..., self.tx, self.rx]
-        interference = total[..., self.rx] - signal
-        return (mask[..., self.tx] & ~deaf[..., self.rx]
-                & (signal > p.threshold * (p.noise + interference)))
+        # threshold * (noise + interference), in place: fewer large temporaries
+        bound = scheduled.sum(axis=0)[..., self.rx]
+        bound -= signal
+        bound += p.noise
+        bound *= p.threshold
+        ok = signal > bound
+        ok &= mask[..., self.tx]
+        ok &= ~(mask @ self.deafening > 0)[..., self.rx]
+        return ok
 
     def block_counts(self, seed: int, reps: range) -> np.ndarray:
         """Summed success indicators of replications ``reps``, one slot each.
@@ -212,23 +226,22 @@ class _Arena:
         one uniform per selected point (``_draws``), then the n-by-n fading
         block.  Only the fading rows of scheduled transmitters are read, so
         each is filled from where it starts, into a zeroed (rows, n, n)
-        block: a row's seeded state jumps past its coins and selection, then
-        by whole fading rows of n to each of its transmitters, so the jump
-        tables grow with n, not n squared.  The rows of silent nodes stay
-        zero, and ``success`` masks them out.
+        block: a row's seeded state jumps past its coins and selection, and
+        each of its transmitters' fill starts whole fading rows of n on, its
+        first chunk one jump away, so the jump tables grow as n sqrt n, not
+        n squared.  The rows of silent nodes stay zero, and ``success``
+        masks them out.
         """
         n = self.n
         counts = 0
         for (state, inc), k, mask in _draws(self.lvals, self.lvecs, seed, reps):
-            # each row's state past its coins and selection, then past i
-            # fading rows of n for its scheduled transmitter i
+            # transmitter i's fading row is row i of n past the draw's n + k
             after = _advance(state, inc, n + k)
             r, i = np.nonzero(mask)
-            run_inc = tuple(w[r] for w in inc)
-            start = _advance(tuple(w[r] for w in after), run_inc, i, n)
+            u = _fill(tuple(w[r] for w in after), tuple(w[r] for w in inc), n, i)
             fading = np.zeros((len(mask), n, n))
-            fading[r, i] = -self.params.fading_mean * np.log1p(-_fill(start, run_inc, n))
-            counts = counts + self.success(mask, fading).sum(axis=0)
+            fading[r, i] = np.log1p(np.negative(u, out=u), out=u) * -self.params.fading_mean
+            counts = counts + np.ones(len(mask)) @ self.success(mask, fading)
         return counts
 
 
@@ -274,7 +287,12 @@ def _bernoulli_estimates(successes: np.ndarray, reps: int) -> list:
     else:
         std = np.zeros_like(p)
     se = std / math.sqrt(reps)
-    return list(map(Estimate, p.tolist(), se.tolist(), repeat(reps)))
+    # filling each instance dict gives the same Estimate as the frozen
+    # __init__, without its object.__setattr__ per field, in half the time
+    out = list(map(object.__new__, repeat(Estimate, len(p))))
+    for fields, mean, err in zip(map(vars, out), p.tolist(), se.tolist()):
+        fields["mean"], fields["std_error"], fields["replications"] = mean, err, reps
+    return out
 
 
 def _simulate_coverage(geometry, L, params, plan: SimulationPlan, mode=None) -> dict:

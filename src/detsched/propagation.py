@@ -295,7 +295,7 @@ def interferer_factor(
     ell_r = path_loss(params.pathloss, signal_distance)
     if ell_r <= 0:
         raise DegenerateSignal(
-            f"path loss at signal distance {signal_distance!r} is {ell_r!r}"
+            f"path loss at signal distance {float(signal_distance)!r} is {ell_r!r}"
         )
     if _drowned(params.pathloss, interferer_distance):
         return 0.0
@@ -314,7 +314,7 @@ def noise_factor(signal_distance: float, params: PropagationParams) -> float:
     ell_r = path_loss(params.pathloss, signal_distance)
     if ell_r <= 0:
         raise DegenerateSignal(
-            f"path loss at signal distance {signal_distance!r} is {ell_r!r}"
+            f"path loss at signal distance {float(signal_distance)!r} is {ell_r!r}"
         )
     if params.threshold == 0 or params.noise == 0:
         return 1.0

@@ -28,9 +28,10 @@ double (rotr64(high ^ low, high >> 58) >> 11) * 2^-53.  j steps make the
 affine map x -> A_j * x + C_j * inc, with A_j = M^j and C_j = M^(j-1) +
 ... + 1 (F. Brown, "Random number generation with arbitrary strides",
 1994), so the state before any draw is a multiply-add away from the seeded
-state: ``_advance`` jumps each state by its own count of a stride, and
-``_fill`` starts from any states, so a caller can read a stream's uniforms
-from any position without generating the ones before it.  Tests pin
+state: ``_advance`` jumps each state by its own count of draws, and
+``_fill`` starts from any states, or whole rows of its width past them, so
+a caller can read a stream's uniforms from any position without generating
+the ones before it.  Tests pin
 ``block_uniforms``, ``_advance`` and ``_fill`` to ``substream`` bit for
 bit, seeded states included.
 """
@@ -46,7 +47,8 @@ _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LOW, _1, _11, _32, _58, _63 = (np.uint64(v) for v in (_MASK32, 1, 11, 32, 58, 63))
+# 0-d arrays, which numpy's ufuncs take faster than uint64 scalars
+_LOW, _1, _11, _32, _58, _63 = (np.array(v, dtype=np.uint64) for v in (_MASK32, 1, 11, 32, 58, 63))
 _MULT_A4 = np.uint32(pow(_MULT_A, 4, 1 << 32))
 
 
@@ -56,43 +58,46 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _hashmix(value, h, mult=_MULT_A):
-    """SeedSequence's hash step on broadcast uint32 arrays, whose hash
-    constant is h before the step."""
-    value = value ^ h
-    value = (value * (h * mult & _MASK32)) & _MASK32
+def _hashmix(value, hm):
+    """SeedSequence's hash step on broadcast uint32 arrays (which wrap mod
+    2^32), whose hash constant h and multiplier h * mult are ``hm``."""
+    h, m = hm
+    value = (value ^ h) * m
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    r = _MIX_L * x - _MIX_R * y
     return r ^ (r >> 16)
 
 
 @functools.lru_cache(maxsize=None)
 def _constants(h, mult, k):
-    """Column of the k consecutive hash constants h, h*mult, h*mult^2, ...
-    (cached: h after a seed depends only on the seed's word count)."""
-    return np.array([h * pow(mult, t, 1 << 32) & _MASK32 for t in range(k)],
-                    dtype=np.uint32)[:, None]
+    """The k consecutive hash constants h, h*mult, h*mult^2, ... over their
+    products with mult, shaped (2, k, 1) (cached: h after a seed depends
+    only on the seed's word count)."""
+    hs = [h * pow(mult, t, 1 << 32) & _MASK32 for t in range(k)]
+    return np.array([hs, [x * mult & _MASK32 for x in hs]], dtype=np.uint32)[..., None]
 
 
-def _words(values, shape):
-    """128-bit Python ints as a (high, low) pair of uint64 arrays."""
-    return tuple(np.array([v >> s & _MASK64 for v in values], dtype=np.uint64).reshape(shape)
-                 for s in (64, 0))
+def _table(jumps, shape):
+    """(A, C) pairs of 128-bit Python ints as a (4, 2, *shape) uint64 array:
+    each one's high word, low word, and the low word's two 32-bit halves."""
+    return np.array([[[v >> s & m for v in col] for col in zip(*jumps)] for s, m in
+                     ((64, _MASK64), (0, _MASK64), (0, _MASK32), (32, _MASK32))],
+                    dtype=np.uint64).reshape(4, 2, *shape)
 
 
-# PCG64's multiplier as a (high, low) pair
-_M = _words([_PCG_MULT], (1,))
+# PCG64's multiplier as the (4, 1) words ``_mul`` takes
+_M = _table([(_PCG_MULT, 0)], (1,))[:, 0]
 
 
 def _mul(x, k):
-    """x * k mod 2^128 for (high, low) pairs of broadcasting uint64 arrays;
-    the high word of the low words' product is summed from 32-bit halves."""
-    (xh, xl), (kh, kl) = x, k
+    """x * k mod 2^128 for a (high, low) pair of uint64 arrays x and the
+    four words of a ``_table`` entry k, broadcasting; the high word of the
+    low words' product is summed from 32-bit halves."""
+    (xh, xl), (kh, kl, k0, k1) = x, k
     x0, x1 = xl & _LOW, xl >> _32
-    k0, k1 = kl & _LOW, kl >> _32
     t = x1 * k0
     p = x0 * k0
     p >>= _32
@@ -116,6 +121,14 @@ def _add(x, y):
     xh += yh
     xh += xl < yl
     return x
+
+
+def _affine(state, inc, jump):
+    """A * state + C * inc for a ``_table`` jump (A, C), as one product of
+    (state, inc) stacked on the table's A/C axis."""
+    pad = (slice(None),) + (None,) * (jump.ndim - 3)
+    high, low = _mul([np.array(w)[pad] for w in zip(state, inc)], jump)
+    return _add((high[0], low[0]), (high[1], low[1]))
 
 
 def _doubles(x, out):
@@ -146,32 +159,38 @@ def _strides(count: int, a: int = _PCG_MULT, c: int = 1) -> list:
 @functools.lru_cache(maxsize=None)
 def _jumps(width: int):
     """``_fill``'s chunk length b (about sqrt(width)) and chunk count at this
-    width, and the (A_j, C_j) of its jumps as (high, low) word pairs: for
-    j = 1..b, shaped (b, 1), and for j = b, 2b, ... below the width, shaped
-    (chunks - 1, 1, 1)."""
+    width, and the ``_table`` of its later chunks' jumps j = b, 2b, ...
+    below the width, shaped (4, 2, chunks - 1, 1, 1)."""
     b = math.isqrt(max(width, 1) - 1) + 1
-    head = _strides(b + 1)[1:]
-    tail = _strides(-(-width // b), *head[-1])[1:]
-    return (b, 1 + len(tail), [_words(col, (b, 1)) for col in zip(*head)],
-            [_words(col, (-1, 1, 1)) for col in zip(*tail)])
+    tail = _strides(-(-width // b), *_strides(b + 1)[-1])
+    return b, len(tail), _table(tail, (-1, 1, 1))[:, :, 1:]
 
 
 @functools.lru_cache(maxsize=None)
-def _stride_table(size: int, stride: int):
-    """``_strides`` of ``size`` jumps of ``stride`` draws each, as (high,
-    low) word pairs shaped (size,)."""
-    return [_words(col, (size,)) for col in zip(*_strides(size, *_strides(stride + 1)[-1]))]
+def _starts(width: int, size: int):
+    """The ``_table`` of the jumps s * width + j for s below ``size`` and
+    j = 1..b, shaped (4, 2, b, size): the first chunk of ``_fill``'s row s,
+    the row's jump (A_s, C_s) composed with the chunk's (A_j, C_j) as
+    (A_j A_s, A_j C_s + C_j), in array arithmetic."""
+    (a_hi, c_hi), (a_lo, c_lo) = _table(_strides(size, *_strides(width + 1)[-1]), (size,))[:2]
+    head = _table(_strides(_jumps(width)[0] + 1)[1:], (-1, 1))
+    (ah, al), (ch, cl) = _mul((a_hi, a_lo), head[:, 0]), _add(_mul((c_hi, c_lo), head[:, 0]), head[:2, 1])
+    return np.array([[ah, ch], [al, cl], [al & _LOW, cl & _LOW], [al >> _32, cl >> _32]])
 
 
-def _advance(state, inc, steps, stride: int = 1):
-    """The states ``steps * stride`` draws on, each by its own count (an int
-    array shaped like the states): A_c * state + C_c * inc.  The table of
-    (A_c, C_c) holds one entry per count up to the next power of two above
-    the largest, so a long jump is best taken as a few counts of a long
-    stride."""
-    (a_hi, a_lo), (c_hi, c_lo) = _stride_table(
-        1 << int(np.max(steps, initial=0)).bit_length(), stride)
-    return _add(_mul(state, (a_hi[steps], a_lo[steps])), _mul(inc, (c_hi[steps], c_lo[steps])))
+@functools.lru_cache(maxsize=None)
+def _count_table(size: int):
+    """The ``_table`` of the jumps of 0 to ``size`` - 1 draws, shaped (4, 2,
+    size)."""
+    return _table(_strides(size), (size,))
+
+
+def _advance(state, inc, steps):
+    """The states ``steps`` draws on, each by its own count (an int array
+    shaped like the states): A_c * state + C_c * inc, from a table of one
+    entry per count up to the next power of two above the largest."""
+    table = _count_table(1 << int(np.max(steps, initial=0)).bit_length())
+    return _affine(state, inc, table.take(steps, axis=-1))
 
 
 def _key_words(keys):
@@ -202,18 +221,18 @@ def _pcg64_states(seed: int, keys):
     # pool words mix in the word hashed with 4 consecutive constants, which
     # depend on the word position alone; keys with fewer words stop early
     pool = np.random.SeedSequence(seed).pool[:, None].repeat(len(rest), axis=1)
-    hs = _constants(h, _MULT_A, 4)
+    hm = _constants(h, _MULT_A, 4)
     present = np.ones(len(rest), dtype=bool)
     while present.any():
-        v = _hashmix((rest & _MASK32).astype(np.uint32), hs)
+        v = _hashmix((rest & _MASK32).astype(np.uint32), hm)
         pool = np.where(present, _mix(pool, v), pool)
-        hs = hs * _MULT_A4
+        hm = hm * _MULT_A4
         rest = rest >> 32
         present = rest > 0
     # generate_state(4, uint64) hashes the pool twice over into 4 uint64s,
     # little-endian word pairs; PCG64 joins them high first into s and q
     # and seeds with inc = 2q + 1, state = (inc + s) * M + inc
-    half = _hashmix(pool[[0, 1, 2, 3] * 2], _constants(_INIT_B, _MULT_B, 8), _MULT_B)
+    half = _hashmix(pool[[0, 1, 2, 3] * 2], _constants(_INIT_B, _MULT_B, 8))
     half = half.astype(np.uint64)
     s_hi, s_lo, q_hi, q_lo = half[0::2] | half[1::2] << _32
     inc = (q_hi << _1 | q_lo >> _63, q_lo << _1 | _1)
@@ -221,24 +240,28 @@ def _pcg64_states(seed: int, keys):
     return state, inc
 
 
-def _fill(state, inc, width: int) -> np.ndarray:
-    """(rows, width) array whose row r is the ``width`` doubles PCG64 draws
-    next from state ``(state[r], inc[r])``; the states are left as they were.
+def _fill(state, inc, width: int, rows=None) -> np.ndarray:
+    """(states, width) array whose row r is the ``width`` doubles PCG64
+    draws next from state ``(state[r], inc[r])``, or, given ``rows``, the
+    ``width`` doubles that follow the first ``rows[r] * width`` of them; the
+    states are left as they were.
 
     Columns come in chunks of b, about sqrt(width): the first chunk's
-    states are one jump each from the given states, every later chunk's one
+    states are one jump each from the given states (``_starts``: b entries
+    per row, O(n sqrt n) for up to n rows of n), every later chunk's one
     jump from the first chunk's.  States are laid out (chunk, column, row),
     so numpy's inner loops run over rows or whole chunks.  The later chunks
     are generated in one pass, whose temporaries hold a few times the
     output's size; callers bound the fill (coverage fills stay near 1 MB).
     """
-    b, chunks, head, tail = _jumps(width)
-    rows = len(inc[0])
-    out = np.empty((rows, chunks * b))
-    grid = out.reshape(rows, chunks, b).transpose(1, 2, 0)
-    first = _add(_mul(state, head[0]), _mul(inc, head[1]))
-    if tail:
-        _doubles(_add(_mul(first, tail[0]), _mul(inc, tail[1])), grid[1:])
+    b, chunks, tail = _jumps(width)
+    jump = _starts(width, 1 if rows is None else 1 << int(np.max(rows, initial=0)).bit_length())
+    first = _affine(state, inc, jump if rows is None else jump.take(rows, axis=-1))
+    count = len(inc[0])
+    out = np.empty((count, chunks * b))
+    grid = out.reshape(count, chunks, b).transpose(1, 2, 0)
+    if chunks > 1:
+        _doubles(_add(_mul(first, tail[:, 0]), _mul(inc, tail[:, 1])), grid[1:])
     _doubles(first, grid[0])
     return out[:, :width]
 

@@ -121,7 +121,10 @@ def test_simulation_deterministic_and_worker_invariant():
 def _replay_coverage(geo, L, params, plan):
     """Per-link success counts replayed replication by replication from the
     stream contract: n coins, one uniform per selected point (selection by
-    the loop reference), then the n-by-n fading block, row major."""
+    the loop reference), then the n-by-n fading block, row major.  Under a
+    path loss singular at zero distance, a scheduled node on top of a
+    receiver drowns it, and a link of zero length has no signal (its count
+    stays 0)."""
     n = geo.n
     lvals, lvecs = np.linalg.eigh(L.matrix)
     lvals = np.clip(lvals, 0.0, None)
@@ -129,10 +132,11 @@ def _replay_coverage(geo, L, params, plan):
         tx, rx = geo.transmitters, geo.receivers
     else:
         tx = rx = geo.nodes
-    beta = params.pathloss.exponent
+    model = params.pathloss
 
     def loss(z, i):
-        return float(np.linalg.norm(tx[z] - rx[i])) ** (-beta)
+        d = float(np.linalg.norm(tx[z] - rx[i]))
+        return None if model.singular_at_zero and d <= 1e-12 else ds.path_loss(model, d)
 
     hits = np.zeros((n, n), dtype=np.int64)
     for r in range(plan.replications):
@@ -147,8 +151,11 @@ def _replay_coverage(geo, L, params, plan):
         for i in scheduled:
             receivers = [i] if geo.mode == "pairs" else [j for j in range(n) if j not in scheduled]
             for j in receivers:
+                others = [z for z in scheduled if z != i]
+                if loss(i, j) is None or any(loss(z, j) is None for z in others):
+                    continue
                 signal = fad[i, j] * loss(i, j)
-                interference = sum(fad[z, j] * loss(z, j) for z in scheduled if z != i)
+                interference = sum(fad[z, j] * loss(z, j) for z in others)
                 hits[i, j] += signal > params.threshold * (params.noise + interference)
     return hits
 
@@ -230,6 +237,43 @@ def test_block_boundaries_do_not_change_estimates(monkeypatch):
             if g.mode == "pairs":
                 default = {(i, i): est for i, est in enumerate(default)}
             for (i, j), est in default.items():
+                assert est.mean * plan.replications == pytest.approx(hits[i, j], abs=1e-9)
+
+
+def test_replay_with_coincident_nodes_and_tabulated_loss(monkeypatch):
+    # two coincident nodes under a power law: the links between them have
+    # no signal, each drowns the other's slot, and every receiving node
+    # deafens its own slot, all through one deafening table; then a
+    # tabulated loss, bounded at zero distance, in both modes.  Counts
+    # replay rep by rep at one and 7 rows a block
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(0.0, 1.0, size=(5, 2))
+    pts[3] = pts[1]
+    tgeo = ds.NetworkGeometry.txrx(pts)
+    pgeo, _ = _instance(32, n=5)
+    L = ds.LEnsemble.from_matrix(random_psd_l(rng, 5, scale=2.0))
+    table = ds.TabulatedPathLoss(np.array([0.0, 0.5, 1.0, 2.0]),
+                                 np.array([1.5, 0.6, 0.25, 0.05]))
+    plan = ds.SimulationPlan(300, 2**64 + 31)
+    cases = [(tgeo, _power_params(tau=0.5, noise=0.05)),
+             (tgeo, ds.PropagationParams(table, threshold=0.5, noise=0.05)),
+             (pgeo, ds.PropagationParams(table, threshold=0.5, noise=0.05))]
+    for geo, params in cases:
+        hits = _replay_coverage(geo, L, params, plan)
+        assert hits.sum() > 0
+        for rows in (1, 7):
+            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", rows * 8 * (2 * 5 + 5 ** 2))
+            if geo.mode == "pairs":
+                got = dict(enumerate(ds.simulate_pair_coverage(geo, L, params, plan)))
+                got = {(i, i): est for i, est in got.items()}
+            else:
+                got = ds.simulate_txrx(geo, L, params, plan)
+            monkeypatch.undo()
+            singular = geo.mode == "txrx" and params.pathloss.singular_at_zero
+            assert len(got) == (5 if geo.mode == "pairs" else 18 if singular else 20)
+            if geo.mode == "txrx":
+                assert ((1, 3) in got) == ((3, 1) in got) == (not singular)
+            for (i, j), est in got.items():
                 assert est.mean * plan.replications == pytest.approx(hits[i, j], abs=1e-9)
 
 
@@ -357,6 +401,26 @@ def test_bernoulli_estimates_match_scalar_reference():
         got = montecarlo._bernoulli_estimates(counts, reps)
         assert got == [bernoulli_estimate(c, reps) for c in range(reps + 1)]
         assert all(type(e.mean) is float and type(e.std_error) is float for e in got)
+
+
+def test_bernoulli_estimates_are_ordinary_estimates():
+    # the estimates are built without the frozen __init__; each must still
+    # be an Estimate in every observable way: equality, hash, repr,
+    # frozenness, asdict, pickling, and Python float / int fields
+    import dataclasses
+    import pickle
+
+    for reps in (1, 7):
+        for got, c in zip(montecarlo._bernoulli_estimates(np.arange(reps + 1), reps), range(reps + 1)):
+            ref = bernoulli_estimate(c, reps)
+            assert type(got) is montecarlo.Estimate
+            assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
+            assert [type(v) for v in vars(got).values()] == [float, float, int]
+            assert dataclasses.asdict(got) == dataclasses.asdict(ref)
+            assert pickle.dumps(got) == pickle.dumps(ref)
+            assert pickle.loads(pickle.dumps(got)) == ref
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.mean = 0.5
 
 
 def test_single_link_simulation_value():

@@ -154,6 +154,21 @@ def test_noise_factor_known_values():
     )
 
 
+def test_degenerate_signal_message_prints_python_floats():
+    # a numpy scalar distance prints as the float it holds, not numpy >= 2's
+    # np.float64(1.0)
+    table = ds.TabulatedPathLoss(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.0]))
+    p = _params(pathloss=table, noise=0.1)
+    expect = "path loss at signal distance 1.0 is 0.0"
+    for distance in (np.float64(1.0), 1.0, 1):
+        with pytest.raises(ds.DegenerateSignal) as e:
+            ds.noise_factor(distance, p)
+        assert str(e.value) == expect
+        with pytest.raises(ds.DegenerateSignal) as e:
+            ds.interferer_factor(0.5, distance, p)
+        assert str(e.value) == expect
+
+
 def _two_pair_geometry():
     # link 0: receiver one unit above tx0; tx1 two units from that receiver
     return ds.NetworkGeometry.pairs(

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detsched.rng import _advance, _fill, _jumps, _key_words, _pcg64_states, block_uniforms, substream
+from detsched.rng import (_advance, _fill, _jumps, _key_words, _pcg64_states, _starts,
+                          block_uniforms, substream)
 
 # word boundaries of the entropy (one to five 32-bit words; five leave no
 # zero padding) and of the spawn key (one to three words)
@@ -122,16 +123,23 @@ def test_advance_and_fill_stream_contract(seed, keys, width):
                      min_size=1, max_size=4),
        stride=st.integers(1, 1100))
 def test_advance_by_strides_matches_pcg64_advance(seed, keys, stride):
-    # counts of a long stride reach a million draws and more from a table
-    # that holds one entry per count
-    steps = np.array([c for _, c in keys])
+    # a fill of width ``stride`` at row offsets c gives each stream's
+    # doubles after c strides, a million draws and more on, its first chunk
+    # one jump from the seeded state from a table of one chunk's jumps per
+    # row; the seeded states do not move.  The table is cleared after each
+    # example, which would otherwise keep one per stride
+    rows = np.array([c for _, c in keys])
     keys = [key for key, _ in keys]
     state, inc = _pcg64_states(seed, keys)
-    refs = [_reference(seed, key) for key in keys]
-    for ref, c in zip(refs, steps.tolist()):
+    seeded = _state_dicts(state, inc)
+    got = _fill(state, inc, stride, rows)
+    assert _state_dicts(state, inc) == seeded
+    assert got.shape == (len(keys), stride)
+    for row, key, c in zip(got, keys, rows.tolist()):
+        ref = _reference(seed, key)
         ref.advance(c * stride)
-    got = _state_dicts(_advance(state, inc, steps, stride), inc)
-    assert [g["state"] for g in got] == [ref.state["state"] for ref in refs]
+        assert np.array_equal(row, np.random.Generator(ref).random(stride))
+    _starts.cache_clear()
 
 
 def test_range_keys_take_the_uint64_path():
