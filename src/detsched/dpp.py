@@ -82,47 +82,47 @@ def exact_pmf_array(kernel, max_size: int = ENUMERATION_CAP) -> np.ndarray:
     Bit b of the index is position b of the kernel's node ordering.  All
     principal minors come from one Schur-complement recursion (Griffin &
     Tsatsomeros, Linear Algebra Appl. 419 (2006)): det(M[S + {b}]) is
-    det(M[S]) times p, the leading entry of S's complement, and one rank-one
-    downdate gives the complement of S + {b}.  Work is sum_k 2^k (n - k)^2;
-    a pivot <= 0 marks a singular subset (in a PSD kernel, its supersets
-    too).  Ground sets over ``max_size`` raise EnumerationTooLarge.
+    det(M[S]) times p, the leading entry of S's complement, held masks last
+    in one (n - b, n - b, 2^b) array, and one rank-one downdate gives the
+    complement of S + {b}.  Work is sum_k 2^k (n - k)^2; a pivot <= 0 marks
+    a singular subset (in a PSD kernel, its supersets too).  Ground sets over
+    ``max_size`` raise EnumerationTooLarge.
     """
     n = kernel.n
     if n > max_size:
         raise EnumerationTooLarge(f"ground set of {n} nodes exceeds cap {max_size}")
-    # minors and complements of the subsets of positions 0..b-1, by bitmask
-    out = np.ones(1)
-    comp = kernel.matrix[None]
-    for _ in range(n):
-        piv = comp[:, 0, 0]
-        live = piv > 0.0
-        keep = comp[:, 1:, 1:]
-        f = comp[:, 1:, 0] / np.where(live, piv, 1.0)[:, None]
-        down = keep - f[:, :, None] * comp[:, None, 0, 1:]
-        down[~live] = 0.0
-        out = np.concatenate([out, np.where(live, out * piv, 0.0)])
-        comp = np.concatenate([keep, down])
+    out, comp = np.ones(1 << n), kernel.matrix[:, :, None]
+    for b in range(n):
+        m, prev = 1 << b, comp
+        live = prev[0, 0] > 0.0
+        out[m:2 * m] = np.where(live, out[:m] * prev[0, 0], 0.0)
+        f = prev[1:, 0] / np.where(live, prev[0, 0], 1.0)
+        comp = np.empty((n - b - 1, n - b - 1, 2 * m))
+        comp[:, :, :m] = prev[1:, 1:]
+        down = np.multiply(f[:, None], prev[0, 1:], out=comp[:, :, m:])
+        np.subtract(prev[1:, 1:], down, out=down)
+        down[:, :, ~live] = 0.0
     if isinstance(kernel, LEnsemble):
         out /= kernel.normalization
     else:
-        # Moebius inversion turns containment determinants into outcome
-        # probabilities; pair[:, 0] and pair[:, 1] are the masks without and with bit b
+        # Moebius inversion: pair[:, 0] -= pair[:, 1], masks without and with bit b;
+        # below bit 3 a pair fits a 64-byte line, so order F (a pass per column) wins
         for b in range(n):
             pair = out.reshape(-1, 2, 1 << b)
-            pair[:, 0] -= pair[:, 1]
-    tiny = (out < 0.0) & (out >= -CLAMP_TOL)
-    out[tiny] = 0.0
+            np.subtract(pair[:, 0], pair[:, 1], out=pair[:, 0], order="F" if b < 3 else "K")
+    out[(out < 0.0) & (out >= -CLAMP_TOL)] = 0.0
     return out
 
 
 def exact_pmf(kernel, max_size: int = ENUMERATION_CAP) -> dict:
     """Exact outcome distribution as {sorted node-id tuple: probability}."""
     arr = exact_pmf_array(kernel, max_size)
-    # subsets in mask order: bit b of a mask is node_ids[b]
-    keys = [()]
-    for i in kernel.node_ids:
+    # subsets in mask order (bit b is node_ids[b]); increasing ids give sorted tuples
+    keys, ids = [()], kernel.node_ids
+    for i in ids:
         keys += [k + (i,) for k in keys]
-    return dict(zip((tuple(sorted(k)) for k in keys), arr.tolist()))
+    keys = keys if list(ids) == sorted(ids) else [tuple(sorted(k)) for k in keys]
+    return dict(zip(keys, arr.tolist()))
 
 
 def _conditioning_of(kernel) -> tuple:

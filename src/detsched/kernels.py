@@ -51,6 +51,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _from_spectrum(vals: np.ndarray, vecs: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Symmetric matrix with eigenvalues ``vals`` on eigenvectors ``vecs``.
+
+    A node whose row and column are exactly zero in ``like`` stays exactly
+    zero: rounding in the product would otherwise leave entries of order
+    1e-17 there and schedule a never-scheduled node.
+    """
+    m = (vecs * vals) @ vecs.T
+    m = (m + m.T) / 2.0
+    dead = ~(like.any(axis=0) | like.any(axis=1))
+    m[dead] = 0.0
+    m[:, dead] = 0.0
+    return m
+
+
 def _resolve_ids(node_ids, n: int) -> tuple:
     if node_ids is None:
         return tuple(range(n))
@@ -115,8 +130,7 @@ class MarginalKernel(_NodeIndexed):
         clipped = np.clip(vals, 0.0, 1.0)
         if lo < 0.0 or hi > 1.0:
             # inside tolerance but outside the unit interval: project back
-            a = (vecs * clipped) @ vecs.T
-            a = (a + a.T) / 2.0
+            a = _from_spectrum(clipped, vecs, a)
         return cls._from_eigh(a, _resolve_ids(node_ids, a.shape[0]), clipped, vecs)
 
     @cached_property
@@ -167,8 +181,7 @@ def l_to_k(L: LEnsemble) -> MarginalKernel:
     """
     vals, vecs = L.eigh
     kvals = vals / (1.0 + vals)
-    m = (vecs * kvals) @ vecs.T
-    m = (m + m.T) / 2.0
+    m = _from_spectrum(kvals, vecs, L.matrix)
     return MarginalKernel._from_eigh(m, L.node_ids, kvals, vecs)
 
 
@@ -185,8 +198,7 @@ def k_to_l(K: MarginalKernel) -> LEnsemble:
             f"marginal kernel has eigenvalue {hi:.12g}, within {EIGENVALUE_TOL:g} of 1"
         )
     lvals = np.clip(vals / (1.0 - vals), 0.0, None)
-    m = (vecs * lvals) @ vecs.T
-    m = (m + m.T) / 2.0
+    m = _from_spectrum(lvals, vecs, K.matrix)
     return LEnsemble._from_eigh(m, K.node_ids, lvals, vecs)
 
 

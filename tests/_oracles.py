@@ -148,6 +148,25 @@ def exact_pmf_array_elimination(kernel, max_size=20):
     return _pmf_from_minors(kernel, minors)
 
 
+def exact_pmf_array_mask_first(kernel, max_size=20):
+    """Reference ``dpp.exact_pmf_array`` must equal bit for bit at any n:
+    the same Schur-complement recursion with the subsets on the first axis,
+    complements (2^b, n - b, n - b), grown level by level by concatenation."""
+    _check_cap(kernel, max_size)
+    out = np.ones(1)
+    comp = kernel.matrix[None]
+    for _ in range(kernel.n):
+        piv = comp[:, 0, 0]
+        live = piv > 0.0
+        keep = comp[:, 1:, 1:]
+        f = comp[:, 1:, 0] / np.where(live, piv, 1.0)[:, None]
+        down = keep - f[:, :, None] * comp[:, None, 0, 1:]
+        down[~live] = 0.0
+        out = np.concatenate([out, np.where(live, out * piv, 0.0)])
+        comp = np.concatenate([keep, down])
+    return _pmf_from_minors(kernel, out)
+
+
 def power_law(r, kappa, beta):
     return (kappa * r) ** (-beta)
 

@@ -14,6 +14,7 @@ from _oracles import (
     all_subsets,
     exact_pmf_array_elimination,
     exact_pmf_array_loops,
+    exact_pmf_array_mask_first,
     laplace_oracle,
     mean_size,
     phase2_loops,
@@ -104,11 +105,13 @@ def test_exact_pmf_size_cap():
 
 def test_exact_pmf_keys_values_and_order():
     # the dict pinned, order included, against the per-mask comprehension
-    # it replaced: sorted node-id tuples in mask order, on unsorted ids
+    # it replaced: sorted node-id tuples in mask order, on increasing ids
+    # (no sort per key) and on unsorted ones
     rng = np.random.default_rng(45)
     for n in range(1, 9):
         mat = random_psd_l(rng, n)
-        for ids in (list(rng.permutation(10 * n)[:n].tolist()),
+        picked = rng.permutation(10 * n)[:n].tolist()
+        for ids in (None, sorted(picked), picked, [chr(ord("a") + i) for i in range(n)],
                     [chr(ord("a") + i) for i in rng.permutation(n).tolist()]):
             kernel = ds.LEnsemble.from_matrix(mat, node_ids=ids)
             arr = exact_pmf_array(kernel)
@@ -148,6 +151,26 @@ def test_exact_pmf_array_matches_loop_reference():
             assert np.array_equal(got, exact_pmf_array_elimination(kernel)), (n, name)
             np.testing.assert_allclose(got, exact_pmf_array_loops(kernel), rtol=0, atol=1e-14,
                                        err_msg=f"n={n} {name}")
+
+
+def test_exact_pmf_array_bit_exact_at_n_13_to_18():
+    # n 13-18, beyond the scalar elimination's reach: bit for bit against the
+    # same recursion with the subsets on the first axis; a zero row at
+    # position 0 or n - 1 kills the pivot at the first or the last level
+    rng = np.random.default_rng(47)
+    for n in range(13, 19):
+        pts = rng.uniform(0.0, math.sqrt(n), size=(n, 2))
+        low = rng.normal(size=(n, n // 3))
+        ls = [ds.build_L(ds.GaussianSpec(sigma=0.7), pts), ds.LEnsemble.from_matrix(low @ low.T)]
+        for zero in (0, n - 1):
+            mat = random_psd_l(rng, n)
+            mat[zero, :] = mat[:, zero] = 0.0
+            ls.append(ds.LEnsemble.from_matrix(mat))
+        for i, L in enumerate(ls):
+            for kernel in (L, ds.l_to_k(L)):
+                got = exact_pmf_array(kernel)
+                want = exact_pmf_array_mask_first(kernel)
+                assert got.tobytes() == want.tobytes(), (n, i, type(kernel).__name__)
 
 
 def test_exact_pmf_array_subnormal_l_ensemble():
@@ -210,15 +233,7 @@ def test_exact_pmf_array_degenerate_kernels():
     for n in (8, 12, 16):
         zero = int(rng.integers(n))
         for name, L in _degenerate_l_ensembles(rng, n, zero).items():
-            K = ds.l_to_k(L)
-            if name == "zero row":
-                # l_to_k leaves entries of order 1e-17 in the node's row, and
-                # from_matrix would smear the zeros again whenever it projects
-                # an eigenvalue of -1e-18 back to 0
-                kmat = K.matrix.copy()
-                kmat[zero, :] = kmat[:, zero] = 0.0
-                K = ds.MarginalKernel(kmat, K.node_ids)
-            for kernel in (L, K):
+            for kernel in (L, ds.l_to_k(L)):
                 got = exact_pmf_array(kernel)  # RuntimeWarnings are errors here
                 where = (n, name, type(kernel).__name__)
                 assert np.isfinite(got).all(), where

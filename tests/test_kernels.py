@@ -4,7 +4,7 @@ import pytest
 import detsched as ds
 from detsched.kernels import EIGENVALUE_TOL, SYMMETRY_TOL
 
-from _oracles import random_psd_l
+from _oracles import random_marginal_k, random_psd_l
 
 
 def test_marginal_from_matrix_basic():
@@ -215,3 +215,58 @@ def test_constructors_return_exactly_symmetric_matrices():
     kernels += [ds.palm_reduced(K, x) for K in kernels[:3] for x in K.node_ids]
     for kernel in kernels:
         assert np.array_equal(kernel.matrix, kernel.matrix.T)
+
+
+def _spectral(kernel):
+    vals, vecs = kernel.eigh
+    m = (vecs * vals) @ vecs.T
+    return (m + m.T) / 2.0
+
+
+def _zero_row_cases(rng, make, count=200):
+    """``count`` matrices from ``make(n)``, n 4-16, each with and without an
+    exactly zero row and column at a random node."""
+    for _ in range(count):
+        n = int(rng.integers(4, 17))
+        mat, z = make(n), int(rng.integers(n))
+        dead = mat.copy()
+        dead[z, :] = dead[:, z] = 0.0
+        yield mat, dead, z
+
+
+def _assert_zero_node(matrix, z):
+    assert not matrix[z, :].any() and not matrix[:, z].any()
+
+
+def test_l_to_k_keeps_zero_rows_zero():
+    # a node with a zero row in L is never scheduled; rounding in the
+    # spectral product left entries of order 1e-17 in its row of K
+    rng = np.random.default_rng(51)
+    for mat, dead, z in _zero_row_cases(rng, lambda n: random_psd_l(rng, n)):
+        K = ds.l_to_k(ds.LEnsemble.from_matrix(mat))
+        assert np.array_equal(K.matrix, _spectral(K))  # no zero row: unchanged
+        _assert_zero_node(ds.l_to_k(ds.LEnsemble.from_matrix(dead)).matrix, z)
+
+
+def test_k_to_l_keeps_zero_rows_zero():
+    rng = np.random.default_rng(52)
+    for mat, dead, z in _zero_row_cases(rng, lambda n: random_marginal_k(rng, n, high=0.9)):
+        L = ds.k_to_l(ds.MarginalKernel.from_matrix(mat))
+        assert np.array_equal(L.matrix, _spectral(L))
+        _assert_zero_node(ds.k_to_l(ds.MarginalKernel.from_matrix(dead)).matrix, z)
+
+
+def test_marginal_reprojection_keeps_zero_rows_zero():
+    # eigh may return a zero row's eigenvalue as -1e-18, and from_matrix then
+    # projects the spectrum back into [0, 1]; the zero row must survive that
+    rng = np.random.default_rng(53)
+    reprojected = 0
+    for mat, dead, z in _zero_row_cases(rng, lambda n: random_marginal_k(rng, n)):
+        lo = np.linalg.eigvalsh(dead)[0]
+        reprojected += lo < 0.0
+        _assert_zero_node(ds.MarginalKernel.from_matrix(dead).matrix, z)
+    assert reprojected >= 20
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    edge = (q * np.array([-5e-10, 0.2, 0.4, 0.6, 0.8, 1.0 + 5e-10])) @ q.T
+    K = ds.MarginalKernel.from_matrix(edge)
+    assert np.array_equal(K.matrix, _spectral(K))  # no zero row: the plain projection
