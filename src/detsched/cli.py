@@ -605,8 +605,9 @@ def cmd_simulate(
     for target, key, est, censored in found:
         lr = closed[key]
         c = lr.coverage
-        if target == "delay":
-            c = (1.0 / c) if c else None
+        if target == "delay" and c is not None:
+            # the estimate records a censored replication at the cap
+            c = _coverage.local_delay(c).capped_mean(plan.delay_cap)
         rows.append((target, lr.transmitter, lr.receiver, _finite(c), _finite(est.mean), _finite(est.std_error),
                      _finite(_z_score(c, est.mean, est.std_error)), censored))
     if fmt == "csv":

@@ -22,22 +22,25 @@ and dividing by the probability the node is silent conditions on it.  A
 pairs link has no silent node (-1), so neither step applies and the same
 code computes the plain Palm determinant.
 
-``_evaluate`` runs blocks of rows through three stages, ``_discounts``,
-``_palms`` and ``_scaled``, then takes one stacked determinant, and
-``coverage_kernel`` runs the same stages.  They only compute: they repeat
-the floating-point operations of the scalar functions they replace
-(``palm_reduced``, ``scale_kernel``, ``interferer_factor``,
-``noise_factor``), so results equal theirs bit for bit.  ``_discounts``
-marks the rows that fail, and ``_failure`` replays each through that
-scalar chain for its error's type and message.  perfbench's tracer wraps
-these names here, so they stay module attributes, ``palm_semi_reduced``
-too: nothing here calls it, but ``perfbench/run.py --trace 1`` wraps it.
+``_evaluate`` runs blocks of rows through two stages, then one stacked
+determinant.  ``_discounts`` gives w, h and the silent node's probability q
+by the operations of ``noise_factor`` and ``interferer_factor``, and marks
+the rows that fail; ``_failure`` replays each through the scalar chain
+(``palm_reduced`` to ``scale_kernel``) for its error.  ``_bordered`` builds,
+on all n nodes, M = I - R K R with r_j = sqrt(1 - h_j), r_t = K_tt^(-1/2)
+and M[t, t] = -1: by the Schur complement on entry t, -det(M) equals
+det(I - K'_h) for the Palm kernel K' at t, so a row's value
+-w det(M) / (1 - q) needs no downdate.  ``coverage_kernel`` keeps the Palm
+block form, through ``palm_reduced`` and ``scale_kernel``.  perfbench's
+tracer wraps these names here, so they stay module attributes,
+``palm_semi_reduced`` too, which nothing here calls.
 """
 
 import hashlib
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -61,7 +64,7 @@ def _link(geometry, K, mode: str, transmitter, receiver=None) -> tuple:
     return geometry.link(transmitter, receiver)
 
 
-# Links are evaluated in blocks whose stacked matrices, one (n-1) x (n-1)
+# Links are evaluated in blocks whose stacked matrices, one n x n bordered
 # matrix per link, stay near this many bytes each.  512 KB: 256 KB left
 # blocks of 3 links at n = 100, and a block's few stacked temporaries
 # still fit a 2 MB L2 cache.
@@ -73,27 +76,26 @@ _quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 def _selections(K: MarginalKernel, rows: np.ndarray) -> np.ndarray:
     """Probability each row's transmitter is scheduled and its silent node
-    (if any, i.e. s >= 0) is not, floored at 0."""
-    t, s = rows[:, 0], rows[:, 2]
-    mat = K.matrix
-    sel = mat[t, t]
-    silent = s >= 0
-    if silent.any():
-        ts = np.stack([t[silent], s[silent]], axis=1)
-        sel[silent] -= np.linalg.det(mat[ts[:, :, None], ts[:, None, :]])
+    (if any, i.e. s >= 0) is not: K_tt - det(K on {t, s}), summed as
+    K_tt (1 - K_ss) + K_st^2 without its cancellation, floored at 0."""
+    mat, t, s = K.matrix, rows[:, 0], rows[:, 2]
+    sel = np.where(s >= 0, mat[t, t] * (1.0 - mat[s, s]) + mat[s, t] * mat[s, t], mat[t, t])
     return np.maximum(sel, 0.0)
 
 
 def _discounts(K, params, channel, t, s, c) -> tuple:
-    """Silent-node probabilities q, noise discounts w, interferer discounts
-    h (a column per node other than t) and the failed mask of rows
-    (t, ., s) at the channel columns ``c``.  A row fails on a pivot at most
-    PALM_PIVOT_TOL, q within CLAMP_TOL of 1, a signal loss not above 0, or
-    a discount that is NaN or leaves [0, 1] by more than CLAMP_TOL."""
+    """Probabilities 1 - q that the silent node stays silent given t
+    scheduled (1 without one), noise discounts w, interferer discounts h (a
+    column per node, 0 at t and at the silent node) and the failed mask of
+    rows (t, ., s) at the channel columns ``c``.  A row fails on a pivot at
+    most PALM_PIVOT_TOL, q within CLAMP_TOL of 1, a signal loss not above
+    0, or a discount that is NaN or leaves [0, 1] by more than CLAMP_TOL."""
     mat, theta = K.matrix, params.threshold
     _, loss, drowned = channel
     piv = mat[t, t]
     q = np.where(s >= 0, mat[s, s] - mat[s, t] * mat[s, t] / piv, 0.0)
+    # 1 - q as a sum of two nonnegative terms, without q's cancellation near 1
+    free = np.where(s >= 0, (1.0 - mat[s, s]) + mat[s, t] * mat[s, t] / piv, 1.0)
     signal = loss[t, c]
     if theta == 0 or params.noise == 0:
         w = np.ones(len(t))
@@ -101,17 +103,17 @@ def _discounts(K, params, channel, t, s, c) -> tuple:
         # noise_factor's exponent, its operations in its order
         rate = -(theta / params.fading_mean) * params.noise
         w = np.array([math.exp(rate / x) if x > 0 else 1.0 for x in signal.tolist()])
-    j = np.arange(K.n - 1)
-    ob = j + (j >= t[:, None])
     if theta == 0:
-        h = np.ones(ob.shape)
+        h = np.ones((len(t), K.n))
     else:
-        h = 1.0 / (theta * loss[ob, c[:, None]] / signal[:, None] + 1.0)
-    h[drowned[ob, c[:, None]]] = 0.0
-    h[ob == s[:, None]] = 0.0  # the silent node, whatever its loss
+        h = 1.0 / (theta * loss.T[c] / signal[:, None] + 1.0)
+    h[drowned.T[c]] = 0.0
+    node = np.arange(K.n)
+    # the transmitter, and the silent node whatever its loss
+    h[(node == t[:, None]) | (node == s[:, None])] = 0.0
     inside = ((h >= -CLAMP_TOL) & (h <= 1.0 + CLAMP_TOL)).all(axis=1)
     failed = (piv <= PALM_PIVOT_TOL) | (q >= 1.0 - CLAMP_TOL) | ~(signal > 0) | ~inside
-    return q, w, h, failed
+    return free, w, h, failed
 
 
 def _failure(K, params, dist: np.ndarray, t: int, s: int) -> DetschedError:
@@ -136,63 +138,39 @@ def _failure(K, params, dist: np.ndarray, t: int, s: int) -> DetschedError:
     raise AssertionError(f"row ({t}, ., {s}) failed in the batched pass only")
 
 
-def _palms(mat: np.ndarray, tx: np.ndarray) -> np.ndarray:
-    """One-fold Palm kernels of ``mat`` at each node in ``tx``, stacked, by
-    ``palm_reduced``'s downdate.  Its symmetrize pass is skipped: ``mat``
-    must be exactly symmetric, as every kernel constructor leaves it."""
-    n = mat.shape[0]
-    sub = np.empty((len(tx), n - 1, n - 1))
-    col = np.empty((len(tx), n - 1))
-    for k, t in enumerate(tx.tolist()):
-        # the kernel without row and column t, as four slices
-        sub[k, :t, :t] = mat[:t, :t]
-        sub[k, :t, t:] = mat[:t, t + 1:]
-        sub[k, t:, :t] = mat[t + 1:, :t]
-        sub[k, t:, t:] = mat[t + 1:, t + 1:]
-        col[k, :t], col[k, t:] = mat[:t, t], mat[t + 1:, t]
-    out = col[:, :, None] * col[:, None, :]
-    out /= mat[tx, tx][:, None, None]
-    return np.subtract(sub, out, out=out)
-
-
-def _scaled(P: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """I - K'_h for each stacked Palm kernel P[k] and its discounts h[k],
-    by the operations of ``scale_kernel``."""
+def _bordered(mat: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """M = I - R K R per row of discounts h, r_j = sqrt(1 - h_j) and
+    r_t = K_tt^(-1/2), with M[t, t] = -1 set directly (r_t K_tt r_t need not
+    round to 1); row and column t stay within 1 in size for any K_tt."""
     root = np.sqrt(1.0 - np.clip(h, 0.0, 1.0))
-    A = root[:, :, None] * root[:, None, :]
-    A *= P
-    return np.subtract(np.eye(P.shape[1]), A, out=A)
-
-
-def _blocks(geometry, K, params, rows: np.ndarray):
-    """Per block of ``rows``, in order: its failed rows' errors by position,
-    the factors w / (1 - q) and the stacked I - K'_h.  The path losses
-    come from one channel table to the rows' receiver slots, and each
-    transmitter of a block gets one Palm downdate."""
-    slots, col_of = np.unique(rows[:, 1], return_inverse=True)
-    channel = _channel(params.pathloss, geometry.transmitter_points(),
-                       geometry.receiver_points()[slots])
-    step = max(1, _BLOCK_BYTES // (8 * max(K.n - 1, 1) ** 2))
-    for lo in range(0, len(rows), step):
-        t, _, s = rows[lo:lo + step].T
-        c = col_of[lo:lo + step]
-        q, w, h, failed = _discounts(K, params, channel, t, s, c)
-        err = {k: _failure(K, params, channel[0][:, c[k]], int(t[k]), int(s[k]))
-               for k in np.flatnonzero(failed).tolist()}
-        tx, tx_of = np.unique(t, return_inverse=True)
-        # held until the next block's exists: freed first, it cost 1.7x
-        # the page faults at n = 100
-        P = _palms(K.matrix, tx)[tx_of]
-        yield err, w / (1.0 - q), _scaled(P, h)
+    k = np.arange(len(t))
+    root[k, t] = 1.0 / np.sqrt(mat[t, t])
+    A = root[:, :, None] * mat
+    A *= root[:, None, :]
+    A = np.subtract(np.eye(len(mat)), A, out=A)
+    A[k, t, t] = -1.0
+    return A
 
 
 @_quiet
 def _evaluate(geometry, K, params, rows: np.ndarray) -> list:
     """Unclamped coverage of each link-table row (t, p, s) given t scheduled
-    and s (if s >= 0) silent: det(I - K'_h) w / (1 - q), or its failure."""
-    out = []
-    for err, factor, A in _blocks(geometry, K, params, rows):
-        out += [err.get(k, v) for k, v in enumerate((factor * np.linalg.det(A)).tolist())]
+    and s (if s >= 0) silent: -det(M) w / (1 - q) with M from
+    ``_bordered``, or the row's failure.  The path losses come from one
+    channel table to the rows' receiver slots."""
+    slots, col_of = np.unique(rows[:, 1], return_inverse=True)
+    channel = _channel(params.pathloss, geometry.transmitter_points(),
+                       geometry.receiver_points()[slots])
+    step = max(1, _BLOCK_BYTES // (8 * K.n ** 2))
+    out, mat = [], K.matrix
+    for lo in range(0, len(rows), step):
+        t, _, s = rows[lo:lo + step].T
+        c = col_of[lo:lo + step]
+        free, w, h, failed = _discounts(K, params, channel, t, s, c)
+        raw = (-(w / free) * np.linalg.det(_bordered(mat, h, t))).tolist()
+        for k in np.flatnonzero(failed).tolist():
+            raw[k] = _failure(K, params, channel[0][:, c[k]], int(t[k]), int(s[k]))
+        out += raw
     return out
 
 
@@ -248,12 +226,16 @@ def coverage_kernel(
     I - K'{h} on the other nodes, the entry w * K_ll at (link, link), and
     zero cross terms.
     """
-    row = _link(geometry, K, "pairs", link)
-    [(err, w, block)] = _blocks(geometry, K, params, np.array([row]))
-    if err:
-        raise err[0]
-    out = np.insert(np.insert(block[0], link, 0.0, axis=0), link, 0.0, axis=1)
-    out[link, link] = w[0] * float(K.matrix[link, link])
+    t, p, s = _link(geometry, K, "pairs", link)
+    channel = _channel(params.pathloss, geometry.transmitter_points(),
+                       geometry.receiver_points()[[p]])
+    _, w, h, failed = _discounts(K, params, channel, np.array([t]), np.array([s]), [0])
+    if failed[0]:
+        raise _failure(K, params, channel[0][:, 0], t, s)
+    P = palm_reduced(K, K.node_ids[t]).matrix
+    block = np.eye(K.n - 1) - scale_kernel(P, np.delete(h[0], t))
+    out = np.insert(np.insert(block, t, 0.0, axis=0), t, 0.0, axis=1)
+    out[t, t] = w[0] * float(K.matrix[t, t])
     return out
 
 
@@ -310,6 +292,20 @@ class LocalDelay:
             raise BadArgument(f"slot count must be a nonnegative integer, got {slots!r}")
         return 1.0 - (1.0 - self.success_probability) ** _fitted(slots)
 
+    def capped_mean(self, cap: int) -> float:
+        """Mean of min(D, cap), the first-success slot D censored at ``cap``
+        as a simulation records it: (1 - (1 - p)^cap) / p, the cap at p = 0.
+        Equal to ``mean`` wherever (1 - p)^cap rounds away against 1."""
+        if not _is_int(cap) or cap < 1:
+            raise BadArgument(f"slot cap must be a positive integer, got {cap!r}")
+        p = self.success_probability
+        if p == 0.0 or cap == 1:
+            return float(_fitted(cap))  # min(D, cap) is the cap itself
+        if p == 1.0:
+            return 1.0
+        # 1 - (1 - p)^cap without the rounding of 1 - p, which a small p loses
+        return -math.expm1(_fitted(cap) * math.log1p(-p)) / p
+
 
 def local_delay(coverage_probability: float) -> LocalDelay:
     """Geometric local delay for i.i.d. slots with the given coverage.
@@ -363,28 +359,34 @@ def kernel_fingerprint(K: MarginalKernel) -> str:
 
 def _link_reports(geometry, K, params, rows: np.ndarray) -> tuple:
     """One LinkReport per link-table row; per-link failures become error
-    strings."""
+    strings.  A row whose selection probability K_tt (1 - q) is at most
+    PALM_PIVOT_TOL is flagged by its smaller factor."""
+    mat = K.matrix
     sel = _selections(K, rows)
     scheduled = sel > PALM_PIVOT_TOL
     raws = iter(_evaluate(geometry, K, params, rows[scheduled]))
-    out = []
-    for (t, p, s), q, ok in zip(rows.tolist(), sel.tolist(), scheduled.tolist()):
-        rx = None if s < 0 else p
+    # filling each instance dict gives the same LinkReport as the frozen
+    # __init__, without its object.__setattr__ per field, in a third of the time
+    out = list(map(object.__new__, repeat(LinkReport, len(rows))))
+    for f, (t, p, s), x, ok in zip(map(vars, out), rows.tolist(), sel.tolist(),
+                                    scheduled.tolist()):
         if not ok:
-            never = float(K.matrix[t, t]) <= PALM_PIVOT_TOL
+            # a pairs row gets here only through K_tt; 1 - q as _discounts sums it
+            piv = float(mat[t, t])
+            never = piv <= PALM_PIVOT_TOL or piv <= (1.0 - mat[s, s]) + mat[s, t] * mat[s, t] / piv
             flag = "never_scheduled" if never else "receiver_always_scheduled"
-            out.append(LinkReport(t, rx, q, None, 0.0, math.inf, flags=(flag,)))
-            continue
-        raw = next(raws)
-        if isinstance(raw, DetschedError):
-            out.append(LinkReport(t, rx, q, None, None, None, error=str(raw)))
-            continue
-        cond = _unit(raw)
-        flags = ("clamped",) if abs(raw - cond) > 1e-9 else ()
-        cov = q * cond
-        # local_delay's mean; cov lies in [0, 1] by construction
-        delay = math.inf if cov == 0.0 else 1.0 / cov
-        out.append(LinkReport(t, rx, q, cond, cov, delay, flags=flags))
+            rest = (None, 0.0, math.inf, (flag,), None)
+        elif isinstance(raw := next(raws), DetschedError):
+            rest = (None, None, None, (), str(raw))
+        else:
+            cond = _unit(raw)
+            cov = x * cond
+            # local_delay's mean; cov lies in [0, 1] by construction
+            rest = (cond, cov, math.inf if cov == 0.0 else 1.0 / cov,
+                    ("clamped",) if abs(raw - cond) > 1e-9 else (), None)
+        (f["transmitter"], f["receiver"], f["selection_probability"],
+         f["conditional_coverage"], f["coverage"], f["delay_mean"], f["flags"],
+         f["error"]) = (t, None if s < 0 else p, x, *rest)
     return tuple(out)
 
 
@@ -399,9 +401,5 @@ def full_report(
     """
     _require(geometry, K)
     links = _link_reports(geometry, K, params, geometry.links())
-    return CoverageReport(
-        mode=geometry.mode,
-        links=links,
-        kernel_fingerprint=kernel_fingerprint(K),
-        params=params,
-    )
+    return CoverageReport(mode=geometry.mode, links=links,
+                          kernel_fingerprint=kernel_fingerprint(K), params=params)

@@ -8,6 +8,7 @@ the scheduled set, and exact sampling.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Union
 
 import numpy as np
@@ -117,12 +118,15 @@ def exact_pmf_array(kernel, max_size: int = ENUMERATION_CAP) -> np.ndarray:
 def exact_pmf(kernel, max_size: int = ENUMERATION_CAP) -> dict:
     """Exact outcome distribution as {sorted node-id tuple: probability}."""
     arr = exact_pmf_array(kernel, max_size)
-    # subsets in mask order (bit b is node_ids[b]); increasing ids give sorted tuples
-    keys, ids = [()], kernel.node_ids
-    for i in ids:
-        keys += [k + (i,) for k in keys]
-    keys = keys if list(ids) == sorted(ids) else [tuple(sorted(k)) for k in keys]
-    return dict(zip(keys, arr.tolist()))
+    # subsets built over the ids in increasing order, so every key comes out
+    # sorted, then placed in mask order (bit b is node_ids[b]); n >= 1, so
+    # itemgetter gets at least two indices and returns a tuple
+    ids = kernel.node_ids
+    keys, masks = [()], np.zeros(1, dtype=np.intp)
+    for b in sorted(range(len(ids)), key=ids.__getitem__):
+        keys += [k + (ids[b],) for k in keys]
+        masks = np.concatenate([masks, masks | (1 << b)])
+    return dict(zip(itemgetter(*np.argsort(masks).tolist())(keys), arr.tolist()))
 
 
 def _conditioning_of(kernel) -> tuple:

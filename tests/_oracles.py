@@ -2,12 +2,14 @@
 
 Everything here is written from first principles on purpose: probabilities
 come from explicit sums over all 2^n subsets, determinants from
-np.linalg.det, and propagation factors from the defining formulas, so the
-library under test shares no code path with these reference values.
+np.linalg.det or from exact elimination on Fractions, and propagation
+factors from the defining formulas, so the library under test shares no
+code path with these reference values.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -445,30 +447,64 @@ def conditional_raw_semi_reduced(geometry, K, params, t, p, s, use_semi_reduced=
     return (noise_factor(d_sig, params) / (1.0 - q)) * (det1 - term)
 
 
-def link_report_loops(geometry, K, params, t, p, s):
-    """Reference LinkReport of link-table row (t, p, s), built on
-    ``conditional_raw_loops``; ``full_report`` must reproduce it exactly,
-    flags and error strings included."""
+def conditional_raw_bordered(geometry, K, params, t, p, s):
+    """Reference unclamped conditional coverage of link-table row (t, p, s)
+    that the batched closed forms must equal bit for bit, in their order of
+    operations, on Python floats.
+
+    Discounts h per node from ``interferer_factor``, 0 at s; roots
+    r_j = sqrt(1 - clip(h_j)) and r_t = 1 / sqrt(K_tt); the bordered matrix
+    M[i][j] = I_ij - r_i K_ij r_j on all n nodes, with M[t][t] = -1; one
+    np.linalg.det; then -(w / f) times it, with f = (1 - K_ss) +
+    K_st K_st / K_tt, that is 1 - q, or 1 without a silent node.  The row's
+    errors are those of ``conditional_raw_loops``, the scalar Palm chain,
+    which runs first.
+    """
+    from detsched.propagation import _distance, interferer_factor, noise_factor
+
+    conditional_raw_loops(geometry, K, params, t, p, s)
+    mat = K.matrix.tolist()
+    n = len(mat)
+    pts = geometry.transmitter_points()
+    y = geometry.receiver_location(p)
+    d_sig = _distance(pts[t], y)
+    h = [0.0 if z in (t, s) else interferer_factor(_distance(pts[z], y), d_sig, params)
+         for z in range(n)]
+    root = [math.sqrt(1.0 - min(max(x, 0.0), 1.0)) for x in h]
+    root[t] = 1.0 / math.sqrt(mat[t][t])
+    M = [[float(i == j) - root[i] * mat[i][j] * root[j] for j in range(n)] for i in range(n)]
+    M[t][t] = -1.0
+    free = 1.0 if s < 0 else (1.0 - mat[s][s]) + mat[s][t] * mat[s][t] / mat[t][t]
+    return -(noise_factor(d_sig, params) / free) * float(np.linalg.det(np.array(M)))
+
+
+def link_report_loops(geometry, K, params, t, p, s, raw=conditional_raw_bordered):
+    """Reference LinkReport of link-table row (t, p, s), built on ``raw``;
+    on the default ``conditional_raw_bordered`` ``full_report`` must
+    reproduce it exactly, flags and error strings included.  A row whose
+    selection probability K_tt (1 - q) is at most PALM_PIVOT_TOL is flagged
+    by its smaller factor: never_scheduled when K_tt is at most
+    PALM_PIVOT_TOL or 1 - q, receiver_always_scheduled otherwise."""
     from detsched.coverage import LinkReport, local_delay
     from detsched.dpp import PALM_PIVOT_TOL
     from detsched.errors import DetschedError
 
     rx = None if s < 0 else p
-    if s < 0:
-        sel = max(float(K.matrix[t, t]), 0.0)
-    else:
-        pair = K.matrix[np.ix_((t, s), (t, s))]
-        sel = max(float(K.matrix[t, t]) - float(np.linalg.det(pair)), 0.0)
+    mat = K.matrix.tolist()
+    ktt = mat[t][t]
+    # K_tt - det(K on {t, s}) = K_tt (1 - K_ss) + K_st^2
+    sel = max(ktt if s < 0 else ktt * (1.0 - mat[s][s]) + mat[s][t] * mat[s][t], 0.0)
     if sel <= PALM_PIVOT_TOL:
-        flag = ("never_scheduled" if float(K.matrix[t, t]) <= PALM_PIVOT_TOL
-                else "receiver_always_scheduled")
+        # a pairs row gets here only through K_tt
+        never = ktt <= PALM_PIVOT_TOL or ktt <= (1.0 - mat[s][s]) + mat[s][t] * mat[s][t] / ktt
+        flag = "never_scheduled" if never else "receiver_always_scheduled"
         return LinkReport(t, rx, sel, None, 0.0, math.inf, flags=(flag,))
     try:
-        raw = conditional_raw_loops(geometry, K, params, t, p, s)
+        value = raw(geometry, K, params, t, p, s)
     except DetschedError as e:
         return LinkReport(t, rx, sel, None, None, None, error=str(e))
-    cond = min(max(raw, 0.0), 1.0)
-    flags = ("clamped",) if abs(raw - cond) > 1e-9 else ()
+    cond = min(max(value, 0.0), 1.0)
+    flags = ("clamped",) if abs(value - cond) > 1e-9 else ()
     cov = sel * cond
     return LinkReport(t, rx, sel, cond, cov, local_delay(cov).mean, flags=flags)
 
@@ -520,3 +556,81 @@ def local_delay_loops(arena, seed, reps, cap):
             censored[t] += 1
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(reps, len(targets)), np.array(censored)
+
+
+def fraction_det(m):
+    """Determinant of a square matrix of Fractions, exactly: Gaussian
+    elimination, pivoting on the first nonzero entry of each column."""
+    a = [list(row) for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for j in range(n):
+        p = next((i for i in range(j, n) if a[i][j] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, n):
+            f = a[i][j] / a[j][j]
+            for k in range(j + 1, n):
+                a[i][k] -= f * a[j][k]
+    return det
+
+
+def fraction_marginal_kernel(L):
+    """K = I - (I + L)^-1 of a matrix L of Fractions, exactly
+    (Gauss-Jordan elimination)."""
+    n = len(L)
+    a = [[Fraction(int(i == j)) + L[i][j] for j in range(n)] + [Fraction(int(i == j))
+                                                               for j in range(n)]
+         for i in range(n)]
+    for j in range(n):
+        p = next(i for i in range(j, n) if a[i][j] != 0)
+        a[j], a[p] = a[p], a[j]
+        a[j] = [x / a[j][j] for x in a[j]]
+        for i in range(n):
+            if i != j and a[i][j] != 0:
+                f = a[i][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    return [[Fraction(int(i == j)) - a[i][n + j] for j in range(n)] for i in range(n)]
+
+
+def fraction_pmf(K):
+    """{subset: P(Phi = subset)} of a marginal kernel of Fractions, exactly:
+    P(Phi = S) = (-1)^(n - |S|) det(K - I restricted to the nodes outside S)."""
+    n = len(K)
+    out = {}
+    for S in all_subsets(n):
+        m = [[K[i][j] - int(i == j and i not in S) for j in range(n)] for i in range(n)]
+        out[S] = (-1) ** (n - len(S)) * fraction_det(m)
+    return out
+
+
+def fraction_link(pmf, transmitters, receiver, t, s, theta):
+    """Exact (selection probability, conditional coverage) of the link from
+    transmitter t to the point ``receiver`` with silent node s (-1 for
+    none), under the path loss r^-4, fading mean 1 and noise 0, from an
+    exact pmf and rational coordinates (r^-4 = 1 / (dx^2 + dy^2)^2):
+    the sums over the subsets S with t in S and s not in S of P(Phi = S),
+    and of P(Phi = S) times the product over j in S, j != t, of
+    1 / (1 + theta l_j / l_t)."""
+    def loss(z):
+        dx, dy = (Fraction(a) - Fraction(b) for a, b in zip(transmitters[z], receiver))
+        return 1 / (dx * dx + dy * dy) ** 2
+
+    lt = loss(t)
+    h = [1 / (1 + theta * loss(z) / lt) if z not in (t, s) else None
+         for z in range(len(transmitters))]
+    sel = joint = Fraction(0)
+    for S, p in pmf.items():
+        if t not in S or s in S:
+            continue
+        prod = Fraction(1)
+        for z in S:
+            if z != t:
+                prod *= h[z]
+        sel += p
+        joint += p * prod
+    return sel, joint / sel

@@ -602,6 +602,31 @@ def test_simulate_command(tmp_path, capsys):
             assert r["censored"] == 0
 
 
+def test_simulate_delay_rows_compare_the_capped_mean(tmp_path, capsys):
+    # a censored replication counts at the cap, so a delay row's estimate
+    # is the mean of min(D, cap): with p near 0.048 and a cap of 20, about
+    # 37% of replications are censored, and the plain mean 1/p = 20.68 sat
+    # about 70 standard errors above the estimate
+    doc = _base_config(kernel={"type": "aloha_diagonal", "probabilities": [0.05, 0.05]})
+    doc["simulate"] = {"reps": 4000, "seed": 3, "targets": ["delay"], "delay_cap": 20}
+    path = _write(tmp_path, doc)
+    cfg = cli.parse_config(path)
+    for seed in range(3, 23):
+        assert cli.main(["simulate", path, "--seed", str(seed)]) == 0
+        for r in json.loads(capsys.readouterr().out)["results"]:
+            p = ds.pair_coverage(cfg.geometry, cfg.K, r["transmitter"], cfg.params)
+            assert r["closed_form"] == pytest.approx(sum((1.0 - p) ** k for k in range(20)),
+                                                     rel=1e-14)
+            assert r["censored"] > 1000 and r["z_score"] <= 4.0
+    # a link that is never covered gets the cap, which every replication hits
+    doc["kernel"]["probabilities"] = [0.0, 0.05]
+    doc["simulate"].update(reps=20, delay_cap=5)
+    assert cli.main(["simulate", _write(tmp_path, doc)]) == 0
+    dead = json.loads(capsys.readouterr().out)["results"][0]
+    assert (dead["closed_form"], dead["estimate"], dead["z_score"], dead["censored"]) == (
+        5.0, 5.0, 0.0, 20)
+
+
 def test_simulate_txrx_table_without_zero_distance(tmp_path, capsys):
     # a receiver's own distance 0 is outside the table, but a silent
     # receiver's loss is never evaluated: every row has a closed form
@@ -1032,6 +1057,8 @@ def _cli_docs():
     }
     dead = _base_config(kernel={"type": "explicit_K", "matrix": [[0.0, 0.0], [0.0, 0.5]]})
     dead["simulate"] = {"reps": 50, "seed": 1, "targets": [["delay", 1]], "delay_cap": 1}
+    # one replication has a standard error of 0, so a miss has no z-score
+    single = _base_config(simulate={"reps": 1, "seed": 1})
     one = {**txrx, "nodes": [[0.0, 0.0]]}
     short_table = {**txrx, "pathloss": {"type": "custom", "radii": [0.1, 0.7],
                                         "values": [0.9, 0.1]}}
@@ -1044,7 +1071,7 @@ def _cli_docs():
     }
     return [("coverage", _base_config()), ("simulate", _base_config()),
             ("coverage", txrx), ("simulate", txrx), ("coverage", dead),
-            ("simulate", dead), ("coverage", one), ("simulate", one),
+            ("simulate", dead), ("simulate", single), ("coverage", one), ("simulate", one),
             ("coverage", short_table), ("coverage", overflow)]
 
 

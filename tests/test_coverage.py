@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,12 @@ from hypothesis.extra.numpy import arrays
 import detsched as ds
 
 from _oracles import (
+    conditional_raw_bordered,
     conditional_raw_loops,
     conditional_raw_semi_reduced,
+    fraction_link,
+    fraction_marginal_kernel,
+    fraction_pmf,
     link_report_loops,
     pmf_from_l,
     random_pairs_geometry,
@@ -230,9 +236,10 @@ def test_txrx_coverage_matches_enumeration_tabulated():
 
 
 def test_txrx_semi_reduced_variants_agree_under_power_law():
-    # the receiver's own discount is 0, so the two-fold correction vanishes
-    # and the semi-reduced identity, with or without it, gives the library's
-    # number exactly
+    # the receiver's own discount is 0, so the two-fold correction vanishes:
+    # the semi-reduced identity, with or without it, and the one-fold Palm
+    # route agree with the library's number, which the scalar bordered
+    # reference gives exactly
     rng = np.random.default_rng(76)
     pts = rng.uniform(0.0, 1.0, size=(4, 2))
     geo = ds.NetworkGeometry.txrx(pts)
@@ -243,9 +250,11 @@ def test_txrx_semi_reduced_variants_agree_under_power_law():
             if i == j:
                 continue
             got = ds.txrx_conditional_coverage(geo, K, i, j, params)
+            assert got == coverage_module._unit(conditional_raw_bordered(geo, K, params, i, j, j))
+            _assert_near(got, coverage_module._unit(conditional_raw_loops(geo, K, params, i, j, j)))
             for semi in (False, True):
                 raw = conditional_raw_semi_reduced(geo, K, params, i, j, j, semi)
-                assert got == coverage_module._unit(raw)
+                _assert_near(got, coverage_module._unit(raw))
 
 
 def test_txrx_always_scheduled_receiver():
@@ -327,6 +336,25 @@ def test_local_delay():
     assert d.cdf(huge) == 1.0 and ds.local_delay(1.0).cdf(huge) == 1.0
     assert never.cdf(huge) == 0.0
     assert d.cdf(top) == 1.0 - 0.75 ** float(top) and never.cdf(top) == 0.0
+
+
+def test_local_delay_capped_mean():
+    # E[min(D, cap)] = sum over k < cap of (1 - p)^k = (1 - (1 - p)^cap) / p
+    assert ds.local_delay(0.0).capped_mean(20) == 20.0
+    assert ds.local_delay(1.0).capped_mean(20) == 1.0
+    # exactly 1 at a cap of 1, where a simulation's estimate is exactly 1
+    for p in (0.0, 1e-12, 0.05, 0.22715759353337972, 0.5, 1.0):
+        assert ds.local_delay(p).capped_mean(1) == 1.0
+    assert ds.local_delay(0.3).capped_mean(3) == pytest.approx(1.0 + 0.7 + 0.49, rel=1e-15)
+    # a small p keeps its digits: (1 - p)^2 rounded first would lose them
+    assert ds.local_delay(1e-10).capped_mean(2) == pytest.approx(2.0 - 1e-10, rel=1e-15)
+    # the plain mean to the last bit where (1 - p)^cap rounds away against 1
+    assert ds.local_delay(0.25).capped_mean(200) == 4.0
+    assert ds.local_delay(0.25).capped_mean(10**400) == 4.0
+    assert ds.local_delay(0.0).capped_mean(10**400) == math.inf
+    for bad in (0, -1, True, 1.0):
+        with pytest.raises(ds.BadArgument, match="slot cap must be a positive integer"):
+            ds.local_delay(0.25).capped_mean(bad)
 
 
 def test_min_coverage_for_success():
@@ -451,6 +479,23 @@ def test_zero_kernel_gives_zero_coverage_and_infinite_delay():
     assert "never_scheduled" in rep.links[0].flags
 
 
+def test_unscheduled_txrx_link_flags_its_smaller_factor():
+    # selection K_tt (1 - q) at most 1e-12 with K_tt above it: a transmitter
+    # scheduled with probability 2e-12 beside a receiver silent with
+    # probability 0.42 is never scheduled, not its receiver always so
+    geo = ds.NetworkGeometry.txrx([[0.0, 0.0], [1.0, 0.0]])
+    for diag, flag in (([2e-12, 0.58], "never_scheduled"),
+                       ([0.5, 1.0 - 1e-12], "receiver_always_scheduled"),
+                       ([1e-12, 0.5], "never_scheduled")):
+        K = ds.MarginalKernel.from_matrix(np.diag(diag))
+        link = ds.full_report(geo, K, _power_params()).links[0]
+        assert (link.transmitter, link.receiver) == (0, 1)
+        assert link.selection_probability <= 1e-12
+        assert link.flags == (flag,)
+        assert (link.coverage, link.delay_mean) == (0.0, math.inf)
+        assert link == link_report_loops(geo, K, _power_params(), 0, 1, 1)
+
+
 _TABLES = {
     "table": ([0.0, 0.5, 1.0, 3.0], [1.5, 0.6, 0.25, 0.01]),
     # shorter than some interferer distances (BadArgument)
@@ -501,9 +546,24 @@ def _outcome(fn, *args, **kwargs):
         return type(e), str(e)
 
 
+def _assert_near(got, want, rel=1e-13):
+    """Equal outcomes (values, LinkReports or error tuples) but for their
+    floats, each within ``rel`` relative (or 1e-300 absolute) of ``want``'s."""
+    if isinstance(want, ds.LinkReport):
+        got, want = dataclasses.astuple(got), dataclasses.astuple(want)
+    if isinstance(want, float) and isinstance(got, float):
+        assert got == pytest.approx(want, rel=rel, abs=1e-300)
+    elif isinstance(want, tuple) and isinstance(got, tuple) and len(got) == len(want):
+        for a, b in zip(got, want):
+            _assert_near(a, b, rel)
+    else:
+        assert got == want
+
+
 def test_full_report_matches_scalar_reference():
-    # the batched evaluation reproduces the scalar per-link one exactly:
-    # values, flags, error strings, and the public per-link functions
+    # the batched evaluation reproduces the scalar bordered one exactly:
+    # values, flags, error strings, and the public per-link functions; the
+    # scalar Palm route agrees within 1e-13 relative
     rng = np.random.default_rng(79)
     seen_errors = set()
     seen_flags = set()
@@ -514,15 +574,17 @@ def test_full_report_matches_scalar_reference():
         rep = ds.full_report(geo, K, params)
         expect = tuple(link_report_loops(geo, K, params, *row) for row in rows)
         assert rep.links == expect
+        for row, lr in zip(rows, rep.links):
+            _assert_near(lr, link_report_loops(geo, K, params, *row, raw=conditional_raw_loops))
         seen_errors |= {lr.error.split(" ")[0] for lr in rep.links if lr.error}
         seen_flags |= {f for lr in rep.links for f in lr.flags}
         for t, p, s in rows:
-            def ref():
-                return _outcome(lambda: coverage_module._unit(
-                    conditional_raw_loops(geo, K, params, t, p, s)))
+            def ref(raw=conditional_raw_bordered):
+                return _outcome(lambda: coverage_module._unit(raw(geo, K, params, t, p, s)))
             if s < 0:
                 got = _outcome(ds.conditional_pair_coverage, geo, K, t, params)
                 assert got == ref()
+                _assert_near(got, ref(conditional_raw_loops))
                 if isinstance(got, tuple):
                     raised.add(got[0])
                 lr = link_report_loops(geo, K, params, t, p, s)
@@ -531,6 +593,7 @@ def test_full_report_matches_scalar_reference():
                 continue
             got = _outcome(ds.txrx_conditional_coverage, geo, K, t, p, params)
             assert got == ref()
+            _assert_near(got, ref(conditional_raw_loops))
             if isinstance(got, tuple):
                 raised.add(got[0])
             # the two-fold identity, with the correction as the loss needs
@@ -601,7 +664,7 @@ def test_block_size_does_not_change_results(monkeypatch):
         K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n)))
         params = ds.PropagationParams(model, threshold=0.8, noise=0.05)
         default = ds.full_report(geo, K, params)
-        monkeypatch.setattr(coverage_module, "_BLOCK_BYTES", 8 * (n - 1) ** 2)
+        monkeypatch.setattr(coverage_module, "_BLOCK_BYTES", 8 * n ** 2)
         assert ds.full_report(geo, K, params) == default
         monkeypatch.undo()
 
@@ -733,18 +796,78 @@ def test_closed_form_stages_are_seams(monkeypatch):
     K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n)))
     params = _power_params(tau=0.8, beta=3.0, noise=0.05)
     report, kernel = ds.full_report(geo, K, params), ds.coverage_kernel(pairs, K, 4, params)
-    calls = dict.fromkeys(("_discounts", "_palms", "_scaled"), 0)
+    calls = dict.fromkeys(("_discounts", "_bordered", "palm_reduced", "scale_kernel"), 0)
     for name in calls:
         def counting(*args, _name=name, _real=getattr(coverage_module, name)):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(coverage_module, name, counting)
-    monkeypatch.setattr(coverage_module, "_BLOCK_BYTES", 10 * 8 * (n - 1) ** 2)
+    monkeypatch.setattr(coverage_module, "_BLOCK_BYTES", 10 * 8 * n ** 2)
     assert ds.full_report(geo, K, params) == report
-    assert calls == dict.fromkeys(calls, 8)  # 72 links, 10 a block
+    # 72 links, 10 a block, no failed row to replay
+    assert calls == {"_discounts": 8, "_bordered": 8, "palm_reduced": 0, "scale_kernel": 0}
     calls.update(dict.fromkeys(calls, 0))
+    # coverage_kernel's one link runs the scalar Palm chain
     assert np.array_equal(ds.coverage_kernel(pairs, K, 4, params), kernel)
-    assert calls == dict.fromkeys(calls, 1)
+    assert calls == {"_discounts": 1, "_bordered": 0, "palm_reduced": 1, "scale_kernel": 1}
+
+
+def _rational_instance(mode, n, seed, tiny=None, loud=None):
+    """A geometry on a grid of step 1/8, a rational L = B B^T + I/8 (with
+    row ``tiny`` of B scaled by 1/30000, so that K_tt is near 1e-9, and row
+    ``loud`` by ``loud[1]``, so that the node is almost always scheduled),
+    the float kernel rounded from its exact K and that kernel's exact pmf."""
+    rng = np.random.default_rng(seed)
+    B = [[Fraction(int(x), 4) for x in rng.integers(-4, 5, size=n)] for _ in range(n)]
+    if tiny is not None:
+        B[tiny] = [x / 30000 for x in B[tiny]]
+    if loud is not None:
+        B[loud[0]] = [x * loud[1] for x in B[loud[0]]]
+    L = [[sum(B[i][k] * B[j][k] for k in range(n)) + Fraction(i == j != tiny, 8)
+          for j in range(n)] for i in range(n)]
+    mat = np.array([[float(x) for x in row] for row in fraction_marginal_kernel(L)])
+    K = ds.MarginalKernel.from_matrix(mat)
+    assert np.array_equal(K.matrix, mat)
+    pts = [[Fraction(int(x), 8) for x in rng.integers(0, 17, size=2)] for _ in range(2 * n)]
+    grid = np.array(pts, dtype=float)
+    geo = (ds.NetworkGeometry.pairs(grid[:n], grid[n:]) if mode == "pairs"
+           else ds.NetworkGeometry.txrx(grid[:n]))
+    receivers = pts[n:] if mode == "pairs" else pts[:n]
+    exact = fraction_pmf([[Fraction(x) for x in row] for row in mat.tolist()])
+    return geo, K, pts[:n], receivers, exact
+
+
+def test_full_report_against_exact_arithmetic():
+    # every printed value within 1e-13 of the exact one for the float
+    # kernel the library is given (r^-4 loss on dyadic coordinates, noise
+    # 0): generic kernels, a transmitter scheduled with probability near
+    # 1e-9, and receivers silent with probability down to about 4e-7, where
+    # the Palm route's division by 1 - q loses 1e-11.  The conditional
+    # coverage is also within 2x the Palm route's error, or within 1e-14:
+    # below that both routes make rounding noise on these 6 x 6
+    # determinants, and the Palm route can land on the exact value by luck
+    params = ds.PropagationParams(ds.PowerLawPathLoss(1.0, 4.0), threshold=0.5)
+    cases = [(mode, 6, seed, None, None) for mode in ("pairs", "txrx") for seed in (0, 1)]
+    cases += [(mode, 6, seed, 2, None) for mode in ("pairs", "txrx") for seed in (0, 1)]
+    cases += [("txrx", 6, seed, None, (3, loud)) for seed in (0, 1) for loud in (12, 1000)]
+    cases += [("txrx", 5, 0, 1, (3, 12))]
+    smallest = {"K_tt": 1.0, "1 - q": 1.0}
+    for mode, n, seed, tiny, loud in cases:
+        geo, K, tx, receivers, exact = _rational_instance(mode, n, seed, tiny, loud)
+        rep = ds.full_report(geo, K, params)
+        for (t, p, s), lr in zip(geo.links().tolist(), rep.links):
+            sel, cond = fraction_link(exact, tx, receivers[p], t, s, Fraction(1, 2))
+            palm = link_report_loops(geo, K, params, t, p, s, raw=conditional_raw_loops)
+            for got, want in ((lr.selection_probability, sel), (lr.conditional_coverage, cond),
+                              (lr.coverage, sel * cond), (lr.delay_mean, 1 / (sel * cond))):
+                assert abs(Fraction(got) - want) <= 1e-13 * want, (mode, seed, t, s)
+            err, palm_err = (float(abs(Fraction(x) - cond) / cond)
+                             for x in (lr.conditional_coverage, palm.conditional_coverage))
+            assert err <= max(2.0 * palm_err, 1e-14), (mode, seed, t, s, err, palm_err)
+            smallest["K_tt"] = min(smallest["K_tt"], float(K.matrix[t, t]))
+            if s >= 0:
+                smallest["1 - q"] = min(smallest["1 - q"], float(sel / Fraction(K.matrix[t, t])))
+    assert smallest["K_tt"] < 2e-9 and smallest["1 - q"] < 1e-6
 
 
 @st.composite

@@ -106,7 +106,7 @@ def test_exact_pmf_size_cap():
 def test_exact_pmf_keys_values_and_order():
     # the dict pinned, order included, against the per-mask comprehension
     # it replaced: sorted node-id tuples in mask order, on increasing ids
-    # (no sort per key) and on unsorted ones
+    # and on unsorted ones (keys built in id order, then placed by mask)
     rng = np.random.default_rng(45)
     for n in range(1, 9):
         mat = random_psd_l(rng, n)
