@@ -22,18 +22,18 @@ and dividing by the probability the node is silent conditions on it.  A
 pairs link has no silent node (-1), so neither step applies and the same
 code computes the plain Palm determinant.
 
-``_evaluate`` runs blocks of rows through two stages, then one stacked
-determinant.  ``_discounts`` gives w, h and the silent node's probability q
-by the operations of ``noise_factor`` and ``interferer_factor``, and marks
-the rows that fail; ``_failure`` replays each through the scalar chain
-(``palm_reduced`` to ``scale_kernel``) for its error.  ``_bordered`` builds,
-on all n nodes, M = I - R K R with r_j = sqrt(1 - h_j), r_t = K_tt^(-1/2)
-and M[t, t] = -1: by the Schur complement on entry t, -det(M) equals
-det(I - K'_h) for the Palm kernel K' at t, so a row's value
--w det(M) / (1 - q) needs no downdate.  ``coverage_kernel`` keeps the Palm
-block form, through ``palm_reduced`` and ``scale_kernel``.  perfbench's
-tracer wraps these names here, so they stay module attributes,
-``palm_semi_reduced`` too, which nothing here calls.
+Values take one batched route, errors one scalar chain.  ``_evaluate``
+runs blocks of rows through ``_discounts`` (w, h and the silent node's q by
+the operations of ``noise_factor`` and ``interferer_factor``, and the rows
+that fail) and ``_bordered``, then one stacked determinant: M = I - R K R
+with r_j = sqrt(1 - h_j), r_t = K_tt^(-1/2) and M[t, t] = -1, where by the
+Schur complement on entry t, -det(M) = det(I - K'_h) for the Palm kernel K'
+at t, so a row's value -w det(M) / (1 - q) needs no downdate.
+``_palm_chain`` is the paper's chain (``palm_reduced`` to ``scale_kernel``):
+``_failure`` replays a failed row through it for its error, and
+``coverage_kernel`` builds its block from it.  perfbench's tracer wraps
+these names here, so they stay module attributes, ``palm_semi_reduced``
+too, which nothing here calls.
 """
 
 import hashlib
@@ -52,6 +52,7 @@ from .propagation import (
     NetworkGeometry,
     PropagationParams,
     _channel,
+    _distance_matrix,
     _is_int,
     _require,
     interferer_factor,
@@ -69,9 +70,6 @@ def _link(geometry, K, mode: str, transmitter, receiver=None) -> tuple:
 # blocks of 3 links at n = 100, and a block's few stacked temporaries
 # still fit a 2 MB L2 cache.
 _BLOCK_BYTES = 1 << 19
-
-# a failed row's arithmetic may divide by zero; its error is its result
-_quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 def _selections(K: MarginalKernel, rows: np.ndarray) -> np.ndarray:
@@ -116,23 +114,28 @@ def _discounts(K, params, channel, t, s, c) -> tuple:
     return free, w, h, failed
 
 
+def _palm_chain(K, params, dist: np.ndarray, t: int, s: int) -> tuple:
+    """(w, K'_h) of row (t, ., s) at distances ``dist`` to its receiver slot:
+    Palm step, silent node, noise, interferers by node (0 at the silent
+    node), scaling; raises the row's first error in that order."""
+    P = palm_reduced(K, K.node_ids[t]).matrix
+    if s >= 0:
+        q = float(P[s - (s > t), s - (s > t)])
+        if q >= 1.0 - CLAMP_TOL:
+            raise AlwaysScheduledReceiver(
+                f"node {s} transmits with conditional probability {q:.12g}, "
+                "so it can never listen")
+    d_sig = float(dist[t])
+    w = noise_factor(d_sig, params)
+    h = [0.0 if z == s else interferer_factor(float(dist[z]), d_sig, params)
+         for z in range(K.n) if z != t]
+    return w, scale_kernel(P, h)
+
+
 def _failure(K, params, dist: np.ndarray, t: int, s: int) -> DetschedError:
-    """The first error of row (t, ., s) in the scalar chain's order: Palm
-    step, silent node, noise, interferers by node (at distances ``dist``
-    to the row's receiver slot), scaling."""
+    """The first error of row (t, ., s) in ``_palm_chain``."""
     try:
-        P = palm_reduced(K, K.node_ids[t]).matrix
-        if s >= 0:
-            q = float(P[s - (s > t), s - (s > t)])
-            if q >= 1.0 - CLAMP_TOL:
-                raise AlwaysScheduledReceiver(
-                    f"node {s} transmits with conditional probability {q:.12g}, "
-                    "so it can never listen")
-        d_sig = float(dist[t])
-        noise_factor(d_sig, params)
-        h = [0.0 if z == s else interferer_factor(float(dist[z]), d_sig, params)
-             for z in range(K.n) if z != t]
-        scale_kernel(P, h)
+        _palm_chain(K, params, dist, t, s)
     except DetschedError as e:
         return e
     raise AssertionError(f"row ({t}, ., {s}) failed in the batched pass only")
@@ -152,7 +155,8 @@ def _bordered(mat: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
     return A
 
 
-@_quiet
+# a failed row's arithmetic may divide by zero; its error is its result
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _evaluate(geometry, K, params, rows: np.ndarray) -> list:
     """Unclamped coverage of each link-table row (t, p, s) given t scheduled
     and s (if s >= 0) silent: -det(M) w / (1 - q) with M from
@@ -167,7 +171,8 @@ def _evaluate(geometry, K, params, rows: np.ndarray) -> list:
         t, _, s = rows[lo:lo + step].T
         c = col_of[lo:lo + step]
         free, w, h, failed = _discounts(K, params, channel, t, s, c)
-        raw = (-(w / free) * np.linalg.det(_bordered(mat, h, t))).tolist()
+        # + 0.0 turns a -0.0 product into 0.0 and keeps every other value
+        raw = (-(w / free) * np.linalg.det(_bordered(mat, h, t)) + 0.0).tolist()
         for k in np.flatnonzero(failed).tolist():
             raw[k] = _failure(K, params, channel[0][:, c[k]], int(t[k]), int(s[k]))
         out += raw
@@ -216,7 +221,6 @@ def pair_coverage(
     return _coverage(geometry, K, params, _link(geometry, K, "pairs", link))
 
 
-@_quiet
 def coverage_kernel(
     geometry: NetworkGeometry, K: MarginalKernel, link: int, params: PropagationParams
 ) -> np.ndarray:
@@ -227,15 +231,10 @@ def coverage_kernel(
     zero cross terms.
     """
     t, p, s = _link(geometry, K, "pairs", link)
-    channel = _channel(params.pathloss, geometry.transmitter_points(),
-                       geometry.receiver_points()[[p]])
-    _, w, h, failed = _discounts(K, params, channel, np.array([t]), np.array([s]), [0])
-    if failed[0]:
-        raise _failure(K, params, channel[0][:, 0], t, s)
-    P = palm_reduced(K, K.node_ids[t]).matrix
-    block = np.eye(K.n - 1) - scale_kernel(P, np.delete(h[0], t))
-    out = np.insert(np.insert(block, t, 0.0, axis=0), t, 0.0, axis=1)
-    out[t, t] = w[0] * float(K.matrix[t, t])
+    dist = _distance_matrix(geometry.transmitter_points(), geometry.receiver_points()[[p]])
+    w, scaled = _palm_chain(K, params, dist[:, 0], t, s)
+    out = np.insert(np.insert(np.eye(K.n - 1) - scaled, t, 0.0, axis=0), t, 0.0, axis=1)
+    out[t, t] = w * float(K.matrix[t, t])
     return out
 
 

@@ -40,7 +40,8 @@ import numpy as np
 from . import _sampling
 from .errors import BadArgument, SingularDistance
 from .kernels import LEnsemble
-from .propagation import NetworkGeometry, PropagationParams, _channel, _is_int, _require, path_loss
+from .propagation import (NetworkGeometry, PropagationParams, _channel, _is_int, _link_keys,
+                          _require, path_loss)
 from .rng import _advance, _fill, _pcg64_states, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
@@ -177,8 +178,7 @@ class _Arena:
         self.loss = np.where(deafening, 0.0, loss)
         self.deafening = deafening.astype(float)
         self.tx, self.rx = tx[defined], rx[defined]
-        self.keys = (self.tx.tolist() if geometry.mode == "pairs"
-                     else list(zip(self.tx.tolist(), self.rx.tolist())))
+        self.keys = _link_keys(links[defined])
 
     def track(self, keys) -> list:
         """Restrict the SINR test to the links ``keys``, in that order, and
@@ -251,7 +251,8 @@ def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
     slot, every live row of a block draws its scheduled set and fills its
     fading row from its own substream; one SINR test judges the stack."""
     n, links = arena.n, len(arena.keys)
-    delays = np.full((reps, links), cap, dtype=np.int64)
+    # each entry counts the slots it waits through, up to its success or the cap
+    delays = np.zeros((reps, links), dtype=np.int64)
     censored = np.zeros(links, dtype=np.int64)
     step = max(1, _BLOCK_BYTES // (8 * n * n + _GENERATOR_BYTES))
     for lo in range(0, reps, step):
@@ -267,8 +268,7 @@ def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
                 g.random(out=u[i])
             fading = -arena.params.fading_mean * np.log1p(-u[:len(gens)])
             hit = arena.success(mask[:len(gens)], fading) & waiting
-            r, t = np.nonzero(hit)
-            delays[rows[r], t] = slot
+            delays[rows] += waiting
             waiting &= ~hit
             keep = waiting.any(axis=1)
             rows, waiting = rows[keep], waiting[keep]

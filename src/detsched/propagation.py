@@ -198,7 +198,7 @@ class NetworkGeometry:
     def link_keys(self) -> list:
         """One key per row of ``links()``: the transmitter of a pairs link,
         the (transmitter, receiver) tuple of a txrx link."""
-        return [t if s < 0 else (t, r) for t, r, s in self.links().tolist()]
+        return _link_keys(self.links())
 
     def link(self, transmitter, receiver=None) -> tuple:
         """The ``links()`` row (t, slot, silent) a reference names: a pairs
@@ -216,6 +216,11 @@ class NetworkGeometry:
         if receiver == t:
             raise SameNode(f"node {t} cannot transmit to itself")
         return t, int(receiver), int(receiver)
+
+
+def _link_keys(rows: np.ndarray) -> list:
+    """``NetworkGeometry.link_keys`` of link-table rows ``rows``."""
+    return [t if s < 0 else (t, r) for t, r, s in rows.tolist()]
 
 
 def _is_int(x) -> bool:
@@ -282,6 +287,16 @@ def _channel(model: PathLoss, a: np.ndarray, b: np.ndarray) -> tuple:
     return dist, _path_losses(model, dist), _drowned(model, dist)
 
 
+def _signal_loss(signal_distance: float, params: PropagationParams) -> float:
+    """The path loss at the signal distance, which must be above 0."""
+    ell_r = path_loss(params.pathloss, signal_distance)
+    if ell_r <= 0:
+        raise DegenerateSignal(
+            f"path loss at signal distance {float(signal_distance)!r} is {ell_r!r}"
+        )
+    return ell_r
+
+
 def interferer_factor(
     interferer_distance: float, signal_distance: float, params: PropagationParams
 ) -> float:
@@ -292,11 +307,7 @@ def interferer_factor(
     a path loss singular at zero, an interferer on top of the receiver
     drowns any signal, so the factor is 0 regardless of the threshold.
     """
-    ell_r = path_loss(params.pathloss, signal_distance)
-    if ell_r <= 0:
-        raise DegenerateSignal(
-            f"path loss at signal distance {float(signal_distance)!r} is {ell_r!r}"
-        )
+    ell_r = _signal_loss(signal_distance, params)
     if _drowned(params.pathloss, interferer_distance):
         return 0.0
     if params.threshold == 0:
@@ -311,11 +322,7 @@ def noise_factor(signal_distance: float, params: PropagationParams) -> float:
     exp(-(threshold / fading_mean) * noise / pathloss(r)); equals 1 when
     the threshold or the noise power is zero.
     """
-    ell_r = path_loss(params.pathloss, signal_distance)
-    if ell_r <= 0:
-        raise DegenerateSignal(
-            f"path loss at signal distance {float(signal_distance)!r} is {ell_r!r}"
-        )
+    ell_r = _signal_loss(signal_distance, params)
     if params.threshold == 0 or params.noise == 0:
         return 1.0
     return math.exp(-(params.threshold / params.fading_mean) * params.noise / ell_r)
@@ -341,19 +348,21 @@ def _fading_value(fading, tx: int, slot: int) -> float:
     return v
 
 
-def _check_interferers(interferers, link: tuple, n: int) -> list:
-    """Distinct interferer indices, neither ``link``'s transmitter nor its silent node."""
-    t, _, silent = link
+def _fixed_link(geometry: NetworkGeometry, transmitter, interferers, receiver) -> tuple:
+    """(t, slot, zs, d_sig, dz) of a link against fixed, checked interferers zs."""
+    t, slot, silent = geometry.link(transmitter, receiver)
     zs = list(interferers)
     for z in zs:
-        _check_index(z, n, "interferer")
+        _check_index(z, geometry.n, "interferer")
     if len(set(zs)) != len(zs):
         raise BadArgument("duplicate interferer indices")
     if t in zs:
         raise BadArgument("the intended transmitter cannot interfere with itself")
     if silent in zs:
         raise BadArgument("the receiving node is silent and cannot interfere")
-    return zs
+    pts = geometry.transmitter_points()
+    y = geometry.receiver_location(slot)
+    return t, slot, zs, _distance(pts[t], y), [_distance(pts[z], y) for z in zs]
 
 
 def sinr(
@@ -371,18 +380,13 @@ def sinr(
     under a singular path loss gives SINR 0; returns +inf only when the
     denominator is exactly zero and the signal power is positive.
     """
-    transmitter, slot, _ = link = geometry.link(transmitter, receiver)
-    zs = _check_interferers(interferers, link, geometry.n)
-    pts = geometry.transmitter_points()
-    y = geometry.receiver_location(slot)
-    d_sig = _distance(pts[transmitter], y)
-    signal = _fading_value(fading, transmitter, slot) * path_loss(params.pathloss, d_sig)
+    t, slot, zs, d_sig, dz = _fixed_link(geometry, transmitter, interferers, receiver)
+    signal = _fading_value(fading, t, slot) * path_loss(params.pathloss, d_sig)
     interference = 0.0
-    for z in zs:
-        dz = _distance(pts[z], y)
-        if _drowned(params.pathloss, dz):
+    for z, d in zip(zs, dz):
+        if _drowned(params.pathloss, d):
             return 0.0
-        interference += _fading_value(fading, z, slot) * path_loss(params.pathloss, dz)
+        interference += _fading_value(fading, z, slot) * path_loss(params.pathloss, d)
     denom = params.noise + interference
     if denom == 0.0:
         return math.inf if signal > 0 else 0.0
@@ -402,12 +406,8 @@ def pair_coverage_fixed(
     per-interferer discounts.  This is the building block the scheduling
     average is taken over.
     """
-    transmitter, slot, _ = link = geometry.link(transmitter, receiver)
-    zs = _check_interferers(interferers, link, geometry.n)
-    pts = geometry.transmitter_points()
-    y = geometry.receiver_location(slot)
-    d_sig = _distance(pts[transmitter], y)
+    *_, d_sig, dz = _fixed_link(geometry, transmitter, interferers, receiver)
     value = noise_factor(d_sig, params)
-    for z in zs:
-        value *= interferer_factor(_distance(pts[z], y), d_sig, params)
+    for d in dz:
+        value *= interferer_factor(d, d_sig, params)
     return value

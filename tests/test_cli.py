@@ -416,6 +416,21 @@ def test_coverage_zero_threshold_equals_diagonal(tmp_path, capsys):
         assert link["coverage"] == float(K.matrix[i, i])
 
 
+def test_exact_zero_coverage_prints_without_sign(tmp_path, capsys):
+    # the always-scheduled transmitter 1 sits on link 0's receiver: its
+    # coverage is exactly 0, printed as 0.0 and 0, never -0.0 or -0
+    path = _write(tmp_path, _base_config(
+        receivers=[[1.0, 0.0], [2.0, 0.0]], noise=0.0,
+        kernel={"type": "aloha_diagonal", "probabilities": [0.5, 1.0]}))
+    assert cli.main(["coverage", path]) == 0
+    text = capsys.readouterr().out
+    assert '"conditional_coverage": 0.0,' in text and '"coverage": 0.0,' in text
+    assert "-0" not in text
+    assert cli.main(["coverage", path, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "0,,0.5,0,0,,infinite_delay,"
+
+
 def test_coverage_csv_matches_json_numbers(tmp_path, capsys):
     path = _write(tmp_path, _base_config())
     assert cli.main(["coverage", path]) == 0
@@ -600,6 +615,18 @@ def test_simulate_command(tmp_path, capsys):
         assert r["z_score"] < 4.5
         if r["target"] == "delay":
             assert r["censored"] == 0
+
+
+def test_simulate_delay_cap_beyond_int64(tmp_path, capsys):
+    # a cap of 2^64 runs as the default cap does, without an OverflowError
+    doc = _base_config()
+    doc["simulate"] = {"reps": 10, "seed": 1, "targets": ["delay"]}
+    path = _write(tmp_path, doc)
+    assert cli.main(["simulate", path]) == 0
+    want = capsys.readouterr()
+    doc["simulate"]["delay_cap"] = 2**64
+    assert cli.main(["simulate", _write(tmp_path, doc)]) == 0
+    assert capsys.readouterr() == want and want.err == ""
 
 
 def test_simulate_delay_rows_compare_the_capped_mean(tmp_path, capsys):

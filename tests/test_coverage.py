@@ -24,6 +24,7 @@ from _oracles import (
     random_psd_l,
 )
 from detsched import coverage as coverage_module
+from detsched.dpp import PALM_PIVOT_TOL
 
 
 def _power_params(tau=1.0, beta=2.0, noise=0.0, mu=1.0):
@@ -459,6 +460,23 @@ def test_full_report_captures_link_errors():
     assert rep.links[1].error is None
 
 
+def test_exact_zero_coverage_is_positive_zero():
+    # an always-scheduled node on link 0's receiver drowns it under r^-2
+    # loss: det(I - K'_h) is exactly 0, and its product with -w / (1 - q)
+    # must read 0.0, not -0.0
+    pairs = ds.NetworkGeometry.pairs([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]])
+    txrx = ds.NetworkGeometry.txrx([[0.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
+    params = _power_params()
+    for geo, K, ref, fns in (
+            (pairs, np.diag([0.5, 1.0]), (0,), (ds.pair_coverage, ds.conditional_pair_coverage)),
+            (txrx, np.diag([0.5, 0.5, 1.0]), (0, 1),
+             (ds.txrx_coverage, ds.txrx_conditional_coverage))):
+        K = ds.MarginalKernel.from_matrix(K)
+        lr = ds.full_report(geo, K, params).links[0]
+        values = [lr.conditional_coverage, lr.coverage] + [f(geo, K, *ref, params) for f in fns]
+        assert [math.copysign(1.0, x) for x in values] == [1.0] * 4 and not any(values)
+
+
 def test_zero_threshold_gives_selection_probability():
     rng = np.random.default_rng(77)
     tx, rx = random_pairs_geometry(rng, 4)
@@ -796,7 +814,8 @@ def test_closed_form_stages_are_seams(monkeypatch):
     K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n)))
     params = _power_params(tau=0.8, beta=3.0, noise=0.05)
     report, kernel = ds.full_report(geo, K, params), ds.coverage_kernel(pairs, K, 4, params)
-    calls = dict.fromkeys(("_discounts", "_bordered", "palm_reduced", "scale_kernel"), 0)
+    calls = dict.fromkeys(("_channel", "_discounts", "_bordered", "palm_reduced",
+                           "scale_kernel"), 0)
     for name in calls:
         def counting(*args, _name=name, _real=getattr(coverage_module, name)):
             calls[_name] += 1
@@ -805,22 +824,25 @@ def test_closed_form_stages_are_seams(monkeypatch):
     monkeypatch.setattr(coverage_module, "_BLOCK_BYTES", 10 * 8 * n ** 2)
     assert ds.full_report(geo, K, params) == report
     # 72 links, 10 a block, no failed row to replay
-    assert calls == {"_discounts": 8, "_bordered": 8, "palm_reduced": 0, "scale_kernel": 0}
+    assert calls == {"_channel": 1, "_discounts": 8, "_bordered": 8, "palm_reduced": 0,
+                     "scale_kernel": 0}
     calls.update(dict.fromkeys(calls, 0))
-    # coverage_kernel's one link runs the scalar Palm chain
+    # coverage_kernel's one link runs the scalar Palm chain alone
     assert np.array_equal(ds.coverage_kernel(pairs, K, 4, params), kernel)
-    assert calls == {"_discounts": 1, "_bordered": 0, "palm_reduced": 1, "scale_kernel": 1}
+    assert calls == {"_channel": 0, "_discounts": 0, "_bordered": 0, "palm_reduced": 1,
+                     "scale_kernel": 1}
 
 
-def _rational_instance(mode, n, seed, tiny=None, loud=None):
+def _rational_instance(mode, n, seed, tiny=None, loud=None, shrink=30000):
     """A geometry on a grid of step 1/8, a rational L = B B^T + I/8 (with
-    row ``tiny`` of B scaled by 1/30000, so that K_tt is near 1e-9, and row
-    ``loud`` by ``loud[1]``, so that the node is almost always scheduled),
-    the float kernel rounded from its exact K and that kernel's exact pmf."""
+    row ``tiny`` of B scaled by 1/``shrink``, so that K_tt is near 1e-9 at
+    the default, and row ``loud[0]`` by ``loud[1]``, so that the node is
+    almost always scheduled), the float kernel rounded from its exact K and
+    that kernel's exact pmf."""
     rng = np.random.default_rng(seed)
     B = [[Fraction(int(x), 4) for x in rng.integers(-4, 5, size=n)] for _ in range(n)]
     if tiny is not None:
-        B[tiny] = [x / 30000 for x in B[tiny]]
+        B[tiny] = [x / shrink for x in B[tiny]]
     if loud is not None:
         B[loud[0]] = [x * loud[1] for x in B[loud[0]]]
     L = [[sum(B[i][k] * B[j][k] for k in range(n)) + Fraction(i == j != tiny, 8)
@@ -868,6 +890,64 @@ def test_full_report_against_exact_arithmetic():
             if s >= 0:
                 smallest["1 - q"] = min(smallest["1 - q"], float(sel / Fraction(K.matrix[t, t])))
     assert smallest["K_tt"] < 2e-9 and smallest["1 - q"] < 1e-6
+
+
+def _exact_rows(geo, K, tx, receivers, exact):
+    """(t, s, LinkReport, exact selection probability) per link-table row
+    of ``full_report`` under r^-4 loss, threshold 1/2 and noise 0, after
+    checking every printed value within 1e-13 relative of the exact one: the
+    selection probability of every row, the rest of each row not flagged
+    for a selection probability at most PALM_PIVOT_TOL."""
+    params = ds.PropagationParams(ds.PowerLawPathLoss(1.0, 4.0), threshold=0.5)
+    out = []
+    for (t, p, s), lr in zip(geo.links().tolist(), ds.full_report(geo, K, params).links):
+        sel, cond = fraction_link(exact, tx, receivers[p], t, s, Fraction(1, 2))
+        assert abs(Fraction(lr.selection_probability) - sel) <= 1e-13 * sel, (t, s)
+        if set(lr.flags) & {"never_scheduled", "receiver_always_scheduled"}:
+            assert lr.selection_probability <= PALM_PIVOT_TOL, (t, s)
+        else:
+            for got, want in ((lr.conditional_coverage, cond), (lr.coverage, sel * cond),
+                              (lr.delay_mean, 1 / (sel * cond))):
+                assert abs(Fraction(got) - want) <= 1e-13 * want, (t, s)
+        out.append((t, s, lr, sel))
+    return out
+
+
+def test_q_to_one_sweep_against_exact_arithmetic():
+    # node 3 scaled by 30 to 3e5, so that 1 - q, the probability it stays
+    # silent given another node transmits, falls from 8.3e-4 to 8.3e-12:
+    # the bordered route sums 1 - q and stays within 1e-13 (2.2e-15 worst
+    # measured), where the Palm route's division by 1 - q loses up to 6.8e-7
+    smallest = 1.0
+    for seed in (0, 1):
+        for loud in (30, 300, 3000, 30000, 300000):
+            geo, K, *rest = _rational_instance("txrx", 5, seed, loud=(3, loud))
+            for t, s, lr, sel in _exact_rows(geo, K, *rest):
+                assert lr.flags == ()
+                smallest = min(smallest, float(sel / Fraction(K.matrix[t, t])))
+    assert smallest < 1e-11
+
+
+def test_palm_pivots_just_above_tolerance_against_exact_arithmetic():
+    # node 2's row of B scaled by 1/650000: K_22 is 2.0e-12 (seed 0) and
+    # 1.5e-12 (seed 1), just above PALM_PIVOT_TOL.  Its rows with a larger
+    # selection probability are within 1e-13 of exact (7.0e-16 worst
+    # measured); the txrx rows at or below it keep never_scheduled, the
+    # smaller factor being K_22
+    for mode in ("pairs", "txrx"):
+        scheduled = flagged = 0
+        for seed in (0, 1):
+            geo, K, *rest = _rational_instance(mode, 6, seed, 2, shrink=650000)
+            assert PALM_PIVOT_TOL < K.matrix[2, 2] < 3e-12
+            for t, s, lr, sel in _exact_rows(geo, K, *rest):
+                if t != 2:
+                    continue
+                if lr.conditional_coverage is None:
+                    assert lr.flags == ("never_scheduled",) and sel <= 1.01e-12
+                    flagged += 1
+                else:
+                    scheduled += 1
+        assert scheduled >= 2 and (flagged > 0) == (mode == "txrx")
 
 
 @st.composite

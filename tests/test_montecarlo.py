@@ -486,6 +486,20 @@ def test_local_delay_censoring():
         assert est.censored == reps - round(cov[i].mean * reps)
 
 
+def test_delay_caps_beyond_int64():
+    # a censored replication is written at the last slot played, so a plan
+    # may carry caps an int64 cannot hold: on links that succeed within a
+    # few slots they give the default cap's estimates
+    geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [5.0, 0.0]], [[0.1, 0.0], [5.1, 0.0]])
+    L = ds.LEnsemble.from_matrix(np.diag([9.0, 9.0]))
+    params = _power_params(tau=0.5)
+    want = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(10, 1, ("delay",)))
+    assert all(est.censored == 0 and est.mean < 3.0 for est in want.values())
+    for cap in (2**63 - 1, 2**63, 2**64, 10**400):
+        plan = ds.SimulationPlan(10, 1, ("delay",), cap)
+        assert ds.simulate_local_delay(geo, L, params, plan) == want
+
+
 def test_pairs_zero_length_link_rejected():
     geo = ds.NetworkGeometry.pairs([[0.0, 0.0]], [[0.0, 0.0]])
     L = ds.LEnsemble.from_matrix([[1.0]])
