@@ -61,6 +61,7 @@ from .errors import (
     KernelInvalid,
     MalformedConfig,
     NeverScheduled,
+    NormalizationOverflow,
     NotLRepresentable,
     SameNode,
     SingularDistance,
@@ -130,6 +131,7 @@ __all__ = [
     "MarginalKernel",
     "NetworkGeometry",
     "NeverScheduled",
+    "NormalizationOverflow",
     "NotLRepresentable",
     "PalmKernel",
     "PowerLawPathLoss",

@@ -29,6 +29,9 @@ that fail) and ``_bordered``, then one stacked determinant: M = I - R K R
 with r_j = sqrt(1 - h_j), r_t = K_tt^(-1/2) and M[t, t] = -1, where by the
 Schur complement on entry t, -det(M) = det(I - K'_h) for the Palm kernel K'
 at t, so a row's value -w det(M) / (1 - q) needs no downdate.
+``_silence`` is the one home of the silent node's q and 1 - q and of a
+row's selection probability, for ``_discounts``, the report's flags and
+the per-link coverage.
 ``_palm_chain`` is the paper's chain (``palm_reduced`` to ``scale_kernel``):
 ``_failure`` replays a failed row through it for its error, and
 ``coverage_kernel`` builds its block from it.  perfbench's tracer wraps
@@ -72,13 +75,23 @@ def _link(geometry, K, mode: str, transmitter, receiver=None) -> tuple:
 _BLOCK_BYTES = 1 << 19
 
 
-def _selections(K: MarginalKernel, rows: np.ndarray) -> np.ndarray:
-    """Probability each row's transmitter is scheduled and its silent node
-    (if any, i.e. s >= 0) is not: K_tt - det(K on {t, s}), summed as
-    K_tt (1 - K_ss) + K_st^2 without its cancellation, floored at 0."""
-    mat, t, s = K.matrix, rows[:, 0], rows[:, 2]
-    sel = np.where(s >= 0, mat[t, t] * (1.0 - mat[s, s]) + mat[s, t] * mat[s, t], mat[t, t])
-    return np.maximum(sel, 0.0)
+# a pivot K_tt of 0 gives q and 1 - q of inf or NaN, read only where K_tt fails
+@np.errstate(divide="ignore", invalid="ignore")
+def _silence(mat: np.ndarray, t, s) -> tuple:
+    """Per row (t, ., s), s = -1 for none: K_tt; q, the probability that s
+    is scheduled given t is (0 without s); 1 - q, summed as (1 - K_ss) +
+    K_st^2 / K_tt without q's cancellation near 1 (1 without s); and the
+    selection probability that t is scheduled and s is not, K_tt - det(K on
+    {t, s}) summed as K_tt (1 - K_ss) + K_st^2 (K_tt without s), floored at
+    0.  ``t`` and ``s`` are arrays of rows or one row's ints; s = -1 reads
+    K's last row, which np.where drops."""
+    piv, kss, kst = mat[t, t], mat[s, s], mat[s, t]
+    has, st2 = s >= 0, kst * kst
+    ratio = st2 / piv
+    q = np.where(has, kss - ratio, 0.0)
+    free = np.where(has, (1.0 - kss) + ratio, 1.0)
+    sel = np.maximum(np.where(has, piv * (1.0 - kss) + st2, piv), 0.0)
+    return piv, q, free, sel
 
 
 def _discounts(K, params, channel, t, s, c) -> tuple:
@@ -90,10 +103,7 @@ def _discounts(K, params, channel, t, s, c) -> tuple:
     0, or a discount that is NaN or leaves [0, 1] by more than CLAMP_TOL."""
     mat, theta = K.matrix, params.threshold
     _, loss, drowned = channel
-    piv = mat[t, t]
-    q = np.where(s >= 0, mat[s, s] - mat[s, t] * mat[s, t] / piv, 0.0)
-    # 1 - q as a sum of two nonnegative terms, without q's cancellation near 1
-    free = np.where(s >= 0, (1.0 - mat[s, s]) + mat[s, t] * mat[s, t] / piv, 1.0)
+    piv, q, free, _ = _silence(mat, t, s)
     signal = loss[t, c]
     if theta == 0 or params.noise == 0:
         w = np.ones(len(t))
@@ -192,7 +202,7 @@ def _one(geometry, K, params, row: tuple):
 
 
 def _coverage(geometry, K, params, row: tuple) -> float:
-    sel = float(_selections(K, np.array([row]))[0])
+    sel = float(_silence(K.matrix, row[0], row[2])[3])
     if sel <= PALM_PIVOT_TOL:
         return 0.0
     return sel * _unit(_one(geometry, K, params, row))
@@ -360,9 +370,10 @@ def _link_reports(geometry, K, params, rows: np.ndarray) -> tuple:
     """One LinkReport per link-table row; per-link failures become error
     strings.  A row whose selection probability K_tt (1 - q) is at most
     PALM_PIVOT_TOL is flagged by its smaller factor."""
-    mat = K.matrix
-    sel = _selections(K, rows)
+    piv, _, free, sel = _silence(K.matrix, rows[:, 0], rows[:, 2])
     scheduled = sel > PALM_PIVOT_TOL
+    # K_tt the smaller factor; a pairs row (1 - q = 1) gets here only through it
+    nevers = iter(((piv <= PALM_PIVOT_TOL) | (piv <= free))[~scheduled].tolist())
     raws = iter(_evaluate(geometry, K, params, rows[scheduled]))
     # filling each instance dict gives the same LinkReport as the frozen
     # __init__, without its object.__setattr__ per field, in a third of the time
@@ -370,10 +381,7 @@ def _link_reports(geometry, K, params, rows: np.ndarray) -> tuple:
     for f, (t, p, s), x, ok in zip(map(vars, out), rows.tolist(), sel.tolist(),
                                     scheduled.tolist()):
         if not ok:
-            # a pairs row gets here only through K_tt; 1 - q as _discounts sums it
-            piv = float(mat[t, t])
-            never = piv <= PALM_PIVOT_TOL or piv <= (1.0 - mat[s, s]) + mat[s, t] * mat[s, t] / piv
-            flag = "never_scheduled" if never else "receiver_always_scheduled"
+            flag = "never_scheduled" if next(nevers) else "receiver_always_scheduled"
             rest = (None, 0.0, math.inf, (flag,), None)
         elif isinstance(raw := next(raws), DetschedError):
             rest = (None, None, None, (), str(raw))

@@ -72,9 +72,11 @@ def inclusion_probability(K: AnyMarginal, nodes) -> float:
 def subset_probability(L: LEnsemble, nodes) -> float:
     """Probability that the scheduled set is exactly ``nodes``.
 
-    det(L restricted to nodes) / det(L + I).
+    det(L restricted to nodes) / det(L + I); NormalizationOverflow where
+    det(L + I) exceeds the largest double.
     """
-    return _clamp01(_minor(L, nodes) / L.normalization)
+    norm = L.normalization  # first: its overflow raises, not the minor's
+    return _clamp01(_minor(L, nodes) / norm)
 
 
 def exact_pmf_array(kernel, max_size: int = ENUMERATION_CAP) -> np.ndarray:
@@ -85,33 +87,48 @@ def exact_pmf_array(kernel, max_size: int = ENUMERATION_CAP) -> np.ndarray:
     Tsatsomeros, Linear Algebra Appl. 419 (2006)): det(M[S + {b}]) is
     det(M[S]) times p, the leading entry of S's complement, held masks last
     in one (n - b, n - b, 2^b) array, and one rank-one downdate gives the
-    complement of S + {b}.  Work is sum_k 2^k (n - k)^2; a pivot <= 0 marks
-    a singular subset (in a PSD kernel, its supersets too).  Ground sets over
-    ``max_size`` raise EnumerationTooLarge.
+    complement of S + {b}.  A level writes its minors, divides its pivot
+    column in place, copies the kept block and runs the downdate; only a
+    level with a pivot <= 0 (a singular subset, in a PSD kernel its
+    supersets too) divides around it and zeroes its minor and complement.
+    Work is sum_k 2^k (n - k)^2.  Ground sets over ``max_size`` raise
+    EnumerationTooLarge; an L-ensemble whose det(L + I) overflows raises
+    before the recursion starts.
     """
     n = kernel.n
     if n > max_size:
         raise EnumerationTooLarge(f"ground set of {n} nodes exceeds cap {max_size}")
-    out, comp = np.ones(1 << n), kernel.matrix[:, :, None]
+    # det(L + I) first: its overflow raises before any minor can overflow
+    norm = kernel.normalization if isinstance(kernel, LEnsemble) else None
+    # a copy, since each level divides its pivot column in place
+    out, comp = np.ones(1 << n), kernel.matrix[:, :, None].copy()
     for b in range(n):
         m, prev = 1 << b, comp
-        live = prev[0, 0] > 0.0
-        out[m:2 * m] = np.where(live, out[:m] * prev[0, 0], 0.0)
-        f = prev[1:, 0] / np.where(live, prev[0, 0], 1.0)
+        p, f = prev[0, 0], prev[1:, 0]
+        dets = np.multiply(out[:m], p, out=out[m:2 * m])
+        # NaN fails the test too, and counts as dead
+        dead = None if np.minimum.reduce(p) > 0.0 else ~(p > 0.0)
+        if dead is None:
+            np.divide(f, p, out=f)
+        else:
+            np.divide(f, p, out=f, where=~dead)
+            dets[dead] = 0.0
         comp = np.empty((n - b - 1, n - b - 1, 2 * m))
         comp[:, :, :m] = prev[1:, 1:]
         down = np.multiply(f[:, None], prev[0, 1:], out=comp[:, :, m:])
         np.subtract(prev[1:, 1:], down, out=down)
-        down[:, :, ~live] = 0.0
-    if isinstance(kernel, LEnsemble):
-        out /= kernel.normalization
+        if dead is not None:
+            down[:, :, dead] = 0.0
+    if norm is not None:
+        # every minor is a product of positive pivots or 0: nothing to clamp
+        out /= norm
     else:
         # Moebius inversion: pair[:, 0] -= pair[:, 1], masks without and with bit b;
         # below bit 3 a pair fits a 64-byte line, so order F (a pass per column) wins
         for b in range(n):
             pair = out.reshape(-1, 2, 1 << b)
             np.subtract(pair[:, 0], pair[:, 1], out=pair[:, 0], order="F" if b < 3 else "K")
-    out[(out < 0.0) & (out >= -CLAMP_TOL)] = 0.0
+        out[(out < 0.0) & (out >= -CLAMP_TOL)] = 0.0
     return out
 
 

@@ -30,6 +30,10 @@ class EnumerationTooLarge(DetschedError):
     """Exact enumeration requested for a ground set beyond the size cap."""
 
 
+class NormalizationOverflow(DetschedError):
+    """det(L + I) of a likelihood kernel exceeds the largest double."""
+
+
 class NeverScheduled(DetschedError):
     """Conditioning on a node whose scheduling probability is zero."""
 

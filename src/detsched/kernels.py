@@ -18,7 +18,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BadArgument, BadSpec, BadSubset, KernelInvalid, NotLRepresentable
+from .errors import (
+    BadArgument,
+    BadSpec,
+    BadSubset,
+    KernelInvalid,
+    NormalizationOverflow,
+    NotLRepresentable,
+)
 
 SYMMETRY_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
@@ -169,9 +176,18 @@ class LEnsemble(_NodeIndexed):
 
     @cached_property
     def normalization(self) -> float:
-        """det(L + I), computed from the eigenvalues."""
+        """det(L + I), computed from the eigenvalues; NormalizationOverflow
+        where it exceeds the largest double."""
         vals, _ = self.eigh
-        return float(np.prod(1.0 + vals))
+        # every factor is at least 1: the product is finite or inf, and inf raises below
+        with np.errstate(over="ignore"):
+            det = float(np.prod(1.0 + vals))
+        if det == np.inf:
+            raise NormalizationOverflow(
+                f"det(L + I) overflows a double ({self.n} nodes, largest eigenvalue "
+                f"{float(vals[-1]):.6g}); take probabilities by the K route, from "
+                "the marginal kernel l_to_k(L)")
+        return det
 
 
 def l_to_k(L: LEnsemble) -> MarginalKernel:

@@ -579,6 +579,14 @@ def fraction_det(m):
     return det
 
 
+def fraction_l_pmf(L):
+    """{subset: P(Phi = subset)} of an L-ensemble given as a matrix of
+    Fractions, exactly: det(L restricted to the subset) / det(I + L)."""
+    n = len(L)
+    norm = fraction_det([[L[i][j] + int(i == j) for j in range(n)] for i in range(n)])
+    return {S: fraction_det([[L[i][j] for j in S] for i in S]) / norm for S in all_subsets(n)}
+
+
 def fraction_marginal_kernel(L):
     """K = I - (I + L)^-1 of a matrix L of Fractions, exactly
     (Gauss-Jordan elimination)."""

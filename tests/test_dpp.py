@@ -15,6 +15,7 @@ from _oracles import (
     exact_pmf_array_elimination,
     exact_pmf_array_loops,
     exact_pmf_array_mask_first,
+    fraction_l_pmf,
     laplace_oracle,
     mean_size,
     phase2_loops,
@@ -257,6 +258,46 @@ def test_exact_pmf_array_at_the_cap():
         exact_pmf_array(ds.LEnsemble.from_matrix(np.eye(n + 1)))
 
 
+@pytest.mark.parametrize("n, scale", [(8, 1e45), (dpp.ENUMERATION_CAP, 1e16)])
+def test_overflowing_normalization_raises(n, scale):
+    # det(L + I) past the largest double: an error that names the K route,
+    # not NaN with a RuntimeWarning (an error here too), from every entry
+    # point that divides by it; the K route still gives P(all nodes) = 1
+    L = ds.LEnsemble.from_matrix(scale * np.eye(n))
+    for call in (exact_pmf_array, ds.exact_pmf, lambda L: ds.subset_probability(L, L.node_ids)):
+        with pytest.raises(ds.NormalizationOverflow, match=r"overflows.*K route.*l_to_k"):
+            call(L)
+    assert exact_pmf_array(ds.l_to_k(L))[-1] == 1.0
+
+
+def _rational_l(rng, n, kind):
+    """A symmetric PSD matrix of small dyadic rationals, exact in floats."""
+    if kind == "diagonal":
+        return np.diag(rng.integers(0, 9, size=n) / 4.0)
+    a = rng.integers(-4, 5, size=(n, n if kind != "rank-deficient" else max(1, n // 2))) / 4.0
+    mat = a @ a.T
+    if kind == "zero row":
+        zero = int(rng.integers(n))
+        mat[zero, :] = mat[:, zero] = 0.0
+    return mat
+
+
+def test_exact_pmf_array_against_exact_arithmetic():
+    # both routes within 1e-14 of det(L_S) / det(I + L) in Fractions, on
+    # dyadic L (exact in floats) with n <= 6: full, rank-deficient, a zero
+    # row and diagonal ones
+    rng = np.random.default_rng(49)
+    kinds = ("full", "rank-deficient", "zero row", "diagonal")
+    for i in range(60):
+        n, kind = 1 + i % 6, kinds[i % 4]
+        L = ds.LEnsemble.from_matrix(_rational_l(rng, n, kind))
+        exact = fraction_l_pmf([[Fraction(x) for x in row] for row in L.matrix.tolist()])
+        for kernel in (L, ds.l_to_k(L)):
+            got = exact_pmf_array(kernel).tolist()
+            err = max(abs(Fraction(got[sum(1 << z for z in S)]) - p) for S, p in exact.items())
+            assert err <= 1e-14, (i, n, kind, type(kernel).__name__, float(err))
+
+
 @st.composite
 def _psd_l(draw):
     n = draw(st.integers(1, 7))
@@ -442,6 +483,28 @@ def test_laplace_functional_edge_rates():
         ds.laplace_functional(K, np.array([-0.1, 0.0]))
     with pytest.raises(ds.BadFunction):
         ds.laplace_functional(K, np.array([np.nan, 0.0]))
+
+
+@st.composite
+def _laplace_instance(draw):
+    n = draw(st.integers(1, 8))
+    a = draw(arrays(np.float64, (n, draw(st.integers(1, n))), elements=st.floats(-2.0, 2.0)))
+    rates = draw(arrays(np.float64, n, elements=st.floats(0.0, 10.0) | st.just(math.inf)))
+    return a @ a.T, rates
+
+
+@settings(derandomize=True, deadline=None)
+@given(_laplace_instance())
+def test_laplace_functional_equals_pmf_sum(instance):
+    # E exp(-sum of the rates over the scheduled set) as a sum over the
+    # exact pmf; an infinite rate makes its subsets' terms 0
+    mat, rates = instance
+    K = ds.l_to_k(ds.LEnsemble.from_matrix(mat))
+    pmf = exact_pmf_array(K)
+    masks = np.arange(pmf.size)
+    total = sum(np.where((masks >> z) & 1 == 1, r, 0.0) for z, r in enumerate(rates.tolist()))
+    want = math.fsum((pmf * np.exp(-total)).tolist())
+    assert ds.laplace_functional(K, rates) == pytest.approx(want, abs=1e-12)
 
 
 def test_sample_requires_l_ensemble():
