@@ -90,6 +90,8 @@ class RunConfig:
     K: MarginalKernel  # the marginal kernel of kernel_spec, built once
     plan: Optional[SimulationPlan] = None
     workers: int = 1
+    # "coverage", "delay" (every link) or ("delay", link key)
+    targets: tuple = ("coverage",)
 
     @property
     def mode(self) -> str:
@@ -313,12 +315,12 @@ def _parse_target(entry, path, geometry, keys, errors):
 
 
 def _parse_simulate(doc, geometry, errors):
-    """The plan and the worker count of ``doc["simulate"]``."""
+    """The plan, the worker count and the targets of ``doc["simulate"]``."""
     obj = doc.get("simulate")
     if not isinstance(obj, dict):
         if obj is not None:
             errors.append(("simulate", "must be an object"))
-        return None, 1
+        return None, 1, ("coverage",)
 
     def targets(raw, path, errors):
         if not isinstance(raw, list) or not raw:
@@ -342,8 +344,8 @@ def _parse_simulate(doc, geometry, errors):
     v = {key: _field(obj, key, "simulate.", read, errors, default)
          for key, (read, default) in schema.items()}
     if None in v.values():
-        return None, 1
-    return SimulationPlan(v["reps"], v["seed"], v["targets"], v["delay_cap"]), v["workers"]
+        return None, 1, ("coverage",)
+    return SimulationPlan(v["reps"], v["seed"], v["delay_cap"]), v["workers"], v["targets"]
 
 
 def parse_config_dict(doc) -> RunConfig:
@@ -377,11 +379,11 @@ def parse_config_dict(doc) -> RunConfig:
                 ("geometry", f"transmitter {int(i)} coincides with its receiver "
                              "under power_law path loss")
             )
-    plan, workers = _parse_simulate(doc, geometry, errors)
+    plan, workers, targets = _parse_simulate(doc, geometry, errors)
     if errors:
         raise ConfigError(errors)
     return RunConfig(geometry=geometry, kernel_spec=kernel_spec, params=params, K=K,
-                     plan=plan, workers=workers)
+                     plan=plan, workers=workers, targets=targets)
 
 
 def _load(path):
@@ -416,7 +418,7 @@ def config_dict(cfg: RunConfig) -> dict:
     if plan is not None:
         d["simulate"] = {"reps": plan.replications, "seed": plan.seed,
                          # the link tuples as the lists JSON reads them back as
-                         "targets": json.loads(json.dumps(plan.targets)),
+                         "targets": json.loads(json.dumps(cfg.targets)),
                          "delay_cap": plan.delay_cap, "workers": cfg.workers}
     return d
 
@@ -592,13 +594,15 @@ def cmd_simulate(
     nworkers = workers if workers is not None else cfg.workers
     L = build_L(cfg.kernel_spec, cfg.geometry)
     found = []
-    if plan.wants("coverage"):
+    if "coverage" in cfg.targets:
         ests = _montecarlo._simulate_coverage(cfg.geometry, L, cfg.params, plan)
         found += [("coverage", key, est, None) for key, est in sorted(ests.items())]
-    if plan.wants("delay"):
+    # a bare "delay" names every link, whatever single links sit beside it
+    links = [t[1] for t in cfg.targets if isinstance(t, tuple)]
+    if "delay" in cfg.targets or links:
         delays = _montecarlo.simulate_local_delay(
-            cfg.geometry, L, cfg.params, plan, links=plan.delay_links(), workers=nworkers
-        )
+            cfg.geometry, L, cfg.params, plan, workers=nworkers,
+            links=None if "delay" in cfg.targets else links)
         found += [("delay", key, est, est.censored) for key, est in sorted(delays.items())]
     closed = _closed_reports(cfg, {key for _, key, _, _ in found})
     rows = []

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import _sampling
-from .errors import BadArgument, SingularDistance
+from .errors import BadArgument, SameNode, SingularDistance
 from .kernels import LEnsemble
 from .propagation import (NetworkGeometry, PropagationParams, _channel, _is_int, _link_keys,
                           _require, path_loss)
@@ -47,21 +47,14 @@ from .rng import _advance, _fill, _pcg64_states, substream
 DEFAULT_DELAY_CAP = 1_000_000
 
 
-VALID_TARGET_KINDS = ("coverage", "delay")
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Replication count, base seed, what to estimate, and the delay cap.
-
-    Targets are "coverage" or "delay" (every link), or ("delay", link) for
-    one link.  The estimator functions themselves always cover every link;
-    targets drive which estimators a driver runs and what it reports.
-    """
+    """Replication count, base seed and the delay cap: what the estimator
+    functions read.  Which estimators a run calls, and for which links, is
+    the caller's choice (the CLI's ``simulate.targets``)."""
 
     replications: int
     seed: int
-    targets: tuple = ("coverage",)
     delay_cap: int = DEFAULT_DELAY_CAP
 
     def __post_init__(self):
@@ -69,26 +62,8 @@ class SimulationPlan:
             raise BadArgument(f"replications must be >= 1, got {self.replications!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise BadArgument(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not self.targets:
-            raise BadArgument("simulation plan needs at least one target")
-        for t in self.targets:
-            if t not in VALID_TARGET_KINDS and not (
-                    isinstance(t, tuple) and len(t) == 2 and t[0] == "delay"):
-                raise BadArgument(f"unknown simulation target {t!r}")
         if not _is_int(self.delay_cap) or self.delay_cap < 1:
             raise BadArgument(f"delay cap must be >= 1, got {self.delay_cap!r}")
-
-    def delay_links(self):
-        """Explicit delay links named in targets, or None for all links:
-        when no link is named, or a bare "delay" names them all."""
-        if "delay" in self.targets:
-            return None
-        return [t[1] for t in self.targets if isinstance(t, tuple)] or None
-
-    def wants(self, kind: str) -> bool:
-        return any(
-            (t[0] if isinstance(t, tuple) else t) == kind for t in self.targets
-        )
 
 
 @dataclass(frozen=True)
@@ -180,18 +155,22 @@ class _Arena:
         self.tx, self.rx = tx[defined], rx[defined]
         self.keys = _link_keys(links[defined])
 
-    def track(self, keys) -> list:
-        """Restrict the SINR test to the links ``keys``, in that order, and
-        return them; a key outside ``self.keys`` raises BadArgument."""
+    def track(self, geometry: NetworkGeometry, links) -> list:
+        """Restrict the SINR test to the links ``links`` name, in that order,
+        and return their keys.  A reference ``geometry.link`` rejects, and a
+        link outside ``self.keys``, raise BadArgument."""
         where = {key: k for k, key in enumerate(self.keys)}
         picked = []
-        for key in keys:
+        for link in links:
             try:
-                picked.append(where[key])
-            except (KeyError, TypeError):
-                raise BadArgument(
-                    f"delay target {key!r} is not a link with a defined signal"
-                ) from None
+                t, r, silent = (geometry.link(*link) if isinstance(link, tuple) and len(link) == 2
+                                else geometry.link(link))
+            except (BadArgument, SameNode) as e:
+                raise BadArgument(f"delay target {link!r}: {e}") from None
+            key = t if silent < 0 else (t, r)
+            if key not in where:
+                raise BadArgument(f"delay target {link!r} is not a link with a defined signal")
+            picked.append(where[key])
         self.tx, self.rx = self.tx[picked], self.rx[picked]
         self.keys = [self.keys[k] for k in picked]
         return self.keys
@@ -213,7 +192,9 @@ class _Arena:
         bound = scheduled.sum(axis=0)[..., self.rx]
         bound -= signal
         bound += p.noise
-        bound *= p.threshold
+        # a bound past the doubles is inf, which no signal clears
+        with np.errstate(over="ignore"):
+            bound *= p.threshold
         ok = signal > bound
         ok &= mask[..., self.tx]
         ok &= ~(mask @ self.deafening > 0)[..., self.rx]
@@ -343,22 +324,21 @@ def simulate_local_delay(
 ) -> dict:
     """First-success slot estimates, as {link: DelayEstimate}.
 
-    Links are ints in pairs mode and (tx, rx) tuples in txrx mode; by
-    default every link the coverage simulation reports is tracked, and
-    naming a link with no defined signal raises BadArgument.  Each
-    replication plays slots, together with its block's other live
-    replications, until all tracked links have succeeded or the plan's
-    delay cap is reached.  ``workers`` is accepted for compatibility; it
-    changes neither the results nor the work done.
+    Links are ints in pairs mode and (tx, rx) tuples in txrx mode, each
+    checked by ``NetworkGeometry.link``; by default every link the coverage
+    simulation reports is tracked, and naming anything else raises
+    BadArgument.  Each replication plays slots, together with its block's
+    other live replications, until all tracked links have succeeded or the
+    plan's delay cap is reached.  ``workers`` is accepted for compatibility;
+    it changes neither the results nor the work done.
     """
     arena = _Arena(geometry, L, params)
-    if links is not None and not (links := list(links)):
+    if links is not None and not arena.track(geometry, links):
         raise BadArgument("empty target list for the delay simulation")
-    targets = arena.track(arena.keys if links is None else links)
     reps = plan.replications
     delays, censored = _first_successes(arena, plan.seed, reps, plan.delay_cap)
     out = {}
-    for t, tgt in enumerate(targets):
+    for t, tgt in enumerate(arena.keys):
         vals = delays[:, t].astype(float)
         std = float(vals.std(ddof=1)) if reps > 1 else 0.0
         out[tgt] = DelayEstimate(mean=float(vals.mean()), std_error=std / math.sqrt(reps),

@@ -9,6 +9,7 @@ code path with these reference values.
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -616,21 +617,38 @@ def fraction_pmf(K):
     return out
 
 
-def fraction_link(pmf, transmitters, receiver, t, s, theta):
+def fraction_link(pmf, transmitters, receiver, t, s, theta, table=None, noise=0,
+                  fading_mean=1):
     """Exact (selection probability, conditional coverage) of the link from
     transmitter t to the point ``receiver`` with silent node s (-1 for
-    none), under the path loss r^-4, fading mean 1 and noise 0, from an
-    exact pmf and rational coordinates (r^-4 = 1 / (dx^2 + dy^2)^2):
-    the sums over the subsets S with t in S and s not in S of P(Phi = S),
-    and of P(Phi = S) times the product over j in S, j != t, of
-    1 / (1 + theta l_j / l_t)."""
+    none), from an exact pmf and rational coordinates, under fading of mean
+    ``fading_mean`` and the path loss r^-4 (1 / (dx^2 + dy^2)^2, exact) or
+    the piecewise-linear ``table`` (radii, values): the sums over the
+    subsets S with t in S and s not in S of P(Phi = S), and of P(Phi = S)
+    times the product over j in S, j != t, of 1 / (1 + theta l_j / l_t),
+    that one times the noise discount exp(-theta noise / (fading_mean l_t)).
+    A table's distances, its interpolation and the discount's exp are
+    decimals of 50 digits, far below the doubles' rounding."""
+    def dec(x):
+        x = Fraction(x)
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
     def loss(z):
         dx, dy = (Fraction(a) - Fraction(b) for a, b in zip(transmitters[z], receiver))
-        return 1 / (dx * dx + dy * dy) ** 2
+        if table is None:
+            return 1 / (dx * dx + dy * dy) ** 2
+        r = dec(dx * dx + dy * dy).sqrt()
+        radii, values = ([dec(x) for x in v] for v in table)
+        k = next(k for k in range(1, len(radii)) if r <= radii[k])
+        return Fraction(values[k - 1] + (values[k] - values[k - 1]) * (r - radii[k - 1])
+                        / (radii[k] - radii[k - 1]))
 
-    lt = loss(t)
-    h = [1 / (1 + theta * loss(z) / lt) if z not in (t, s) else None
-         for z in range(len(transmitters))]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lt = loss(t)
+        h = [1 / (1 + theta * loss(z) / lt) if z not in (t, s) else None
+             for z in range(len(transmitters))]
+        w = Fraction((-dec(theta * Fraction(noise) / (Fraction(fading_mean) * lt))).exp())
     sel = joint = Fraction(0)
     for S, p in pmf.items():
         if t not in S or s in S:
@@ -641,4 +659,4 @@ def fraction_link(pmf, transmitters, receiver, t, s, theta):
                 prod *= h[z]
         sel += p
         joint += p * prod
-    return sel, joint / sel
+    return sel, w * joint / sel

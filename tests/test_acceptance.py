@@ -358,9 +358,7 @@ def test_criterion_08_monte_carlo_confirms_closed_forms(criterion):
                 reverse=True,
             )[:2]
             if eligible:
-                dplan = ds.SimulationPlan(
-                    replications=2000, seed=8500 + idx, targets=("delay",)
-                )
+                dplan = ds.SimulationPlan(replications=2000, seed=8500 + idx)
                 delays = ds.simulate_local_delay(
                     geom, ens, params, dplan, links=eligible
                 )

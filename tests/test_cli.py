@@ -77,7 +77,7 @@ def test_parse_config_full_document():
     assert cfg.params.noise == 0.1
     assert cfg.params.fading_mean == 1.0  # default
     assert cfg.plan.replications == 2000 and cfg.plan.seed == 42
-    assert cfg.plan.targets == ("coverage",)
+    assert cfg.targets == ("coverage",)
 
 
 def test_parse_config_collects_every_problem():
@@ -158,7 +158,7 @@ def test_parse_config_targets():
     doc = _base_config()
     doc["simulate"]["targets"] = ["coverage", "delay", ["delay", 1]]
     cfg = cli.parse_config_dict(doc)
-    assert cfg.plan.targets == ("coverage", "delay", ("delay", 1))
+    assert cfg.targets == ("coverage", "delay", ("delay", 1))
 
     doc["simulate"]["targets"] = [["delay", 5]]
     with pytest.raises(ds.ConfigError):
@@ -173,7 +173,7 @@ def test_parse_config_targets():
         "simulate": {"reps": 10, "seed": 1, "targets": [["delay", [0, 1]]]},
     }
     cfg = cli.parse_config_dict(txrx)
-    assert cfg.plan.targets == (("delay", (0, 1)),)
+    assert cfg.targets == (("delay", (0, 1)),)
     # a link that is no link key of the geometry, in either mode
     for doc, shape, links in (
             (_base_config(), "an int", [5, -1, True, 1.0, "1", [1], None]),
@@ -346,9 +346,15 @@ _SIMULATE_OBJECT = ("simulate", "must be an object")
       ("simulate.delay_cap", "must be an integer, got True"),
       ("simulate.workers", "must be an integer, got 1.5"),
       ("simulate.targets", "must be a nonempty list")]),
-    ("pairs", {"simulate": {"reps": 10, "seed": 1, "targets": ["latency", ["delay", 7], "delay"]}},
+    ("pairs", {"simulate": {"reps": 10, "seed": 1, "targets": [
+        "latency", ["delay", 7], "delay", ["delay"], ["coverage", 3], ["delay", 1, 2]]}},
      [("simulate.targets[0]", "must be 'coverage', 'delay', or ['delay', link]; got 'latency'"),
-      ("simulate.targets[1]", "link must be an int in [0, 3), got 7")]),
+      ("simulate.targets[1]", "link must be an int in [0, 3), got 7"),
+      ("simulate.targets[3]", "must be 'coverage', 'delay', or ['delay', link]; got ['delay']"),
+      ("simulate.targets[4]",
+       "must be 'coverage', 'delay', or ['delay', link]; got ['coverage', 3]"),
+      ("simulate.targets[5]",
+       "must be 'coverage', 'delay', or ['delay', link]; got ['delay', 1, 2]")]),
 ])
 def test_parse_config_untyped_section_problems(mode, changes, problems):
     doc = _typed_config(mode)

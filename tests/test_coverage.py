@@ -833,12 +833,12 @@ def test_closed_form_stages_are_seams(monkeypatch):
                      "scale_kernel": 1}
 
 
-def _rational_instance(mode, n, seed, tiny=None, loud=None, shrink=30000):
-    """A geometry on a grid of step 1/8, a rational L = B B^T + I/8 (with
-    row ``tiny`` of B scaled by 1/``shrink``, so that K_tt is near 1e-9 at
-    the default, and row ``loud[0]`` by ``loud[1]``, so that the node is
-    almost always scheduled), the float kernel rounded from its exact K and
-    that kernel's exact pmf."""
+def _rational_instance(mode, n, seed, tiny=None, loud=None, shrink=30000, distinct=False):
+    """A geometry on a grid of step 1/8 (its points ``distinct`` or not), a
+    rational L = B B^T + I/8 (with row ``tiny`` of B scaled by 1/``shrink``,
+    so that K_tt is near 1e-9 at the default, and row ``loud[0]`` by
+    ``loud[1]``, so that the node is almost always scheduled), the float
+    kernel rounded from its exact K and that kernel's exact pmf."""
     rng = np.random.default_rng(seed)
     B = [[Fraction(int(x), 4) for x in rng.integers(-4, 5, size=n)] for _ in range(n)]
     if tiny is not None:
@@ -850,7 +850,11 @@ def _rational_instance(mode, n, seed, tiny=None, loud=None, shrink=30000):
     mat = np.array([[float(x) for x in row] for row in fraction_marginal_kernel(L)])
     K = ds.MarginalKernel.from_matrix(mat)
     assert np.array_equal(K.matrix, mat)
-    pts = [[Fraction(int(x), 8) for x in rng.integers(0, 17, size=2)] for _ in range(2 * n)]
+    if distinct:
+        cells = rng.choice(17 * 17, size=2 * n, replace=False)
+        pts = [[Fraction(int(c % 17), 8), Fraction(int(c // 17), 8)] for c in cells]
+    else:
+        pts = [[Fraction(int(x), 8) for x in rng.integers(0, 17, size=2)] for _ in range(2 * n)]
     grid = np.array(pts, dtype=float)
     geo = (ds.NetworkGeometry.pairs(grid[:n], grid[n:]) if mode == "pairs"
            else ds.NetworkGeometry.txrx(grid[:n]))
@@ -892,16 +896,22 @@ def test_full_report_against_exact_arithmetic():
     assert smallest["K_tt"] < 2e-9 and smallest["1 - q"] < 1e-6
 
 
-def _exact_rows(geo, K, tx, receivers, exact):
+_R4 = ds.PropagationParams(ds.PowerLawPathLoss(1.0, 4.0), threshold=0.5)
+
+
+def _exact_rows(geo, K, tx, receivers, exact, params=_R4):
     """(t, s, LinkReport, exact selection probability) per link-table row
-    of ``full_report`` under r^-4 loss, threshold 1/2 and noise 0, after
-    checking every printed value within 1e-13 relative of the exact one: the
-    selection probability of every row, the rest of each row not flagged
-    for a selection probability at most PALM_PIVOT_TOL."""
-    params = ds.PropagationParams(ds.PowerLawPathLoss(1.0, 4.0), threshold=0.5)
+    of ``full_report`` under ``params`` (r^-4 loss or a table; by default
+    r^-4, threshold 1/2 and noise 0), after checking every printed value
+    within 1e-13 relative of the exact one: the selection probability of
+    every row, the rest of each row not flagged for a selection probability
+    at most PALM_PIVOT_TOL."""
+    model = params.pathloss
+    table = (model.radii, model.values) if isinstance(model, ds.TabulatedPathLoss) else None
     out = []
     for (t, p, s), lr in zip(geo.links().tolist(), ds.full_report(geo, K, params).links):
-        sel, cond = fraction_link(exact, tx, receivers[p], t, s, Fraction(1, 2))
+        sel, cond = fraction_link(exact, tx, receivers[p], t, s, Fraction(params.threshold),
+                                  table, params.noise, params.fading_mean)
         assert abs(Fraction(lr.selection_probability) - sel) <= 1e-13 * sel, (t, s)
         if set(lr.flags) & {"never_scheduled", "receiver_always_scheduled"}:
             assert lr.selection_probability <= PALM_PIVOT_TOL, (t, s)
@@ -948,6 +958,31 @@ def test_palm_pivots_just_above_tolerance_against_exact_arithmetic():
                 else:
                     scheduled += 1
         assert scheduled >= 2 and (flagged > 0) == (mode == "txrx")
+
+
+def test_full_report_against_exact_arithmetic_on_random_instances():
+    # 120 random instances, n 4 to 6 in both modes, r^-4 loss on distinct
+    # grid points: every printed value within 1e-13 of the exact one
+    for seed in range(60):
+        for mode in ("pairs", "txrx"):
+            instance = _rational_instance(mode, 4 + seed % 3, 100 + seed, distinct=True)
+            assert all(lr.flags == () for _, _, lr, _ in _exact_rows(*instance))
+
+
+def test_full_report_against_exact_arithmetic_with_tables_and_noise():
+    # 24 random instances, n 4 to 6 in both modes, under a random dyadic
+    # table over the grid's distances (0 to 2 sqrt 2), noise and a fading
+    # mean other than 1: every printed value within 1e-13 of the exact one
+    radii = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        table = ds.TabulatedPathLoss(radii, rng.integers(1, 65, size=len(radii)) / 16)
+        params = ds.PropagationParams(table, threshold=[0.5, 2.0][seed % 2],
+                                      fading_mean=[1.5, 0.75][seed % 2],
+                                      noise=[1 / 64, 1 / 8, 1.0][seed % 3])
+        for mode in ("pairs", "txrx"):
+            instance = _rational_instance(mode, 4 + seed % 3, 200 + seed)
+            assert all(lr.flags == () for _, _, lr, _ in _exact_rows(*instance, params))
 
 
 @st.composite

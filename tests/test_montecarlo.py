@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,27 +38,11 @@ def test_plan_validation():
     with pytest.raises(ds.BadArgument):
         ds.SimulationPlan(10, -1)
     with pytest.raises(ds.BadArgument):
-        ds.SimulationPlan(10, 1, targets=())
-    with pytest.raises(ds.BadArgument):
-        ds.SimulationPlan(10, 1, targets=("latency",))
-    with pytest.raises(ds.BadArgument):
         ds.SimulationPlan(10, 1, delay_cap=0)
     # bools are ints to Python, but not counts or seeds
     for bad in ((True, 1, 10), (10, False, 10), (10, 1, True)):
         with pytest.raises(ds.BadArgument):
             ds.SimulationPlan(bad[0], bad[1], delay_cap=bad[2])
-    plan = ds.SimulationPlan(10, 1, targets=("coverage", ("delay", 2)))
-    assert plan.wants("coverage") and plan.wants("delay")
-    assert plan.delay_links() == [2]
-    assert ds.SimulationPlan(10, 1, targets=("delay",)).delay_links() is None
-    # a bare "delay" names every link, whatever single links sit beside it
-    assert ds.SimulationPlan(10, 1, targets=(("delay", 2), "delay")).delay_links() is None
-
-
-@pytest.mark.parametrize("target", [("delay",), ("coverage", 3), ("delay", 1, 2)])
-def test_plan_rejects_malformed_link_targets(target):
-    with pytest.raises(ds.BadArgument, match="unknown simulation target"):
-        ds.SimulationPlan(10, 1, targets=(target,))
 
 
 def test_estimate_standard_error_formula():
@@ -331,7 +316,7 @@ def test_first_successes_match_slot_loops():
         for keys in (None, one, two):
             arena = montecarlo._Arena(geo, L, params)
             if keys is not None:
-                arena.track(keys)
+                arena.track(geo, keys)
             for cap in (1, 3, 7, montecarlo.DEFAULT_DELAY_CAP):
                 delays, censored = montecarlo._first_successes(arena, 41, 60, cap)
                 ref, ref_censored = local_delay_loops(arena, 41, 60, cap)
@@ -375,7 +360,7 @@ def test_delay_draws_once_per_played_slot(monkeypatch):
     for geo, L, _, two in _delay_instances():
         for cap, keys in ((montecarlo.DEFAULT_DELAY_CAP, None), (3, two)):
             arena = montecarlo._Arena(geo, L, params)
-            arena.track(arena.keys if keys is None else keys)
+            arena.track(geo, arena.keys if keys is None else keys)
             ref, _ = local_delay_loops(arena, 5, 40, cap)
             monkeypatch.setattr(_sampling, "draw_mask", counting)
             calls[0] = 0
@@ -471,6 +456,66 @@ def test_local_delay_links_selection_and_validation():
         ds.simulate_local_delay(tgeo, tl, params, ds.SimulationPlan(50, 3), links=[0])
 
 
+def test_local_delay_links_resolve_as_geometry_link_does():
+    # a link reference is checked by NetworkGeometry.link, as pair_coverage
+    # checks it: bools and floats name no link, though they hash as ints
+    geo, L = _instance(7)
+    params, plan = _power_params(), ds.SimulationPlan(20, 3)
+    want = ds.simulate_local_delay(geo, L, params, plan, links=[1])
+    assert ds.simulate_local_delay(geo, L, params, plan, links=[np.int64(1)]) == want
+    for link in (True, 1.0, np.float64(1.0), (1.0,), "1", None):
+        with pytest.raises(ds.BadArgument, match="delay target"):
+            ds.simulate_local_delay(geo, L, params, plan, links=[link])
+    with pytest.raises(ds.BadArgument):
+        ds.pair_coverage(geo, ds.l_to_k(L), True, params)
+
+    tgeo = ds.NetworkGeometry.txrx([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    tl = ds.LEnsemble.from_matrix(np.eye(4))
+    want = ds.simulate_local_delay(tgeo, tl, params, plan, links=[(0, 1)])
+    assert ds.simulate_local_delay(tgeo, tl, params, plan,
+                                   links=[(np.int64(0), np.int64(1))]) == want
+    for link in ((0, 1.0), (0, True), (0.0, 1), [0, 1], (0, 1, 1), (0, 0), (0, 4), 0):
+        with pytest.raises(ds.BadArgument, match="delay target"):
+            ds.simulate_local_delay(tgeo, tl, params, plan, links=[link])
+    # nodes 2 and 3 coincide: a link, but none with a defined signal
+    with pytest.raises(ds.BadArgument, match="not a link with a defined signal"):
+        ds.simulate_local_delay(tgeo, tl, params, plan, links=[(2, 3)])
+
+
+def test_overflowing_sinr_bound_is_no_success():
+    # threshold * (noise + interference) past the largest double is an
+    # infinite bound, which no signal clears: every link fails, as its
+    # closed form says, with no overflow warning
+    geo = ds.NetworkGeometry.txrx([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    L = ds.LEnsemble.from_matrix([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    params = _power_params(tau=1e308, noise=1e10)
+    plan = ds.SimulationPlan(30, 4, delay_cap=3)
+    closed = {(lr.transmitter, lr.receiver): lr.coverage
+              for lr in ds.full_report(geo, ds.l_to_k(L), params).links}
+    assert set(closed.values()) == {0.0}
+    cov = ds.simulate_txrx(geo, L, params, plan)
+    assert set(cov) == set(closed)
+    assert all(est.mean == 0.0 and est.std_error == 0.0 for est in cov.values())
+    delays = ds.simulate_local_delay(geo, L, params, plan)
+    assert set(delays) == set(closed)
+    for link, est in delays.items():
+        assert (est.mean, est.censored) == (3.0, 30)
+        assert ds.local_delay(closed[link]).capped_mean(3) == est.mean
+
+
+def test_library_deprecations_fail_the_suite():
+    # pytest's filterwarnings turn a DeprecationWarning or FutureWarning
+    # raised on behalf of any detsched module into an error, and leave
+    # other modules' to the default filters
+    for category in (DeprecationWarning, FutureWarning):
+        for module in ("detsched", "detsched.montecarlo", "detsched.cli"):
+            with pytest.raises(category):
+                warnings.warn_explicit("deprecated", category, "x.py", 1, module=module)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.warn_explicit("deprecated", category, "x.py", 1, module="numpy.linalg")
+        assert [w.category for w in seen] == [category]
+
+
 def test_local_delay_censoring():
     geo, L = _instance(9)
     params = _power_params(tau=2.0)
@@ -493,10 +538,10 @@ def test_delay_caps_beyond_int64():
     geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [5.0, 0.0]], [[0.1, 0.0], [5.1, 0.0]])
     L = ds.LEnsemble.from_matrix(np.diag([9.0, 9.0]))
     params = _power_params(tau=0.5)
-    want = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(10, 1, ("delay",)))
+    want = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(10, 1))
     assert all(est.censored == 0 and est.mean < 3.0 for est in want.values())
     for cap in (2**63 - 1, 2**63, 2**64, 10**400):
-        plan = ds.SimulationPlan(10, 1, ("delay",), cap)
+        plan = ds.SimulationPlan(10, 1, cap)
         assert ds.simulate_local_delay(geo, L, params, plan) == want
 
 
