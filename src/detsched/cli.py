@@ -76,6 +76,8 @@ from .propagation import (
     TabulatedPathLoss,
     _distance_matrix,
     _drowned,
+    _link_keys,
+    _parse_bounded,
     _require,
 )
 
@@ -122,52 +124,14 @@ def _field(obj, key, path, read, errors, default=MISSING):
     return default
 
 
-def _float(v) -> Optional[float]:
-    """``v`` as a finite float; None for a bool, a non-number, nan, ±inf and
-    an integer beyond the largest double."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return None
-    try:
-        v = float(v)
-    except OverflowError:
-        return None
-    return v if math.isfinite(v) else None
-
-
-def _number(v, path, errors):
-    f = _float(v)
-    if f is None:
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        errors.append((path, "must be finite" if number else f"must be a number, got {v!r}"))
-    return f
-
-
-def _positive(v, path, errors):
-    v = _number(v, path, errors)
-    if v is not None and v <= 0.0:
-        errors.append((path, f"must be > 0.0, got {v}"))
-        return None
-    return v
-
-
-def _nonnegative(v, path, errors):
-    v = _number(v, path, errors)
-    if v is not None and v < 0.0:
-        errors.append((path, f"must be >= 0.0, got {v}"))
-        return None
-    return v
-
-
-def _integer(minimum):
-    """A reader of integers >= ``minimum``."""
+def _ruled(low, strict=False):
+    """The reader of a key held to a bound (``propagation._parse_bounded``):
+    the value as its field holds it, else the problem its constructor raises."""
     def read(v, path, errors):
-        if isinstance(v, bool) or not isinstance(v, int):
-            errors.append((path, f"must be an integer, got {v!r}"))
-            return None
-        if v < minimum:
-            errors.append((path, f"must be >= {minimum}, got {v}"))
-            return None
-        return v
+        value, problem = _parse_bounded(v, low, strict)
+        if problem is not None:
+            errors.append((path, problem))
+        return value
     return read
 
 
@@ -175,7 +139,7 @@ def _number_list(value, path, errors):
     if not isinstance(value, list) or not value:
         errors.append((path, "must be a nonempty list of numbers"))
         return None
-    out = [_float(v) for v in value]
+    out = [_parse_bounded(v, -math.inf)[0] for v in value]
     if None not in out:
         return np.array(out)
     i = out.index(None)
@@ -212,12 +176,13 @@ def _square(value, path, errors):
 
 
 # The schema of the typed sections: each type's name maps to the class it
-# builds and a reader per key, in the order of the class's fields.  A key
-# whose field has a default may be left out.  Parsing, the unknown-key check
-# and the --echo-config document all come from this table.
+# builds and a reader per key, in the order of the class's fields; None
+# reads the key by its field's bound.  A key whose field has a default may
+# be left out.  Parsing, the unknown-key check and the --echo-config
+# document all come from this table.
 _TYPES = {
     "kernel": {
-        "gaussian": (GaussianSpec, {"sigma": _positive, "scale": _positive}),
+        "gaussian": (GaussianSpec, {"sigma": None, "scale": None}),
         "quality_similarity": (QualitySimilaritySpec,
                                {"quality": _number_list, "similarity": _matrix}),
         "explicit_K": (ExplicitMarginalSpec, {"matrix": _square}),
@@ -225,7 +190,7 @@ _TYPES = {
         "aloha_diagonal": (AlohaSpec, {"probabilities": _number_list}),
     },
     "pathloss": {
-        "power_law": (PowerLawPathLoss, {"kappa": _positive, "beta": _positive}),
+        "power_law": (PowerLawPathLoss, {"kappa": None, "beta": None}),
         "custom": (TabulatedPathLoss, {"radii": _number_list, "values": _number_list}),
     },
 }
@@ -244,8 +209,8 @@ def _parse_typed(doc, section, errors):
         return None
     cls, readers = types[name]
     _reject_unknown(obj, {"type", *readers}, section, errors)
-    values = [_field(obj, key, f"{section}.", read, errors, f.default)
-              for (key, read), f in zip(readers.items(), fields(cls))]
+    values = [_field(obj, key, f"{section}.", read or _ruled(*f.metadata["bound"]), errors,
+                     f.default) for (key, read), f in zip(readers.items(), fields(cls))]
     return _build(cls, values, section, errors)
 
 
@@ -272,13 +237,20 @@ def _echo_typed(section, obj) -> dict:
 
 # The schema of the untyped sections.  A geometry mode maps to the
 # constructor it calls and a reader per key, in the order of its arguments;
-# a key of another mode is not allowed.  Each channel key names a field of
-# PropagationParams, whose default an absent key takes.
+# a key of another mode is not allowed.  The channel and plan keys read the
+# bounded fields of PropagationParams and SimulationPlan, with their defaults.
 _GEOMETRY = {
     "pairs": (NetworkGeometry.pairs, {"transmitters": _matrix, "receivers": _matrix}),
     "txrx": (NetworkGeometry.txrx, {"nodes": _matrix}),
 }
-_CHANNEL = {"threshold": _nonnegative, "fading_mean": _positive, "noise": _nonnegative}
+_CHANNEL = {f.name: (_ruled(*f.metadata["bound"]), f.default)
+            for f in fields(PropagationParams) if "bound" in f.metadata}
+_PLAN = {key: (_ruled(*f.metadata["bound"]), f.default)
+         for key, f in zip(("reps", "seed", "delay_cap"), fields(SimulationPlan))}
+_COUNT = _ruled(1)  # simulate.workers, --workers and --count
+# the reader of each flag, a plan key's flag reading as the key
+_FLAGS = {"--reps": _PLAN["reps"][0], "--seed": _PLAN["seed"][0],
+          "--workers": _COUNT, "--count": _COUNT}
 _TOP_KEYS = {"mode", *(key for _, keys in _GEOMETRY.values() for key in keys),
              *_TYPES, *_CHANNEL, "simulate"}
 
@@ -296,8 +268,9 @@ def _parse_geometry(doc, errors) -> Optional[NetworkGeometry]:
     return _build(build, values, [*readers][-1], errors)
 
 
-def _parse_target(entry, path, geometry, keys, errors):
-    """A target; a delay link must be one of ``keys``, the link keys."""
+def _parse_target(entry, path, geometry, keys, drowned, errors):
+    """A target; a delay link must be one of ``keys``, the link keys less
+    ``drowned``, those whose transmitter drowns its own receiver."""
     if entry in ("coverage", "delay"):
         return entry
     if not (isinstance(entry, list) and len(entry) == 2 and entry[0] == "delay"):
@@ -307,14 +280,19 @@ def _parse_target(entry, path, geometry, keys, errors):
         return None
     link = entry[1]
     key = tuple(link) if isinstance(link, list) else link
-    if all(type(x) is int for x in (key if isinstance(key, tuple) else (key,))) and key in keys:
-        return ("delay", key)
+    if all(type(x) is int for x in (key if isinstance(key, tuple) else (key,))):
+        if key in keys:
+            return ("delay", key)
+        if key in drowned:
+            errors.append((path, f"link {link!r} has no defined signal: its transmitter and "
+                                 "receiver coincide under power_law path loss"))
+            return None
     shape = "an int" if geometry.mode == "pairs" else "[tx, rx] with distinct ints"
     errors.append((path, f"link must be {shape} in [0, {geometry.n}), got {link!r}"))
     return None
 
 
-def _parse_simulate(doc, geometry, errors):
+def _parse_simulate(doc, geometry, drowned, errors):
     """The plan, the worker count and the targets of ``doc["simulate"]``."""
     obj = doc.get("simulate")
     if not isinstance(obj, dict):
@@ -326,20 +304,14 @@ def _parse_simulate(doc, geometry, errors):
         if not isinstance(raw, list) or not raw:
             errors.append((path, "must be a nonempty list"))
             return None
-        keys = set(geometry.link_keys()) if geometry else None
-        parsed = [_parse_target(t, f"{path}[{i}]", geometry, keys, errors)
+        keys = set(geometry.link_keys()).difference(drowned) if geometry else None
+        parsed = [_parse_target(t, f"{path}[{i}]", geometry, keys, drowned, errors)
                   for i, t in enumerate(raw)]
         return None if None in parsed else tuple(parsed)
 
     # a reader per key, in the order of their problems, and the default of a
     # key that may be left out; built here, as the targets reader needs the geometry
-    schema = {
-        "reps": (_integer(1), MISSING),
-        "seed": (_integer(0), MISSING),
-        "delay_cap": (_integer(1), _montecarlo.DEFAULT_DELAY_CAP),
-        "workers": (_integer(1), 1),
-        "targets": (targets, ("coverage",)),
-    }
+    schema = {**_PLAN, "workers": (_COUNT, 1), "targets": (targets, ("coverage",))}
     _reject_unknown(obj, schema, "simulate", errors)
     v = {key: _field(obj, key, "simulate.", read, errors, default)
          for key, (read, default) in schema.items()}
@@ -357,9 +329,8 @@ def parse_config_dict(doc) -> RunConfig:
     geometry = _parse_geometry(doc, errors)
     kernel_spec = _parse_typed(doc, "kernel", errors)
     pathloss = _parse_typed(doc, "pathloss", errors)
-    channel = {f.name: _field(doc, f.name, "", _CHANNEL[f.name], errors, f.default)
-               for f in fields(PropagationParams) if f.name in _CHANNEL}
-    # the readers hold the constructor's bounds, so it cannot raise
+    channel = {key: _field(doc, key, "", read, errors, default)
+               for key, (read, default) in _CHANNEL.items()}
     params = (PropagationParams(pathloss, **channel)
               if pathloss is not None and None not in channel.values() else None)
     K = None
@@ -372,14 +343,16 @@ def parse_config_dict(doc) -> RunConfig:
                 _require(geometry, K)
         except DetschedError as e:
             errors.append(("kernel", str(e)))
-    if geometry is not None and geometry.mode == "pairs" and pathloss is not None:
-        dist = _distance_matrix(geometry.transmitters, geometry.receivers).diagonal()
-        for i in np.flatnonzero(_drowned(pathloss, dist)):
-            errors.append(
-                ("geometry", f"transmitter {int(i)} coincides with its receiver "
-                             "under power_law path loss")
-            )
-    plan, workers, targets = _parse_simulate(doc, geometry, errors)
+    # the links whose transmitter drowns its receiver, as the simulators find them
+    drowned = []
+    if geometry is not None and pathloss is not None:
+        links = geometry.links()
+        dist = _distance_matrix(geometry.transmitter_points(), geometry.receiver_points())
+        drowned = _link_keys(links[_drowned(pathloss, dist[links[:, 0], links[:, 1]])])
+        if geometry.mode == "pairs":
+            errors.extend(("geometry", f"transmitter {i} coincides with its receiver "
+                                       "under power_law path loss") for i in drowned)
+    plan, workers, targets = _parse_simulate(doc, geometry, set(drowned), errors)
     if errors:
         raise ConfigError(errors)
     return RunConfig(geometry=geometry, kernel_spec=kernel_spec, params=params, K=K,
@@ -458,6 +431,8 @@ def _csv_cell(v):
         return ""
     if isinstance(v, float):
         return format(v, ".17g")
+    if isinstance(v, tuple):
+        return ";".join(v)
     return str(v)
 
 
@@ -494,15 +469,19 @@ def _json_values(row) -> tuple:
     return values
 
 
-def _emit_table(header: dict, key: str, fields: tuple, rows: list, output):
+def _emit_table(header: dict, key: str, fields: tuple, rows: list, output, fmt="json"):
     """Write ``header`` plus ``key``: one object per row, byte for byte as
-    json.dumps(indent=2, allow_nan=False) writes that document.
+    json.dumps(indent=2, allow_nan=False) writes that document; or, for
+    ``fmt`` "csv", the rows under a ``fields`` header line.
 
     Row i holds the values of ``fields`` in order.  The header goes through
     json.dumps; each row fills a fixed record template, which skips the
     pure-Python indenting encoder.  A non-finite float raises ValueError,
     as allow_nan=False does.
     """
+    if fmt == "csv":
+        _emit_csv(fields, rows, output)
+        return
     text = json.dumps({**header, key: []}, indent=2, allow_nan=False)
     if rows:
         record = "    {\n" + ",\n".join(
@@ -534,13 +513,10 @@ def _link_row(lr) -> tuple:
 def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None) -> int:
     """Closed-form coverage report for every link."""
     report = _coverage.full_report(cfg.geometry, cfg.K, cfg.params)
-    rows = [_link_row(lr) for lr in report.links]
-    if fmt == "csv":
-        _emit_csv(_LINK_FIELDS, [(*r[:6], ";".join(r[6]), r[7] or "") for r in rows], output)
-    else:
-        header = {"mode": report.mode, "kernel_fingerprint": report.kernel_fingerprint,
-                  **{key: getattr(cfg.params, key) for key in _CHANNEL}}
-        _emit_table(header, "links", _LINK_FIELDS, rows, output)
+    header = {"mode": report.mode, "kernel_fingerprint": report.kernel_fingerprint,
+              **{key: getattr(cfg.params, key) for key in _CHANNEL}}
+    _emit_table(header, "links", _LINK_FIELDS, [_link_row(lr) for lr in report.links], output,
+                fmt)
     return 0
 
 
@@ -554,15 +530,17 @@ def _z_score(closed, estimate, std_error):
 
 
 def _check_flags(cfg: RunConfig, flags: dict, required: tuple):
-    """Raise ConfigError for command-line flags below their minimum, as the
-    matching config keys would be; ``flags`` maps a flag to (value, minimum)
-    and unset flags (None) pass.  Then, if the config has no simulate
-    section, raise it for each ``required`` flag left unset."""
-    problems = [(flag, f"must be >= {low}, got {v}")
-                for flag, (v, low) in flags.items() if v is not None and v < low]
+    """Raise ConfigError for command-line flags out of their ``_FLAGS``
+    bound, as the matching config keys would be; ``flags`` maps a flag to
+    its value and unset flags (None) pass.  Then, if the config has no
+    simulate section, raise it for each ``required`` flag left unset."""
+    problems = []
+    for flag, v in flags.items():
+        if v is not None:
+            _FLAGS[flag](v, flag, problems)
     if not problems and cfg.plan is None:
         problems = [(f"simulate.{flag[2:]}", f"required: set it in the config or pass {flag}")
-                    for flag in required if flags[flag][0] is None]
+                    for flag in required if flags[flag] is None]
     if problems:
         raise ConfigError(problems)
 
@@ -587,7 +565,7 @@ def cmd_simulate(
     workers: Optional[int] = None,
 ) -> int:
     """Monte Carlo estimates side by side with the closed forms."""
-    _check_flags(cfg, {"--reps": (reps, 1), "--seed": (seed, 0), "--workers": (workers, 1)},
+    _check_flags(cfg, {"--reps": reps, "--seed": seed, "--workers": workers},
                  ("--reps", "--seed"))
     flags = {name: v for name, v in (("replications", reps), ("seed", seed)) if v is not None}
     plan = replace(cfg.plan, **flags) if cfg.plan is not None else SimulationPlan(reps, seed)
@@ -614,14 +592,9 @@ def cmd_simulate(
             c = _coverage.local_delay(c).capped_mean(plan.delay_cap)
         rows.append((target, lr.transmitter, lr.receiver, _finite(c), _finite(est.mean), _finite(est.std_error),
                      _finite(_z_score(c, est.mean, est.std_error)), censored))
-    if fmt == "csv":
-        _emit_csv(_RESULT_FIELDS, rows, output)
-    else:
-        _emit_table(
-            {"mode": cfg.mode, "replications": plan.replications, "seed": plan.seed,
-             "workers": nworkers},
-            "results", _RESULT_FIELDS, rows, output,
-        )
+    header = {"mode": cfg.mode, "replications": plan.replications, "seed": plan.seed,
+              "workers": nworkers}
+    _emit_table(header, "results", _RESULT_FIELDS, rows, output, fmt)
     return 0
 
 
@@ -635,7 +608,7 @@ def cmd_sample(
     contract, so any prefix of the output is stable under a larger count.
     The draws run in seeded blocks, as coverage replications do.
     """
-    _check_flags(cfg, {"--count": (count, 1), "--seed": (seed, 0)}, ("--seed",))
+    _check_flags(cfg, {"--count": count, "--seed": seed}, ("--seed",))
     seed = cfg.plan.seed if seed is None else seed
     draws = _montecarlo._draws(*build_L(cfg.kernel_spec, cfg.geometry).eigh, seed, range(count))
     lines = [json.dumps(np.flatnonzero(row).tolist()) for _, _, mask in draws for row in mask]

@@ -26,6 +26,7 @@ from .errors import (
     NormalizationOverflow,
     NotLRepresentable,
 )
+from .propagation import _bounded, _check_bounds
 
 SYMMETRY_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
@@ -274,8 +275,11 @@ def validate(matrix) -> ValidationReport:
 class GaussianSpec:
     """Likelihood kernel scale * exp(-d^2 / sigma^2) over node coordinates."""
 
-    sigma: float
-    scale: float = 1.0
+    sigma: float = _bounded(0.0, strict=True)
+    scale: float = _bounded(0.0, strict=True, default=1.0)
+
+    def __post_init__(self):
+        _check_bounds(self, BadSpec)
 
 
 @dataclass(frozen=True)
@@ -328,10 +332,6 @@ def build_L(spec: KernelSpec, geometry=None) -> LEnsemble:
     has no likelihood form and raises NotLRepresentable.
     """
     if isinstance(spec, GaussianSpec):
-        if not (spec.sigma > 0):
-            raise BadSpec(f"gaussian sigma must be positive, got {spec.sigma}")
-        if not (spec.scale > 0):
-            raise BadSpec(f"gaussian scale must be positive, got {spec.scale}")
         pts = _transmitter_points(geometry)
         diff = pts[:, None, :] - pts[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)

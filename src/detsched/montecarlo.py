@@ -31,6 +31,7 @@ fading row from its own substream, and one SINR test judges them all.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -40,8 +41,8 @@ import numpy as np
 from . import _sampling
 from .errors import BadArgument, SameNode, SingularDistance
 from .kernels import LEnsemble
-from .propagation import (NetworkGeometry, PropagationParams, _channel, _is_int, _link_keys,
-                          _require, path_loss)
+from .propagation import (NetworkGeometry, PropagationParams, _bounded, _channel,
+                          _check_bounds, _link_keys, _require, path_loss)
 from .rng import _advance, _fill, _pcg64_states, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
@@ -53,17 +54,12 @@ class SimulationPlan:
     functions read.  Which estimators a run calls, and for which links, is
     the caller's choice (the CLI's ``simulate.targets``)."""
 
-    replications: int
-    seed: int
-    delay_cap: int = DEFAULT_DELAY_CAP
+    replications: int = _bounded(1)
+    seed: int = _bounded(0)
+    delay_cap: int = _bounded(1, default=DEFAULT_DELAY_CAP)
 
     def __post_init__(self):
-        if not _is_int(self.replications) or self.replications < 1:
-            raise BadArgument(f"replications must be >= 1, got {self.replications!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise BadArgument(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not _is_int(self.delay_cap) or self.delay_cap < 1:
-            raise BadArgument(f"delay cap must be >= 1, got {self.delay_cap!r}")
+        _check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -171,9 +167,21 @@ class _Arena:
             if key not in where:
                 raise BadArgument(f"delay target {link!r} is not a link with a defined signal")
             picked.append(where[key])
+        return self._keep(picked)
+
+    def _keep(self, picked) -> list:
+        """Restrict the SINR test to the tracked links at positions
+        ``picked``, in that order, and return their keys."""
         self.tx, self.rx = self.tx[picked], self.rx[picked]
         self.keys = [self.keys[k] for k in picked]
         return self.keys
+
+    def doomed(self) -> np.ndarray:
+        """Per tracked link, whether it can never succeed: its signal's path
+        loss is 0, or its transmitter is exactly 0 in every eigenvector the
+        coins can keep (a positive eigenvalue), so no selection picks it."""
+        kept = self.lvecs[self.tx][:, self.lvals > 0]
+        return (self.loss[self.tx, self.rx] == 0) | ~kept.any(axis=1)
 
     def success(self, mask, fading) -> np.ndarray:
         """(..., links) success indicators for masks (..., n) and fading
@@ -329,18 +337,30 @@ def simulate_local_delay(
     simulation reports is tracked, and naming anything else raises
     BadArgument.  Each replication plays slots, together with its block's
     other live replications, until all tracked links have succeeded or the
-    plan's delay cap is reached.  ``workers`` is accepted for compatibility;
-    it changes neither the results nor the work done.
+    plan's delay cap is reached.  A link that can never succeed
+    (``_Arena.doomed``) is not played: every replication records it at the
+    cap.  ``workers`` is accepted for compatibility; it changes neither the
+    results nor the work done.
     """
     arena = _Arena(geometry, L, params)
     if links is not None and not arena.track(geometry, links):
         raise BadArgument("empty target list for the delay simulation")
-    reps = plan.replications
-    delays, censored = _first_successes(arena, plan.seed, reps, plan.delay_cap)
+    keys, doomed = arena.keys, arena.doomed().tolist()
+    arena._keep([k for k, d in enumerate(doomed) if not d])
+    reps, cap = plan.replications, plan.delay_cap
+    delays, censored = _first_successes(arena, plan.seed, reps, cap)
+    played = iter(zip(delays.T, censored.tolist()))
     out = {}
-    for t, tgt in enumerate(arena.keys):
-        vals = delays[:, t].astype(float)
+    for key, never in zip(keys, doomed):
+        if never and cap > np.iinfo(np.int64).max:
+            # no int64 column holds the cap: every replication reads it exactly
+            mean = float(cap) if cap <= sys.float_info.max else math.inf
+            out[key] = DelayEstimate(mean=mean, std_error=0.0, replications=reps, censored=reps)
+            continue
+        # a doomed link's column is built as a played one that never succeeds
+        column, c = (np.full(reps, cap, dtype=np.int64), reps) if never else next(played)
+        vals = column.astype(float)
         std = float(vals.std(ddof=1)) if reps > 1 else 0.0
-        out[tgt] = DelayEstimate(mean=float(vals.mean()), std_error=std / math.sqrt(reps),
-                                 replications=reps, censored=int(censored[t]))
+        out[key] = DelayEstimate(mean=float(vals.mean()), std_error=std / math.sqrt(reps),
+                                 replications=reps, censored=c)
     return out

@@ -13,11 +13,13 @@ drowns under a path loss singular at zero.  The closed forms and the Monte
 Carlo both evaluate it, so they test SINR against the same numbers.
 
 ``NetworkGeometry.link`` alone resolves and validates a link reference;
-``_is_int``, ``_check_index`` and ``_require`` are the shared checks.
+``_is_int``, ``_check_index``, ``_require`` and ``_check_bounds`` are the
+shared checks.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Real
 from typing import Optional, Union
 
 import numpy as np
@@ -34,19 +36,58 @@ from .errors import (
 SINGULAR_DISTANCE_TOL = 1e-12
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool, as the CLI's integer keys require."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _parse_bounded(v, low, strict: bool = False) -> tuple:
+    """(``v`` as its field holds it, None) or (None, the problem the CLI reports
+    at the field's key): an integer if ``low`` is one, else a finite float,
+    > ``low`` if ``strict``, else >= ``low``."""
+    if isinstance(low, int):
+        if not _is_int(v):
+            return None, f"must be an integer, got {v!r}"
+    else:
+        if isinstance(v, bool) or not isinstance(v, Real):
+            return None, f"must be a number, got {v!r}"
+        try:
+            v = float(v)
+        except OverflowError:  # an int beyond the doubles
+            v = math.inf
+        if not math.isfinite(v):
+            return None, "must be finite"
+    if v < low or (strict and v == low):
+        return None, f"must be {'>' if strict else '>='} {low}, got {v}"
+    return v, None
+
+
+def _bounded(low, strict: bool = False, default=MISSING):
+    """A dataclass field that ``_check_bounds`` holds to ``low`` and ``strict``."""
+    return field(default=default, metadata={"bound": (low, strict)})
+
+
+def _check_bounds(obj, error=BadArgument):
+    """Hold each ``_bounded`` field of ``obj`` to its bound, storing it as
+    parsed; the first problem raises ``error`` naming the field."""
+    for f in fields(obj):
+        if "bound" in f.metadata:
+            v, problem = _parse_bounded(getattr(obj, f.name), *f.metadata["bound"])
+            if problem is not None:
+                raise error(f"{f.name} {problem}")
+            object.__setattr__(obj, f.name, v)
+
+
 @dataclass(frozen=True)
 class PowerLawPathLoss:
     """Path loss (kappa * r) ** (-exponent), singular at zero distance and
     wherever the power overflows a double."""
 
-    kappa: float
-    exponent: float
+    kappa: float = _bounded(0.0, strict=True)
+    exponent: float = _bounded(0.0, strict=True)
 
     def __post_init__(self):
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise BadArgument(f"kappa must be positive and finite, got {self.kappa}")
-        if not (self.exponent > 0 and math.isfinite(self.exponent)):
-            raise BadArgument(f"exponent must be positive and finite, got {self.exponent}")
+        _check_bounds(self)
 
     singular_at_zero = True
 
@@ -118,17 +159,12 @@ class PropagationParams:
     SINR detection threshold."""
 
     pathloss: PathLoss
-    threshold: float
-    fading_mean: float = 1.0
-    noise: float = 0.0
+    threshold: float = _bounded(0.0)
+    fading_mean: float = _bounded(0.0, strict=True, default=1.0)
+    noise: float = _bounded(0.0, default=0.0)
 
     def __post_init__(self):
-        if not (self.threshold >= 0 and math.isfinite(self.threshold)):
-            raise BadArgument(f"threshold must be finite and >= 0, got {self.threshold}")
-        if not (self.fading_mean > 0 and math.isfinite(self.fading_mean)):
-            raise BadArgument(f"fading mean must be positive, got {self.fading_mean}")
-        if not (self.noise >= 0 and math.isfinite(self.noise)):
-            raise BadArgument(f"noise must be finite and >= 0, got {self.noise}")
+        _check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -221,11 +257,6 @@ class NetworkGeometry:
 def _link_keys(rows: np.ndarray) -> list:
     """``NetworkGeometry.link_keys`` of link-table rows ``rows``."""
     return [t if s < 0 else (t, r) for t, r, s in rows.tolist()]
-
-
-def _is_int(x) -> bool:
-    """An integer that is not a bool, as the CLI's integer keys require."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_index(i, n: int, what: str):

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -300,6 +301,8 @@ def test_parse_config_typed_section_problems(section, body, problems):
 _ABSENT = object()  # a key left out of the document
 _MODE = "must be 'pairs' or 'txrx', got "
 _SIMULATE_OBJECT = ("simulate", "must be an object")
+_COINCIDE = ("link {} has no defined signal: its transmitter and receiver coincide under "
+             "power_law path loss")
 
 
 @pytest.mark.parametrize("mode, changes, problems", [
@@ -355,6 +358,15 @@ _SIMULATE_OBJECT = ("simulate", "must be an object")
        "must be 'coverage', 'delay', or ['delay', link]; got ['coverage', 3]"),
       ("simulate.targets[5]",
        "must be 'coverage', 'delay', or ['delay', link]; got ['delay', 1, 2]")]),
+    # a delay link whose transmitter sits on its receiver under a power law
+    ("txrx", {"nodes": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+              "simulate": {"reps": 10, "seed": 1,
+                           "targets": [["delay", [0, 1]], ["delay", [1, 2]]]}},
+     [("simulate.targets[0]", _COINCIDE.format([0, 1]))]),
+    ("pairs", {"receivers": [[0.0, 0.0], [0.8, 0.1], [0.3, 0.9]],
+               "simulate": {"reps": 10, "seed": 1, "targets": [["delay", 0]]}},
+     [("geometry", "transmitter 0 coincides with its receiver under power_law path loss"),
+      ("simulate.targets[0]", _COINCIDE.format(0))]),
 ])
 def test_parse_config_untyped_section_problems(mode, changes, problems):
     doc = _typed_config(mode)
@@ -366,6 +378,46 @@ def test_parse_config_untyped_section_problems(mode, changes, problems):
     with pytest.raises(ds.ConfigError) as err:
         cli.parse_config_dict(doc)
     assert err.value.problems == problems
+
+
+_LOSS = ds.PowerLawPathLoss(1.0, 2.0)
+
+
+# Each bounded field of the library, the constructor that takes it, and the
+# config key read by its bound.
+@pytest.mark.parametrize("field, build, path", [
+    ("kappa", lambda v: ds.PowerLawPathLoss(v, 2.0), "pathloss.kappa"),
+    ("exponent", lambda v: ds.PowerLawPathLoss(1.0, v), "pathloss.beta"),
+    ("threshold", lambda v: ds.PropagationParams(_LOSS, v), "threshold"),
+    ("fading_mean", lambda v: ds.PropagationParams(_LOSS, 1.0, fading_mean=v), "fading_mean"),
+    ("noise", lambda v: ds.PropagationParams(_LOSS, 1.0, noise=v), "noise"),
+    ("replications", lambda v: ds.SimulationPlan(v, 1), "simulate.reps"),
+    ("seed", lambda v: ds.SimulationPlan(10, v), "simulate.seed"),
+    ("delay_cap", lambda v: ds.SimulationPlan(10, 1, v), "simulate.delay_cap"),
+    ("sigma", lambda v: ds.GaussianSpec(v), "kernel.sigma"),
+    ("scale", lambda v: ds.GaussianSpec(1.0, v), "kernel.scale"),
+])
+def test_library_bounds_read_as_the_cli_reports_them(field, build, path):
+    # the constructor raises f"{field} {text}" for exactly the values whose
+    # config key the CLI reports with ``text``, and holds what the CLI reads
+    rejected = 0
+    for v in (0, -1, 1, 0.5, 2, -0.0, True, False, None, "1", [1], 10**400, math.inf, math.nan):
+        doc = _typed_config(kernel="gaussian")
+        *parents, key = path.split(".")
+        functools.reduce(dict.__getitem__, parents, doc)[key] = v
+        try:
+            cli.parse_config_dict(doc)
+        except ds.ConfigError as e:
+            [(where, text)] = e.problems
+            assert where == path
+            with pytest.raises(ds.BadSpec if path.startswith("kernel") else ds.BadArgument) as err:
+                build(v)
+            assert str(err.value) == f"{field} {text}"
+            rejected += 1
+            continue
+        held = getattr(build(v), field)
+        assert held == v and type(held) is (int if path.startswith("simulate") else float)
+    assert rejected >= 8
 
 
 _HUGE = "1" + "0" * 400  # an integer beyond the largest double
@@ -583,6 +635,42 @@ def test_exit_code_computation_error(tmp_path, capsys):
     # ...but there is no likelihood kernel to simulate from
     assert cli.main(["simulate", path, "--reps", "10", "--seed", "1"]) == 3
     assert "computation failed" in capsys.readouterr().err
+
+
+def test_coincident_delay_target_fails_every_command(tmp_path, capsys):
+    # a txrx link between coincident nodes has no signal under a power law:
+    # validate reports the target, as simulate, which could not run it, does
+    doc = _typed_config(kernel="explicit_L")
+    doc["nodes"] = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    doc["simulate"]["targets"] = [["delay", [0, 1]]]
+    path = _write(tmp_path, doc)
+    for command in ("validate", "simulate", "coverage"):
+        assert cli.main([command, path]) == 1
+        out, err = capsys.readouterr()
+        problem = _COINCIDE.format([0, 1])
+        assert problem in (out if command == "validate" else err)
+
+
+def test_never_scheduled_delay_link_is_not_played(tmp_path, capsys, monkeypatch):
+    # transmitter 1 is never scheduled: its row is the cap's, as when it was
+    # played to the cap (400,000 draws), but no slot is played for it
+    from detsched import _sampling
+
+    doc = _base_config(kernel={"type": "aloha_diagonal", "probabilities": [0.5, 0.0]},
+                       noise=0.0)
+    doc["simulate"] = {"reps": 20, "seed": 1, "targets": ["delay"], "delay_cap": 20000}
+    draw, calls = _sampling.draw_mask, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(_sampling, "draw_mask", counting)
+    assert cli.main(["simulate", _write(tmp_path, doc), "--format", "csv"]) == 0
+    assert calls[0] < 1000
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "delay,0,,2,1.8,0.32118202741878649,0.62269984907723896,0",
+        "delay,1,,20000,20000,0,0,20"]
 
 
 def test_path_loss_overflow_is_a_computation_error(tmp_path, capsys):

@@ -142,6 +142,11 @@ def test_gaussian_spec_validation():
         ds.build_L(ds.GaussianSpec(sigma=0.0), pts)
     with pytest.raises(ds.BadSpec):
         ds.build_L(ds.GaussianSpec(sigma=1.0, scale=-1.0), pts)
+    # the spec checks its bounds itself: an infinite sigma would build an
+    # all-ones L
+    for bad in (dict(sigma=np.inf), dict(sigma=1.0, scale=np.nan), dict(sigma=True)):
+        with pytest.raises(ds.BadSpec):
+            ds.GaussianSpec(**bad)
     with pytest.raises(ds.BadArgument):
         ds.build_L(ds.GaussianSpec(sigma=1.0), None)
 

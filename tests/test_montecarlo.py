@@ -545,6 +545,39 @@ def test_delay_caps_beyond_int64():
         assert ds.simulate_local_delay(geo, L, params, plan) == want
 
 
+def test_links_that_cannot_succeed_are_recorded_at_the_cap_unplayed(monkeypatch):
+    # transmitter 1 is never scheduled (a zero row of L), or its signal's
+    # path loss is 0 (a table): no slot is played for it, and every row
+    # equals the slot-by-slot reference that plays it to the cap
+    geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.5], [1.0, 0.5]])
+    table = ds.TabulatedPathLoss([0.0, 0.2, 0.5, 2.0], [1.0, 1.0, 0.0, 0.0])
+    cases = [(ds.build_L(ds.AlohaSpec(np.array([0.5, 0.0]))), _power_params(), [False, True]),
+             (ds.LEnsemble.from_matrix(np.eye(2)), ds.PropagationParams(table, 1.0), [True, True])]
+    draw, calls = _sampling.draw_mask, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return draw(*args)
+
+    for L, params, doomed in cases:
+        arena = montecarlo._Arena(geo, L, params)
+        assert arena.doomed().tolist() == doomed
+        ref, ref_censored = local_delay_loops(arena, 1, 20, 30)
+        monkeypatch.setattr(_sampling, "draw_mask", counting)
+        calls[0] = 0
+        out = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(20, 1, delay_cap=30))
+        monkeypatch.undo()
+        assert calls[0] == (0 if all(doomed) else ref[:, 0].sum())
+        for t, est in out.items():
+            vals = ref[:, t].astype(float)
+            std_error = float(vals.std(ddof=1)) / math.sqrt(20)
+            assert est == ds.DelayEstimate(float(vals.mean()), std_error, 20, int(ref_censored[t]))
+        # caps no int64 holds: each replication reads the cap exactly
+        for cap, mean in ((2**63, 2.0**63), (2**64 + 1, 2.0**64), (10**400, math.inf)):
+            est = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(20, 1, cap))[1]
+            assert est == ds.DelayEstimate(mean, 0.0, 20, 20)
+
+
 def test_pairs_zero_length_link_rejected():
     geo = ds.NetworkGeometry.pairs([[0.0, 0.0]], [[0.0, 0.0]])
     L = ds.LEnsemble.from_matrix([[1.0]])

@@ -27,10 +27,24 @@ def test_power_law_values_and_singularity():
         ds.path_loss(model, 0.0)
     with pytest.raises(ds.SingularDistance):
         ds.path_loss(model, 1e-13)
+    # an int beyond the doubles and a bool are no kappa either
     for bad in (dict(kappa=0.0, exponent=2.0), dict(kappa=1.0, exponent=-1.0),
-                dict(kappa=math.inf, exponent=2.0)):
+                dict(kappa=math.inf, exponent=2.0), dict(kappa=10**400, exponent=2.0),
+                dict(kappa=True, exponent=2.0)):
         with pytest.raises(ds.BadArgument):
             ds.PowerLawPathLoss(**bad)
+
+
+def test_channel_bounds_raise_detsched_errors():
+    # each bound is a BadArgument naming its field: an int beyond the
+    # doubles is not finite, and a bool is not a number
+    for key, bad, text in [("threshold", 10**400, "must be finite"),
+                           ("noise", 10**400, "must be finite"),
+                           ("threshold", True, "must be a number, got True"),
+                           ("fading_mean", 0, "must be > 0.0, got 0.0")]:
+        with pytest.raises(ds.BadArgument) as e:
+            _params(**{key: bad})
+        assert str(e.value) == f"{key} {text}"
 
 
 def test_tabulated_path_loss():
