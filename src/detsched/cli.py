@@ -23,15 +23,16 @@ One JSON document fully describes a run::
 Kernel types: gaussian{sigma, scale}, quality_similarity{quality,
 similarity}, explicit_K{matrix}, explicit_L{matrix},
 aloha_diagonal{probabilities}.  Path loss types: power_law{kappa, beta}
-and custom{radii, values} (piecewise-linear table).  The schema is four
-tables of one reader per key: ``_TYPES`` for these two sections (a row per
-type, naming the class it builds, keys in the order of its fields),
-``_GEOMETRY`` per mode, ``_CHANNEL`` for threshold, fading_mean and noise,
-and the one in ``_parse_simulate``.  Parsing, the unknown and not-allowed
-key checks, the top-level keys and --echo-config all come from them, and a
-missing key is reported as required at its own path.  Delay targets may
-name a single link: ["delay", 2] in pairs mode, ["delay", [0, 1]] in txrx
-mode; a bare "delay" names every link.
+and custom{radii, values} (piecewise-linear table, which must cover each
+distance from a node to a receiver slot but a txrx node's own).  The
+schema is four tables of one reader per key: ``_TYPES`` for these two
+sections (a row per type, naming the class it builds, keys in the order
+of its fields), ``_GEOMETRY`` per mode, ``_CHANNEL`` for threshold,
+fading_mean and noise, and the one in ``_parse_simulate``.  Parsing, the
+unknown and not-allowed key checks, the top-level keys and --echo-config
+all come from them, and a missing key is reported as required at its own
+path.  Delay targets may name a single link: ["delay", 2] in pairs mode,
+["delay", [0, 1]] in txrx mode; a bare "delay" names every link.
 
 Subcommands: coverage | simulate | sample | validate, each taking the
 config path plus --format {json,csv}, --output PATH, and --echo-config.
@@ -74,11 +75,14 @@ from .propagation import (
     PowerLawPathLoss,
     PropagationParams,
     TabulatedPathLoss,
+    _deafening,
     _distance_matrix,
     _drowned,
     _link_keys,
     _parse_bounded,
+    _path_losses,
     _require,
+    _undefined_loss,
 )
 
 
@@ -320,6 +324,17 @@ def _parse_simulate(doc, geometry, drowned, errors):
     return SimulationPlan(v["reps"], v["seed"], v["delay_cap"]), v["workers"], v["targets"]
 
 
+def _untabulated(table: TabulatedPathLoss, geometry: NetworkGeometry, dist: np.ndarray) -> list:
+    """The problem of a table that misses a distance ``dist`` (node by
+    receiver slot) whose loss the closed forms or the simulators read."""
+    bad = _undefined_loss(_path_losses(table, dist), _deafening(geometry, _drowned(table, dist)))
+    if bad is None:
+        return []
+    lo, hi = table.radii[[0, -1]].tolist()
+    return [("pathloss", f"distance {dist[bad].item()!r} from transmitter {bad[0]} to receiver "
+                         f"slot {bad[1]} is outside the tabulated range [{lo!r}, {hi!r}]")]
+
+
 def parse_config_dict(doc) -> RunConfig:
     """Validate a config document, collecting every problem before failing."""
     if not isinstance(doc, dict):
@@ -352,6 +367,8 @@ def parse_config_dict(doc) -> RunConfig:
         if geometry.mode == "pairs":
             errors.extend(("geometry", f"transmitter {i} coincides with its receiver "
                                        "under power_law path loss") for i in drowned)
+        if isinstance(pathloss, TabulatedPathLoss):
+            errors.extend(_untabulated(pathloss, geometry, dist))
     plan, workers, targets = _parse_simulate(doc, geometry, set(drowned), errors)
     if errors:
         raise ConfigError(errors)
@@ -400,13 +417,6 @@ def config_dict(cfg: RunConfig) -> dict:
 # output helpers
 
 
-def _finite(v):
-    if v is None:
-        return None
-    v = float(v)
-    return v if math.isfinite(v) else None
-
-
 class _WriteFailed(OSError):
     """The output file could not be written; main reports it, exit 2."""
 
@@ -426,22 +436,12 @@ def _emit_json(doc, output):
     _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", output)
 
 
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
-    if isinstance(v, tuple):
-        return ";".join(v)
-    return str(v)
-
-
 def _emit_csv(header, rows, output):
+    """Write ``header`` and ``rows``, each a sequence of cell strings."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerows(rows)
     _emit(buf.getvalue(), output)
 
 
@@ -455,55 +455,69 @@ def _json_strings(v) -> str:
     return "[\n        " + ",\n        ".join(map(_json_str, v)) + "\n      ]"
 
 
-# the encoding json.dumps gives each type a record field may hold
-_JSON_VALUE = {type(None): lambda v: "null", float: float.__repr__, int: int.__repr__,
-               str: _json_str, tuple: _json_strings}
+# the text of a value of each type a column may hold, and of None: as
+# json.dumps gives it, or as a CSV cell
+_JSON_TEXT = ({float: float.__repr__, int: int.__repr__, str: _json_str, tuple: _json_strings},
+              "null")
+_CSV_TEXT = ({float: lambda v: format(v, ".17g"), int: int.__repr__, str: str,
+              tuple: ";".join}, "")
 # float.__repr__ of the non-finite floats; a string encodes with its quotes
 _NON_FINITE = frozenset(("inf", "-inf", "nan"))
 
 
-def _json_values(row) -> tuple:
-    values = tuple([_JSON_VALUE[type(v)](v) for v in row])
-    if not _NON_FINITE.isdisjoint(values):
-        raise ValueError("Out of range float values are not JSON compliant")
-    return values
+def _column_text(values: list, text: tuple) -> list:
+    """The ``text`` of each of ``values``: None, or values of one type."""
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if len(kinds) > 1:
+        raise TypeError(f"a column mixes {sorted(k.__name__ for k in kinds)}")
+    codes, null = text
+    if not kinds:
+        return [null] * len(values)
+    code = codes[kinds.pop()]
+    if None in values:
+        return [null if v is None else code(v) for v in values]
+    return list(map(code, values))
 
 
-def _emit_table(header: dict, key: str, fields: tuple, rows: list, output, fmt="json"):
+def _emit_table(header: dict, key: str, columns: dict, output, fmt="json"):
     """Write ``header`` plus ``key``: one object per row, byte for byte as
     json.dumps(indent=2, allow_nan=False) writes that document; or, for
-    ``fmt`` "csv", the rows under a ``fields`` header line.
+    ``fmt`` "csv", the rows under a header line of the fields.
 
-    Row i holds the values of ``fields`` in order.  The header goes through
-    json.dumps; each row fills a fixed record template, which skips the
-    pure-Python indenting encoder.  A non-finite float raises ValueError,
-    as allow_nan=False does.
+    ``columns`` maps each field, in order, to its values in row order: None
+    or values of one type, an int, float, str or tuple of strings.  The
+    header goes through json.dumps; each column is encoded once and each row
+    fills a fixed record template, which skips the pure-Python indenting
+    encoder.  A non-finite float raises ValueError, as allow_nan=False does.
     """
     if fmt == "csv":
-        _emit_csv(fields, rows, output)
+        _emit_csv(list(columns), zip(*[_column_text(v, _CSV_TEXT) for v in columns.values()]),
+                  output)
         return
     text = json.dumps({**header, key: []}, indent=2, allow_nan=False)
-    if rows:
+    cells = [_column_text(v, _JSON_TEXT) for v in columns.values()]
+    if not all(map(_NON_FINITE.isdisjoint, cells)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    if cells and cells[0]:
         record = "    {\n" + ",\n".join(
-            f"      {_json_str(f)}: %s" for f in fields) + "\n    }"
-        body = ",\n".join([record % _json_values(row) for row in rows])
+            f"      {_json_str(f)}: %s" for f in columns) + "\n    }"
+        body = ",\n".join(map(record.__mod__, zip(*cells)))
         text = text[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
     _emit(text + "\n", output)
 
 
-# One row shape per table: the CSV header and the JSON record fields.
-_LINK_FIELDS = tuple(f.name for f in fields(_coverage.LinkReport))
+def _finite_column(values) -> list:
+    """Numbers or None as floats, None for each one absent or not finite,
+    which JSON cannot spell."""
+    a = np.asarray(values, dtype=float)
+    return _coverage._listed(a, ~np.isfinite(a))
+
+
+# The row shape of simulate's table: the CSV header and the JSON record
+# fields.  The coverage table's are the report columns, LinkReport's fields.
 _RESULT_FIELDS = ("target", "transmitter", "receiver", "closed_form", "estimate",
                   "std_error", "z_score", "censored")
-
-
-def _link_row(lr) -> tuple:
-    flags = lr.flags
-    if lr.delay_mean is not None and math.isinf(lr.delay_mean):
-        flags = flags + ("infinite_delay",)
-    return (lr.transmitter, lr.receiver, _finite(lr.selection_probability),
-            _finite(lr.conditional_coverage), _finite(lr.coverage),
-            _finite(lr.delay_mean), flags, lr.error)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +526,15 @@ def _link_row(lr) -> tuple:
 
 def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None) -> int:
     """Closed-form coverage report for every link."""
-    report = _coverage.full_report(cfg.geometry, cfg.K, cfg.params)
-    header = {"mode": report.mode, "kernel_fingerprint": report.kernel_fingerprint,
+    table = _coverage._link_table(cfg.geometry, cfg.K, cfg.params, cfg.geometry.links())
+    # a number JSON cannot spell prints as null, an infinite delay mean flagged
+    flags = table["flags"]
+    for i in np.flatnonzero(np.isinf(table["delay_mean"])).tolist():
+        flags[i] += ("infinite_delay",)
+    columns = {f: _finite_column(v) if isinstance(v, np.ndarray) else v for f, v in table.items()}
+    header = {"mode": cfg.mode, "kernel_fingerprint": _coverage.kernel_fingerprint(cfg.K),
               **{key: getattr(cfg.params, key) for key in _CHANNEL}}
-    _emit_table(header, "links", _LINK_FIELDS, [_link_row(lr) for lr in report.links], output,
-                fmt)
+    _emit_table(header, "links", columns, output, fmt)
     return 0
 
 
@@ -546,14 +564,15 @@ def _check_flags(cfg: RunConfig, flags: dict, required: tuple):
 
 
 def _closed_reports(cfg: RunConfig, keys) -> dict:
-    """{link key: LinkReport} for the links ``keys`` (``link_keys()``
-    entries), evaluating only those on the run's marginal kernel, so each
-    equals the coverage report's."""
+    """{link key: (transmitter, receiver, coverage)} for the links ``keys``
+    (``link_keys()`` entries), evaluating only those on the run's marginal
+    kernel, so each equals the coverage report's row."""
     all_keys = cfg.geometry.link_keys()
     wanted = [key in keys for key in all_keys]
     rows = cfg.geometry.links()[np.array(wanted, dtype=bool)]
-    return dict(zip(compress(all_keys, wanted),
-                    _coverage._link_reports(cfg.geometry, cfg.K, cfg.params, rows)))
+    table = _coverage._link_table(cfg.geometry, cfg.K, cfg.params, rows)
+    return dict(zip(compress(all_keys, wanted), zip(
+        table["transmitter"], table["receiver"], _finite_column(table["coverage"]))))
 
 
 def cmd_simulate(
@@ -585,16 +604,18 @@ def cmd_simulate(
     closed = _closed_reports(cfg, {key for _, key, _, _ in found})
     rows = []
     for target, key, est, censored in found:
-        lr = closed[key]
-        c = lr.coverage
+        tx, rx, c = closed[key]
         if target == "delay" and c is not None:
             # the estimate records a censored replication at the cap
             c = _coverage.local_delay(c).capped_mean(plan.delay_cap)
-        rows.append((target, lr.transmitter, lr.receiver, _finite(c), _finite(est.mean), _finite(est.std_error),
-                     _finite(_z_score(c, est.mean, est.std_error)), censored))
+        rows.append((target, tx, rx, c, est.mean, est.std_error,
+                     _z_score(c, est.mean, est.std_error), censored))
+    columns = {f: [row[i] for row in rows] for i, f in enumerate(_RESULT_FIELDS)}
+    for f in ("closed_form", "estimate", "std_error", "z_score"):
+        columns[f] = _finite_column(columns[f])
     header = {"mode": cfg.mode, "replications": plan.replications, "seed": plan.seed,
               "workers": nworkers}
-    _emit_table(header, "results", _RESULT_FIELDS, rows, output, fmt)
+    _emit_table(header, "results", columns, output, fmt)
     return 0
 
 
@@ -648,7 +669,8 @@ def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> 
     if fmt == "csv":
         rows = [["valid", str(report["valid"]).lower(), ""]]
         # the kernel's metrics are its float fields
-        rows += [[key, v, ""] for key, v in (kernel or {}).items() if isinstance(v, float)]
+        rows += [[key, format(v, ".17g"), ""] for key, v in (kernel or {}).items()
+                 if isinstance(v, float)]
         rows += [["problem", p, m] for p, m in problems]
         _emit_csv(["field", "value", "detail"], rows, output)
     else:

@@ -10,8 +10,11 @@ noise discount.  Local delay statistics follow from coverage through the
 geometric law of the first successful slot.
 
 Every link is one row (transmitter, receiver slot, silent node) of the
-geometry's link table.  ``full_report`` runs ``_evaluate`` on the whole
-table and each public per-link function on the row that
+geometry's link table.  ``_link_table`` runs ``_evaluate`` on a set of rows
+and builds the report from it as columns, one array or list per
+``LinkReport`` field: ``full_report`` fills its ``LinkReport``s from the
+whole table's columns, and the CLI writes the columns as they are.  Each
+public per-link function runs ``_evaluate`` on the row that
 ``NetworkGeometry.link`` resolves its arguments to, after
 ``propagation._require`` checks the kernel.  In txrx mode
 the receiving node belongs to the scheduled set and must stay silent.
@@ -167,26 +170,26 @@ def _bordered(mat: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 # a failed row's arithmetic may divide by zero; its error is its result
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _evaluate(geometry, K, params, rows: np.ndarray) -> list:
-    """Unclamped coverage of each link-table row (t, p, s) given t scheduled
-    and s (if s >= 0) silent: -det(M) w / (1 - q) with M from
-    ``_bordered``, or the row's failure.  The path losses come from one
-    channel table to the rows' receiver slots."""
+def _evaluate(geometry, K, params, rows: np.ndarray) -> tuple:
+    """(raw, failures): the unclamped coverage of each link-table row
+    (t, p, s) given t scheduled and s (if s >= 0) silent, -det(M) w / (1 - q)
+    with M from ``_bordered``, and {row index: error} for the rows that fail,
+    whose raw value means nothing.  The path losses come from one channel
+    table to the rows' receiver slots."""
     slots, col_of = np.unique(rows[:, 1], return_inverse=True)
     channel = _channel(params.pathloss, geometry.transmitter_points(),
                        geometry.receiver_points()[slots])
     step = max(1, _BLOCK_BYTES // (8 * K.n ** 2))
-    out, mat = [], K.matrix
+    raw, failures, mat = np.empty(len(rows)), {}, K.matrix
     for lo in range(0, len(rows), step):
         t, _, s = rows[lo:lo + step].T
         c = col_of[lo:lo + step]
         free, w, h, failed = _discounts(K, params, channel, t, s, c)
         # + 0.0 turns a -0.0 product into 0.0 and keeps every other value
-        raw = (-(w / free) * np.linalg.det(_bordered(mat, h, t)) + 0.0).tolist()
+        raw[lo:lo + step] = -(w / free) * np.linalg.det(_bordered(mat, h, t)) + 0.0
         for k in np.flatnonzero(failed).tolist():
-            raw[k] = _failure(K, params, channel[0][:, c[k]], int(t[k]), int(s[k]))
-        out += raw
-    return out
+            failures[lo + k] = _failure(K, params, channel[0][:, c[k]], int(t[k]), int(s[k]))
+    return raw, failures
 
 
 def _unit(x: float) -> float:
@@ -195,10 +198,10 @@ def _unit(x: float) -> float:
 
 def _one(geometry, K, params, row: tuple):
     """``_evaluate`` on one link-table row, raising the row's error."""
-    out = _evaluate(geometry, K, params, np.array([row]))[0]
-    if isinstance(out, DetschedError):
-        raise out
-    return out
+    raw, failures = _evaluate(geometry, K, params, np.array([row]))
+    if failures:
+        raise failures[0]
+    return float(raw[0])
 
 
 def _coverage(geometry, K, params, row: tuple) -> float:
@@ -366,34 +369,59 @@ def kernel_fingerprint(K: MarginalKernel) -> str:
     return h.hexdigest()
 
 
-def _link_reports(geometry, K, params, rows: np.ndarray) -> tuple:
-    """One LinkReport per link-table row; per-link failures become error
-    strings.  A row whose selection probability K_tt (1 - q) is at most
-    PALM_PIVOT_TOL is flagged by its smaller factor."""
+# a never-covered row's delay mean is 1 / 0, infinite
+@np.errstate(divide="ignore")
+def _link_table(geometry, K, params, rows: np.ndarray) -> dict:
+    """The report on link-table rows ``rows`` as columns, {LinkReport field:
+    values in row order}.  The four number columns are float arrays with NaN
+    where a row has no value; no value is NaN otherwise, as a NaN discount
+    fails its row.  A row whose selection probability K_tt (1 - q) is at
+    most PALM_PIVOT_TOL is flagged by its smaller factor; a failed row holds
+    its error string."""
+    n = len(rows)
     piv, _, free, sel = _silence(K.matrix, rows[:, 0], rows[:, 2])
     scheduled = sel > PALM_PIVOT_TOL
+    raw = np.full(n, np.nan)
+    raw[scheduled], failures = _evaluate(geometry, K, params, rows[scheduled])
+    failed = np.flatnonzero(scheduled)[list(failures)]
+    raw[failed] = np.nan
+    cond = np.minimum(np.maximum(raw, 0.0), 1.0)  # _unit of each row
+    cov = np.where(scheduled, sel * cond, 0.0)
+    flags = [()] * n
+    for i in np.flatnonzero(np.abs(raw - cond) > 1e-9).tolist():
+        flags[i] = ("clamped",)
     # K_tt the smaller factor; a pairs row (1 - q = 1) gets here only through it
-    nevers = iter(((piv <= PALM_PIVOT_TOL) | (piv <= free))[~scheduled].tolist())
-    raws = iter(_evaluate(geometry, K, params, rows[scheduled]))
+    never = (piv <= PALM_PIVOT_TOL) | (piv <= free)
+    for i in np.flatnonzero(~scheduled).tolist():
+        flags[i] = ("never_scheduled",) if never[i] else ("receiver_always_scheduled",)
+    error = [None] * n
+    for i, e in zip(failed.tolist(), failures.values()):
+        error[i] = str(e)
+    return {"transmitter": rows[:, 0].tolist(),
+            "receiver": rows[:, 1].tolist() if geometry.mode == "txrx" else [None] * n,
+            "selection_probability": sel, "conditional_coverage": cond, "coverage": cov,
+            # local_delay's mean; cov lies in [0, 1] by construction
+            "delay_mean": np.where(cov == 0.0, math.inf, 1.0 / cov),
+            "flags": flags, "error": error}
+
+
+def _listed(values: np.ndarray, absent: np.ndarray) -> list:
+    """``values`` as a list of floats, None where ``absent``."""
+    out = values.tolist()
+    for i in np.flatnonzero(absent).tolist():
+        out[i] = None
+    return out
+
+
+def _link_reports(table: dict) -> tuple:
+    """One LinkReport per row of a ``_link_table``, None for each NaN."""
+    columns = [_listed(v, np.isnan(v)) if isinstance(v, np.ndarray) else v
+               for v in table.values()]
     # filling each instance dict gives the same LinkReport as the frozen
     # __init__, without its object.__setattr__ per field, in a third of the time
-    out = list(map(object.__new__, repeat(LinkReport, len(rows))))
-    for f, (t, p, s), x, ok in zip(map(vars, out), rows.tolist(), sel.tolist(),
-                                    scheduled.tolist()):
-        if not ok:
-            flag = "never_scheduled" if next(nevers) else "receiver_always_scheduled"
-            rest = (None, 0.0, math.inf, (flag,), None)
-        elif isinstance(raw := next(raws), DetschedError):
-            rest = (None, None, None, (), str(raw))
-        else:
-            cond = _unit(raw)
-            cov = x * cond
-            # local_delay's mean; cov lies in [0, 1] by construction
-            rest = (cond, cov, math.inf if cov == 0.0 else 1.0 / cov,
-                    ("clamped",) if abs(raw - cond) > 1e-9 else (), None)
-        (f["transmitter"], f["receiver"], f["selection_probability"],
-         f["conditional_coverage"], f["coverage"], f["delay_mean"], f["flags"],
-         f["error"]) = (t, None if s < 0 else p, x, *rest)
+    out = list(map(object.__new__, repeat(LinkReport, len(columns[0]))))
+    for f, values in zip(map(vars, out), zip(*columns)):
+        f.update(zip(table, values))
     return tuple(out)
 
 
@@ -407,6 +435,6 @@ def full_report(
     captured as error strings rather than aborting the report.
     """
     _require(geometry, K)
-    links = _link_reports(geometry, K, params, geometry.links())
+    links = _link_reports(_link_table(geometry, K, params, geometry.links()))
     return CoverageReport(mode=geometry.mode, links=links,
                           kernel_fingerprint=kernel_fingerprint(K), params=params)

@@ -42,7 +42,8 @@ from . import _sampling
 from .errors import BadArgument, SameNode, SingularDistance
 from .kernels import LEnsemble
 from .propagation import (NetworkGeometry, PropagationParams, _bounded, _channel,
-                          _check_bounds, _link_keys, _require, path_loss)
+                          _check_bounds, _deafening, _link_keys, _require, _undefined_loss,
+                          path_loss)
 from .rng import _advance, _fill, _pcg64_states, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
@@ -132,20 +133,18 @@ class _Arena:
         self.lvals, self.lvecs = L.eigh
         self.params = params
         links = geometry.links()
-        tx, rx, silent = links.T
+        tx, rx, _ = links.T
         dist, loss, drowned = _channel(
             params.pathloss, geometry.transmitter_points(), geometry.receiver_points())
         defined = ~drowned[tx, rx]
         if geometry.mode == "pairs" and not defined.all():
             bad = int(tx[~defined][0])
             raise SingularDistance(f"link {bad} has zero length under a singular path loss")
-        deafening = drowned
-        deafening[silent[silent >= 0], rx[silent >= 0]] = True
-        # a silent node's entry is never judged; any other entry the scalar
-        # path loss cannot evaluate fails with its error
-        bad = np.argwhere(np.isnan(loss) & ~deafening)
-        if len(bad):
-            path_loss(params.pathloss, dist[tuple(bad[0])])
+        deafening = _deafening(geometry, drowned)
+        # an entry the scalar path loss cannot evaluate fails with its error
+        bad = _undefined_loss(loss, deafening)
+        if bad is not None:
+            path_loss(params.pathloss, dist[bad])
         self.loss = np.where(deafening, 0.0, loss)
         self.deafening = deafening.astype(float)
         self.tx, self.rx = tx[defined], rx[defined]

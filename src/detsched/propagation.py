@@ -318,6 +318,24 @@ def _channel(model: PathLoss, a: np.ndarray, b: np.ndarray) -> tuple:
     return dist, _path_losses(model, dist), _drowned(model, dist)
 
 
+def _deafening(geometry: NetworkGeometry, drowned: np.ndarray) -> np.ndarray:
+    """Node by receiver slot, where a transmitting node leaves the slot unable
+    to decode anything, so its path loss there is never read: the
+    ``drowned`` entries (updated in place) and, in txrx mode, each node at
+    its own slot, the silent node of every link into it.  The closed forms
+    and the simulators read every other loss."""
+    if geometry.mode == "txrx":
+        np.fill_diagonal(drowned, True)
+    return drowned
+
+
+def _undefined_loss(loss: np.ndarray, deafening: np.ndarray) -> Optional[tuple]:
+    """The first (node, slot), row major, whose path loss ``loss`` is read
+    but undefined (NaN) outside ``deafening``; None if there is none."""
+    bad = np.argwhere(np.isnan(loss) & ~deafening)
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
 def _signal_loss(signal_distance: float, params: PropagationParams) -> float:
     """The path loss at the signal distance, which must be above 0."""
     ell_r = path_loss(params.pathloss, signal_distance)

@@ -13,6 +13,10 @@ import detsched as ds
 from detsched import cli
 
 
+# the coverage table's fields, in order
+_LINK_FIELDS = tuple(f.name for f in dataclasses.fields(ds.LinkReport))
+
+
 def _base_config(**over):
     doc = {
         "mode": "pairs",
@@ -617,7 +621,7 @@ def test_linalg_error_is_not_a_parse_error(tmp_path, monkeypatch):
     def fail(*args):
         raise np.linalg.LinAlgError("singular")
 
-    monkeypatch.setattr(cli._coverage, "full_report", fail)
+    monkeypatch.setattr(cli._coverage, "_link_table", fail)
     with pytest.raises(np.linalg.LinAlgError):
         cli.main(["coverage", _write(tmp_path, _base_config())])
 
@@ -649,6 +653,80 @@ def test_coincident_delay_target_fails_every_command(tmp_path, capsys):
         out, err = capsys.readouterr()
         problem = _COINCIDE.format([0, 1])
         assert problem in (out if command == "validate" else err)
+
+
+_SHORT_TABLE = {"type": "custom", "radii": [0.5, 2.0], "values": [1.0, 0.1]}
+
+
+def test_table_missing_a_distance_fails_every_command(tmp_path, capsys):
+    # the table misses distance 3.0 from node 0 to node 2, which both the
+    # closed forms and the simulators evaluate: a config problem, where
+    # coverage and validate exited 0 and simulate 3
+    doc = _typed_config(kernel="explicit_L", pathloss="power_law")
+    doc.update(nodes=[[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], pathloss=_SHORT_TABLE)
+    path = _write(tmp_path, doc)
+    problem = ("pathloss", "distance 3.0 from transmitter 0 to receiver slot 2 is outside "
+                           "the tabulated range [0.5, 2.0]")
+    for argv in (["validate"], ["coverage"], ["simulate"], ["sample", "--count", "1"]):
+        assert cli.main([argv[0], path, *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        if argv == ["validate"]:
+            assert json.loads(out)["problems"] == [dict(zip(("path", "message"), problem))]
+        else:
+            assert err == "config error at {}: {}\n".format(*problem)
+    # the library keeps the link's error row
+    cfg = cli.parse_config_dict({**doc, "pathloss": _PATHLOSSES["power_law"]})
+    params = dataclasses.replace(cfg.params, pathloss=ds.TabulatedPathLoss([0.5, 2.0], [1.0, 0.1]))
+    errors = {(lr.transmitter, lr.receiver): lr.error
+              for lr in ds.full_report(cfg.geometry, cfg.K, params).links}
+    assert errors[(0, 2)] == "distance 3.0 outside tabulated range [0.5, 2.0]"
+    assert errors[(0, 1)] is None
+
+
+def test_table_missing_a_distance_names_the_first():
+    def problems(doc):
+        try:
+            cli.parse_config_dict(doc)
+        except ds.ConfigError as e:
+            return e.problems
+        return []
+
+    def outside(d, i, j, lo, hi):
+        return [("pathloss", f"distance {d!r} from transmitter {i} to receiver slot {j} "
+                             f"is outside the tabulated range [{lo!r}, {hi!r}]")]
+
+    # pairs: each transmitter's distance to its own receiver and to the others
+    doc = _base_config(pathloss={**_SHORT_TABLE, "radii": [0.6, 2.0]})
+    assert problems(doc) == outside(0.5, 0, 0, 0.6, 2.0)
+    doc["pathloss"]["radii"] = [0.5, 1.1]
+    assert problems(doc) == outside(math.sqrt(1.25), 0, 1, 0.5, 1.1)
+    doc["pathloss"]["radii"] = [0.5, 1.2]
+    assert problems(doc) == []
+    # txrx: a node's distance 0 to its own slot is never read
+    doc = _typed_config(kernel="explicit_L")
+    doc["pathloss"] = {**_SHORT_TABLE, "radii": [0.5, 2.0]}
+    assert problems(doc) == []
+    doc["pathloss"]["radii"] = [0.75, 2.0]
+    assert problems(doc) == outside(math.sqrt(0.7 ** 2 + 0.1 ** 2), 0, 1, 0.75, 2.0)
+
+
+def test_single_txrx_node_reads_no_table_distance(tmp_path, capsys):
+    # one txrx node has no link, and its distance 0 to its own slot is read
+    # by neither engine: every command runs, where simulate failed with exit 3
+    doc = {"mode": "txrx", "nodes": [[0.0, 0.0]],
+           "kernel": {"type": "aloha_diagonal", "probabilities": [0.5]},
+           "pathloss": _SHORT_TABLE, "threshold": 1.0,
+           "simulate": {"reps": 5, "seed": 1, "targets": ["coverage", "delay"]}}
+    path = _write(tmp_path, doc)
+    for command in ("validate", "coverage", "simulate"):
+        assert cli.main([command, path]) == 0
+    capsys.readouterr()
+    geo = ds.NetworkGeometry.txrx([[0.0, 0.0]])
+    params = ds.PropagationParams(ds.TabulatedPathLoss([0.5, 2.0], [1.0, 0.1]), threshold=1.0)
+    L = ds.LEnsemble.from_matrix([[1.0]])
+    plan = ds.SimulationPlan(5, 1)
+    assert ds.simulate_txrx(geo, L, params, plan) == {}
+    assert ds.simulate_local_delay(geo, L, params, plan) == {}
 
 
 def test_never_scheduled_delay_link_is_not_played(tmp_path, capsys, monkeypatch):
@@ -1017,7 +1095,7 @@ def test_csv_tables_share_the_json_fields(tmp_path, capsys):
                        "coverage,delay_mean,flags,error"
     assert lines[1] == "0,,0,,0,,never_scheduled;infinite_delay,"
     assert cli.main(["coverage", path]) == 0
-    assert tuple(json.loads(capsys.readouterr().out)["links"][0]) == cli._LINK_FIELDS
+    assert tuple(json.loads(capsys.readouterr().out)["links"][0]) == _LINK_FIELDS
     assert cli.main(["simulate", path, "--format", "csv"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert header == "target,transmitter,receiver,closed_form,estimate,std_error,z_score,censored"
@@ -1117,6 +1195,11 @@ def _dumps(header, key, fields, rows):
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+def _columns(fields, rows):
+    """The table ``rows`` as ``_emit_table`` takes it: {field: values}."""
+    return {f: [row[i] for row in rows] for i, f in enumerate(fields)}
+
+
 _COVERAGE_HEADER = {"mode": "pairs", "kernel_fingerprint": "ab" * 32,
                     "threshold": 1.0, "fading_mean": 0.5, "noise": 0.0}
 _SIMULATE_HEADER = {"mode": "txrx", "replications": 100, "seed": 7, "workers": 2}
@@ -1124,20 +1207,20 @@ _SIMULATE_HEADER = {"mode": "txrx", "replications": 100, "seed": 7, "workers": 2
 
 @pytest.mark.parametrize("header, key, fields, rows", [
     # pairs rows
-    (_COVERAGE_HEADER, "links", cli._LINK_FIELDS, [
+    (_COVERAGE_HEADER, "links", _LINK_FIELDS, [
         (0, None, 0.5, 0.25, 0.125, 8.0, (), None),
         (1, None, 1e-300, 0.1 + 0.2, 3.0000000000000004e-301, 3.3333333333333335e+300, (), None),
     ]),
     # txrx rows, a two-flag row, a clamped row and error strings with quotes,
     # backslashes, control and non-ASCII characters
-    ({**_COVERAGE_HEADER, "mode": "txrx"}, "links", cli._LINK_FIELDS, [
+    ({**_COVERAGE_HEADER, "mode": "txrx"}, "links", _LINK_FIELDS, [
         (0, 1, 0.0, None, 0.0, None, ("never_scheduled", "infinite_delay"), None),
         (1, 0, 0.4, 1.0, 0.4, 2.5, ("clamped",), None),
         (2, 0, 0.3, None, None, None, (), 'distance 0.0 outside "tabulated" range \\ [0.1, 2]'),
         (2, 1, 0.3, None, None, None, (), "échec à 0.5 m: Δ → ∞, 距离\ttab\n😀"),
     ]),
     # an empty table: txrx with one node
-    ({**_COVERAGE_HEADER, "mode": "txrx"}, "links", cli._LINK_FIELDS, []),
+    ({**_COVERAGE_HEADER, "mode": "txrx"}, "links", _LINK_FIELDS, []),
     # simulate rows with integer censored counts and null z-scores
     (_SIMULATE_HEADER, "results", cli._RESULT_FIELDS, [
         ("coverage", 0, 1, 0.25, 0.26, 0.01, 1.0000000000000009, None),
@@ -1149,7 +1232,7 @@ _SIMULATE_HEADER = {"mode": "txrx", "replications": 100, "seed": 7, "workers": 2
 ])
 def test_emit_table_equals_json_dumps(tmp_path, header, key, fields, rows):
     out = tmp_path / "table.json"
-    cli._emit_table(header, key, fields, rows, str(out))
+    cli._emit_table(header, key, _columns(fields, rows), str(out))
     assert out.read_text(encoding="utf-8") == _dumps(header, key, fields, rows)
 
 
@@ -1157,15 +1240,15 @@ def test_emit_table_equals_json_dumps(tmp_path, header, key, fields, rows):
 def test_emit_table_rejects_non_finite(tmp_path, bad):
     row = (0, None, 0.5, bad, 0.25, 4.0, (), None)
     with pytest.raises(ValueError):
-        _dumps(_COVERAGE_HEADER, "links", cli._LINK_FIELDS, [row])
+        _dumps(_COVERAGE_HEADER, "links", _LINK_FIELDS, [row])
     with pytest.raises(ValueError):
-        cli._emit_table(_COVERAGE_HEADER, "links", cli._LINK_FIELDS, [row],
+        cli._emit_table(_COVERAGE_HEADER, "links", _columns(_LINK_FIELDS, [row]),
                         str(tmp_path / "x.json"))
 
 
 def _cli_docs():
-    """Configs whose reports hold pairs and txrx rows, flags, error rows, an
-    empty table and censored delay targets."""
+    """Configs whose reports hold pairs and txrx rows, flags, error rows (the
+    power law overflowing), an empty table and censored delay targets."""
     rng = np.random.default_rng(11)
     txrx = {
         "mode": "txrx",
@@ -1181,8 +1264,7 @@ def _cli_docs():
     # one replication has a standard error of 0, so a miss has no z-score
     single = _base_config(simulate={"reps": 1, "seed": 1})
     one = {**txrx, "nodes": [[0.0, 0.0]]}
-    short_table = {**txrx, "pathloss": {"type": "custom", "radii": [0.1, 0.7],
-                                        "values": [0.9, 0.1]}}
+    table = {**txrx, "pathloss": {"type": "custom", "radii": [0.0, 1.5], "values": [0.9, 0.1]}}
     overflow = {
         "mode": "txrx",
         "nodes": [[0.0, 0.0], [0.1, 0.0], [1.0, 0.0]],
@@ -1193,7 +1275,7 @@ def _cli_docs():
     return [("coverage", _base_config()), ("simulate", _base_config()),
             ("coverage", txrx), ("simulate", txrx), ("coverage", dead),
             ("simulate", dead), ("simulate", single), ("coverage", one), ("simulate", one),
-            ("coverage", short_table), ("coverage", overflow)]
+            ("coverage", table), ("coverage", overflow)]
 
 
 def test_cli_reports_are_json_dumps_bytes(tmp_path, capsys):
@@ -1213,3 +1295,64 @@ def test_cli_reports_are_json_dumps_bytes(tmp_path, capsys):
         seen |= {"null z" for r in rows if "z_score" in r and r["z_score"] is None}
     assert seen >= {"empty", "never_scheduled", "infinite_delay", "error", "censored",
                     "null z"}
+
+
+def _printed_rows(doc):
+    """``full_report``'s rows of the config ``doc`` as the CLI prints them:
+    {field: value}, a non-finite number None, and a link whose delay mean is
+    infinite flagged infinite_delay."""
+    cfg = cli.parse_config_dict(doc)
+    rows = []
+    for lr in ds.full_report(cfg.geometry, cfg.K, cfg.params).links:
+        row = dataclasses.asdict(lr)
+        for f, v in row.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                row[f] = None
+        if lr.delay_mean == math.inf:
+            row["flags"] += ("infinite_delay",)
+        rows.append(row)
+    return rows
+
+
+def _csv_text(v):
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return ";".join(v) if isinstance(v, tuple) else str(v)
+
+
+def test_cli_rows_are_the_library_rows(tmp_path, capsys, monkeypatch):
+    # the CLI writes its rows from the report's columns, not from LinkReports:
+    # each JSON and CSV row is the full_report row, field for field
+    always = {"mode": "txrx", "nodes": [[0.0, 0.0], [1.0, 0.0]],
+              "kernel": {"type": "explicit_K", "matrix": [[0.5, 0.0], [0.0, 1.0 - 1e-12]]},
+              "pathloss": {"type": "power_law", "kappa": 1.0, "beta": 2.0}, "threshold": 1.0}
+    docs = [doc for _, doc in _cli_docs()] + [always, "clamped"]
+    seen = set()
+    for i, doc in enumerate(docs):
+        if doc == "clamped":
+            # no valid kernel is known to take a conditional coverage out of
+            # [0, 1] by more than 1e-9, so the library and the CLI alike read
+            # the base config's raw values scaled by 1.5
+            from detsched import coverage
+            real = coverage._evaluate
+
+            def inflated(*args):
+                raw, failures = real(*args)
+                return 1.5 * raw, failures
+
+            monkeypatch.setattr(coverage, "_evaluate", inflated)
+            doc = _base_config()
+        want = _printed_rows(doc)
+        path = _write(tmp_path, doc, f"c{i}.json")
+        assert cli.main(["coverage", path]) == 0
+        rows = json.loads(capsys.readouterr().out)["links"]
+        assert [{**r, "flags": tuple(r["flags"])} for r in rows] == want
+        assert cli.main(["coverage", path, "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [list(_LINK_FIELDS)] + [[_csv_text(v) for v in r.values()]
+                                                   for r in want]
+        seen |= {f for r in want for f in r["flags"]} | {"error" for r in want if r["error"]}
+    assert seen == {"never_scheduled", "receiver_always_scheduled", "infinite_delay",
+                    "clamped", "error"}
