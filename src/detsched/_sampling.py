@@ -1,12 +1,13 @@
 """Spectral DPP sampler (Kulesza & Taskar, Alg. 1).
 
-Phase 1 flips one coin per eigenvector of the likelihood kernel; phase 2
-selects one point per kept eigenvector from the projection kernel they span,
-by incremental Gram-Schmidt on its rows (Tremblay, Barthelme & Amblard,
-"Optimized algorithms to sample determinantal point processes"), O(n k^2)
-for k kept eigenvectors.  Each step keeps the squared residual norm of every
-row, picks the first row whose cumulative mass exceeds u * total (so a
-zero-mass row is never picked), and projects the picked row out of the rest.
+Phase 1 keeps each eigenvector of the marginal kernel with probability its
+eigenvalue; phase 2 selects one point per kept eigenvector from the
+projection kernel they span, by incremental Gram-Schmidt on its rows
+(Tremblay, Barthelme & Amblard, "Optimized algorithms to sample determinantal
+point processes"), O(n k^2) for k kept eigenvectors.  Each step keeps the
+squared residual norm of every row, picks the first row whose cumulative mass
+exceeds u * total (so a zero-mass row is never picked), and projects the
+picked row out of the rest.
 
 Single draws (``draw_mask``) and blocks of draws (``select_block``) run the
 same selection in two array shapes: the block form pays numpy's per-call
@@ -57,16 +58,16 @@ def _select(V: np.ndarray, u) -> list:
     return chosen
 
 
-def draw_mask(lvals: np.ndarray, vecs: np.ndarray, rng) -> np.ndarray:
+def draw_mask(mu: np.ndarray, vecs: np.ndarray, rng) -> np.ndarray:
     """One scheduling draw as a boolean mask over ground-set positions.
 
-    ``lvals``/``vecs`` are the eigendecomposition of the likelihood kernel.
+    ``mu``/``vecs`` are the eigendecomposition of the marginal kernel.
     Consumes n uniforms for the eigenvector coin flips, then one per
     selected point.
     """
-    n = lvals.shape[0]
+    n = mu.shape[0]
     coins = rng.random(n)
-    sel = coins < lvals / (1.0 + lvals)
+    sel = coins < mu
     mask = np.zeros(n, dtype=bool)
     k = np.count_nonzero(sel)
     if k == 0:

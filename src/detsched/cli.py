@@ -23,8 +23,9 @@ One JSON document fully describes a run::
 Kernel types: gaussian{sigma, scale}, quality_similarity{quality,
 similarity}, explicit_K{matrix}, explicit_L{matrix},
 aloha_diagonal{probabilities}.  Path loss types: power_law{kappa, beta}
-and custom{radii, values} (piecewise-linear table, which must cover each
-distance from a node to a receiver slot but a txrx node's own).  The
+and custom{radii, values} (piecewise-linear table).  Either must be defined
+at each distance from a node to a receiver slot but a txrx node's own: a
+table must cover it, and a power law must not overflow a double there.  The
 schema is four tables of one reader per key: ``_TYPES`` for these two
 sections (a row per type, naming the class it builds, keys in the order
 of its fields), ``_GEOMETRY`` per mode, ``_CHANNEL`` for threshold,
@@ -66,7 +67,6 @@ from .kernels import (
     MarginalKernel,
     QualitySimilaritySpec,
     build_K,
-    build_L,
     validate as validate_kernel,
 )
 from .montecarlo import SimulationPlan
@@ -83,6 +83,7 @@ from .propagation import (
     _path_losses,
     _require,
     _undefined_loss,
+    path_loss,
 )
 
 
@@ -324,15 +325,24 @@ def _parse_simulate(doc, geometry, drowned, errors):
     return SimulationPlan(v["reps"], v["seed"], v["delay_cap"]), v["workers"], v["targets"]
 
 
-def _untabulated(table: TabulatedPathLoss, geometry: NetworkGeometry, dist: np.ndarray) -> list:
-    """The problem of a table that misses a distance ``dist`` (node by
-    receiver slot) whose loss the closed forms or the simulators read."""
-    bad = _undefined_loss(_path_losses(table, dist), _deafening(geometry, _drowned(table, dist)))
-    if bad is None:
-        return []
-    lo, hi = table.radii[[0, -1]].tolist()
-    return [("pathloss", f"distance {dist[bad].item()!r} from transmitter {bad[0]} to receiver "
-                         f"slot {bad[1]} is outside the tabulated range [{lo!r}, {hi!r}]")]
+def _undefined_losses(pathloss, geometry: NetworkGeometry, dist: np.ndarray) -> list:
+    """The problem of a path loss that the scalar ``path_loss`` cannot
+    evaluate at a distance ``dist`` (node by receiver slot) whose loss the
+    closed forms or the simulators read, in the words of its error."""
+    deafening = _deafening(geometry, _drowned(pathloss, dist))
+    if isinstance(pathloss, PowerLawPathLoss):
+        # a power law grows as the distance falls: if the nearest distance
+        # read has a loss, every one has
+        nearest = np.where(deafening, np.inf, dist).min(keepdims=True)
+        if not np.isnan(_path_losses(pathloss, nearest)).any():
+            return []
+    bad = _undefined_loss(_path_losses(pathloss, dist), deafening)
+    if bad is not None:
+        try:
+            path_loss(pathloss, dist[bad])
+        except DetschedError as e:
+            return [("pathloss", f"transmitter {bad[0]} to receiver slot {bad[1]}: {e}")]
+    return []
 
 
 def parse_config_dict(doc) -> RunConfig:
@@ -367,8 +377,7 @@ def parse_config_dict(doc) -> RunConfig:
         if geometry.mode == "pairs":
             errors.extend(("geometry", f"transmitter {i} coincides with its receiver "
                                        "under power_law path loss") for i in drowned)
-        if isinstance(pathloss, TabulatedPathLoss):
-            errors.extend(_untabulated(pathloss, geometry, dist))
+        errors.extend(_undefined_losses(pathloss, geometry, dist))
     plan, workers, targets = _parse_simulate(doc, geometry, set(drowned), errors)
     if errors:
         raise ConfigError(errors)
@@ -589,16 +598,15 @@ def cmd_simulate(
     flags = {name: v for name, v in (("replications", reps), ("seed", seed)) if v is not None}
     plan = replace(cfg.plan, **flags) if cfg.plan is not None else SimulationPlan(reps, seed)
     nworkers = workers if workers is not None else cfg.workers
-    L = build_L(cfg.kernel_spec, cfg.geometry)
     found = []
     if "coverage" in cfg.targets:
-        ests = _montecarlo._simulate_coverage(cfg.geometry, L, cfg.params, plan)
+        ests = _montecarlo._simulate_coverage(cfg.geometry, cfg.K, cfg.params, plan)
         found += [("coverage", key, est, None) for key, est in sorted(ests.items())]
     # a bare "delay" names every link, whatever single links sit beside it
     links = [t[1] for t in cfg.targets if isinstance(t, tuple)]
     if "delay" in cfg.targets or links:
         delays = _montecarlo.simulate_local_delay(
-            cfg.geometry, L, cfg.params, plan, workers=nworkers,
+            cfg.geometry, cfg.K, cfg.params, plan, workers=nworkers,
             links=None if "delay" in cfg.targets else links)
         found += [("delay", key, est, est.censored) for key, est in sorted(delays.items())]
     closed = _closed_reports(cfg, {key for _, key, _, _ in found})
@@ -631,7 +639,7 @@ def cmd_sample(
     """
     _check_flags(cfg, {"--count": count, "--seed": seed}, ("--seed",))
     seed = cfg.plan.seed if seed is None else seed
-    draws = _montecarlo._draws(*build_L(cfg.kernel_spec, cfg.geometry).eigh, seed, range(count))
+    draws = _montecarlo._draws(*cfg.K.eigh, seed, range(count))
     lines = [json.dumps(np.flatnonzero(row).tolist()) for _, _, mask in draws for row in mask]
     _emit("\n".join(lines) + "\n", output)
     return 0
@@ -648,7 +656,9 @@ def _kernel_metrics(cfg_or_doc) -> Optional[dict]:
             report = validate_kernel(np.array(kernel["matrix"], dtype=float))
     except Exception:
         return None
-    return asdict(report)
+    # a metric past the doubles prints as null (JSON) or empty (CSV)
+    return {key: None if isinstance(v, float) and not math.isfinite(v) else v
+            for key, v in asdict(report).items()}
 
 
 def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> int:
@@ -668,9 +678,9 @@ def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> 
     }
     if fmt == "csv":
         rows = [["valid", str(report["valid"]).lower(), ""]]
-        # the kernel's metrics are its float fields
-        rows += [[key, format(v, ".17g"), ""] for key, v in (kernel or {}).items()
-                 if isinstance(v, float)]
+        # the kernel's metrics: every field but its verdict and problems
+        rows += [[key, "" if v is None else format(v, ".17g"), ""]
+                 for key, v in (kernel or {}).items() if key not in ("valid", "problems")]
         rows += [["problem", p, m] for p, m in problems]
         _emit_csv(["field", "value", "detail"], rows, output)
     else:

@@ -22,7 +22,7 @@ from .errors import (
     NeverScheduled,
     SameNode,
 )
-from .kernels import LEnsemble, MarginalKernel, _NodeIndexed, _frozen
+from .kernels import LEnsemble, MarginalKernel, _NodeIndexed, _frozen, _spectrum
 
 PALM_PIVOT_TOL = 1e-12
 CLAMP_TOL = 1e-12
@@ -258,20 +258,17 @@ def laplace_functional(kernel_or_matrix, rates) -> float:
     return _clamp01(float(np.linalg.det(np.eye(n) - scaled)))
 
 
-def sample_mask(L: LEnsemble, rng: np.random.Generator) -> np.ndarray:
+def sample_mask(L: Union[MarginalKernel, LEnsemble], rng: np.random.Generator) -> np.ndarray:
     """One exact draw of the scheduled set, as a boolean mask over positions.
 
-    Spectral two-phase sampler: a Bernoulli coin per eigenvector with
-    success rate x / (1 + x), then sequential point selection inside the
-    sampled eigenspace.  Consumes n uniforms plus one per scheduled node.
+    Spectral two-phase sampler: a coin per eigenvector of the marginal
+    kernel, heads with probability its eigenvalue, then point selection in
+    the sampled eigenspace.  Consumes n uniforms plus one per scheduled node.
     """
-    if not isinstance(L, LEnsemble):
-        raise BadArgument("sampling needs a likelihood kernel (LEnsemble)")
-    vals, vecs = L.eigh
-    return _sampling.draw_mask(vals, vecs, rng)
+    return _sampling.draw_mask(*_spectrum(L), rng)
 
 
-def sample(L: LEnsemble, rng: np.random.Generator) -> tuple:
+def sample(L: Union[MarginalKernel, LEnsemble], rng: np.random.Generator) -> tuple:
     """One exact draw of the scheduled set, as a sorted tuple of node ids."""
     mask = sample_mask(L, rng)
     return tuple(sorted(L.node_ids[i] for i in np.flatnonzero(mask)))

@@ -4,14 +4,16 @@ Two equivalent descriptions of the same scheduling law are supported.  The
 marginal kernel gives containment probabilities directly: the chance that a
 given node set is jointly scheduled is the determinant of the corresponding
 submatrix.  The likelihood kernel (an L-ensemble) gives the probability of
-each exact outcome up to a normalizing constant, and is the form needed for
-sampling.  Both are symmetric matrices indexed by node id; the marginal
-form needs eigenvalues in [0, 1], the likelihood form needs them >= 0.
+each exact outcome up to a normalizing constant.  Both are symmetric
+matrices indexed by node id; the marginal form needs eigenvalues in [0, 1],
+the likelihood form needs them >= 0, so none at 1 in the marginal form.
 
 Conversions between the two reuse one eigendecomposition: the matrices
 share eigenvectors and the eigenvalues map through x -> x / (1 + x).
+Sampling reads the marginal kernel's eigenpairs from either (``_spectrum``).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -45,13 +47,25 @@ def _as_square(matrix, what: str) -> np.ndarray:
     return a
 
 
-def _symmetrize(a: np.ndarray, what: str) -> np.ndarray:
-    defect = float(np.max(np.abs(a - a.T)))
+def _symmetric_eigh(a: np.ndarray, what: str) -> tuple:
+    """(a symmetrized, its eigenvalues, its eigenvectors).  An asymmetric
+    ``a`` raises KernelInvalid, and so does one whose entries or spectrum
+    leave the doubles, where eigh gives NaN or fails."""
+    # a difference or sum past the doubles is inf, and fails below
+    with np.errstate(over="ignore"):
+        defect = float(np.max(np.abs(a - a.T)))
+        a = (a + a.T) / 2.0
     if defect > SYMMETRY_TOL:
         raise KernelInvalid(
             f"{what} is asymmetric (defect {defect:.3g} exceeds {SYMMETRY_TOL:g})"
         )
-    return (a + a.T) / 2.0
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        vals = vecs = np.array([np.nan])
+    if not np.isfinite(vals).all():
+        raise KernelInvalid(f"{what} has entries or eigenvalues past the largest double")
+    return a, vals, vecs
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -127,8 +141,7 @@ class MarginalKernel(_NodeIndexed):
 
     @classmethod
     def from_matrix(cls, matrix, node_ids: Optional[Sequence[NodeId]] = None):
-        a = _symmetrize(_as_square(matrix, "marginal kernel"), "marginal kernel")
-        vals, vecs = np.linalg.eigh(a)
+        a, vals, vecs = _symmetric_eigh(_as_square(matrix, "marginal kernel"), "marginal kernel")
         lo, hi = float(vals[0]), float(vals[-1])
         if lo < -EIGENVALUE_TOL or hi > 1.0 + EIGENVALUE_TOL:
             raise KernelInvalid(
@@ -160,8 +173,8 @@ class LEnsemble(_NodeIndexed):
 
     @classmethod
     def from_matrix(cls, matrix, node_ids: Optional[Sequence[NodeId]] = None):
-        a = _symmetrize(_as_square(matrix, "likelihood kernel"), "likelihood kernel")
-        vals, vecs = np.linalg.eigh(a)
+        a, vals, vecs = _symmetric_eigh(_as_square(matrix, "likelihood kernel"),
+                                        "likelihood kernel")
         lo = float(vals[0])
         if lo < -EIGENVALUE_TOL:
             raise KernelInvalid(
@@ -191,13 +204,18 @@ class LEnsemble(_NodeIndexed):
         return det
 
 
+def _spectrum(kernel) -> tuple:
+    """(mu, V): the marginal kernel's eigenpairs, from K or from L."""
+    vals, vecs = kernel.eigh
+    return (vals / (1.0 + vals), vecs) if isinstance(kernel, LEnsemble) else (vals, vecs)
+
+
 def l_to_k(L: LEnsemble) -> MarginalKernel:
     """Marginal kernel of the scheduling law described by ``L``.
 
     Shares eigenvectors with L; eigenvalues map through x -> x / (1 + x).
     """
-    vals, vecs = L.eigh
-    kvals = vals / (1.0 + vals)
+    kvals, vecs = _spectrum(L)
     m = _from_spectrum(kvals, vecs, L.matrix)
     return MarginalKernel._from_eigh(m, L.node_ids, kvals, vecs)
 
@@ -245,12 +263,16 @@ def validate(matrix) -> ValidationReport:
     if not np.all(np.isfinite(a)):
         problems.append("matrix contains non-finite entries")
         a = np.nan_to_num(a, nan=0.0, posinf=0.0, neginf=0.0)
-    defect = float(np.max(np.abs(a - a.T)))
+    # a difference or sum past the doubles is inf
+    with np.errstate(over="ignore"):
+        defect = float(np.max(np.abs(a - a.T)))
+        sym = (a + a.T) / 2.0
     if defect > SYMMETRY_TOL:
         problems.append(f"asymmetric: defect {defect:.6g} exceeds {SYMMETRY_TOL:g}")
-    sym = (a + a.T) / 2.0
     vals = np.linalg.eigvalsh(sym)
     lo, hi = float(vals[0]), float(vals[-1])
+    if not np.isfinite(vals).all():
+        problems.append("eigenvalues past the largest double")
     if lo < -EIGENVALUE_TOL:
         problems.append(f"eigenvalue {lo:.6g} below 0")
     if hi > 1.0 + EIGENVALUE_TOL:
@@ -333,9 +355,18 @@ def build_L(spec: KernelSpec, geometry=None) -> LEnsemble:
     """
     if isinstance(spec, GaussianSpec):
         pts = _transmitter_points(geometry)
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        return LEnsemble.from_matrix(spec.scale * np.exp(-d2 / spec.sigma**2))
+        try:
+            width = spec.sigma**2
+        except OverflowError:  # a width past the doubles
+            width = math.inf
+        # a square past the doubles, or a ratio past them or over a width of
+        # 0, is inf, where the kernel is exp(-inf) = 0; it is 1 at distance 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            diff = pts[:, None, :] - pts[None, :, :]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            g = np.exp(-d2 / width)
+        g[d2 == 0] = 1.0
+        return LEnsemble.from_matrix(spec.scale * g)
     if isinstance(spec, QualitySimilaritySpec):
         q = np.asarray(spec.quality, dtype=float)
         s = np.asarray(spec.similarity, dtype=float)
@@ -345,7 +376,10 @@ def build_L(spec: KernelSpec, geometry=None) -> LEnsemble:
             )
         if not np.all(q > 0):
             raise BadSpec("quality values must be strictly positive")
-        return LEnsemble.from_matrix(q[:, None] * s * q[None, :])
+        # an entry past the doubles is inf, which from_matrix rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = q[:, None] * s * q[None, :]
+        return LEnsemble.from_matrix(m)
     if isinstance(spec, ExplicitLSpec):
         return LEnsemble.from_matrix(spec.matrix)
     if isinstance(spec, ExplicitMarginalSpec):

@@ -18,29 +18,30 @@ replications run in the calling thread.
 Coverage replications run in blocks, with the block's point selections and
 SINR tests as stacked array operations, each replication's arithmetic
 independent of the rest of its block.  ``_draws`` makes a block's
-scheduling draws, for coverage and for the CLI's ``sample``: its
-substreams are seeded once and read through ``rng._fill`` (numpy's seeding
-hash and PCG64's stepping as array arithmetic, with no generator object),
-which tests pin to ``substream`` bit for bit, a head of 2n uniforms per
-draw for the coins and the selection.  Coverage then reads only the fading
-rows of scheduled transmitters, each from where it starts in the stream
-(``rng._advance`` past the draw, then ``rng._fill`` at the row's offset).
-Delay replications run in blocks too: in each slot
-every live replication draws through ``_sampling.draw_mask`` and fills its
-fading row from its own substream, and one SINR test judges them all.
+scheduling draws from the marginal kernel's eigenpairs, which either kernel
+type gives (``kernels._spectrum``), for coverage and for the CLI's
+``sample``: its substreams are seeded once and read through ``rng._fill``
+(numpy's seeding hash and PCG64's stepping as array arithmetic, with no
+generator object), which tests pin to ``substream`` bit for bit, a head of
+2n uniforms per draw for the coins and the selection.  Coverage then reads
+only the fading rows of scheduled transmitters, each from where it starts
+in the stream (``rng._advance`` past the draw, then ``rng._fill`` at the
+row's offset).  Delay replications run in blocks too: in each slot every
+live replication draws through ``_sampling.draw_mask`` and fills its fading
+row from its own substream, and one SINR test judges them all.
 """
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from . import _sampling
 from .errors import BadArgument, SameNode, SingularDistance
-from .kernels import LEnsemble
+from .kernels import LEnsemble, MarginalKernel, _spectrum
 from .propagation import (NetworkGeometry, PropagationParams, _bounded, _channel,
                           _check_bounds, _deafening, _link_keys, _require, _undefined_loss,
                           path_loss)
@@ -96,20 +97,20 @@ _BLOCK_BYTES = 1 << 20
 _GENERATOR_BYTES = 900
 
 
-def _draws(lvals: np.ndarray, lvecs: np.ndarray, seed: int, keys):
-    """The scheduling draws of ``substream(seed, key)`` for ``keys``, in
-    coverage-sized blocks: per block, its seeded ``(state, inc)``, each
-    row's count of kept eigenvectors and the (rows, n) masks, read from a
-    head of 2n uniforms per row (the coins, then the selection's)."""
-    n = len(lvals)
+def _draws(mu: np.ndarray, vecs: np.ndarray, seed: int, keys):
+    """The scheduling draws of ``substream(seed, key)`` for ``keys`` from K's
+    eigenpairs, in coverage-sized blocks: per block, its seeded ``(state,
+    inc)``, each row's count of kept eigenvectors and the (rows, n) masks,
+    read from a head of 2n uniforms per row (the coins, then the selection's)."""
+    n = len(mu)
     step = max(1, _BLOCK_BYTES // (8 * (2 * n + n * n)))
     for lo in range(0, len(keys), step):
         state, inc = _pcg64_states(seed, keys[lo:lo + step])
         head = _fill(state, inc, 2 * n)
-        sel = head[:, :n] < lvals / (1.0 + lvals)
+        sel = head[:, :n] < mu
         # a matmul counts 0/1 rows faster than a reduction over n
         yield ((state, inc), sel @ np.ones(n, dtype=np.intp),
-               _sampling.select_block(lvecs, sel, head[:, n:]))
+               _sampling.select_block(vecs, sel, head[:, n:]))
 
 
 class _Arena:
@@ -123,15 +124,16 @@ class _Arena:
     a float matmul of the masks counts each slot's deafeners exactly.
     ``keys``, ``tx`` and ``rx`` list the links whose success is tested, the
     links of the geometry's table whose signal is not drowned: an int per
-    dedicated link, a (tx, rx) tuple per txrx link.
+    dedicated link, a (tx, rx) tuple per txrx link.  ``params`` is the
+    channel, its fading mean and noise scaled where received powers would
+    pass the doubles.
     """
 
-    def __init__(self, geometry: NetworkGeometry, L: LEnsemble, params: PropagationParams,
+    def __init__(self, geometry: NetworkGeometry, K, params: PropagationParams,
                  mode: Optional[str] = None):
-        _require(geometry, L, mode)
+        _require(geometry, K, mode)
         self.n = geometry.n
-        self.lvals, self.lvecs = L.eigh
-        self.params = params
+        self.mu, self.vecs = _spectrum(K)
         links = geometry.links()
         tx, rx, _ = links.T
         dist, loss, drowned = _channel(
@@ -146,6 +148,15 @@ class _Arena:
         if bad is not None:
             path_loss(params.pathloss, dist[bad])
         self.loss = np.where(deafening, 0.0, loss)
+        # the SINR test holds when the powers and the noise scale by one
+        # factor, and a power of two scales them exactly: one that keeps a
+        # fading draw (below 37 means) and a slot's sum of n powers below 2^1020
+        mean, (_, peak) = params.fading_mean, math.frexp(self.loss.max())
+        top = math.frexp(mean)[1] + max(6, peak + (37 * self.n).bit_length())
+        if top > 1020:
+            params = replace(params, fading_mean=math.ldexp(mean, 1020 - top),
+                             noise=math.ldexp(params.noise, 1020 - top))
+        self.params = params
         self.deafening = deafening.astype(float)
         self.tx, self.rx = tx[defined], rx[defined]
         self.keys = _link_keys(links[defined])
@@ -177,10 +188,15 @@ class _Arena:
 
     def doomed(self) -> np.ndarray:
         """Per tracked link, whether it can never succeed: its signal's path
-        loss is 0, or its transmitter is exactly 0 in every eigenvector the
-        coins can keep (a positive eigenvalue), so no selection picks it."""
-        kept = self.lvecs[self.tx][:, self.lvals > 0]
-        return (self.loss[self.tx, self.rx] == 0) | ~kept.any(axis=1)
+        loss is 0; its transmitter is exactly 0 in every eigenvector the
+        coins can keep (mu > 0), so no selection picks it; or a node that
+        deafens its receiver slot, such as a txrx link's silent node, is
+        exactly 0 in every eigenvector the coins can drop (mu < 1), so
+        every selection picks it."""
+        never = ~self.vecs[:, self.mu > 0].any(axis=1)
+        always = ~self.vecs[:, self.mu < 1].any(axis=1)
+        deafened = self.deafening[always].any(axis=0)
+        return (self.loss[self.tx, self.rx] == 0) | never[self.tx] | deafened[self.rx]
 
     def success(self, mask, fading) -> np.ndarray:
         """(..., links) success indicators for masks (..., n) and fading
@@ -222,7 +238,7 @@ class _Arena:
         """
         n = self.n
         counts = 0
-        for (state, inc), k, mask in _draws(self.lvals, self.lvecs, seed, reps):
+        for (state, inc), k, mask in _draws(self.mu, self.vecs, seed, reps):
             # transmitter i's fading row is row i of n past the draw's n + k
             after = _advance(state, inc, n + k)
             r, i = np.nonzero(mask)
@@ -252,7 +268,7 @@ def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
         while waiting.size and slot < cap:
             slot += 1
             for i, g in enumerate(gens):
-                mask[i] = _sampling.draw_mask(arena.lvals, arena.lvecs, g)
+                mask[i] = _sampling.draw_mask(arena.mu, arena.vecs, g)
                 g.random(out=u[i])
             fading = -arena.params.fading_mean * np.log1p(-u[:len(gens)])
             hit = arena.success(mask[:len(gens)], fading) & waiting
@@ -292,7 +308,7 @@ def _simulate_coverage(geometry, L, params, plan: SimulationPlan, mode=None) -> 
 
 def simulate_pair_coverage(
     geometry: NetworkGeometry,
-    L: LEnsemble,
+    L: Union[MarginalKernel, LEnsemble],
     params: PropagationParams,
     plan: SimulationPlan,
     workers: int = 1,
@@ -307,7 +323,7 @@ def simulate_pair_coverage(
 
 def simulate_txrx(
     geometry: NetworkGeometry,
-    L: LEnsemble,
+    L: Union[MarginalKernel, LEnsemble],
     params: PropagationParams,
     plan: SimulationPlan,
     workers: int = 1,
@@ -323,7 +339,7 @@ def simulate_txrx(
 
 def simulate_local_delay(
     geometry: NetworkGeometry,
-    L: LEnsemble,
+    L: Union[MarginalKernel, LEnsemble],
     params: PropagationParams,
     plan: SimulationPlan,
     links: Optional[list] = None,

@@ -277,8 +277,9 @@ def _distance(p: np.ndarray, q: np.ndarray) -> float:
 
 def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``_distance`` from each point of ``a`` to each point of ``b``, equal
-    to it bit for bit, shape (len a, len b)."""
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
+    to it bit for bit, shape (len a, len b); inf where it passes the doubles."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
 
 
 def _path_losses(model: PathLoss, r: np.ndarray) -> np.ndarray:
@@ -292,7 +293,9 @@ def _path_losses(model: PathLoss, r: np.ndarray) -> np.ndarray:
     ok = r > SINGULAR_DISTANCE_TOL
     try:
         e = -model.exponent
-        out[ok] = [x ** e for x in (model.kappa * r[ok]).tolist()]
+        # kappa * r past the doubles is inf, as the scalar product gives it
+        with np.errstate(over="ignore"):
+            out[ok] = [x ** e for x in (model.kappa * r[ok]).tolist()]
     except ArithmeticError:
         # an overflow the scalar form raises on: mark it per entry
         out[ok] = [_loss_or_nan(model, x) for x in r[ok].tolist()]

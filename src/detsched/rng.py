@@ -10,7 +10,8 @@ Stream contract, which cross-language reimplementations must match:
 * substream(seed, k) is ``Generator(PCG64(SeedSequence(entropy=seed,
   spawn_key=(k,))))``.
 * One scheduling draw consumes ``n`` uniforms for the eigenvector coin
-  flips (in eigenvalue order as returned by the decomposition) and then
+  flips, coin i heads when u < mu_i for the marginal kernel's eigenvalues
+  mu in ``eigh`` order (an L-ensemble's lambda / (1 + lambda)), and then
   one uniform per selected point.
 * A coverage replication consumes its scheduling draw first, then an
   n-by-n block of uniforms, row major, mapped to fading through

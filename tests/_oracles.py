@@ -543,7 +543,7 @@ def local_delay_loops(arena, seed, reps, cap):
         slot = 0
         while waiting and slot < cap:
             slot += 1
-            mask = _sampling.draw_mask(arena.lvals, arena.lvecs, rng)
+            mask = _sampling.draw_mask(arena.mu, arena.vecs, rng)
             fading = exponential_fading(rng, arena.params.fading_mean, (arena.n, arena.n))
             hit = arena.success(mask, fading).tolist()
             still = []

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -8,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import detsched as ds
 from detsched import cli
@@ -626,19 +628,41 @@ def test_linalg_error_is_not_a_parse_error(tmp_path, monkeypatch):
         cli.main(["coverage", _write(tmp_path, _base_config())])
 
 
-def test_exit_code_computation_error(tmp_path, capsys):
+def test_exit_code_computation_error(tmp_path, capsys, monkeypatch):
     doc = _base_config(
         transmitters=[[0.0, 0.0]],
         receivers=[[0.0, 0.5]],
         kernel={"type": "aloha_diagonal", "probabilities": [1.0]},
     )
     path = _write(tmp_path, doc)
-    # closed forms are fine with probability one...
-    assert cli.main(["coverage", path]) == 0
+    # probability one has no likelihood kernel, and needs none: the
+    # simulator draws from the marginal kernel
+    for argv in (["coverage"], ["simulate", "--reps", "10", "--seed", "1"]):
+        assert cli.main([argv[0], path, *argv[1:]]) == 0
     capsys.readouterr()
-    # ...but there is no likelihood kernel to simulate from
+
+    # a DetschedError from the computation, not from parsing, exits 3
+    def fail(*args):
+        raise ds.DetschedError("injected")
+
+    monkeypatch.setattr(cli._montecarlo, "_simulate_coverage", fail)
     assert cli.main(["simulate", path, "--reps", "10", "--seed", "1"]) == 3
-    assert "computation failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "computation failed: injected\n"
+
+
+def test_validate_prints_metrics_past_the_doubles_as_null(tmp_path, capsys):
+    # a spectrum past the doubles is a problem, and its metrics print as
+    # null (JSON) or empty (CSV), where the JSON writer raised on them
+    doc = _base_config(kernel={"type": "explicit_K",
+                               "matrix": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]})
+    path = _write(tmp_path, doc)
+    assert cli.main(["validate", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["kernel"]["max_eigenvalue"] is None
+    assert report["kernel"]["max_diagonal"] == 1.7e308
+    assert "eigenvalues past the largest double" in report["kernel"]["problems"]
+    assert cli.main(["validate", path, "--format", "csv"]) == 1
+    assert "\nmax_eigenvalue,,\n" in capsys.readouterr().out
 
 
 def test_coincident_delay_target_fails_every_command(tmp_path, capsys):
@@ -665,8 +689,8 @@ def test_table_missing_a_distance_fails_every_command(tmp_path, capsys):
     doc = _typed_config(kernel="explicit_L", pathloss="power_law")
     doc.update(nodes=[[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], pathloss=_SHORT_TABLE)
     path = _write(tmp_path, doc)
-    problem = ("pathloss", "distance 3.0 from transmitter 0 to receiver slot 2 is outside "
-                           "the tabulated range [0.5, 2.0]")
+    problem = ("pathloss", "transmitter 0 to receiver slot 2: distance 3.0 outside tabulated "
+                           "range [0.5, 2.0]")
     for argv in (["validate"], ["coverage"], ["simulate"], ["sample", "--count", "1"]):
         assert cli.main([argv[0], path, *argv[1:]]) == 1
         out, err = capsys.readouterr()
@@ -692,8 +716,8 @@ def test_table_missing_a_distance_names_the_first():
         return []
 
     def outside(d, i, j, lo, hi):
-        return [("pathloss", f"distance {d!r} from transmitter {i} to receiver slot {j} "
-                             f"is outside the tabulated range [{lo!r}, {hi!r}]")]
+        return [("pathloss", f"transmitter {i} to receiver slot {j}: distance {d!r} "
+                             f"outside tabulated range [{lo!r}, {hi!r}]")]
 
     # pairs: each transmitter's distance to its own receiver and to the others
     doc = _base_config(pathloss={**_SHORT_TABLE, "radii": [0.6, 2.0]})
@@ -751,9 +775,10 @@ def test_never_scheduled_delay_link_is_not_played(tmp_path, capsys, monkeypatch)
         "delay,1,,20000,20000,0,0,20"]
 
 
-def test_path_loss_overflow_is_a_computation_error(tmp_path, capsys):
-    # r^-400 overflows a double at r = 0.1: coverage reports the affected
-    # links as error rows, and simulate refuses the instance
+def test_path_loss_overflow_fails_every_command(tmp_path, capsys):
+    # r^-400 overflows a double at r = 0.1, a distance both engines read: a
+    # config problem, in the scalar path loss's words, where validate,
+    # coverage and sample exited 0 and simulate 3
     doc = _base_config(
         mode="txrx",
         nodes=[[0.0, 0.0], [0.1, 0.0], [1.0, 0.0]],
@@ -762,16 +787,22 @@ def test_path_loss_overflow_is_a_computation_error(tmp_path, capsys):
     )
     del doc["transmitters"], doc["receivers"]
     path = _write(tmp_path, doc)
-    assert cli.main(["coverage", path]) == 0
-    captured = capsys.readouterr()
-    errors = {(r["transmitter"], r["receiver"]): r["error"]
-              for r in json.loads(captured.out)["links"]}
+    problem = ("pathloss", "transmitter 0 to receiver slot 1: power-law path loss overflows "
+                           "at distance 0.1")
+    for argv in (["validate"], ["coverage"], ["simulate"], ["sample", "--count", "1"]):
+        assert cli.main([argv[0], path, *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        if argv == ["validate"]:
+            assert json.loads(out)["problems"] == [dict(zip(("path", "message"), problem))]
+        else:
+            assert err == "config error at {}: {}\n".format(*problem)
+    # the library keeps the affected links' error rows
+    cfg = cli.parse_config_dict({**doc, "pathloss": _PATHLOSSES["power_law"]})
+    params = dataclasses.replace(cfg.params, pathloss=ds.PowerLawPathLoss(1.0, 400.0))
+    errors = {(lr.transmitter, lr.receiver): lr.error
+              for lr in ds.full_report(cfg.geometry, cfg.K, params).links}
     assert errors[(1, 2)] is None
     assert errors[(0, 1)] == errors[(2, 1)] == "power-law path loss overflows at distance 0.1"
-    assert "Traceback" not in captured.err
-    assert cli.main(["simulate", path]) == 3
-    err = capsys.readouterr().err
-    assert "overflows at distance 0.1" in err and "Traceback" not in err
 
 
 def test_simulate_command(tmp_path, capsys):
@@ -787,6 +818,44 @@ def test_simulate_command(tmp_path, capsys):
         assert r["z_score"] < 4.5
         if r["target"] == "delay":
             assert r["censored"] == 0
+
+
+# kernels with an eigenvalue at 1, which have no likelihood form
+_PROJECTION_K = [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.3]]
+_EIGENVALUE_ONE = {
+    "explicit_K": _base_config(
+        transmitters=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+        receivers=[[0.0, 0.5], [1.0, 0.5], [2.0, 0.5]],
+        kernel={"type": "explicit_K", "matrix": _PROJECTION_K}),
+    "aloha": _base_config(kernel={"type": "aloha_diagonal", "probabilities": [1.0, 0.4]}),
+}
+
+
+@pytest.mark.parametrize("name", list(_EIGENVALUE_ONE))
+def test_eigenvalue_one_kernels_simulate_against_closed_forms(tmp_path, capsys, name):
+    # every command runs, where simulate and sample exited 3, and each
+    # estimate is within |z| <= 4 of its closed form
+    doc = copy.deepcopy(_EIGENVALUE_ONE[name])
+    doc["simulate"] = {"reps": 20000, "seed": 5, "targets": ["coverage", "delay"]}
+    path = _write(tmp_path, doc)
+    for argv in (["validate"], ["coverage"], ["sample", "--count", "3"]):
+        assert cli.main([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", path]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert len(rows) == 2 * len(doc["transmitters"])
+    for r in rows:
+        assert r["z_score"] is not None and r["z_score"] <= 4.0, r
+
+
+def test_projection_kernel_sample_draws_its_trace(tmp_path, capsys):
+    # K = [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1]] has eigenvalues 0, 1, 1:
+    # every draw schedules trace(K) = 2 nodes, node 2 and one of 0 and 1
+    doc = copy.deepcopy(_EIGENVALUE_ONE["explicit_K"])
+    doc["kernel"]["matrix"][2][2] = 1.0
+    assert cli.main(["sample", _write(tmp_path, doc), "--count", "500"]) == 0
+    draws = [tuple(json.loads(line)) for line in capsys.readouterr().out.splitlines()]
+    assert len(draws) == 500 and set(draws) == {(0, 2), (1, 2)}
 
 
 def test_simulate_delay_cap_beyond_int64(tmp_path, capsys):
@@ -1247,8 +1316,9 @@ def test_emit_table_rejects_non_finite(tmp_path, bad):
 
 
 def _cli_docs():
-    """Configs whose reports hold pairs and txrx rows, flags, error rows (the
-    power law overflowing), an empty table and censored delay targets."""
+    """Configs whose reports hold pairs and txrx rows, flags, error rows (a
+    signal lost to a zero path loss), an empty table and censored delay
+    targets."""
     rng = np.random.default_rng(11)
     txrx = {
         "mode": "txrx",
@@ -1265,17 +1335,17 @@ def _cli_docs():
     single = _base_config(simulate={"reps": 1, "seed": 1})
     one = {**txrx, "nodes": [[0.0, 0.0]]}
     table = {**txrx, "pathloss": {"type": "custom", "radii": [0.0, 1.5], "values": [0.9, 0.1]}}
-    overflow = {
+    lost = {
         "mode": "txrx",
-        "nodes": [[0.0, 0.0], [0.1, 0.0], [1.0, 0.0]],
+        "nodes": [[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]],
         "kernel": {"type": "aloha_diagonal", "probabilities": [0.5, 0.5, 0.5]},
-        "pathloss": {"type": "power_law", "kappa": 1.0, "beta": 400.0},
+        "pathloss": {"type": "custom", "radii": [0.0, 1.0, 3.0], "values": [1.0, 0.0, 0.0]},
         "threshold": 1.0,
     }
     return [("coverage", _base_config()), ("simulate", _base_config()),
             ("coverage", txrx), ("simulate", txrx), ("coverage", dead),
             ("simulate", dead), ("simulate", single), ("coverage", one), ("simulate", one),
-            ("coverage", table), ("coverage", overflow)]
+            ("coverage", table), ("coverage", lost)]
 
 
 def test_cli_reports_are_json_dumps_bytes(tmp_path, capsys):
@@ -1356,3 +1426,93 @@ def test_cli_rows_are_the_library_rows(tmp_path, capsys, monkeypatch):
         seen |= {f for r in want for f in r["flags"]} | {"error" for r in want if r["error"]}
     assert seen == {"never_scheduled", "receiver_always_scheduled", "infinite_delay",
                     "clamped", "error"}
+
+
+# ---------------------------------------------------------------------------
+# validate predicts the other commands
+
+
+# legal extremes of a positive number; 0 where a key allows it
+_POSITIVE = st.sampled_from([5e-324, 1e-300, 1e-13, 0.5, 1.0, 3.0, 1e300, 1.7e308])
+_NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A small config of either mode, every kernel and path-loss type and
+    both targets, with extreme legal values; a quarter of them get one
+    illegal value, and random explicit matrices are mostly illegal too."""
+    mode = draw(st.sampled_from(["pairs", "txrx"]))
+    n = draw(st.integers(1, 3))
+    coord = st.sampled_from([0.0, 1e-13, 0.1, 1.0, 2.5, -1e300, 1.7e308])
+    points = [[draw(coord), draw(coord)] for _ in range(n)]
+    if mode == "pairs":
+        geometry = {"transmitters": points, "receivers": [[draw(coord), y] for _, y in points]}
+    else:
+        geometry = {"nodes": points}
+    prob = st.sampled_from([0.0, 0.4, 1.0 - 1e-12, 1.0])
+    kind = draw(st.sampled_from(["gaussian", "quality_similarity", "explicit_K", "explicit_L",
+                                 "aloha_diagonal", "projection_K"]))
+    if kind == "gaussian":
+        kernel = {"type": kind, "sigma": draw(_POSITIVE), "scale": draw(_POSITIVE)}
+    elif kind == "quality_similarity":
+        kernel = {"type": kind, "quality": [draw(_POSITIVE) for _ in range(n)],
+                  "similarity": np.eye(n).tolist()}
+    elif kind == "aloha_diagonal":
+        kernel = {"type": kind, "probabilities": [draw(prob) for _ in range(n)]}
+    elif kind == "projection_K":
+        # eigenvalues 0 and 1 on nodes 0 and 1, the rest at a probability
+        mat = np.diag([draw(prob) for _ in range(n)])
+        if n > 1:
+            mat[:2, :2] = 0.5
+        kernel = {"type": "explicit_K", "matrix": mat.tolist()}
+    else:
+        a = np.array([[draw(_NONNEGATIVE) for _ in range(n)] for _ in range(n)])
+        kernel = {"type": kind, "matrix": (np.triu(a) + np.triu(a, 1).T).tolist()}
+    if draw(st.booleans()):
+        pathloss = {"type": "power_law", "kappa": draw(_POSITIVE),
+                    "beta": draw(st.sampled_from([2.0, 4.0, 400.0]))}
+    else:
+        pathloss = {"type": "custom", "radii": draw(st.sampled_from([[0.0, 1e300], [0.5, 2.0]])),
+                    "values": draw(st.sampled_from([[1.0, 0.0], [1e300, 1e-300]]))}
+    link = draw(st.sampled_from([0, 1, [0, 1], [1, 0]]))
+    targets = draw(st.sampled_from([["coverage"], ["delay"], ["coverage", "delay"],
+                                    [["delay", link]]]))
+    doc = {"mode": mode, **geometry, "kernel": kernel, "pathloss": pathloss,
+           "threshold": draw(_NONNEGATIVE), "fading_mean": draw(_POSITIVE),
+           "noise": draw(_NONNEGATIVE),
+           "simulate": {"reps": draw(st.integers(1, 20)), "seed": draw(st.integers(0, 9)),
+                        "targets": targets, "delay_cap": draw(st.integers(1, 50))}}
+    if draw(st.integers(0, 3)) == 3:
+        section, key, bad = draw(st.sampled_from([
+            (None, "threshold", -1.0), (None, "fading_mean", 0.0), ("pathloss", "kappa", 0.0),
+            ("pathloss", "values", [1.0, -1.0]), ("kernel", "sigma", 0.0),
+            ("kernel", "probabilities", [1.5] * n), ("simulate", "reps", 0)]))
+        part = doc if section is None else doc[section]
+        if key in part or section is None:
+            part[key] = bad
+    return doc
+
+
+@pytest.fixture(scope="module")
+def _fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "cfg.json")
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(doc=_fuzzed_configs())
+def test_validate_predicts_every_command(_fuzz_path, doc):
+    # a config that validate accepts runs under every command; one it
+    # rejects fails every command as a config problem
+    with open(_fuzz_path, "w") as fh:
+        json.dump(doc, fh)
+    want = _exit_code(["validate", _fuzz_path])
+    assert want in (0, 1)
+    event(f"validate exits {want}")
+    for argv in (["coverage"], ["simulate"], ["sample", "--count", "3"]):
+        assert _exit_code([argv[0], _fuzz_path, *argv[1:]]) == want, (argv, doc)

@@ -507,10 +507,27 @@ def test_laplace_functional_equals_pmf_sum(instance):
     assert ds.laplace_functional(K, rates) == pytest.approx(want, abs=1e-12)
 
 
-def test_sample_requires_l_ensemble():
-    K = ds.MarginalKernel.from_matrix([[0.5]])
-    with pytest.raises(ds.BadArgument):
-        ds.sample(K, np.random.default_rng(0))
+def test_sample_from_k_equals_sample_from_l():
+    # both kernel types draw from the marginal kernel's eigenpairs, which
+    # l_to_k computes as the sampler did from L: the same draws, stream for stream
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 6, 12):
+        L = ds.LEnsemble.from_matrix(random_psd_l(rng, n, scale=2.0))
+        K = ds.l_to_k(L)
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert ds.sample(K, a) == ds.sample(L, b)
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_projection_kernel_draws_its_trace():
+    # an eigenvalue at 1 has no likelihood form; the projection kernel
+    # schedules exactly trace(K) = 2 nodes in every draw
+    K = ds.MarginalKernel.from_matrix([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    rng = np.random.default_rng(8)
+    draws = [ds.sample(K, rng) for _ in range(2000)]
+    assert {len(s) for s in draws} == {2}
+    assert set(draws) == {(0, 2), (1, 2)}
 
 
 def test_sample_is_deterministic_given_stream():

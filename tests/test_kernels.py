@@ -151,6 +151,31 @@ def test_gaussian_spec_validation():
         ds.build_L(ds.GaussianSpec(sigma=1.0), None)
 
 
+def test_gaussian_spec_keeps_its_limits_past_the_doubles():
+    # sigma^2 past the doubles (a traceback before) gives an all-scale L;
+    # sigma^2 of 0 (NaN at distance 0 before) gives scale on the diagonal,
+    # 1 at coincident nodes
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    L = ds.build_L(ds.GaussianSpec(sigma=1e300, scale=0.5), pts)
+    assert (L.matrix == 0.5).all()
+    L = ds.build_L(ds.GaussianSpec(sigma=1e-300, scale=0.5), pts)
+    assert L.matrix.tolist() == [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.5]]
+
+
+def test_kernels_past_the_doubles_are_invalid():
+    # entries whose sums or spectra overflow: eigh returned NaN, which passed
+    # the eigenvalue window as a valid marginal kernel, or failed to converge
+    for cls in (ds.MarginalKernel, ds.LEnsemble):
+        for m in ([[0.0, 0.0], [0.0, 1.7e308]], [[1.7e308, 1.7e308], [1.7e308, 1.7e308]],
+                  [[3.0, 1e-300, 1.7e308], [1e-300, 0.5, 1e-13], [1.7e308, 1e-13, 1e300]]):
+            with pytest.raises(ds.KernelInvalid, match="past the largest double"):
+                cls.from_matrix(m)
+    with pytest.raises(ds.KernelInvalid, match="non-finite"):
+        ds.build_L(ds.QualitySimilaritySpec(np.array([1e300, 1.0]), np.eye(2)))
+    report = ds.validate([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+    assert not report.valid and "eigenvalues past the largest double" in report.problems
+
+
 def test_quality_similarity_spec():
     spec = ds.QualitySimilaritySpec(
         quality=np.array([1.0, 2.0]),

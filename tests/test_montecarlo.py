@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -185,10 +186,10 @@ def test_replication_stream_contract():
 
     # a scheduling draw leaves the stream advanced by exactly n + k doubles,
     # where delay slots continue from
-    lvals, lvecs = tl.eigh
+    mu, vecs = ds.l_to_k(tl).eigh
     for r in range(50):
         rng = substream(5, r)
-        k = int(_sampling.draw_mask(lvals, lvecs, rng).sum())
+        k = int(_sampling.draw_mask(mu, vecs, rng).sum())
         ref = substream(5, r)
         ref.random(5 + k)
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -576,6 +577,60 @@ def test_links_that_cannot_succeed_are_recorded_at_the_cap_unplayed(monkeypatch)
         for cap, mean in ((2**63, 2.0**63), (2**64 + 1, 2.0**64), (10**400, math.inf)):
             est = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(20, 1, cap))[1]
             assert est == ds.DelayEstimate(mean, 0.0, 20, 20)
+
+
+def test_received_powers_past_the_doubles_scale_exactly():
+    # fading of mean 2^1000 through losses near 2^20 passes the doubles
+    # (read as inf before, so every link failed); the SINR test gives the
+    # same outcome at any power-of-two scale of the powers and the noise, so
+    # the estimates equal those at mean 1
+    geo, L = _instance(4)
+    loss = ds.PowerLawPathLoss(kappa=2.0 ** -10, exponent=2.0)
+    base = ds.PropagationParams(loss, threshold=0.5, noise=2.0 ** 18)
+    big = ds.PropagationParams(loss, threshold=0.5, fading_mean=2.0 ** 1000, noise=2.0 ** 1018)
+    plan = ds.SimulationPlan(400, 3, delay_cap=40)
+    want = ds.simulate_pair_coverage(geo, L, base, plan)
+    assert any(0.1 < est.mean < 0.9 for est in want)
+    assert ds.simulate_pair_coverage(geo, L, big, plan) == want
+    assert ds.simulate_local_delay(geo, L, big, plan) == ds.simulate_local_delay(geo, L, base, plan)
+
+
+def _always_on_node():
+    """A txrx config whose node 0 transmits in every slot (Aloha p = 1):
+    links into it can never succeed, the others succeed within a few slots."""
+    geo = ds.NetworkGeometry.txrx([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    K = ds.build_K(ds.AlohaSpec(np.array([1.0, 0.4, 0.4])))
+    return geo, K, _power_params(tau=0.5, beta=4.0)
+
+
+def test_links_into_an_always_scheduled_node_are_not_played():
+    # eigh returns exact unit vectors for the diagonal K, so node 0's row is
+    # 0 on every eigenvector with mu < 1: every draw schedules it
+    geo, K, params = _always_on_node()
+    arena = montecarlo._Arena(geo, K, params)
+    assert arena.doomed().tolist() == [False, False, True, False, True, False]
+    t0 = time.perf_counter()
+    out = ds.simulate_local_delay(geo, K, params, ds.SimulationPlan(20, 1))
+    assert time.perf_counter() - t0 < 1.0
+    cap = montecarlo.DEFAULT_DELAY_CAP
+    for key in ((1, 0), (2, 0)):
+        assert out[key] == ds.DelayEstimate(float(cap), 0.0, 20, 20)
+    assert all(est.censored == 0 for key, est in out.items() if key[1] != 0)
+
+
+def test_always_scheduled_receiver_rows_equal_the_played_reference():
+    # at a cap of 5 the reference plays every link slot by slot; the doomed
+    # rows, recorded without playing, equal its rows
+    geo, K, params = _always_on_node()
+    arena = montecarlo._Arena(geo, K, params)
+    ref, ref_censored = local_delay_loops(arena, 3, 30, 5)
+    out = ds.simulate_local_delay(geo, K, params, ds.SimulationPlan(30, 3, delay_cap=5))
+    assert list(out) == arena.keys
+    for t, (key, est) in enumerate(out.items()):
+        vals = ref[:, t].astype(float)
+        std_error = float(vals.std(ddof=1)) / math.sqrt(30)
+        assert est == ds.DelayEstimate(float(vals.mean()), std_error, 30, int(ref_censored[t]))
+    assert ref_censored.tolist()[2::2] == [30, 30]
 
 
 def test_pairs_zero_length_link_rejected():
