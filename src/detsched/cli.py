@@ -24,8 +24,10 @@ Kernel types: gaussian{sigma, scale}, quality_similarity{quality,
 similarity}, explicit_K{matrix}, explicit_L{matrix},
 aloha_diagonal{probabilities}.  Path loss types: power_law{kappa, beta}
 and custom{radii, values} (piecewise-linear table).  Either must be defined
-at each distance from a node to a receiver slot but a txrx node's own: a
-table must cover it, and a power law must not overflow a double there.  The
+at each distance from a node to a receiver slot whose loss is read, every
+one but those ``propagation._channel_table`` marks deafening (a txrx
+node's own slot, and a node on top of a slot under a power law): a table
+must cover it, and a power law must not overflow a double there.  The
 schema is four tables of one reader per key: ``_TYPES`` for these two
 sections (a row per type, naming the class it builds, keys in the order
 of its fields), ``_GEOMETRY`` per mode, ``_CHANNEL`` for threshold,
@@ -75,14 +77,11 @@ from .propagation import (
     PowerLawPathLoss,
     PropagationParams,
     TabulatedPathLoss,
-    _deafening,
-    _distance_matrix,
-    _drowned,
+    _Channel,
+    _channel_table,
     _link_keys,
     _parse_bounded,
-    _path_losses,
     _require,
-    _undefined_loss,
     path_loss,
 )
 
@@ -95,6 +94,7 @@ class RunConfig:
     kernel_spec: object
     params: PropagationParams
     K: MarginalKernel  # the marginal kernel of kernel_spec, built once
+    channel: _Channel  # the geometry's channel table under params.pathloss, built once
     plan: Optional[SimulationPlan] = None
     workers: int = 1
     # "coverage", "delay" (every link) or ("delay", link key)
@@ -325,26 +325,6 @@ def _parse_simulate(doc, geometry, drowned, errors):
     return SimulationPlan(v["reps"], v["seed"], v["delay_cap"]), v["workers"], v["targets"]
 
 
-def _undefined_losses(pathloss, geometry: NetworkGeometry, dist: np.ndarray) -> list:
-    """The problem of a path loss that the scalar ``path_loss`` cannot
-    evaluate at a distance ``dist`` (node by receiver slot) whose loss the
-    closed forms or the simulators read, in the words of its error."""
-    deafening = _deafening(geometry, _drowned(pathloss, dist))
-    if isinstance(pathloss, PowerLawPathLoss):
-        # a power law grows as the distance falls: if the nearest distance
-        # read has a loss, every one has
-        nearest = np.where(deafening, np.inf, dist).min(keepdims=True)
-        if not np.isnan(_path_losses(pathloss, nearest)).any():
-            return []
-    bad = _undefined_loss(_path_losses(pathloss, dist), deafening)
-    if bad is not None:
-        try:
-            path_loss(pathloss, dist[bad])
-        except DetschedError as e:
-            return [("pathloss", f"transmitter {bad[0]} to receiver slot {bad[1]}: {e}")]
-    return []
-
-
 def parse_config_dict(doc) -> RunConfig:
     """Validate a config document, collecting every problem before failing."""
     if not isinstance(doc, dict):
@@ -368,21 +348,27 @@ def parse_config_dict(doc) -> RunConfig:
                 _require(geometry, K)
         except DetschedError as e:
             errors.append(("kernel", str(e)))
-    # the links whose transmitter drowns its receiver, as the simulators find them
-    drowned = []
+    # the links with no signal, and the first loss read but undefined, as
+    # the closed forms and the simulators find them
+    table, drowned = None, []
     if geometry is not None and pathloss is not None:
+        table = _channel_table(geometry, pathloss)
         links = geometry.links()
-        dist = _distance_matrix(geometry.transmitter_points(), geometry.receiver_points())
-        drowned = _link_keys(links[_drowned(pathloss, dist[links[:, 0], links[:, 1]])])
+        drowned = _link_keys(links[table.deafening[links[:, 0], links[:, 1]]])
         if geometry.mode == "pairs":
             errors.extend(("geometry", f"transmitter {i} coincides with its receiver "
                                        "under power_law path loss") for i in drowned)
-        errors.extend(_undefined_losses(pathloss, geometry, dist))
+        if table.undefined is not None:
+            try:
+                path_loss(pathloss, table.dist[table.undefined])
+            except DetschedError as e:
+                node, slot = table.undefined
+                errors.append(("pathloss", f"transmitter {node} to receiver slot {slot}: {e}"))
     plan, workers, targets = _parse_simulate(doc, geometry, set(drowned), errors)
     if errors:
         raise ConfigError(errors)
     return RunConfig(geometry=geometry, kernel_spec=kernel_spec, params=params, K=K,
-                     plan=plan, workers=workers, targets=targets)
+                     channel=table, plan=plan, workers=workers, targets=targets)
 
 
 def _load(path):
@@ -535,7 +521,8 @@ _RESULT_FIELDS = ("target", "transmitter", "receiver", "closed_form", "estimate"
 
 def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None) -> int:
     """Closed-form coverage report for every link."""
-    table = _coverage._link_table(cfg.geometry, cfg.K, cfg.params, cfg.geometry.links())
+    table = _coverage._link_table(cfg.geometry, cfg.K, cfg.params, cfg.channel,
+                                  cfg.geometry.links())
     # a number JSON cannot spell prints as null, an infinite delay mean flagged
     flags = table["flags"]
     for i in np.flatnonzero(np.isinf(table["delay_mean"])).tolist():
@@ -579,7 +566,7 @@ def _closed_reports(cfg: RunConfig, keys) -> dict:
     all_keys = cfg.geometry.link_keys()
     wanted = [key in keys for key in all_keys]
     rows = cfg.geometry.links()[np.array(wanted, dtype=bool)]
-    table = _coverage._link_table(cfg.geometry, cfg.K, cfg.params, rows)
+    table = _coverage._link_table(cfg.geometry, cfg.K, cfg.params, cfg.channel, rows)
     return dict(zip(compress(all_keys, wanted), zip(
         table["transmitter"], table["receiver"], _finite_column(table["coverage"]))))
 

@@ -11,12 +11,14 @@ geometric law of the first successful slot.
 
 Every link is one row (transmitter, receiver slot, silent node) of the
 geometry's link table.  ``_link_table`` runs ``_evaluate`` on a set of rows
-and builds the report from it as columns, one array or list per
-``LinkReport`` field: ``full_report`` fills its ``LinkReport``s from the
-whole table's columns, and the CLI writes the columns as they are.  Each
-public per-link function runs ``_evaluate`` on the row that
+against the geometry's ``propagation._channel_table``, which its caller
+builds once, and builds the report from it as columns, one array or list
+per ``LinkReport`` field: ``full_report`` fills its ``LinkReport``s from
+the whole table's columns, and the CLI writes the columns as they are.
+Each public per-link function runs ``_evaluate`` on the row that
 ``NetworkGeometry.link`` resolves its arguments to, after
-``propagation._require`` checks the kernel.  In txrx mode
+``propagation._require`` checks the kernel, against the channel table of
+that row's receiver slot alone, n path losses.  In txrx mode
 the receiving node belongs to the scheduled set and must stay silent.
 In the Laplace functional that is an infinite rate at the node: its
 discount is 0, so the same determinant gives the probability, given the
@@ -57,8 +59,7 @@ from .kernels import MarginalKernel
 from .propagation import (
     NetworkGeometry,
     PropagationParams,
-    _channel,
-    _distance_matrix,
+    _channel_table,
     _is_int,
     _require,
     interferer_factor,
@@ -100,12 +101,12 @@ def _silence(mat: np.ndarray, t, s) -> tuple:
 def _discounts(K, params, channel, t, s, c) -> tuple:
     """Probabilities 1 - q that the silent node stays silent given t
     scheduled (1 without one), noise discounts w, interferer discounts h (a
-    column per node, 0 at t and at the silent node) and the failed mask of
-    rows (t, ., s) at the channel columns ``c``.  A row fails on a pivot at
-    most PALM_PIVOT_TOL, q within CLAMP_TOL of 1, a signal loss not above
-    0, or a discount that is NaN or leaves [0, 1] by more than CLAMP_TOL."""
-    mat, theta = K.matrix, params.threshold
-    _, loss, drowned = channel
+    column per node, 0 at t and where the node deafens the slot, the silent
+    node included) and the failed mask of rows (t, ., s) at the channel
+    columns ``c``.  A row fails on a pivot at most PALM_PIVOT_TOL, q within
+    CLAMP_TOL of 1, a signal loss not above 0, or a discount that is NaN or
+    leaves [0, 1] by more than CLAMP_TOL."""
+    mat, theta, loss = K.matrix, params.threshold, channel.loss
     piv, q, free, _ = _silence(mat, t, s)
     signal = loss[t, c]
     if theta == 0 or params.noise == 0:
@@ -118,10 +119,8 @@ def _discounts(K, params, channel, t, s, c) -> tuple:
         h = np.ones((len(t), K.n))
     else:
         h = 1.0 / (theta * loss.T[c] / signal[:, None] + 1.0)
-    h[drowned.T[c]] = 0.0
-    node = np.arange(K.n)
-    # the transmitter, and the silent node whatever its loss
-    h[(node == t[:, None]) | (node == s[:, None])] = 0.0
+    h[channel.deafening.T[c]] = 0.0
+    h[np.arange(len(t)), t] = 0.0
     inside = ((h >= -CLAMP_TOL) & (h <= 1.0 + CLAMP_TOL)).all(axis=1)
     failed = (piv <= PALM_PIVOT_TOL) | (q >= 1.0 - CLAMP_TOL) | ~(signal > 0) | ~inside
     return free, w, h, failed
@@ -170,25 +169,21 @@ def _bordered(mat: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 # a failed row's arithmetic may divide by zero; its error is its result
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _evaluate(geometry, K, params, rows: np.ndarray) -> tuple:
-    """(raw, failures): the unclamped coverage of each link-table row
-    (t, p, s) given t scheduled and s (if s >= 0) silent, -det(M) w / (1 - q)
-    with M from ``_bordered``, and {row index: error} for the rows that fail,
-    whose raw value means nothing.  The path losses come from one channel
-    table to the rows' receiver slots."""
-    slots, col_of = np.unique(rows[:, 1], return_inverse=True)
-    channel = _channel(params.pathloss, geometry.transmitter_points(),
-                       geometry.receiver_points()[slots])
+def _evaluate(K, params, channel, rows: np.ndarray) -> tuple:
+    """(raw, failures): the unclamped coverage of each row (t, c, s) given t
+    scheduled and s (if s >= 0) silent, its receiver slot column c of the
+    ``_channel_table`` ``channel``, -det(M) w / (1 - q) with M from
+    ``_bordered``, and {row index: error} for the rows that fail, whose raw
+    value means nothing."""
     step = max(1, _BLOCK_BYTES // (8 * K.n ** 2))
     raw, failures, mat = np.empty(len(rows)), {}, K.matrix
     for lo in range(0, len(rows), step):
-        t, _, s = rows[lo:lo + step].T
-        c = col_of[lo:lo + step]
+        t, c, s = rows[lo:lo + step].T
         free, w, h, failed = _discounts(K, params, channel, t, s, c)
         # + 0.0 turns a -0.0 product into 0.0 and keeps every other value
         raw[lo:lo + step] = -(w / free) * np.linalg.det(_bordered(mat, h, t)) + 0.0
         for k in np.flatnonzero(failed).tolist():
-            failures[lo + k] = _failure(K, params, channel[0][:, c[k]], int(t[k]), int(s[k]))
+            failures[lo + k] = _failure(K, params, channel.dist[:, c[k]], int(t[k]), int(s[k]))
     return raw, failures
 
 
@@ -197,8 +192,11 @@ def _unit(x: float) -> float:
 
 
 def _one(geometry, K, params, row: tuple):
-    """``_evaluate`` on one link-table row, raising the row's error."""
-    raw, failures = _evaluate(geometry, K, params, np.array([row]))
+    """``_evaluate`` on one link-table row (t, p, s) against the channel
+    table of its slot p alone, n path losses, raising the row's error."""
+    t, p, s = row
+    channel = _channel_table(geometry, params.pathloss, [p])
+    raw, failures = _evaluate(K, params, channel, np.array([(t, 0, s)]))
     if failures:
         raise failures[0]
     return float(raw[0])
@@ -244,7 +242,7 @@ def coverage_kernel(
     zero cross terms.
     """
     t, p, s = _link(geometry, K, "pairs", link)
-    dist = _distance_matrix(geometry.transmitter_points(), geometry.receiver_points()[[p]])
+    dist = _channel_table(geometry, params.pathloss, [p]).dist
     w, scaled = _palm_chain(K, params, dist[:, 0], t, s)
     out = np.insert(np.insert(np.eye(K.n - 1) - scaled, t, 0.0, axis=0), t, 0.0, axis=1)
     out[t, t] = w * float(K.matrix[t, t])
@@ -371,9 +369,10 @@ def kernel_fingerprint(K: MarginalKernel) -> str:
 
 # a never-covered row's delay mean is 1 / 0, infinite
 @np.errstate(divide="ignore")
-def _link_table(geometry, K, params, rows: np.ndarray) -> dict:
+def _link_table(geometry, K, params, channel, rows: np.ndarray) -> dict:
     """The report on link-table rows ``rows`` as columns, {LinkReport field:
-    values in row order}.  The four number columns are float arrays with NaN
+    values in row order}, read from ``channel``, the geometry's full
+    ``_channel_table``.  The four number columns are float arrays with NaN
     where a row has no value; no value is NaN otherwise, as a NaN discount
     fails its row.  A row whose selection probability K_tt (1 - q) is at
     most PALM_PIVOT_TOL is flagged by its smaller factor; a failed row holds
@@ -382,7 +381,7 @@ def _link_table(geometry, K, params, rows: np.ndarray) -> dict:
     piv, _, free, sel = _silence(K.matrix, rows[:, 0], rows[:, 2])
     scheduled = sel > PALM_PIVOT_TOL
     raw = np.full(n, np.nan)
-    raw[scheduled], failures = _evaluate(geometry, K, params, rows[scheduled])
+    raw[scheduled], failures = _evaluate(K, params, channel, rows[scheduled])
     failed = np.flatnonzero(scheduled)[list(failures)]
     raw[failed] = np.nan
     cond = np.minimum(np.maximum(raw, 0.0), 1.0)  # _unit of each row
@@ -435,6 +434,7 @@ def full_report(
     captured as error strings rather than aborting the report.
     """
     _require(geometry, K)
-    links = _link_reports(_link_table(geometry, K, params, geometry.links()))
+    channel = _channel_table(geometry, params.pathloss)
+    links = _link_reports(_link_table(geometry, K, params, channel, geometry.links()))
     return CoverageReport(mode=geometry.mode, links=links,
                           kernel_fingerprint=kernel_fingerprint(K), params=params)

@@ -5,9 +5,10 @@ the SINR of each link directly, with no reuse of the closed-form
 machinery.  Links are the rows of the geometry's link table (transmitter,
 receiver slot, silent node); one SINR test serves both modes, a txrx
 link's receiving node being the slot's silent node, which must not
-transmit.  Distances and path losses come from ``propagation._channel``,
-the channel table the closed forms read, so both engines test SINR against
-the same numbers, and a path loss the scalar ``path_loss`` cannot evaluate
+transmit.  Distances, path losses, the deafening entries and which links
+have a signal come from ``propagation._channel_table``, the table the
+closed forms and the CLI's config check read, so all test SINR against the
+same numbers, and a path loss the scalar ``path_loss`` cannot evaluate
 fails here with its error.  Replication r always uses substream(seed, r)
 and consumes it in a fixed order (scheduling draw, then the n-by-n fading
 block, row major; delay replications repeat that per slot), so results
@@ -42,9 +43,8 @@ import numpy as np
 from . import _sampling
 from .errors import BadArgument, SameNode, SingularDistance
 from .kernels import LEnsemble, MarginalKernel, _spectrum
-from .propagation import (NetworkGeometry, PropagationParams, _bounded, _channel,
-                          _check_bounds, _deafening, _link_keys, _require, _undefined_loss,
-                          path_loss)
+from .propagation import (NetworkGeometry, PropagationParams, _bounded, _channel_table,
+                          _check_bounds, _link_keys, _require, path_loss)
 from .rng import _advance, _fill, _pcg64_states, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
@@ -117,16 +117,13 @@ class _Arena:
     """Precomputed quantities shared by every replication of one simulation.
 
     ``loss`` is the channel table's path loss from each node to each
-    receiver slot, zero where the node deafens the slot; ``deafening`` is 1.0
-    at the (node, slot) entries that, when the node transmits, leave the slot
-    unable to decode anything (the channel's drowned entries, zero distance
-    under a singular path loss, and the slot's own silent node), else 0.0, so
-    a float matmul of the masks counts each slot's deafeners exactly.
-    ``keys``, ``tx`` and ``rx`` list the links whose success is tested, the
-    links of the geometry's table whose signal is not drowned: an int per
-    dedicated link, a (tx, rx) tuple per txrx link.  ``params`` is the
-    channel, its fading mean and noise scaled where received powers would
-    pass the doubles.
+    receiver slot, zero where the node deafens the slot; ``deafening`` is the
+    table's deafening entries as 1.0, else 0.0, so a float matmul of the
+    masks counts each slot's deafeners exactly.  ``keys``, ``tx`` and ``rx``
+    list the links whose success is tested, the links of the geometry's
+    table with a signal: an int per dedicated link, a (tx, rx) tuple per
+    txrx link.  ``params`` is the channel, its fading mean and noise scaled
+    where received powers would pass the doubles.
     """
 
     def __init__(self, geometry: NetworkGeometry, K, params: PropagationParams,
@@ -136,18 +133,15 @@ class _Arena:
         self.mu, self.vecs = _spectrum(K)
         links = geometry.links()
         tx, rx, _ = links.T
-        dist, loss, drowned = _channel(
-            params.pathloss, geometry.transmitter_points(), geometry.receiver_points())
-        defined = ~drowned[tx, rx]
+        channel = _channel_table(geometry, params.pathloss)
+        defined = ~channel.deafening[tx, rx]
         if geometry.mode == "pairs" and not defined.all():
             bad = int(tx[~defined][0])
             raise SingularDistance(f"link {bad} has zero length under a singular path loss")
-        deafening = _deafening(geometry, drowned)
         # an entry the scalar path loss cannot evaluate fails with its error
-        bad = _undefined_loss(loss, deafening)
-        if bad is not None:
-            path_loss(params.pathloss, dist[bad])
-        self.loss = np.where(deafening, 0.0, loss)
+        if channel.undefined is not None:
+            path_loss(params.pathloss, channel.dist[channel.undefined])
+        self.loss = np.where(channel.deafening, 0.0, channel.loss)
         # the SINR test holds when the powers and the noise scale by one
         # factor, and a power of two scales them exactly: one that keeps a
         # fading draw (below 37 means) and a slot's sum of n powers below 2^1020
@@ -157,7 +151,7 @@ class _Arena:
             params = replace(params, fading_mean=math.ldexp(mean, 1020 - top),
                              noise=math.ldexp(params.noise, 1020 - top))
         self.params = params
-        self.deafening = deafening.astype(float)
+        self.deafening = channel.deafening.astype(float)
         self.tx, self.rx = tx[defined], rx[defined]
         self.keys = _link_keys(links[defined])
 

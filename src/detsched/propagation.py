@@ -6,11 +6,13 @@ of nodes both transmits and receives, and links are ordered node pairs.
 Signal power through a link is fading * pathloss(distance); a link is
 covered when its SINR clears the detection threshold.
 
-``_channel`` is the one channel table both engines read: the distance and
-path loss from each node to each receiver slot, equal bit for bit to the
-scalar ``path_loss`` (NaN where it raises), and the entries an interferer
-drowns under a path loss singular at zero.  The closed forms and the Monte
-Carlo both evaluate it, so they test SINR against the same numbers.
+``_channel_table`` alone decides which node-to-slot path losses are read
+and which links have a signal.  It gives the distance and path loss from
+each node to each receiver slot (or to a few slots, column for column the
+same), equal bit for bit to the scalar ``path_loss`` (NaN where it raises);
+the deafening entries, whose loss is never read; and the first loss that is
+read but undefined.  The CLI's config check, the closed forms and the Monte
+Carlo all read it, so they test SINR against the same numbers.
 
 ``NetworkGeometry.link`` alone resolves and validates a link reference;
 ``_is_int``, ``_check_index``, ``_require`` and ``_check_bounds`` are the
@@ -314,29 +316,38 @@ def _drowned(model: PathLoss, dist):
     return model.singular_at_zero & (dist <= SINGULAR_DISTANCE_TOL)
 
 
-def _channel(model: PathLoss, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(dist, loss, drowned) from each point of ``a`` to each point of ``b``:
-    ``_distance_matrix``, ``_path_losses`` and ``_drowned``."""
-    dist = _distance_matrix(a, b)
-    return dist, _path_losses(model, dist), _drowned(model, dist)
+@dataclass(frozen=True)
+class _Channel:
+    """Node by receiver slot, a column per slot: ``dist`` and ``loss``
+    (``_distance_matrix`` and ``_path_losses``); ``deafening``, where a
+    transmitting node leaves the slot unable to decode anything, so its loss
+    there is never read: the node sits on the slot under a path loss
+    singular at zero or, in txrx mode, is the slot's own node, the silent
+    node of every link into it; and ``undefined``, the first (node, slot),
+    row major, whose loss is read but NaN, None if there is none.  A link
+    has a signal iff its (transmitter, slot) entry is not deafening."""
+
+    dist: np.ndarray
+    loss: np.ndarray
+    deafening: np.ndarray
+    undefined: Optional[tuple]
 
 
-def _deafening(geometry: NetworkGeometry, drowned: np.ndarray) -> np.ndarray:
-    """Node by receiver slot, where a transmitting node leaves the slot unable
-    to decode anything, so its path loss there is never read: the
-    ``drowned`` entries (updated in place) and, in txrx mode, each node at
-    its own slot, the silent node of every link into it.  The closed forms
-    and the simulators read every other loss."""
+def _channel_table(geometry: NetworkGeometry, model: PathLoss, slots=None) -> _Channel:
+    """The ``_Channel`` of ``geometry`` under ``model`` at receiver slots
+    ``slots`` (all by default), each column equal bit for bit to the full
+    table's.  The one place the closed forms and the simulators get their
+    distances, path losses and deafening entries from."""
+    node, at = np.arange(geometry.n), geometry.receiver_points()
+    slots, at = (node, at) if slots is None else (np.asarray(slots), at[slots])
+    dist = _distance_matrix(geometry.transmitter_points(), at)
+    loss = _path_losses(model, dist)
+    deafening = _drowned(model, dist)
     if geometry.mode == "txrx":
-        np.fill_diagonal(drowned, True)
-    return drowned
-
-
-def _undefined_loss(loss: np.ndarray, deafening: np.ndarray) -> Optional[tuple]:
-    """The first (node, slot), row major, whose path loss ``loss`` is read
-    but undefined (NaN) outside ``deafening``; None if there is none."""
-    bad = np.argwhere(np.isnan(loss) & ~deafening)
-    return tuple(bad[0].tolist()) if len(bad) else None
+        deafening = deafening | (node[:, None] == slots)
+    bad = np.flatnonzero(np.isnan(loss) & ~deafening)[:1].tolist()
+    undefined = (bad[0] // len(slots), int(slots[bad[0] % len(slots)])) if bad else None
+    return _Channel(dist, loss, deafening, undefined)
 
 
 def _signal_loss(signal_distance: float, params: PropagationParams) -> float:

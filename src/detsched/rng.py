@@ -1,9 +1,12 @@
 """Deterministic random-stream derivation.
 
-All simulation randomness flows through numpy Generators built here.  A run
-is keyed by one integer seed; independent work items (replications, sample
+All simulation randomness comes from the streams defined here.  A run is
+keyed by one integer seed; independent work items (replications, sample
 draws) each get their own substream derived from (seed, index) alone, so
-results never depend on execution order or worker count.
+results never depend on execution order or worker count.  Delay
+replications read ``substream`` generators; coverage blocks and ``sample``
+build none, and read the same streams arithmetically (``_pcg64_states``,
+``_fill`` and ``_advance``, below).
 
 Stream contract, which cross-language reimplementations must match:
 

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -509,11 +510,12 @@ def test_coverage_csv_matches_json_numbers(tmp_path, capsys):
 
 
 def _same(a, b):
-    """Equal dataclasses, field by field, arrays by value."""
+    """Equal dataclasses, field by field, arrays by value, NaN where the
+    other has NaN (a channel table's path loss where it is undefined)."""
     if dataclasses.is_dataclass(a):
         return type(a) is type(b) and all(
             _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
-    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    return np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
 
 
 def test_echo_config_round_trip(tmp_path, capsys):
@@ -1190,9 +1192,9 @@ def test_simulate_delay_only_plan_evaluates_reported_links(tmp_path, capsys, mon
     evaluated = []
     real = coverage._evaluate
 
-    def spy(geometry, K, params, rows, *args, **kwargs):
+    def spy(K, params, channel, rows):
         evaluated.append(rows.tolist())
-        return real(geometry, K, params, rows, *args, **kwargs)
+        return real(K, params, channel, rows)
 
     monkeypatch.setattr(coverage, "_evaluate", spy)
     assert cli.main(["simulate", path]) == 0
@@ -1205,6 +1207,27 @@ def test_simulate_delay_only_plan_evaluates_reported_links(tmp_path, capsys, mon
     got = {(r["transmitter"], r["receiver"]): r["closed_form"] for r in out["results"]}
     assert [r["target"] for r in out["results"]] == ["delay", "delay"]
     assert got == {(0, 1): 1.0 / cov[(0, 1)], (4, 2): 1.0 / cov[(4, 2)]}
+
+
+@pytest.mark.parametrize("pathloss", sorted(_PATHLOSSES))
+@pytest.mark.parametrize("mode", ["pairs", "txrx"])
+def test_coverage_builds_the_channel_table_once(tmp_path, capsys, monkeypatch, mode, pathloss):
+    # parse builds the node-to-slot table and the report reads it: one
+    # distance matrix and one path loss per (node, slot) per run, wherever
+    # a detsched module reaches them
+    from detsched import propagation
+    built, losses = [], []
+    real_dist, real_loss = propagation._distance_matrix, propagation._path_losses
+    for module in [m for name, m in sys.modules.items() if name.startswith("detsched.")]:
+        if hasattr(module, "_distance_matrix"):
+            monkeypatch.setattr(module, "_distance_matrix",
+                                lambda a, b: built.append(len(b)) or real_dist(a, b))
+        if hasattr(module, "_path_losses"):
+            monkeypatch.setattr(module, "_path_losses",
+                                lambda model, r: losses.append(r.size) or real_loss(model, r))
+    assert cli.main(["coverage", _write(tmp_path, _typed_config(mode, pathloss=pathloss))]) == 0
+    assert len(json.loads(capsys.readouterr().out)["links"]) == (3 if mode == "pairs" else 6)
+    assert (built, losses) == ([3], [9])
 
 
 def test_simulate_bare_delay_target_reports_every_link_once(tmp_path, capsys):

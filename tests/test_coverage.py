@@ -814,7 +814,7 @@ def test_closed_form_stages_are_seams(monkeypatch):
     K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n)))
     params = _power_params(tau=0.8, beta=3.0, noise=0.05)
     report, kernel = ds.full_report(geo, K, params), ds.coverage_kernel(pairs, K, 4, params)
-    calls = dict.fromkeys(("_channel", "_discounts", "_bordered", "palm_reduced",
+    calls = dict.fromkeys(("_channel_table", "_discounts", "_bordered", "palm_reduced",
                            "scale_kernel"), 0)
     for name in calls:
         def counting(*args, _name=name, _real=getattr(coverage_module, name)):
@@ -824,13 +824,45 @@ def test_closed_form_stages_are_seams(monkeypatch):
     monkeypatch.setattr(coverage_module, "_BLOCK_BYTES", 10 * 8 * n ** 2)
     assert ds.full_report(geo, K, params) == report
     # 72 links, 10 a block, no failed row to replay
-    assert calls == {"_channel": 1, "_discounts": 8, "_bordered": 8, "palm_reduced": 0,
+    assert calls == {"_channel_table": 1, "_discounts": 8, "_bordered": 8, "palm_reduced": 0,
                      "scale_kernel": 0}
     calls.update(dict.fromkeys(calls, 0))
-    # coverage_kernel's one link runs the scalar Palm chain alone
+    # coverage_kernel's one link runs the scalar Palm chain alone, at the
+    # distances of its one-slot channel table
     assert np.array_equal(ds.coverage_kernel(pairs, K, 4, params), kernel)
-    assert calls == {"_channel": 0, "_discounts": 0, "_bordered": 0, "palm_reduced": 1,
+    assert calls == {"_channel_table": 1, "_discounts": 0, "_bordered": 0, "palm_reduced": 1,
                      "scale_kernel": 1}
+
+
+def test_per_link_functions_read_n_path_losses(monkeypatch):
+    # a per-link function reads the channel table of its one receiver slot:
+    # n path losses, not the n^2 of the whole table
+    from detsched import propagation
+
+    rng = np.random.default_rng(33)
+    n = 12
+    pairs = ds.NetworkGeometry.pairs(*random_pairs_geometry(rng, n))
+    txrx = ds.NetworkGeometry.txrx(rng.uniform(0.0, 1.0, size=(n, 2)))
+    K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n)))
+    params = _power_params(tau=0.8, beta=3.0, noise=0.05)
+    table, scalar = [], []
+    real_table, real_scalar = propagation._path_losses, propagation.path_loss
+    monkeypatch.setattr(propagation, "_path_losses",
+                        lambda model, r: table.append(r.size) or real_table(model, r))
+    monkeypatch.setattr(propagation, "path_loss",
+                        lambda model, r: scalar.append(r) or real_scalar(model, r))
+    for fn, geo, link in [(ds.pair_coverage, pairs, (3,)),
+                          (ds.conditional_pair_coverage, pairs, (3,)),
+                          (ds.coverage_kernel, pairs, (3,)),
+                          (ds.txrx_coverage, txrx, (3, 7)),
+                          (ds.txrx_conditional_coverage, txrx, (3, 7))]:
+        table.clear()
+        scalar.clear()
+        fn(geo, K, *link, params)
+        assert table == [n], fn.__name__
+        # coverage_kernel's scalar Palm chain reads the signal loss and one
+        # loss per interferer through noise_factor and interferer_factor
+        assert len(scalar) == (2 * n - 1 if fn is ds.coverage_kernel else 0), fn.__name__
 
 
 def _rational_instance(mode, n, seed, tiny=None, loud=None, shrink=30000, distinct=False):

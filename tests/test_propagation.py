@@ -137,6 +137,50 @@ def test_distances():
     np.testing.assert_allclose(d, [[5.0, 1.0]])
 
 
+def test_channel_table_is_the_scalar_rule_and_slots_are_its_columns():
+    # the one builder of which losses are read: each entry is the scalar
+    # distance and path loss (NaN where it raises), deafening where a node
+    # sits on a slot under a singular loss or is a txrx slot's own node, and
+    # a table at a few slots is the full table's columns bit for bit
+    from detsched.propagation import _channel_table, _distance
+
+    rng = np.random.default_rng(33)
+    models = [ds.PowerLawPathLoss(1.5, 3.5), ds.PowerLawPathLoss(1.0, 400.0),
+              ds.TabulatedPathLoss([0.0, 0.5, 1.0], [2.0, 0.8, 0.01])]
+    for dim in (2, 3):
+        pts = rng.uniform(0.0, 1.0, size=(7, dim))
+        pts[4] = pts[1]
+        rx = pts + 0.1
+        rx[2] = pts[5]  # transmitter 5 on receiver 2
+        for geo in (ds.NetworkGeometry.txrx(pts), ds.NetworkGeometry.pairs(pts, rx)):
+            tx, slots_at = geo.transmitter_points(), geo.receiver_points()
+            for model in models:
+                full = _channel_table(geo, model)
+                first = None
+                for z in range(geo.n):
+                    for p in range(geo.n):
+                        d = _distance(tx[z], slots_at[p])
+                        assert full.dist[z, p] == d
+                        try:
+                            assert full.loss[z, p] == ds.path_loss(model, d)
+                        except ds.DetschedError:
+                            assert math.isnan(full.loss[z, p])
+                        deaf = (model.singular_at_zero and d <= 1e-12) or (
+                            geo.mode == "txrx" and z == p)
+                        assert full.deafening[z, p] == deaf
+                        if first is None and math.isnan(full.loss[z, p]) and not deaf:
+                            first = (z, p)
+                assert full.undefined == first
+                for slots in ([3], [6, 0, 2]):
+                    part = _channel_table(geo, model, slots)
+                    assert np.array_equal(part.dist, full.dist[:, slots])
+                    assert np.array_equal(part.loss, full.loss[:, slots], equal_nan=True)
+                    assert np.array_equal(part.deafening, full.deafening[:, slots])
+                    bad = [(z, p) for z in range(geo.n) for p in slots
+                           if math.isnan(full.loss[z, p]) and not full.deafening[z, p]]
+                    assert part.undefined == (bad[0] if bad else None)
+
+
 def test_interferer_factor_known_values():
     p = _params()
     # loss ratio 1/4 at double distance under beta = 2
