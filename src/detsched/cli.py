@@ -579,22 +579,21 @@ def cmd_simulate(
     seed: Optional[int] = None,
     workers: Optional[int] = None,
 ) -> int:
-    """Monte Carlo estimates side by side with the closed forms."""
+    """Monte Carlo estimates, all read from one arena, side by side with the closed forms."""
     _check_flags(cfg, {"--reps": reps, "--seed": seed, "--workers": workers},
                  ("--reps", "--seed"))
     flags = {name: v for name, v in (("replications", reps), ("seed", seed)) if v is not None}
     plan = replace(cfg.plan, **flags) if cfg.plan is not None else SimulationPlan(reps, seed)
-    nworkers = workers if workers is not None else cfg.workers
+    arena = _montecarlo._Arena(cfg.geometry, cfg.K, cfg.params, cfg.channel)
     found = []
     if "coverage" in cfg.targets:
-        ests = _montecarlo._simulate_coverage(cfg.geometry, cfg.K, cfg.params, plan)
+        ests = _montecarlo._coverage_estimates(arena, plan)
         found += [("coverage", key, est, None) for key, est in sorted(ests.items())]
     # a bare "delay" names every link, whatever single links sit beside it
     links = [t[1] for t in cfg.targets if isinstance(t, tuple)]
     if "delay" in cfg.targets or links:
-        delays = _montecarlo.simulate_local_delay(
-            cfg.geometry, cfg.K, cfg.params, plan, workers=nworkers,
-            links=None if "delay" in cfg.targets else links)
+        tracked = arena if "delay" in cfg.targets else arena.track(cfg.geometry, links)
+        delays = _montecarlo._delay_estimates(tracked, plan)
         found += [("delay", key, est, est.censored) for key, est in sorted(delays.items())]
     closed = _closed_reports(cfg, {key for _, key, _, _ in found})
     rows = []
@@ -609,7 +608,7 @@ def cmd_simulate(
     for f in ("closed_form", "estimate", "std_error", "z_score"):
         columns[f] = _finite_column(columns[f])
     header = {"mode": cfg.mode, "replications": plan.replications, "seed": plan.seed,
-              "workers": nworkers}
+              "workers": cfg.workers if workers is None else workers}
     _emit_table(header, "results", columns, output, fmt)
     return 0
 
@@ -633,16 +632,17 @@ def cmd_sample(
 
 
 def _kernel_metrics(cfg_or_doc) -> Optional[dict]:
-    try:
-        if isinstance(cfg_or_doc, RunConfig):
-            report = validate_kernel(cfg_or_doc.K.matrix)
-        else:
-            kernel = cfg_or_doc.get("kernel") if isinstance(cfg_or_doc, dict) else None
-            if not isinstance(kernel, dict) or kernel.get("type") != "explicit_K":
-                return None
+    if isinstance(cfg_or_doc, RunConfig):
+        report = validate_kernel(cfg_or_doc.K.matrix)
+    else:
+        kernel = cfg_or_doc.get("kernel") if isinstance(cfg_or_doc, dict) else None
+        if not isinstance(kernel, dict) or kernel.get("type") != "explicit_K":
+            return None
+        try:
             report = validate_kernel(np.array(kernel["matrix"], dtype=float))
-    except Exception:
-        return None
+        # no matrix, a dict, ragged rows or strings, past the doubles, not square
+        except (KeyError, TypeError, ValueError, OverflowError, DetschedError):
+            return None
     # a metric past the doubles prints as null (JSON) or empty (CSV)
     return {key: None if isinstance(v, float) and not math.isfinite(v) else v
             for key, v in asdict(report).items()}

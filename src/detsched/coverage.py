@@ -300,7 +300,11 @@ class LocalDelay:
         """Probability of at least one success within ``slots`` attempts."""
         if not _is_int(slots) or slots < 0:
             raise BadArgument(f"slot count must be a nonnegative integer, got {slots!r}")
-        return 1.0 - (1.0 - self.success_probability) ** _fitted(slots)
+        p = self.success_probability
+        if p == 0.0 or slots == 0:
+            return 0.0
+        # 1 - (1 - p)^slots without the rounding of 1 - p, which a small p loses
+        return 1.0 if p == 1.0 else -math.expm1(_fitted(slots) * math.log1p(-p))
 
     def capped_mean(self, cap: int) -> float:
         """Mean of min(D, cap), the first-success slot D censored at ``cap``
@@ -311,10 +315,7 @@ class LocalDelay:
         p = self.success_probability
         if p == 0.0 or cap == 1:
             return float(_fitted(cap))  # min(D, cap) is the cap itself
-        if p == 1.0:
-            return 1.0
-        # 1 - (1 - p)^cap without the rounding of 1 - p, which a small p loses
-        return -math.expm1(_fitted(cap) * math.log1p(-p)) / p
+        return self.cdf(cap) / p
 
 
 def local_delay(coverage_probability: float) -> LocalDelay:
@@ -337,7 +338,7 @@ def min_coverage_for_success(epsilon: float, slots: int) -> float:
         raise BadArgument(f"target probability must lie in [0, 1), got {epsilon!r}")
     if not _is_int(slots) or slots < 1:
         raise BadArgument(f"slot count must be a positive integer, got {slots!r}")
-    return 1.0 - (1.0 - e) ** (1.0 / _fitted(slots))
+    return -math.expm1(math.log1p(-e) / _fitted(slots))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ the SINR of each link directly, with no reuse of the closed-form
 machinery.  Links are the rows of the geometry's link table (transmitter,
 receiver slot, silent node); one SINR test serves both modes, a txrx
 link's receiving node being the slot's silent node, which must not
-transmit.  Distances, path losses, the deafening entries and which links
-have a signal come from ``propagation._channel_table``, the table the
+transmit.  A run's coverage and delay estimates read one ``_Arena``, whose
+distances, path losses, deafening entries and links with a signal come
+from the ``propagation._channel_table`` its caller passes, the table the
 closed forms and the CLI's config check read, so all test SINR against the
 same numbers, and a path loss the scalar ``path_loss`` cannot evaluate
 fails here with its error.  Replication r always uses substream(seed, r)
@@ -43,8 +44,8 @@ import numpy as np
 from . import _sampling
 from .errors import BadArgument, SameNode, SingularDistance
 from .kernels import LEnsemble, MarginalKernel, _spectrum
-from .propagation import (NetworkGeometry, PropagationParams, _bounded, _channel_table,
-                          _check_bounds, _link_keys, _require, path_loss)
+from .propagation import (NetworkGeometry, PropagationParams, _bounded, _Channel,
+                          _channel_table, _check_bounds, _link_keys, _require, path_loss)
 from .rng import _advance, _fill, _pcg64_states, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
@@ -116,24 +117,24 @@ def _draws(mu: np.ndarray, vecs: np.ndarray, seed: int, keys):
 class _Arena:
     """Precomputed quantities shared by every replication of one simulation.
 
-    ``loss`` is the channel table's path loss from each node to each
+    ``loss`` is the given channel table's path loss from each node to each
     receiver slot, zero where the node deafens the slot; ``deafening`` is the
     table's deafening entries as 1.0, else 0.0, so a float matmul of the
     masks counts each slot's deafeners exactly.  ``keys``, ``tx`` and ``rx``
-    list the links whose success is tested, the links of the geometry's
-    table with a signal: an int per dedicated link, a (tx, rx) tuple per
-    txrx link.  ``params`` is the channel, its fading mean and noise scaled
-    where received powers would pass the doubles.
+    list the links whose success is tested, set once: the links of the
+    geometry's table with a signal, or those ``track`` or ``_keep`` keep in
+    a new arena; an int per dedicated link, a (tx, rx) tuple per txrx link.
+    ``params`` is the channel, its fading mean and noise scaled where
+    received powers would pass the doubles.
     """
 
     def __init__(self, geometry: NetworkGeometry, K, params: PropagationParams,
-                 mode: Optional[str] = None):
+                 channel: _Channel, mode: Optional[str] = None):
         _require(geometry, K, mode)
         self.n = geometry.n
         self.mu, self.vecs = _spectrum(K)
         links = geometry.links()
         tx, rx, _ = links.T
-        channel = _channel_table(geometry, params.pathloss)
         defined = ~channel.deafening[tx, rx]
         if geometry.mode == "pairs" and not defined.all():
             bad = int(tx[~defined][0])
@@ -155,30 +156,29 @@ class _Arena:
         self.tx, self.rx = tx[defined], rx[defined]
         self.keys = _link_keys(links[defined])
 
-    def track(self, geometry: NetworkGeometry, links) -> list:
-        """Restrict the SINR test to the links ``links`` name, in that order,
-        and return their keys.  A reference ``geometry.link`` rejects, and a
-        link outside ``self.keys``, raise BadArgument."""
+    def track(self, geometry: NetworkGeometry, links) -> "_Arena":
+        """A new arena of the links ``links`` name, in that order.  A reference
+        ``geometry.link`` rejects, and a link outside ``self.keys``, raise BadArgument."""
         where = {key: k for k, key in enumerate(self.keys)}
         picked = []
         for link in links:
             try:
-                t, r, silent = (geometry.link(*link) if isinstance(link, tuple) and len(link) == 2
-                                else geometry.link(link))
+                row = (geometry.link(*link) if isinstance(link, tuple) and len(link) == 2
+                       else geometry.link(link))
             except (BadArgument, SameNode) as e:
                 raise BadArgument(f"delay target {link!r}: {e}") from None
-            key = t if silent < 0 else (t, r)
+            [key] = _link_keys(np.array([row]))
             if key not in where:
                 raise BadArgument(f"delay target {link!r} is not a link with a defined signal")
             picked.append(where[key])
         return self._keep(picked)
 
-    def _keep(self, picked) -> list:
-        """Restrict the SINR test to the tracked links at positions
-        ``picked``, in that order, and return their keys."""
-        self.tx, self.rx = self.tx[picked], self.rx[picked]
-        self.keys = [self.keys[k] for k in picked]
-        return self.keys
+    def _keep(self, picked) -> "_Arena":
+        """This arena's links at positions ``picked``, in that order, as a new arena."""
+        kept = object.__new__(_Arena)
+        vars(kept).update(vars(self), tx=self.tx[picked], rx=self.rx[picked],
+                          keys=[self.keys[k] for k in picked])
+        return kept
 
     def doomed(self) -> np.ndarray:
         """Per tracked link, whether it can never succeed: its signal's path
@@ -293,11 +293,25 @@ def _bernoulli_estimates(successes: np.ndarray, reps: int) -> list:
     return out
 
 
-def _simulate_coverage(geometry, L, params, plan: SimulationPlan, mode=None) -> dict:
-    """{link key: Estimate} for every link with a defined signal."""
-    arena = _Arena(geometry, L, params, mode)
+def _coverage_estimates(arena: _Arena, plan: SimulationPlan) -> dict:
+    """{link key: Estimate} for every link of ``arena``."""
     counts = arena.block_counts(plan.seed, range(plan.replications))
     return dict(zip(arena.keys, _bernoulli_estimates(counts, plan.replications)))
+
+
+def _delay_estimates(arena: _Arena, plan: SimulationPlan) -> dict:
+    """{link key: DelayEstimate} for every link of ``arena``: played, or at the cap if doomed."""
+    reps, cap = plan.replications, plan.delay_cap
+    played = arena._keep(np.flatnonzero(~arena.doomed()).tolist())
+    delays, censored = _first_successes(played, plan.seed, reps, cap)
+    at_cap = DelayEstimate(float(cap) if cap <= sys.float_info.max else math.inf, 0.0, reps, reps)
+    out = dict.fromkeys(arena.keys, at_cap)
+    for key, column, c in zip(played.keys, delays.T, censored.tolist()):
+        vals = column.astype(float)
+        std = float(vals.std(ddof=1)) if reps > 1 else 0.0
+        out[key] = DelayEstimate(mean=float(vals.mean()), std_error=std / math.sqrt(reps),
+                                 replications=reps, censored=c)
+    return out
 
 
 def simulate_pair_coverage(
@@ -312,7 +326,8 @@ def simulate_pair_coverage(
     ``workers`` is accepted for compatibility; it changes neither the
     results nor the work done.
     """
-    return list(_simulate_coverage(geometry, L, params, plan, "pairs").values())
+    arena = _Arena(geometry, L, params, _channel_table(geometry, params.pathloss), "pairs")
+    return list(_coverage_estimates(arena, plan).values())
 
 
 def simulate_txrx(
@@ -328,7 +343,8 @@ def simulate_txrx(
     ``workers`` is accepted for compatibility; it changes neither the
     results nor the work done.
     """
-    return _simulate_coverage(geometry, L, params, plan, "txrx")
+    arena = _Arena(geometry, L, params, _channel_table(geometry, params.pathloss), "txrx")
+    return _coverage_estimates(arena, plan)
 
 
 def simulate_local_delay(
@@ -351,25 +367,7 @@ def simulate_local_delay(
     cap.  ``workers`` is accepted for compatibility; it changes neither the
     results nor the work done.
     """
-    arena = _Arena(geometry, L, params)
-    if links is not None and not arena.track(geometry, links):
+    arena = _Arena(geometry, L, params, _channel_table(geometry, params.pathloss))
+    if links is not None and not (arena := arena.track(geometry, links)).keys:
         raise BadArgument("empty target list for the delay simulation")
-    keys, doomed = arena.keys, arena.doomed().tolist()
-    arena._keep([k for k, d in enumerate(doomed) if not d])
-    reps, cap = plan.replications, plan.delay_cap
-    delays, censored = _first_successes(arena, plan.seed, reps, cap)
-    played = iter(zip(delays.T, censored.tolist()))
-    out = {}
-    for key, never in zip(keys, doomed):
-        if never and cap > np.iinfo(np.int64).max:
-            # no int64 column holds the cap: every replication reads it exactly
-            mean = float(cap) if cap <= sys.float_info.max else math.inf
-            out[key] = DelayEstimate(mean=mean, std_error=0.0, replications=reps, censored=reps)
-            continue
-        # a doomed link's column is built as a played one that never succeeds
-        column, c = (np.full(reps, cap, dtype=np.int64), reps) if never else next(played)
-        vals = column.astype(float)
-        std = float(vals.std(ddof=1)) if reps > 1 else 0.0
-        out[key] = DelayEstimate(mean=float(vals.mean()), std_error=std / math.sqrt(reps),
-                                 replications=reps, censored=c)
-    return out
+    return _delay_estimates(arena, plan)

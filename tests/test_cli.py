@@ -647,7 +647,7 @@ def test_exit_code_computation_error(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise ds.DetschedError("injected")
 
-    monkeypatch.setattr(cli._montecarlo, "_simulate_coverage", fail)
+    monkeypatch.setattr(cli._montecarlo, "_coverage_estimates", fail)
     assert cli.main(["simulate", path, "--reps", "10", "--seed", "1"]) == 3
     assert capsys.readouterr().err == "computation failed: injected\n"
 
@@ -1088,6 +1088,28 @@ def test_validate_reports_eigenvalue_range(tmp_path, capsys):
     assert rep["valid"] is False
     assert rep["kernel"]["max_eigenvalue"] == pytest.approx(1.3)
     assert any("eigenvalue" in p["message"] for p in rep["problems"])
+    # a raw explicit_K matrix that is no matrix has no metrics: not square,
+    # null, ragged, strings, an object, past the doubles, or absent
+    matrices = ([[0.5, 0.1]], None, [[0.5], [0.1, 0.5]], [["a", "b"], ["c", "d"]], {},
+                [[10**400, 0], [0, 0.5]])
+    kernels = [{"type": "explicit_K", "matrix": m} for m in matrices] + [{"type": "explicit_K"}]
+    for kernel in kernels:
+        assert cli.main(["validate", _write(tmp_path, _base_config(kernel=kernel))]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["valid"] is False and rep["kernel"] is None
+
+
+def test_validate_kernel_metrics_hide_no_library_fault(tmp_path, capsys, monkeypatch):
+    # only what a raw matrix can raise reads as no metrics: a fault of the
+    # metrics themselves, on a parsed or a raw kernel, is not hidden
+    def fail(matrix):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "validate_kernel", fail)
+    raw = {"type": "explicit_K", "matrix": [[1.3, 0.0], [0.0, 0.5]]}
+    for doc in (_base_config(), _base_config(kernel=raw)):
+        with pytest.raises(RuntimeError, match="injected"):
+            cli.main(["validate", _write(tmp_path, doc)])
 
 
 def test_validate_csv_format(tmp_path, capsys):
@@ -1228,6 +1250,30 @@ def test_coverage_builds_the_channel_table_once(tmp_path, capsys, monkeypatch, m
     assert cli.main(["coverage", _write(tmp_path, _typed_config(mode, pathloss=pathloss))]) == 0
     assert len(json.loads(capsys.readouterr().out)["links"]) == (3 if mode == "pairs" else 6)
     assert (built, losses) == ([3], [9])
+
+
+def test_simulate_builds_one_arena_on_the_parsed_table(tmp_path, capsys, monkeypatch):
+    # coverage and delay targets read one arena, built on the table parse
+    # built: one distance matrix, one arena and one spectrum per run
+    from detsched import montecarlo, propagation
+    built, arenas, spectra, cfgs = [], [], [], []
+    real_dist, real_init = propagation._distance_matrix, montecarlo._Arena.__init__
+    real_spectrum, real_parse = montecarlo._spectrum, cli.parse_config
+    for module in [m for name, m in sys.modules.items() if name.startswith("detsched.")]:
+        if hasattr(module, "_distance_matrix"):
+            monkeypatch.setattr(module, "_distance_matrix",
+                                lambda a, b: built.append(len(b)) or real_dist(a, b))
+    monkeypatch.setattr(montecarlo._Arena, "__init__",
+                        lambda self, *args: arenas.append(args[3]) or real_init(self, *args))
+    monkeypatch.setattr(montecarlo, "_spectrum", lambda K: spectra.append(K) or real_spectrum(K))
+    monkeypatch.setattr(cli, "parse_config", lambda path: cfgs.append(real_parse(path)) or cfgs[0])
+    doc = _typed_config("pairs")
+    doc["simulate"]["targets"] = ["coverage", "delay", ["delay", 1]]
+    assert cli.main(["simulate", _write(tmp_path, doc)]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [r["target"] for r in rows] == ["coverage"] * 3 + ["delay"] * 3
+    assert (built, len(arenas), len(spectra)) == ([3], 1, 1)
+    assert arenas[0] is cfgs[0].channel
 
 
 def test_simulate_bare_delay_target_reports_every_link_once(tmp_path, capsys):

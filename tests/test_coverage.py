@@ -1,7 +1,9 @@
 import dataclasses
+import decimal
 import hashlib
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -374,8 +376,43 @@ def test_min_coverage_for_success():
     # a count past the largest double gives the formula's limit, 0
     for e in (0.0, 0.5, 0.99):
         assert ds.min_coverage_for_success(e, 10**400) == 0.0
+    # ln 2 / top, which rounding 0.5 ** (1 / top) to 1 would lose to 0.0
     top = int(sys.float_info.max)
-    assert ds.min_coverage_for_success(0.5, top) == 1.0 - 0.5 ** (1.0 / float(top))
+    assert math.isclose(ds.min_coverage_for_success(0.5, top), _geometric_exact(0.5, 1, top),
+                        rel_tol=1e-12)
+
+
+def _geometric_exact(p, power, over=1):
+    """1 - (1 - p)^(power / over) to at least 50 digits, each argument read
+    exactly: 380 digits keep 50 of a p or a result down to 1e-330."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 380
+        return float(1 - ((1 - Decimal(p)).ln() * power / over).exp())
+
+
+def test_geometric_law_keeps_its_digits_for_small_p():
+    # 1 - (1 - p)^s and its inverse in expm1 / log1p form, against a decimal
+    # oracle good to 50 digits: rounding 1 - p first loses every digit of a tiny p
+    cases = [(1e-20, 10**10), (1e-9, 1000), (1e-300, 7), (1e-12, 10**6), (2.5e-5, 3),
+             (0.3, 1), (0.3, 5), (0.999, 2), (1e-15, 10**15)]
+    for p, s in cases:
+        assert math.isclose(ds.local_delay(p).cdf(s), _geometric_exact(p, s), rel_tol=1e-14)
+        cap = ds.local_delay(p).capped_mean(s)
+        assert cap == ds.local_delay(p).cdf(s) / p or s == 1
+        e = _geometric_exact(p, s)
+        if e < 1.0:
+            assert math.isclose(ds.min_coverage_for_success(e, s), p, rel_tol=1e-12)
+    for e, s in ((0.5, 10**20), (1e-20, 3), (0.5, 10**10), (0.99, 10), (0.9, 10**300)):
+        assert math.isclose(ds.min_coverage_for_success(e, s), _geometric_exact(e, 1, s),
+                            rel_tol=1e-14)
+    assert ds.min_coverage_for_success(0.5, 10**20) > 6.9e-21
+    assert ds.local_delay(1e-20).cdf(10**10) > 0.99e-10
+    # p = 0, p = 1 and zero slots keep their exact values, signs included
+    for p in (0.0, 1e-20, 0.5, 1.0):
+        assert math.copysign(1.0, ds.local_delay(p).cdf(0)) == 1.0
+        assert ds.local_delay(p).cdf(0) == 0.0
+    assert ds.local_delay(1.0).cdf(1) == 1.0 and ds.local_delay(0.0).cdf(10**400) == 0.0
+    assert math.copysign(1.0, ds.min_coverage_for_success(0.0, 10)) == 1.0
 
 
 def test_kernel_fingerprint():

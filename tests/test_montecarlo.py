@@ -7,6 +7,7 @@ import pytest
 
 import detsched as ds
 from detsched import _sampling, montecarlo
+from detsched.propagation import _channel_table
 from detsched.rng import substream
 
 from _oracles import (
@@ -21,6 +22,11 @@ def _power_params(tau=1.0, beta=2.0, noise=0.0, mu=1.0):
         fading_mean=mu,
         noise=noise,
     )
+
+
+def _arena(geo, L, params):
+    """The arena a public simulator builds, on the geometry's full channel table."""
+    return montecarlo._Arena(geo, L, params, _channel_table(geo, params.pathloss))
 
 
 def _instance(seed, n=3):
@@ -315,9 +321,9 @@ def test_first_successes_match_slot_loops():
     params = _power_params(tau=0.3, noise=0.02)
     for geo, L, one, two in _delay_instances():
         for keys in (None, one, two):
-            arena = montecarlo._Arena(geo, L, params)
+            arena = _arena(geo, L, params)
             if keys is not None:
-                arena.track(geo, keys)
+                arena = arena.track(geo, keys)
             for cap in (1, 3, 7, montecarlo.DEFAULT_DELAY_CAP):
                 delays, censored = montecarlo._first_successes(arena, 41, 60, cap)
                 ref, ref_censored = local_delay_loops(arena, 41, 60, cap)
@@ -360,8 +366,8 @@ def test_delay_draws_once_per_played_slot(monkeypatch):
 
     for geo, L, _, two in _delay_instances():
         for cap, keys in ((montecarlo.DEFAULT_DELAY_CAP, None), (3, two)):
-            arena = montecarlo._Arena(geo, L, params)
-            arena.track(geo, arena.keys if keys is None else keys)
+            arena = _arena(geo, L, params)
+            arena = arena.track(geo, arena.keys if keys is None else keys)
             ref, _ = local_delay_loops(arena, 5, 40, cap)
             monkeypatch.setattr(_sampling, "draw_mask", counting)
             calls[0] = 0
@@ -561,7 +567,7 @@ def test_links_that_cannot_succeed_are_recorded_at_the_cap_unplayed(monkeypatch)
         return draw(*args)
 
     for L, params, doomed in cases:
-        arena = montecarlo._Arena(geo, L, params)
+        arena = _arena(geo, L, params)
         assert arena.doomed().tolist() == doomed
         ref, ref_censored = local_delay_loops(arena, 1, 20, 30)
         monkeypatch.setattr(_sampling, "draw_mask", counting)
@@ -577,6 +583,30 @@ def test_links_that_cannot_succeed_are_recorded_at_the_cap_unplayed(monkeypatch)
         for cap, mean in ((2**63, 2.0**63), (2**64 + 1, 2.0**64), (10**400, math.inf)):
             est = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(20, 1, cap))[1]
             assert est == ds.DelayEstimate(mean, 0.0, 20, 20)
+        # a doomed link's mean is the cap itself where a float mean of its
+        # column rounds: at 3^39 over 7 replications it read 4.0525551530189773e18
+        est = ds.simulate_local_delay(geo, L, params, ds.SimulationPlan(7, 1, 3**39))[1]
+        assert est == ds.DelayEstimate(float(3**39), 0.0, 7, 7)
+
+
+def test_arena_is_unchanged_by_track_and_by_a_delay_run():
+    # track and the delay run narrow by value: the arena keeps every link,
+    # and coverage read from it after a delay run equals a fresh arena's
+    params = _power_params(tau=0.3, noise=0.02)
+    plan = ds.SimulationPlan(60, 8, delay_cap=7)
+    for geo, L, one, two in _delay_instances():
+        arena = _arena(geo, L, params)
+        keys, tx, rx = list(arena.keys), arena.tx.copy(), arena.rx.copy()
+        tracked = arena.track(geo, two)
+        assert tracked.keys == two and tracked is not arena
+        delays = montecarlo._delay_estimates(arena.track(geo, one), plan)
+        assert delays == ds.simulate_local_delay(geo, L, params, plan, links=one)
+        assert montecarlo._delay_estimates(arena, plan) == ds.simulate_local_delay(geo, L, params,
+                                                                                   plan)
+        assert arena.keys == keys and len(keys) > len(two)
+        assert np.array_equal(arena.tx, tx) and np.array_equal(arena.rx, rx)
+        assert (montecarlo._coverage_estimates(arena, plan)
+                == montecarlo._coverage_estimates(_arena(geo, L, params), plan))
 
 
 def test_received_powers_past_the_doubles_scale_exactly():
@@ -607,7 +637,7 @@ def test_links_into_an_always_scheduled_node_are_not_played():
     # eigh returns exact unit vectors for the diagonal K, so node 0's row is
     # 0 on every eigenvector with mu < 1: every draw schedules it
     geo, K, params = _always_on_node()
-    arena = montecarlo._Arena(geo, K, params)
+    arena = _arena(geo, K, params)
     assert arena.doomed().tolist() == [False, False, True, False, True, False]
     t0 = time.perf_counter()
     out = ds.simulate_local_delay(geo, K, params, ds.SimulationPlan(20, 1))
@@ -622,7 +652,7 @@ def test_always_scheduled_receiver_rows_equal_the_played_reference():
     # at a cap of 5 the reference plays every link slot by slot; the doomed
     # rows, recorded without playing, equal its rows
     geo, K, params = _always_on_node()
-    arena = montecarlo._Arena(geo, K, params)
+    arena = _arena(geo, K, params)
     ref, ref_censored = local_delay_loops(arena, 3, 30, 5)
     out = ds.simulate_local_delay(geo, K, params, ds.SimulationPlan(30, 3, delay_cap=5))
     assert list(out) == arena.keys
@@ -686,7 +716,7 @@ def test_arena_loss_is_the_scalar_path_loss():
         pts[1] = pts[0]  # coincident nodes
         for geo in (ds.NetworkGeometry.pairs(tx, rx), ds.NetworkGeometry.txrx(pts)):
             L = ds.LEnsemble.from_matrix(random_psd_l(rng, 6))
-            arena = montecarlo._Arena(geo, L, params)
+            arena = _arena(geo, L, params)
             a, b = geo.transmitter_points(), geo.receiver_points()
             for z in range(6):
                 for p in range(6):
