@@ -32,29 +32,40 @@ import numpy as np
 njit = None
 
 
+# The clamp's zero as a 0-d array: numpy converts a Python float operand on
+# every call, which costs more than the clamp itself at small n.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
 def _select(V: np.ndarray, u) -> list:
     """Phase 2 of one draw: indices picked from the projection kernel V V^T.
 
     ``V`` is (n, k) with orthonormal columns; step t is driven by ``u[t]``.
+    Each step costs a fixed dozen numpy calls, so they take the routes with
+    the least dispatch: ``ndarray.dot`` for ``@`` (the same gemv) and
+    in-place updates.
     """
     n, k = V.shape
     norms = (V * V).sum(axis=1)
     C = np.empty((n, k))
     chosen = []
     for t in range(k):
-        cum = list(accumulate(norms.tolist()))
+        w = norms.tolist()
+        cum = list(accumulate(w))
         x = bisect_right(cum, u[t] * cum[-1])
         chosen.append(x)
         if t + 1 == k:
             break
-        c = V @ V[x]
+        c = V.dot(V[x])
         if t:
-            c -= C[:, :t] @ C[x, :t]
-        c /= math.sqrt(norms[x])
+            c -= C[:, :t].dot(C[x, :t])
+        c /= math.sqrt(w[x])
         C[:, t] = c
-        norms -= c * c
+        c *= c
+        norms -= c
         norms[x] = 0.0
-        np.maximum(norms, 0.0, out=norms)
+        np.maximum(norms, _ZERO, out=norms)
     return chosen
 
 
@@ -66,13 +77,14 @@ def draw_mask(mu: np.ndarray, vecs: np.ndarray, rng) -> np.ndarray:
     selected point.
     """
     n = mu.shape[0]
-    coins = rng.random(n)
-    sel = coins < mu
+    V = vecs.compress(rng.random(n) < mu, axis=1)
     mask = np.zeros(n, dtype=bool)
-    k = np.count_nonzero(sel)
+    k = V.shape[1]
     if k == 0:
         return mask
-    for x in _select(vecs.compress(sel, axis=1), rng.random(k).tolist()):
+    # k scalar stores cost less than one fancy-index store, which converts
+    # the list first, below k of about 40
+    for x in _select(V, rng.random(k).tolist()):
         mask[x] = True
     return mask
 

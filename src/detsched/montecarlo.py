@@ -249,6 +249,9 @@ def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
     slot, every live row of a block draws its scheduled set and fills its
     fading row from its own substream; one SINR test judges the stack."""
     n, links = arena.n, len(arena.keys)
+    # the draw is read from the module per call, so one swapped in there
+    # sees every slot
+    draw, mu, vecs = _sampling.draw_mask, arena.mu, arena.vecs
     # each entry counts the slots it waits through, up to its success or the cap
     delays = np.zeros((reps, links), dtype=np.int64)
     censored = np.zeros(links, dtype=np.int64)
@@ -262,9 +265,12 @@ def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
         while waiting.size and slot < cap:
             slot += 1
             for i, g in enumerate(gens):
-                mask[i] = _sampling.draw_mask(arena.mu, arena.vecs, g)
+                mask[i] = draw(mu, vecs, g)
                 g.random(out=u[i])
-            fading = -arena.params.fading_mean * np.log1p(-u[:len(gens)])
+            # -mean * log1p(-u), mapped in place
+            fading = u[:len(gens)]
+            np.log1p(np.negative(fading, out=fading), out=fading)
+            fading *= -arena.params.fading_mean
             hit = arena.success(mask[:len(gens)], fading) & waiting
             delays[rows] += waiting
             waiting &= ~hit
@@ -307,9 +313,10 @@ def _delay_estimates(arena: _Arena, plan: SimulationPlan) -> dict:
     at_cap = DelayEstimate(float(cap) if cap <= sys.float_info.max else math.inf, 0.0, reps, reps)
     out = dict.fromkeys(arena.keys, at_cap)
     for key, column, c in zip(played.keys, delays.T, censored.tolist()):
-        vals = column.astype(float)
-        std = float(vals.std(ddof=1)) if reps > 1 else 0.0
-        out[key] = DelayEstimate(mean=float(vals.mean()), std_error=std / math.sqrt(reps),
+        std = float(column.astype(float).std(ddof=1)) if reps > 1 else 0.0
+        # the exact integer sum: a float sum rounds once it passes 2**53
+        mean = sum(column.tolist()) / reps
+        out[key] = DelayEstimate(mean=mean, std_error=std / math.sqrt(reps),
                                  replications=reps, censored=c)
     return out
 

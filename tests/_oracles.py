@@ -281,10 +281,11 @@ def phase2_loops(V, u):
 
     Selects one point per column of V (n by k, orthonormal columns; V is
     overwritten).  Each step: pick the first row whose cumulative squared
-    norm reaches u[t] times the total, eliminate the chosen row via its
-    largest pivot column, drop that column, and re-orthonormalize the rest
-    with modified Gram-Schmidt.  Written as explicit loops, independently
-    of the library's incremental Gram-Schmidt selection.
+    norm exceeds u[t] times the total (so never a zero-mass row, even at
+    u[t] = 0), eliminate the chosen row via its largest pivot column, drop
+    that column, and re-orthonormalize the rest with modified Gram-Schmidt.
+    Written as explicit loops, independently of the library's incremental
+    Gram-Schmidt selection.
     """
     n = V.shape[0]
     m = V.shape[1]
@@ -304,7 +305,7 @@ def phase2_loops(V, u):
         x = n - 1
         for i in range(n):
             acc += w[i]
-            if acc >= target:
+            if acc > target:
                 x = i
                 break
         # pivot column: largest magnitude at the chosen row
@@ -315,21 +316,6 @@ def phase2_loops(V, u):
             if v > best:
                 best = v
                 jbest = j
-        if best == 0.0:
-            # degenerate draw landed on a zero-mass row; fall back to the
-            # heaviest row, which must have a nonzero pivot
-            x = 0
-            hw = -1.0
-            for i in range(n):
-                if w[i] > hw:
-                    hw = w[i]
-                    x = i
-            best = -1.0
-            for j in range(m):
-                v = abs(V[x, j])
-                if v > best:
-                    best = v
-                    jbest = j
         chosen[t] = x
         if m == 1:
             break
@@ -342,6 +328,8 @@ def phase2_loops(V, u):
             if c != 0.0:
                 for i in range(n):
                     V[i, j] -= c * V[i, jbest]
+            # the chosen row is eliminated exactly, not to a rounding residue
+            V[x, j] = 0.0
         # drop the pivot column by swapping in the last one
         if jbest != m - 1:
             for i in range(n):

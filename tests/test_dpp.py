@@ -572,15 +572,42 @@ def test_sample_mask_positions():
     assert ids == tuple(sorted(L.node_ids[i] for i in np.flatnonzero(mask)))
 
 
+class _Uniforms:
+    """A stand-in generator whose ``random(size)`` hands out the given
+    uniform blocks in order."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def random(self, size):
+        block = self.blocks.pop(0)
+        assert len(block) == size
+        return block
+
+
 def test_sampler_selections_match_loop_reference():
     # single-draw and block selections pick exactly the reference's points
-    # from the same uniforms, and a draw's picks do not depend on its block
+    # from the same uniforms, and a draw's picks do not depend on its block;
+    # up to n = 40, with zero-mass rows and the edge uniforms 0 and 1 - 2^-53
     rng = np.random.default_rng(2024)
-    for case in range(300):
-        n = 1 + case % 12
-        vecs, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    for case, n in enumerate([*range(1, 13)] * 25 + [16, 20, 24, 28, 32, 36, 40] * 2):
+        if case % 3 == 2 and n > 1:
+            # rows outside ``live`` carry mass only on eigenvectors m..n-1,
+            # which no draw keeps
+            m = int(rng.integers(1, n))
+            live = rng.permutation(n)[:m]
+            dead = np.setdiff1d(np.arange(n), live)
+            vecs = np.zeros((n, n))
+            vecs[np.ix_(live, range(m))] = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            vecs[np.ix_(dead, range(m, n))] = np.eye(n - m)
+        else:
+            m, vecs = n, np.linalg.qr(rng.normal(size=(n, n)))[0]
         sel = rng.random((6, n)) < rng.uniform(0.2, 0.9)
+        sel[:, m:] = False
         u = rng.random((6, n))
+        edge = rng.random((6, n))
+        u[edge < 0.15] = 0.0
+        u[edge > 0.85] = 1.0 - 2.0 ** -53
         block = _sampling.select_block(vecs, sel, u)
         for r in range(6):
             k = int(sel[r].sum())
@@ -594,6 +621,10 @@ def test_sampler_selections_match_loop_reference():
             np.testing.assert_array_equal(block[r], ref)
             alone = _sampling.select_block(vecs, sel[r:r + 1], u[r:r + 1])[0]
             np.testing.assert_array_equal(alone, ref)
+            # draw_mask keeps the eigenvectors whose coin falls below mu
+            stream = _Uniforms(np.where(sel[r], 0.25, 0.75), *([u[r, :k]] if k else []))
+            np.testing.assert_array_equal(_sampling.draw_mask(np.full(n, 0.5), vecs, stream), ref)
+            assert not stream.blocks
 
 
 def test_sampler_never_selects_zero_mass_row():

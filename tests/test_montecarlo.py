@@ -589,6 +589,26 @@ def test_links_that_cannot_succeed_are_recorded_at_the_cap_unplayed(monkeypatch)
         assert est == ds.DelayEstimate(float(3**39), 0.0, 7, 7)
 
 
+def test_played_delay_mean_is_the_exact_column_sum(monkeypatch):
+    # a played link's mean is its integer column sum over reps, where a
+    # float mean of a column whose sum passes 2^53 rounds
+    geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.5], [1.0, 0.5]])
+    column = np.array([2**53, 1, 1, 1, 1, 5], dtype=np.int64)
+    exact = (2**53 + 9) / 6
+    assert float(column.astype(float).mean()) != exact
+
+    def first_successes(arena, seed, reps, cap):
+        links = len(arena.keys)
+        return np.repeat(column[:, None], links, axis=1), np.zeros(links, dtype=np.int64)
+
+    monkeypatch.setattr(montecarlo, "_first_successes", first_successes)
+    out = ds.simulate_local_delay(geo, ds.LEnsemble.from_matrix(np.eye(2)), _power_params(),
+                                  ds.SimulationPlan(6, 1))
+    assert list(out) == [0, 1]
+    std_error = float(column.astype(float).std(ddof=1)) / math.sqrt(6)
+    assert all(e == ds.DelayEstimate(exact, std_error, 6, 0) for e in out.values())
+
+
 def test_arena_is_unchanged_by_track_and_by_a_delay_run():
     # track and the delay run narrow by value: the arena keeps every link,
     # and coverage read from it after a delay run equals a fresh arena's
