@@ -53,7 +53,6 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -534,15 +533,6 @@ def cmd_coverage(cfg: RunConfig, fmt: str = "json", output: Optional[str] = None
     return 0
 
 
-def _z_score(closed, estimate, std_error):
-    if closed is None:
-        return None
-    diff = abs(estimate - closed)
-    if std_error > 0:
-        return diff / std_error
-    return 0.0 if diff == 0.0 else None
-
-
 def _check_flags(cfg: RunConfig, flags: dict, required: tuple):
     """Raise ConfigError for command-line flags out of their ``_FLAGS``
     bound, as the matching config keys would be; ``flags`` maps a flag to
@@ -559,18 +549,6 @@ def _check_flags(cfg: RunConfig, flags: dict, required: tuple):
         raise ConfigError(problems)
 
 
-def _closed_reports(cfg: RunConfig, keys) -> dict:
-    """{link key: (transmitter, receiver, coverage)} for the links ``keys``
-    (``link_keys()`` entries), evaluating only those on the run's marginal
-    kernel, so each equals the coverage report's row."""
-    all_keys = cfg.geometry.link_keys()
-    wanted = [key in keys for key in all_keys]
-    rows = cfg.geometry.links()[np.array(wanted, dtype=bool)]
-    table = _coverage._link_table(cfg.geometry, cfg.K, cfg.params, cfg.channel, rows)
-    return dict(zip(compress(all_keys, wanted), zip(
-        table["transmitter"], table["receiver"], _finite_column(table["coverage"]))))
-
-
 def cmd_simulate(
     cfg: RunConfig,
     fmt: str = "json",
@@ -585,28 +563,39 @@ def cmd_simulate(
     flags = {name: v for name, v in (("replications", reps), ("seed", seed)) if v is not None}
     plan = replace(cfg.plan, **flags) if cfg.plan is not None else SimulationPlan(reps, seed)
     arena = _montecarlo._Arena(cfg.geometry, cfg.K, cfg.params, cfg.channel)
-    found = []
+    runs = []
     if "coverage" in cfg.targets:
-        ests = _montecarlo._coverage_estimates(arena, plan)
-        found += [("coverage", key, est, None) for key, est in sorted(ests.items())]
+        runs.append(("coverage", arena.links, *_montecarlo._coverage_estimates(arena, plan), None))
     # a bare "delay" names every link, whatever single links sit beside it
-    links = [t[1] for t in cfg.targets if isinstance(t, tuple)]
+    links = sorted({t[1] for t in cfg.targets if isinstance(t, tuple)})
     if "delay" in cfg.targets or links:
         tracked = arena if "delay" in cfg.targets else arena.track(cfg.geometry, links)
-        delays = _montecarlo._delay_estimates(tracked, plan)
-        found += [("delay", key, est, est.censored) for key, est in sorted(delays.items())]
-    closed = _closed_reports(cfg, {key for _, key, _, _ in found})
-    rows = []
-    for target, key, est, censored in found:
-        tx, rx, c = closed[key]
-        if target == "delay" and c is not None:
+        runs.append(("delay", tracked.links, *_montecarlo._delay_estimates(tracked, plan)))
+    # the first target's rows hold every other's, each in link-table order,
+    # where a row's tx * n + rx sorts as the row does
+    rows, n = runs[0][1], cfg.geometry.n
+    table = _coverage._link_table(cfg.geometry, cfg.K, cfg.params, cfg.channel, rows)
+    columns = {f: [] for f in _RESULT_FIELDS}
+    for target, own, mean, std_error, censored in runs:
+        at = np.searchsorted(rows[:, 0] * n + rows[:, 1], own[:, 0] * n + own[:, 1])
+        closed = table["coverage"][at]
+        if target == "delay":
             # the estimate records a censored replication at the cap
-            c = _coverage.local_delay(c).capped_mean(plan.delay_cap)
-        rows.append((target, tx, rx, c, est.mean, est.std_error,
-                     _z_score(c, est.mean, est.std_error), censored))
-    columns = {f: [row[i] for row in rows] for i, f in enumerate(_RESULT_FIELDS)}
-    for f in ("closed_form", "estimate", "std_error", "z_score"):
-        columns[f] = _finite_column(columns[f])
+            closed = np.array([c if math.isnan(c) else
+                               _coverage.local_delay(c).capped_mean(plan.delay_cap)
+                               for c in closed.tolist()])
+        # |estimate - closed| / std_error; 0 for an exact hit with no spread,
+        # absent with no closed form or for a miss with no spread
+        with np.errstate(all="ignore"):
+            diff = np.abs(mean - closed)
+            z = np.where(std_error > 0, diff / std_error, np.where(diff == 0, 0.0, np.nan))
+        at = at.tolist()
+        values = ([target] * len(at),
+                  *([table[f][i] for i in at] for f in ("transmitter", "receiver")),
+                  *map(_finite_column, (closed, mean, std_error, z)),
+                  [None] * len(at) if censored is None else censored.tolist())
+        for f, v in zip(_RESULT_FIELDS, values):
+            columns[f] += v
     header = {"mode": cfg.mode, "replications": plan.replications, "seed": plan.seed,
               "workers": cfg.workers if workers is None else workers}
     _emit_table(header, "results", columns, output, fmt)

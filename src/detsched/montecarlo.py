@@ -3,14 +3,16 @@
 Every replication draws one scheduled set and a fading matrix, then checks
 the SINR of each link directly, with no reuse of the closed-form
 machinery.  Links are the rows of the geometry's link table (transmitter,
-receiver slot, silent node); one SINR test serves both modes, a txrx
-link's receiving node being the slot's silent node, which must not
-transmit.  A run's coverage and delay estimates read one ``_Arena``, whose
-distances, path losses, deafening entries and links with a signal come
-from the ``propagation._channel_table`` its caller passes, the table the
-closed forms and the CLI's config check read, so all test SINR against the
-same numbers, and a path loss the scalar ``path_loss`` cannot evaluate
-fails here with its error.  Replication r always uses substream(seed, r)
+receiver slot, silent node), which an ``_Arena`` holds as one array; one
+SINR test serves both modes, a txrx link's receiving node being the slot's
+silent node, which must not transmit.  A run's coverage and delay
+estimates read one arena, whose distances, path losses, deafening entries
+and links with a signal come from the ``propagation._channel_table`` its
+caller passes, the table the closed forms and the CLI's config check read,
+so all test SINR against the same numbers, and a path loss the scalar
+``path_loss`` cannot evaluate fails here with its error.  The estimators
+return columns in the arena's row order; only the public simulators build
+Estimate objects, keyed by link.  Replication r always uses substream(seed, r)
 and consumes it in a fixed order (scheduling draw, then the n-by-n fading
 block, row major; delay replications repeat that per slot), so results
 depend on the seed alone.  The ``workers`` arguments are accepted for
@@ -120,12 +122,11 @@ class _Arena:
     ``loss`` is the given channel table's path loss from each node to each
     receiver slot, zero where the node deafens the slot; ``deafening`` is the
     table's deafening entries as 1.0, else 0.0, so a float matmul of the
-    masks counts each slot's deafeners exactly.  ``keys``, ``tx`` and ``rx``
-    list the links whose success is tested, set once: the links of the
-    geometry's table with a signal, or those ``track`` or ``_keep`` keep in
-    a new arena; an int per dedicated link, a (tx, rx) tuple per txrx link.
-    ``params`` is the channel, its fading mean and noise scaled where
-    received powers would pass the doubles.
+    masks counts each slot's deafeners exactly.  ``links`` holds the
+    link-table rows whose success is tested, set once: the rows of the
+    geometry's table with a signal, in table order, or those ``track`` or
+    ``_keep`` keep in a new arena.  ``params`` is the channel, its fading
+    mean and noise scaled where received powers would pass the doubles.
     """
 
     def __init__(self, geometry: NetworkGeometry, K, params: PropagationParams,
@@ -153,31 +154,31 @@ class _Arena:
                              noise=math.ldexp(params.noise, 1020 - top))
         self.params = params
         self.deafening = channel.deafening.astype(float)
-        self.tx, self.rx = tx[defined], rx[defined]
-        self.keys = _link_keys(links[defined])
+        self.links = links[defined]
 
     def track(self, geometry: NetworkGeometry, links) -> "_Arena":
-        """A new arena of the links ``links`` name, in that order.  A reference
-        ``geometry.link`` rejects, and a link outside ``self.keys``, raise BadArgument."""
-        where = {key: k for k, key in enumerate(self.keys)}
+        """A new arena of the links ``links`` name, in that order, out of this
+        arena, whose rows are in link-table order.  A reference
+        ``geometry.link`` rejects, and a link outside this arena, raise BadArgument."""
+        # the table is transmitter-major, so a row's tx * n + rx sorts as it does
+        codes = self.links[:, 0] * self.n + self.links[:, 1]
         picked = []
         for link in links:
             try:
-                row = (geometry.link(*link) if isinstance(link, tuple) and len(link) == 2
-                       else geometry.link(link))
+                t, r, _ = (geometry.link(*link) if isinstance(link, tuple) and len(link) == 2
+                           else geometry.link(link))
             except (BadArgument, SameNode) as e:
                 raise BadArgument(f"delay target {link!r}: {e}") from None
-            [key] = _link_keys(np.array([row]))
-            if key not in where:
+            k = int(np.searchsorted(codes, t * self.n + r))
+            if k == len(codes) or codes[k] != t * self.n + r:
                 raise BadArgument(f"delay target {link!r} is not a link with a defined signal")
-            picked.append(where[key])
+            picked.append(k)
         return self._keep(picked)
 
     def _keep(self, picked) -> "_Arena":
         """This arena's links at positions ``picked``, in that order, as a new arena."""
         kept = object.__new__(_Arena)
-        vars(kept).update(vars(self), tx=self.tx[picked], rx=self.rx[picked],
-                          keys=[self.keys[k] for k in picked])
+        vars(kept).update(vars(self), links=self.links[picked])
         return kept
 
     def doomed(self) -> np.ndarray:
@@ -190,31 +191,32 @@ class _Arena:
         never = ~self.vecs[:, self.mu > 0].any(axis=1)
         always = ~self.vecs[:, self.mu < 1].any(axis=1)
         deafened = self.deafening[always].any(axis=0)
-        return (self.loss[self.tx, self.rx] == 0) | never[self.tx] | deafened[self.rx]
+        tx, rx, _ = self.links.T
+        return (self.loss[tx, rx] == 0) | never[tx] | deafened[rx]
 
     def success(self, mask, fading) -> np.ndarray:
         """(..., links) success indicators for masks (..., n) and fading
         (..., n, n): the transmitter is scheduled, the receiver slot is not
         deafened, and the signal clears the threshold over noise plus every
         other scheduled node's power at the slot."""
-        p = self.params
+        p, tx, rx = self.params, self.links[:, 0], self.links[:, 1]
         # scheduled nodes' powers, else 0, node-major: summing whole planes in
         # node order is np.where(mask, fading * loss, 0).sum(axis=-2) bit for
         # bit, faster (a link whose transmitter is off fails regardless)
         scheduled = np.zeros((self.n, *mask.shape[:-1], self.n))
         power = scheduled.transpose(*range(1, mask.ndim), 0, mask.ndim)
         np.multiply(fading, self.loss, out=power, where=mask[..., :, None])
-        signal = power[..., self.tx, self.rx]
+        signal = power[..., tx, rx]
         # threshold * (noise + interference), in place: fewer large temporaries
-        bound = scheduled.sum(axis=0)[..., self.rx]
+        bound = scheduled.sum(axis=0)[..., rx]
         bound -= signal
         bound += p.noise
         # a bound past the doubles is inf, which no signal clears
         with np.errstate(over="ignore"):
             bound *= p.threshold
         ok = signal > bound
-        ok &= mask[..., self.tx]
-        ok &= ~(mask @ self.deafening > 0)[..., self.rx]
+        ok &= mask[..., tx]
+        ok &= ~(mask @ self.deafening > 0)[..., rx]
         return ok
 
     def block_counts(self, seed: int, reps: range) -> np.ndarray:
@@ -248,7 +250,7 @@ def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
     where censored, and each link's count of censored replications.  Each
     slot, every live row of a block draws its scheduled set and fills its
     fading row from its own substream; one SINR test judges the stack."""
-    n, links = arena.n, len(arena.keys)
+    n, links = arena.n, len(arena.links)
     # the draw is read from the module per call, so one swapped in there
     # sees every slot
     draw, mu, vecs = _sampling.draw_mask, arena.mu, arena.vecs
@@ -281,44 +283,46 @@ def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
     return delays, censored
 
 
-def _bernoulli_estimates(successes: np.ndarray, reps: int) -> list:
-    """One Estimate per success count out of ``reps``: the rate p and its
-    standard error sqrt(reps p (1 - p) / (reps - 1)) / sqrt(reps), 0 for
-    one replication."""
-    p = successes / reps
+def _coverage_estimates(arena: _Arena, plan: SimulationPlan) -> tuple:
+    """(mean, std_error) arrays over the links of ``arena``, in its order:
+    each link's success rate p over the replications and its standard error
+    sqrt(reps p (1 - p) / (reps - 1)) / sqrt(reps), 0 for one replication."""
+    reps = plan.replications
+    p = arena.block_counts(plan.seed, range(reps)) / reps
     if reps > 1:
         std = np.sqrt(np.maximum(reps * p * (1.0 - p), 0.0) / (reps - 1))
     else:
         std = np.zeros_like(p)
-    se = std / math.sqrt(reps)
+    return p, std / math.sqrt(reps)
+
+
+def _estimates(mean: np.ndarray, std_error: np.ndarray, reps: int) -> list:
+    """One Estimate per entry of the ``_coverage_estimates`` arrays."""
     # filling each instance dict gives the same Estimate as the frozen
     # __init__, without its object.__setattr__ per field, in half the time
-    out = list(map(object.__new__, repeat(Estimate, len(p))))
-    for fields, mean, err in zip(map(vars, out), p.tolist(), se.tolist()):
-        fields["mean"], fields["std_error"], fields["replications"] = mean, err, reps
+    out = list(map(object.__new__, repeat(Estimate, len(mean))))
+    for fields, m, err in zip(map(vars, out), mean.tolist(), std_error.tolist()):
+        fields["mean"], fields["std_error"], fields["replications"] = m, err, reps
     return out
 
 
-def _coverage_estimates(arena: _Arena, plan: SimulationPlan) -> dict:
-    """{link key: Estimate} for every link of ``arena``."""
-    counts = arena.block_counts(plan.seed, range(plan.replications))
-    return dict(zip(arena.keys, _bernoulli_estimates(counts, plan.replications)))
-
-
-def _delay_estimates(arena: _Arena, plan: SimulationPlan) -> dict:
-    """{link key: DelayEstimate} for every link of ``arena``: played, or at the cap if doomed."""
+def _delay_estimates(arena: _Arena, plan: SimulationPlan) -> tuple:
+    """(mean, std_error, censored) arrays over the links of ``arena``, in its
+    order: the played links' first-success slots, and the cap in every
+    replication for each doomed one."""
     reps, cap = plan.replications, plan.delay_cap
-    played = arena._keep(np.flatnonzero(~arena.doomed()).tolist())
-    delays, censored = _first_successes(played, plan.seed, reps, cap)
-    at_cap = DelayEstimate(float(cap) if cap <= sys.float_info.max else math.inf, 0.0, reps, reps)
-    out = dict.fromkeys(arena.keys, at_cap)
-    for key, column, c in zip(played.keys, delays.T, censored.tolist()):
-        std = float(column.astype(float).std(ddof=1)) if reps > 1 else 0.0
-        # the exact integer sum: a float sum rounds once it passes 2**53
-        mean = sum(column.tolist()) / reps
-        out[key] = DelayEstimate(mean=mean, std_error=std / math.sqrt(reps),
-                                 replications=reps, censored=c)
-    return out
+    played = np.flatnonzero(~arena.doomed())
+    delays, censored_played = _first_successes(arena._keep(played), plan.seed, reps, cap)
+    mean = np.full(len(arena.links), float(cap) if cap <= sys.float_info.max else math.inf)
+    std_error = np.zeros(len(arena.links))
+    censored = np.full(len(arena.links), reps)
+    # the exact integer sums: a float sum rounds once it passes 2**53
+    mean[played] = [total / reps for total in delays.sum(axis=0).tolist()]
+    if reps > 1:
+        std_error[played] = [column.astype(float).std(ddof=1) for column in delays.T]
+        std_error /= math.sqrt(reps)
+    censored[played] = censored_played
+    return mean, std_error, censored
 
 
 def simulate_pair_coverage(
@@ -334,7 +338,7 @@ def simulate_pair_coverage(
     results nor the work done.
     """
     arena = _Arena(geometry, L, params, _channel_table(geometry, params.pathloss), "pairs")
-    return list(_coverage_estimates(arena, plan).values())
+    return _estimates(*_coverage_estimates(arena, plan), plan.replications)
 
 
 def simulate_txrx(
@@ -351,7 +355,8 @@ def simulate_txrx(
     results nor the work done.
     """
     arena = _Arena(geometry, L, params, _channel_table(geometry, params.pathloss), "txrx")
-    return _coverage_estimates(arena, plan)
+    estimates = _estimates(*_coverage_estimates(arena, plan), plan.replications)
+    return dict(zip(_link_keys(arena.links), estimates))
 
 
 def simulate_local_delay(
@@ -375,6 +380,8 @@ def simulate_local_delay(
     results nor the work done.
     """
     arena = _Arena(geometry, L, params, _channel_table(geometry, params.pathloss))
-    if links is not None and not (arena := arena.track(geometry, links)).keys:
+    if links is not None and not len((arena := arena.track(geometry, links)).links):
         raise BadArgument("empty target list for the delay simulation")
-    return _delay_estimates(arena, plan)
+    mean, std_error, censored = (v.tolist() for v in _delay_estimates(arena, plan))
+    return {key: DelayEstimate(m, e, plan.replications, c)
+            for key, m, e, c in zip(_link_keys(arena.links), mean, std_error, censored)}

@@ -521,13 +521,13 @@ def local_delay_loops(arena, seed, reps, cap):
     from detsched import _sampling
     from detsched.rng import exponential_fading, substream
 
-    targets = arena.keys
+    links = len(arena.links)
     rows = []
-    censored = [0] * len(targets)
+    censored = [0] * links
     for r in range(reps):
         rng = substream(seed, r)
-        row = [cap] * len(targets)
-        waiting = list(range(len(targets)))
+        row = [cap] * links
+        waiting = list(range(links))
         slot = 0
         while waiting and slot < cap:
             slot += 1
@@ -544,7 +544,7 @@ def local_delay_loops(arena, seed, reps, cap):
         for t in waiting:
             censored[t] += 1
         rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(reps, len(targets)), np.array(censored)
+    return np.array(rows, dtype=np.int64).reshape(reps, links), np.array(censored)
 
 
 def fraction_det(m):
@@ -605,18 +605,14 @@ def fraction_pmf(K):
     return out
 
 
-def fraction_link(pmf, transmitters, receiver, t, s, theta, table=None, noise=0,
-                  fading_mean=1):
-    """Exact (selection probability, conditional coverage) of the link from
-    transmitter t to the point ``receiver`` with silent node s (-1 for
-    none), from an exact pmf and rational coordinates, under fading of mean
-    ``fading_mean`` and the path loss r^-4 (1 / (dx^2 + dy^2)^2, exact) or
-    the piecewise-linear ``table`` (radii, values): the sums over the
-    subsets S with t in S and s not in S of P(Phi = S), and of P(Phi = S)
-    times the product over j in S, j != t, of 1 / (1 + theta l_j / l_t),
-    that one times the noise discount exp(-theta noise / (fading_mean l_t)).
-    A table's distances, its interpolation and the discount's exp are
-    decimals of 50 digits, far below the doubles' rounding."""
+def _link_factors(transmitters, receiver, t, s, theta, table, noise, fading_mean):
+    """(h, w) of the link from transmitter t to the point ``receiver`` with
+    silent node s: per node z other than t and s (None at those) its
+    interferer discount h_z = 1 / (1 + theta l_z / l_t), and the noise
+    discount w = exp(-theta noise / (fading_mean l_t)), under the path loss
+    r^-4 (1 / (dx^2 + dy^2)^2, exact) or the piecewise-linear ``table``
+    (radii, values).  A table's distances, its interpolation and the
+    discount's exp are decimals of 50 digits, far below the doubles' rounding."""
     def dec(x):
         x = Fraction(x)
         return Decimal(x.numerator) / Decimal(x.denominator)
@@ -637,6 +633,19 @@ def fraction_link(pmf, transmitters, receiver, t, s, theta, table=None, noise=0,
         h = [1 / (1 + theta * loss(z) / lt) if z not in (t, s) else None
              for z in range(len(transmitters))]
         w = Fraction((-dec(theta * Fraction(noise) / (Fraction(fading_mean) * lt))).exp())
+    return h, w
+
+
+def fraction_link(pmf, transmitters, receiver, t, s, theta, table=None, noise=0,
+                  fading_mean=1):
+    """Exact (selection probability, conditional coverage) of the link from
+    transmitter t to the point ``receiver`` with silent node s (-1 for
+    none), from an exact pmf and rational coordinates, under fading of mean
+    ``fading_mean`` and the path loss of ``_link_factors``: the sums over
+    the subsets S with t in S and s not in S of P(Phi = S), and of
+    P(Phi = S) times the product over j in S, j != t, of h_j, that one
+    times the noise discount w."""
+    h, w = _link_factors(transmitters, receiver, t, s, theta, table, noise, fading_mean)
     sel = joint = Fraction(0)
     for S, p in pmf.items():
         if t not in S or s in S:
@@ -648,3 +657,26 @@ def fraction_link(pmf, transmitters, receiver, t, s, theta, table=None, noise=0,
         sel += p
         joint += p * prod
     return sel, w * joint / sel
+
+
+def fraction_link_det(K, transmitters, receiver, t, s, theta, table=None, noise=0,
+                      fading_mean=1):
+    """``fraction_link`` from an exact marginal kernel K (a matrix of
+    Fractions) in polynomial time, four determinants per link: for per-node
+    factors f, E[prod over j in Phi of f_j] = det(I - K diag(1 - f)).  With
+    f_s = 0, that at f_t = 1 less that at f_t = 0 is E[1{t in Phi}
+    1{s not in Phi} prod over j in Phi, j != t, of f_j]: the joint sum with
+    every other f_j = h_j, the selection probability with every other f_j = 1."""
+    h, w = _link_factors(transmitters, receiver, t, s, theta, table, noise, fading_mean)
+    n = len(K)
+
+    def marked(f):
+        dets = []
+        for ft in (1, 0):
+            g = [0 if z == s else ft if z == t else f[z] for z in range(n)]
+            dets.append(fraction_det([[int(i == j) - K[i][j] * (1 - g[j]) for j in range(n)]
+                                      for i in range(n)]))
+        return dets[0] - dets[1]
+
+    sel = marked([1] * n)
+    return sel, w * marked(h) / sel

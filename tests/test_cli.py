@@ -1497,6 +1497,74 @@ def test_cli_rows_are_the_library_rows(tmp_path, capsys, monkeypatch):
                     "clamped", "error"}
 
 
+def _simulated_rows(doc):
+    """The simulate rows of the config ``doc``, built from the public
+    simulators and ``full_report``: coverage rows, then delay rows, each
+    in link-table order; a non-finite number None."""
+    cfg = cli.parse_config_dict(doc)
+    geo, K, params, plan = cfg.geometry, cfg.K, cfg.params, cfg.plan
+    closed = {(lr.transmitter, lr.receiver): lr.coverage
+              for lr in ds.full_report(geo, K, params).links}
+    runs = []
+    if "coverage" in cfg.targets:
+        cov = (dict(enumerate(ds.simulate_pair_coverage(geo, K, params, plan)))
+               if geo.mode == "pairs" else ds.simulate_txrx(geo, K, params, plan))
+        runs.append(("coverage", cov))
+    links = [t[1] for t in cfg.targets if isinstance(t, tuple)]
+    if "delay" in cfg.targets or links:
+        links = None if "delay" in cfg.targets else links
+        runs.append(("delay", ds.simulate_local_delay(geo, K, params, plan, links=links)))
+
+    def finite(v):
+        return v if v is None or math.isfinite(v) else None
+
+    rows = []
+    for target, estimates in runs:
+        for key, est in sorted(estimates.items()):
+            tx, rx = key if geo.mode == "txrx" else (key, None)
+            c = closed[tx, rx]
+            if target == "delay" and c is not None:
+                c = ds.local_delay(c).capped_mean(plan.delay_cap)
+            z = None
+            if c is not None:
+                diff = abs(est.mean - c)
+                z = diff / est.std_error if est.std_error > 0 else 0.0 if diff == 0 else None
+            rows.append({"target": target, "transmitter": tx, "receiver": rx,
+                         "closed_form": finite(c), "estimate": finite(est.mean),
+                         "std_error": finite(est.std_error), "z_score": finite(z),
+                         "censored": est.censored if target == "delay" else None})
+    return rows
+
+
+def test_simulate_rows_are_the_simulators_estimates(tmp_path, capsys):
+    # each JSON and CSV row of simulate is the public simulator's estimate
+    # of its link, field for field, beside full_report's coverage or its
+    # capped delay mean: on the reports of _cli_docs and, per mode, on
+    # coverage alone, every link's delay, coverage beside one link, one
+    # link named twice (one row) and every link's delay beside one link
+    docs = [doc for command, doc in _cli_docs() if command == "simulate"]
+    for mode in ("pairs", "txrx"):
+        link = _typed_config(mode)["simulate"]["targets"][1]
+        for targets in (["coverage"], ["delay"], ["coverage", link], [link, link],
+                        ["delay", link]):
+            doc = _typed_config(mode)
+            doc["simulate"]["targets"] = targets
+            docs.append(doc)
+    seen = set()
+    for i, doc in enumerate(docs):
+        want = _simulated_rows(doc)
+        path = _write(tmp_path, doc, f"c{i}.json")
+        assert cli.main(["simulate", path]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == want
+        assert cli.main(["simulate", path, "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [list(cli._RESULT_FIELDS)] + [[_csv_text(v) for v in r.values()]
+                                                         for r in want]
+        seen |= {r["target"] for r in want} | {"censored" for r in want if r["censored"]}
+        seen |= {"null z" for r in want if r["z_score"] is None}
+    assert seen == {"coverage", "delay", "censored", "null z"}
+
+
 # ---------------------------------------------------------------------------
 # validate predicts the other commands
 

@@ -3,6 +3,7 @@ import decimal
 import hashlib
 import math
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from _oracles import (
     conditional_raw_loops,
     conditional_raw_semi_reduced,
     fraction_link,
+    fraction_link_det,
     fraction_marginal_kernel,
     fraction_pmf,
     link_report_loops,
@@ -1052,6 +1054,71 @@ def test_full_report_against_exact_arithmetic_with_tables_and_noise():
         for mode in ("pairs", "txrx"):
             instance = _rational_instance(mode, 4 + seed % 3, 200 + seed)
             assert all(lr.flags == () for _, _, lr, _ in _exact_rows(*instance, params))
+
+
+def test_determinant_oracle_equals_subset_sum_oracle():
+    # fraction_link_det's four determinants give exactly the subset sums of
+    # fraction_link on every link: n 4 to 6 in both modes, under r^-4 loss
+    # and under a dyadic table with noise and a fading mean other than 1,
+    # with a transmitter scheduled with probability near 1e-9 and a loud node
+    table = ([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0], [4.0, 3.0, 1.5, 0.75, 0.5, 0.25, 0.0625])
+    channels = [(None, 0, 1), (table, Fraction(1, 8), Fraction(3, 2))]
+    cases = [(mode, 4 + seed % 3, seed, tiny, loud) for mode in ("pairs", "txrx")
+             for seed, tiny, loud in ((0, None, None), (1, 2, None), (2, None, (1, 1000)))]
+    for mode, n, seed, tiny, loud in cases:
+        geo, K, tx, receivers, exact = _rational_instance(mode, n, seed, tiny, loud, distinct=True)
+        kernel = [[Fraction(x) for x in row] for row in K.matrix.tolist()]
+        for t, p, s in geo.links().tolist():
+            for args in channels:
+                want = fraction_link(exact, tx, receivers[p], t, s, Fraction(1, 2), *args)
+                assert fraction_link_det(kernel, tx, receivers[p], t, s, Fraction(1, 2),
+                                         *args) == want, (mode, seed, t, s)
+
+
+def test_full_report_against_exact_arithmetic_at_n_24():
+    # every printed value within 1e-13 of the exact one (fraction_link_det)
+    # at n = 24 in both modes, r^-4 loss on a 1/8 grid, on four links each of
+    # a generic instance and of a graded one, whose nodes near a link's
+    # receiver and far from it spread the losses it reads by more than 1e8
+    n, theta = 24, Fraction(1, 2)
+    params = ds.PropagationParams(ds.PowerLawPathLoss(1.0, 4.0), threshold=0.5)
+    t0 = time.perf_counter()
+    for mode in ("pairs", "txrx"):
+        for seed, side in ((0, 17), (1, 257)):
+            rng = np.random.default_rng(seed)
+            npts = 2 * n if mode == "pairs" else n
+            if side == 17:  # generic: points anywhere in [0, 2]^2
+                cells = rng.choice(side * side, size=npts, replace=False)
+            else:  # graded: half the points in [0, 1]^2, half anywhere in [0, 32]^2
+                near = rng.choice(9 * 9, size=npts // 2, replace=False)
+                near = near % 9 + side * (near // 9)
+                far = rng.choice(np.setdiff1d(np.arange(side * side), near),
+                                 size=npts - len(near), replace=False)
+                cells = rng.permutation(np.concatenate([near, far]))
+            pts = [[Fraction(int(c % side), 8), Fraction(int(c // side), 8)] for c in cells]
+            grid = np.array(pts, dtype=float)
+            geo = (ds.NetworkGeometry.pairs(grid[:n], grid[n:]) if mode == "pairs"
+                   else ds.NetworkGeometry.txrx(grid))
+            receivers = pts[n:] if mode == "pairs" else pts
+            K = ds.l_to_k(ds.LEnsemble.from_matrix(random_psd_l(rng, n, scale=0.6)))
+            kernel = [[Fraction(x) for x in row] for row in K.matrix.tolist()]
+            rows = geo.links()
+            spread = []
+            for (t, p, s), lr in zip(rows.tolist(), ds.full_report(geo, K, params).links):
+                if t not in (0, 5, 11, 17) or (mode == "txrx" and p != (t + 1) % n):
+                    continue
+                sel, cond = fraction_link_det(kernel, pts[:n], receivers[p], t, s, theta)
+                assert lr.flags == ()
+                for got, want in ((lr.selection_probability, sel),
+                                  (lr.conditional_coverage, cond), (lr.coverage, sel * cond),
+                                  (lr.delay_mean, 1 / (sel * cond))):
+                    assert abs(Fraction(got) - want) <= 1e-13 * want, (mode, seed, t, s)
+                d2 = ((grid[:n] - grid[n + p if mode == "pairs" else p]) ** 2).sum(axis=1)
+                spread.append(d2[np.arange(n) != s].max() / d2[np.arange(n) != s].min())
+            assert len(spread) == 4
+            # r^-4 losses: their spread is the squared spread of d^2
+            assert (max(spread) ** 2 > 1e8) == (side == 257), (mode, seed, max(spread) ** 2)
+    assert time.perf_counter() - t0 < 10.0
 
 
 @st.composite

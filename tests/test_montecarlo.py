@@ -1,13 +1,14 @@
 import math
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import detsched as ds
 from detsched import _sampling, montecarlo
-from detsched.propagation import _channel_table
+from detsched.propagation import _channel_table, _link_keys
 from detsched.rng import substream
 
 from _oracles import (
@@ -367,7 +368,7 @@ def test_delay_draws_once_per_played_slot(monkeypatch):
     for geo, L, _, two in _delay_instances():
         for cap, keys in ((montecarlo.DEFAULT_DELAY_CAP, None), (3, two)):
             arena = _arena(geo, L, params)
-            arena = arena.track(geo, arena.keys if keys is None else keys)
+            arena = arena.track(geo, _link_keys(arena.links) if keys is None else keys)
             ref, _ = local_delay_loops(arena, 5, 40, cap)
             monkeypatch.setattr(_sampling, "draw_mask", counting)
             calls[0] = 0
@@ -385,12 +386,20 @@ def test_delay_draws_once_per_played_slot(monkeypatch):
     assert calls[0] == 0
 
 
+def _bernoulli_estimates(reps):
+    """The Estimates of success counts 0 to ``reps`` out of ``reps``, as
+    ``_coverage_estimates`` and ``_estimates`` give them for an arena
+    whose links succeed that often."""
+    arena = SimpleNamespace(block_counts=lambda seed, r: np.arange(reps + 1))
+    plan = ds.SimulationPlan(reps, 0)
+    return montecarlo._estimates(*montecarlo._coverage_estimates(arena, plan), reps)
+
+
 def test_bernoulli_estimates_match_scalar_reference():
     # every success count of a few replication counts, as arrays, gives
     # exactly the scalar estimate, in Python floats
     for reps in (1, 2, 3, 10, 997):
-        counts = np.arange(reps + 1)
-        got = montecarlo._bernoulli_estimates(counts, reps)
+        got = _bernoulli_estimates(reps)
         assert got == [bernoulli_estimate(c, reps) for c in range(reps + 1)]
         assert all(type(e.mean) is float and type(e.std_error) is float for e in got)
 
@@ -403,7 +412,7 @@ def test_bernoulli_estimates_are_ordinary_estimates():
     import pickle
 
     for reps in (1, 7):
-        for got, c in zip(montecarlo._bernoulli_estimates(np.arange(reps + 1), reps), range(reps + 1)):
+        for got, c in zip(_bernoulli_estimates(reps), range(reps + 1)):
             ref = bernoulli_estimate(c, reps)
             assert type(got) is montecarlo.Estimate
             assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
@@ -484,9 +493,11 @@ def test_local_delay_links_resolve_as_geometry_link_does():
     for link in ((0, 1.0), (0, True), (0.0, 1), [0, 1], (0, 1, 1), (0, 0), (0, 4), 0):
         with pytest.raises(ds.BadArgument, match="delay target"):
             ds.simulate_local_delay(tgeo, tl, params, plan, links=[link])
-    # nodes 2 and 3 coincide: a link, but none with a defined signal
-    with pytest.raises(ds.BadArgument, match="not a link with a defined signal"):
-        ds.simulate_local_delay(tgeo, tl, params, plan, links=[(2, 3)])
+    # nodes 2 and 3 coincide: a link, but none with a defined signal; (3, 2)
+    # sorts past the last link that has one
+    for link in ((2, 3), (3, 2)):
+        with pytest.raises(ds.BadArgument, match="not a link with a defined signal"):
+            ds.simulate_local_delay(tgeo, tl, params, plan, links=[link])
 
 
 def test_overflowing_sinr_bound_is_no_success():
@@ -598,7 +609,7 @@ def test_played_delay_mean_is_the_exact_column_sum(monkeypatch):
     assert float(column.astype(float).mean()) != exact
 
     def first_successes(arena, seed, reps, cap):
-        links = len(arena.keys)
+        links = len(arena.links)
         return np.repeat(column[:, None], links, axis=1), np.zeros(links, dtype=np.int64)
 
     monkeypatch.setattr(montecarlo, "_first_successes", first_successes)
@@ -616,17 +627,18 @@ def test_arena_is_unchanged_by_track_and_by_a_delay_run():
     plan = ds.SimulationPlan(60, 8, delay_cap=7)
     for geo, L, one, two in _delay_instances():
         arena = _arena(geo, L, params)
-        keys, tx, rx = list(arena.keys), arena.tx.copy(), arena.rx.copy()
+        links = arena.links.copy()
         tracked = arena.track(geo, two)
-        assert tracked.keys == two and tracked is not arena
-        delays = montecarlo._delay_estimates(arena.track(geo, one), plan)
-        assert delays == ds.simulate_local_delay(geo, L, params, plan, links=one)
-        assert montecarlo._delay_estimates(arena, plan) == ds.simulate_local_delay(geo, L, params,
-                                                                                   plan)
-        assert arena.keys == keys and len(keys) > len(two)
-        assert np.array_equal(arena.tx, tx) and np.array_equal(arena.rx, rx)
-        assert (montecarlo._coverage_estimates(arena, plan)
-                == montecarlo._coverage_estimates(_arena(geo, L, params), plan))
+        assert _link_keys(tracked.links) == two and tracked is not arena
+        for arg, keys in ((arena.track(geo, one), one), (arena, None)):
+            got = [v.tolist() for v in montecarlo._delay_estimates(arg, plan)]
+            want = ds.simulate_local_delay(geo, L, params, plan, links=keys).values()
+            assert got == [[getattr(e, f) for e in want] for f in ("mean", "std_error",
+                                                                   "censored")]
+        assert np.array_equal(arena.links, links) and len(links) > len(two)
+        fresh = _arena(geo, L, params)
+        got, want = (montecarlo._coverage_estimates(a, plan) for a in (arena, fresh))
+        assert all(map(np.array_equal, got, want))
 
 
 def test_received_powers_past_the_doubles_scale_exactly():
@@ -675,7 +687,7 @@ def test_always_scheduled_receiver_rows_equal_the_played_reference():
     arena = _arena(geo, K, params)
     ref, ref_censored = local_delay_loops(arena, 3, 30, 5)
     out = ds.simulate_local_delay(geo, K, params, ds.SimulationPlan(30, 3, delay_cap=5))
-    assert list(out) == arena.keys
+    assert list(out) == _link_keys(arena.links)
     for t, (key, est) in enumerate(out.items()):
         vals = ref[:, t].astype(float)
         std_error = float(vals.std(ddof=1)) / math.sqrt(30)
