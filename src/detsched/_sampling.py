@@ -9,16 +9,14 @@ squared residual norm of every row, picks the first row whose cumulative mass
 exceeds u * total (so a zero-mass row is never picked), and projects the
 picked row out of the rest.
 
-Single draws (``draw_mask``) and blocks of draws (``select_block``) run the
-same selection in two array shapes: the block form pays numpy's per-call
-overhead once per step for the whole block, the single form avoids the
-block's padding and per-block set-up, which cost more than they save for one
-draw.  Both consume the uniforms identically.  The block form stores the
-Gram-Schmidt vectors step-major, (draw, step, point), so a draw's first t
-steps are one contiguous prefix and both projections of a step are
-``np.matmul`` over the stack of draws; a step's update runs only for the
-draws that select again (``live[t + 1]``), since a draw whose last pick is
-step t never reads it.
+Single draws (``draw_mask``) and blocks of draws (``select_block``) pick the
+same points from the same uniforms, summing in different orders.  The block
+form pays numpy's per-call overhead once per step for the whole block and
+copies no eigenvectors per draw: a step's first projection is one product of
+the live draws' coin-weighted picked rows with the shared ``vecs``.  Its
+Gram-Schmidt vectors are stored (draw, step, point), so the second projection
+is ``np.matmul`` over the draws' contiguous prefixes of steps, and a step's
+update runs only for the draws that select again (``live[t + 1]``).
 """
 
 import math
@@ -92,14 +90,13 @@ def draw_mask(mu: np.ndarray, vecs: np.ndarray, rng) -> np.ndarray:
 def select_block(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Phase 2 of R draws at once, as an (R, n) boolean mask.
 
-    ``sel`` is the (R, n) phase-1 outcome (which eigenvectors each draw
-    kept) and draw r is driven by ``u[r, :k_r]`` for its k_r kept
-    eigenvectors, exactly as ``draw_mask`` would be.  Dropped eigenvectors
-    are zeroed rather than removed, so every draw is an (n, n) slice of one
-    stack whose shape, and so whose arithmetic, does not depend on the other
-    draws in the block.  Draws are processed in decreasing k so the ones
-    still selecting at step t are a leading slice.  ``C[r, t]`` is draw r's
-    Gram-Schmidt vector of step t over the n points.
+    ``sel`` is the (R, n) phase-1 outcome and draw r is driven by
+    ``u[r, :k_r]`` for its k_r kept eigenvectors, picking what ``draw_mask``
+    would.  With S the coins as floats draw r keeps ``vecs * S[r]``, so the
+    norms start at ``S @ (vecs * vecs).T`` and a step's first projection is
+    ``(vecs[x] * S[:m]) @ vecs.T`` for all m live draws: the draws run in
+    decreasing k, so the live ones are a leading slice.  ``C[r, t]`` is draw
+    r's step-t Gram-Schmidt vector.
     """
     R, n = sel.shape
     # 0/1 rows counted by matmuls: faster than reductions over n when rows
@@ -111,28 +108,31 @@ def select_block(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray
     live = np.searchsorted(-k[order], -np.arange(kmax + 1), side="left").tolist()  # draws with k > t
     order = order[:live[0]]  # the draws that select at all
     u = u.take(order, axis=0)
-    V = vecs * sel.take(order, axis=0)[:, None, :]
-    norms = (V * V).sum(axis=2)
+    S = sel.take(order, axis=0).astype(float)
+    norms = S @ (vecs * vecs).T
     # a draw reads only the vectors of its own earlier steps
     C = np.empty((len(order), kmax, n))
     mask = np.zeros((R, n), dtype=bool)
     rows = np.arange(len(order))
+    flat, base = norms.reshape(-1), rows * n  # norms[r, x] is flat[base[r] + x]
     for t in range(kmax):
         m = live[t]
-        cum = np.cumsum(norms[:m], axis=1)
+        cum = norms[:m].cumsum(axis=1)
         x = (cum <= u[:m, t:t + 1] * cum[:, -1:]) @ ones
         mask[order[:m], x] = True
         # only the draws that select again read this step's update
         m = live[t + 1]
         if not m:
             break
-        r, x = rows[:m], x[:m]
-        c = np.matmul(V[:m], V[r, x][:, :, None])[:, :, 0]
+        x = x[:m]
+        i = base[:m] + x
+        c = (vecs.take(x, axis=0) * S[:m]) @ vecs.T
         if t:
-            c -= np.matmul(C[r, None, :t, x], C[:m, :t])[:, 0]
-        c /= np.sqrt(norms[r, x])[:, None]
+            c -= np.matmul(C[rows[:m], None, :t, x], C[:m, :t])[:, 0]
+        c /= np.sqrt(flat.take(i))[:, None]
         C[:m, t] = c
-        norms[:m] -= c * c
-        norms[r, x] = 0.0
-        np.maximum(norms[:m], 0.0, out=norms[:m])
+        live_norms = norms[:m]
+        live_norms -= c * c
+        np.maximum(live_norms, _ZERO, out=live_norms)
+        flat[i] = 0.0
     return mask

@@ -585,6 +585,17 @@ class _Uniforms:
         return block
 
 
+def _zero_mass_basis(rng, n):
+    """An orthonormal basis whose rows outside a random live set carry mass
+    only on eigenvectors m..n-1, and the live count m."""
+    m = int(rng.integers(1, n))
+    live = rng.permutation(n)[:m]
+    vecs = np.zeros((n, n))
+    vecs[np.ix_(live, range(m))] = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    vecs[np.ix_(np.setdiff1d(np.arange(n), live), range(m, n))] = np.eye(n - m)
+    return vecs, m
+
+
 def test_sampler_selections_match_loop_reference():
     # single-draw and block selections pick exactly the reference's points
     # from the same uniforms, and a draw's picks do not depend on its block;
@@ -592,14 +603,8 @@ def test_sampler_selections_match_loop_reference():
     rng = np.random.default_rng(2024)
     for case, n in enumerate([*range(1, 13)] * 25 + [16, 20, 24, 28, 32, 36, 40] * 2):
         if case % 3 == 2 and n > 1:
-            # rows outside ``live`` carry mass only on eigenvectors m..n-1,
-            # which no draw keeps
-            m = int(rng.integers(1, n))
-            live = rng.permutation(n)[:m]
-            dead = np.setdiff1d(np.arange(n), live)
-            vecs = np.zeros((n, n))
-            vecs[np.ix_(live, range(m))] = np.linalg.qr(rng.normal(size=(m, m)))[0]
-            vecs[np.ix_(dead, range(m, n))] = np.eye(n - m)
+            # no draw keeps eigenvectors m..n-1, so the dead rows carry no mass
+            vecs, m = _zero_mass_basis(rng, n)
         else:
             m, vecs = n, np.linalg.qr(rng.normal(size=(n, n)))[0]
         sel = rng.random((6, n)) < rng.uniform(0.2, 0.9)
@@ -625,6 +630,56 @@ def test_sampler_selections_match_loop_reference():
             stream = _Uniforms(np.where(sel[r], 0.25, 0.75), *([u[r, :k]] if k else []))
             np.testing.assert_array_equal(_sampling.draw_mask(np.full(n, 0.5), vecs, stream), ref)
             assert not stream.blocks
+
+
+@pytest.mark.parametrize("basis", ["random", "gaussian", "zero mass"])
+def test_block_selection_does_not_depend_on_position_or_block_size(basis):
+    # one product per step runs across every live draw of a block, so pin
+    # that a draw's picks depend only on its own coins and uniforms: each row
+    # of blocks of 1 to 1092 draws (50 at n = 100), drawn with repeats from a
+    # pool of distinct rows that includes k = 0 and k = n, picks what its
+    # one-row block, _select on its kept eigenvectors and phase2_loops pick
+    rng = np.random.default_rng([2025, ["random", "gaussian", "zero mass"].index(basis)])
+    for n in (4, 10, 30, 100):
+        m = n
+        if basis == "random":
+            vecs = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        elif basis == "gaussian":
+            pts = rng.uniform(0.0, math.sqrt(n), size=(n, 2))
+            vecs = np.linalg.eigh(ds.build_L(ds.GaussianSpec(sigma=0.7), pts).matrix)[1]
+        else:
+            vecs, m = _zero_mass_basis(rng, n)
+        # the phase2_loops reference costs O(n k^3) in Python: keep k small
+        # at large n
+        pool, low, high = {4: (64, 0.2, 0.9), 10: (64, 0.2, 0.9), 30: (24, 0.05, 0.3),
+                           100: (10, 0.02, 0.08)}[n]
+        sel = rng.random((pool, n)) < rng.uniform(low, high, (pool, 1))
+        sel[:, m:] = False
+        sel[0], sel[1] = False, True
+        u = rng.random((pool, n))
+        edge = rng.random((pool, n))
+        u[edge < 0.15] = 0.0
+        u[edge > 0.85] = 1.0 - 2.0 ** -53
+        want = np.zeros((pool, n), dtype=bool)
+        for r in range(pool):
+            k = int(sel[r].sum())
+            if k == n and n >= 30:
+                # all eigenvectors kept: the projection kernel is the
+                # identity and every point is picked (phase2_loops would
+                # take seconds here; it agrees at n = 4 and 10)
+                want[r] = True
+            elif k:
+                want[r, phase2_loops(vecs[:, sel[r]].copy(), u[r, :k])] = True
+            assert want[r].sum() == k
+            one = np.zeros(n, dtype=bool)
+            one[_sampling._select(vecs[:, sel[r]], u[r, :k].tolist())] = True
+            np.testing.assert_array_equal(one, want[r])
+            alone = _sampling.select_block(vecs, sel[r:r + 1], u[r:r + 1])[0]
+            np.testing.assert_array_equal(alone, want[r])
+        for R in (1, 7, 136, 1092) if n < 100 else (1, 7, 50):
+            rows = rng.integers(pool, size=R)
+            block = _sampling.select_block(vecs, sel[rows], u[rows])
+            np.testing.assert_array_equal(block, want[rows])
 
 
 def test_sampler_never_selects_zero_mass_row():
