@@ -38,7 +38,8 @@ path.  Delay targets may name a single link: ["delay", 2] in pairs mode,
 ["delay", [0, 1]] in txrx mode; a bare "delay" names every link.
 
 Subcommands: coverage | simulate | sample | validate, each taking the
-config path plus --format {json,csv}, --output PATH, and --echo-config.
+config path plus --output PATH and --echo-config, and all but sample
+--format {json,csv}.
 Exit codes: 0 success, 1 validation failure, 2 I/O or document parse
 failure, 3 computation error.  Identical invocations produce byte-identical
 output; non-finite numbers serialize as null (JSON) / empty (CSV), with an
@@ -620,21 +621,20 @@ def cmd_sample(
     return 0
 
 
-def _kernel_metrics(cfg_or_doc) -> Optional[dict]:
-    if isinstance(cfg_or_doc, RunConfig):
-        report = validate_kernel(cfg_or_doc.K.matrix)
+def _kernel_metrics(cfg: Optional[RunConfig], doc) -> Optional[dict]:
+    """The metrics of the built kernel; for a config that fails, those of
+    its explicit_K matrix as the schema reads it, and None for any other."""
+    if cfg is not None:
+        matrix = cfg.K.matrix
     else:
-        kernel = cfg_or_doc.get("kernel") if isinstance(cfg_or_doc, dict) else None
-        if not isinstance(kernel, dict) or kernel.get("type") != "explicit_K":
+        spec = _parse_typed(doc, "kernel", []) if isinstance(doc, dict) else None
+        if not isinstance(spec, ExplicitMarginalSpec):
             return None
-        try:
-            report = validate_kernel(np.array(kernel["matrix"], dtype=float))
-        # no matrix, a dict, ragged rows or strings, past the doubles, not square
-        except (KeyError, TypeError, ValueError, OverflowError, DetschedError):
-            return None
-    # a metric past the doubles prints as null (JSON) or empty (CSV)
+        matrix = spec.matrix
+    # a metric past the doubles, or NaN where the eigensolver fails, prints
+    # as null (JSON) or empty (CSV)
     return {key: None if isinstance(v, float) and not math.isfinite(v) else v
-            for key, v in asdict(report).items()}
+            for key, v in asdict(validate_kernel(matrix)).items()}
 
 
 def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> int:
@@ -646,7 +646,7 @@ def cmd_validate(path: str, fmt: str = "json", output: Optional[str] = None) -> 
         cfg = parse_config_dict(doc)
     except ConfigError as e:
         problems = list(e.problems)
-    kernel = _kernel_metrics(cfg if cfg is not None else doc)
+    kernel = _kernel_metrics(cfg, doc)
     report = {
         "valid": not problems,
         "problems": [{"path": p, "message": m} for p, m in problems],
@@ -686,7 +686,8 @@ def _parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", help="path to the JSON run config")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if name != "sample":  # sample prints JSON lines only
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write here instead of stdout")
         sp.add_argument("--echo-config", action="store_true",
                         help="emit the normalized config instead of running")

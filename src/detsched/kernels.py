@@ -8,8 +8,9 @@ each exact outcome up to a normalizing constant.  Both are symmetric
 matrices indexed by node id; the marginal form needs eigenvalues in [0, 1],
 the likelihood form needs them >= 0, so none at 1 in the marginal form.
 
-Conversions between the two reuse one eigendecomposition: the matrices
-share eigenvectors and the eigenvalues map through x -> x / (1 + x).
+Both carry their eigendecomposition (``eigh``) from construction, and
+conversions between the two reuse it: the matrices share eigenvectors
+and the eigenvalues map through x -> x / (1 + x).
 Sampling reads the marginal kernel's eigenpairs from either (``_spectrum``).
 """
 
@@ -36,7 +37,25 @@ EIGENVALUE_TOL = 1e-9
 NodeId = int
 
 
-def _as_square(matrix, what: str) -> np.ndarray:
+def _symmetrized(a: np.ndarray, vectors: bool) -> tuple:
+    """(the largest |a - a.T|, a symmetrized, its eigenvalues, and its
+    eigenvectors if ``vectors``, else None).  The eigenvalues are NaN where
+    the solver fails, as it may on entries near the largest double."""
+    # a difference or sum past the doubles is inf, which the callers reject
+    with np.errstate(over="ignore"):
+        defect = float(np.max(np.abs(a - a.T)))
+        a = (a + a.T) / 2.0
+    try:
+        vals, vecs = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.full(len(a), np.nan), None
+    return defect, a, vals, vecs
+
+
+def _symmetric_eigh(matrix, what: str) -> tuple:
+    """(``matrix`` as floats, symmetrized, its eigenvalues, its
+    eigenvectors).  KernelInvalid unless it is a nonempty square matrix of
+    finite entries, symmetric, with a spectrum within the doubles."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise KernelInvalid(f"{what} must be a square matrix, got shape {a.shape}")
@@ -44,25 +63,11 @@ def _as_square(matrix, what: str) -> np.ndarray:
         raise KernelInvalid(f"{what} must have at least one node")
     if not np.all(np.isfinite(a)):
         raise KernelInvalid(f"{what} contains non-finite entries")
-    return a
-
-
-def _symmetric_eigh(a: np.ndarray, what: str) -> tuple:
-    """(a symmetrized, its eigenvalues, its eigenvectors).  An asymmetric
-    ``a`` raises KernelInvalid, and so does one whose entries or spectrum
-    leave the doubles, where eigh gives NaN or fails."""
-    # a difference or sum past the doubles is inf, and fails below
-    with np.errstate(over="ignore"):
-        defect = float(np.max(np.abs(a - a.T)))
-        a = (a + a.T) / 2.0
+    defect, a, vals, vecs = _symmetrized(a, vectors=True)
     if defect > SYMMETRY_TOL:
         raise KernelInvalid(
             f"{what} is asymmetric (defect {defect:.3g} exceeds {SYMMETRY_TOL:g})"
         )
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError:
-        vals = vecs = np.array([np.nan])
     if not np.isfinite(vals).all():
         raise KernelInvalid(f"{what} has entries or eigenvalues past the largest double")
     return a, vals, vecs
@@ -121,7 +126,9 @@ class _NodeIndexed:
 
     @classmethod
     def _from_eigh(cls, matrix, node_ids, vals, vecs):
-        """Kernel on ``matrix`` with its eigendecomposition already known."""
+        """Kernel on ``matrix`` with its eigendecomposition already known.
+        Every MarginalKernel and LEnsemble is built here, and ``eigh``, its
+        (eigenvalues, eigenvectors) in ascending order, is set here alone."""
         obj = cls(_frozen(matrix), node_ids)
         obj.__dict__["eigh"] = (_frozen(vals), _frozen(vecs))
         return obj
@@ -141,7 +148,7 @@ class MarginalKernel(_NodeIndexed):
 
     @classmethod
     def from_matrix(cls, matrix, node_ids: Optional[Sequence[NodeId]] = None):
-        a, vals, vecs = _symmetric_eigh(_as_square(matrix, "marginal kernel"), "marginal kernel")
+        a, vals, vecs = _symmetric_eigh(matrix, "marginal kernel")
         lo, hi = float(vals[0]), float(vals[-1])
         if lo < -EIGENVALUE_TOL or hi > 1.0 + EIGENVALUE_TOL:
             raise KernelInvalid(
@@ -153,11 +160,6 @@ class MarginalKernel(_NodeIndexed):
             # inside tolerance but outside the unit interval: project back
             a = _from_spectrum(clipped, vecs, a)
         return cls._from_eigh(a, _resolve_ids(node_ids, a.shape[0]), clipped, vecs)
-
-    @cached_property
-    def eigh(self):
-        vals, vecs = np.linalg.eigh(self.matrix)
-        return _frozen(vals), _frozen(vecs)
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,7 @@ class LEnsemble(_NodeIndexed):
 
     @classmethod
     def from_matrix(cls, matrix, node_ids: Optional[Sequence[NodeId]] = None):
-        a, vals, vecs = _symmetric_eigh(_as_square(matrix, "likelihood kernel"),
-                                        "likelihood kernel")
+        a, vals, vecs = _symmetric_eigh(matrix, "likelihood kernel")
         lo = float(vals[0])
         if lo < -EIGENVALUE_TOL:
             raise KernelInvalid(
@@ -182,11 +183,6 @@ class LEnsemble(_NodeIndexed):
                 f"smallest eigenvalue {lo:.6g}"
             )
         return cls._from_eigh(a, _resolve_ids(node_ids, a.shape[0]), np.clip(vals, 0.0, None), vecs)
-
-    @cached_property
-    def eigh(self):
-        vals, vecs = np.linalg.eigh(self.matrix)
-        return _frozen(np.clip(vals, 0.0, None)), _frozen(vecs)
 
     @cached_property
     def normalization(self) -> float:
@@ -252,7 +248,8 @@ def validate(matrix) -> ValidationReport:
     """Check a candidate marginal kernel and report what is wrong.
 
     Never raises for structural defects; returns a report instead.  The
-    eigenvalue range is computed on the symmetrized matrix.
+    eigenvalue range is computed on the symmetrized matrix, and is NaN
+    where the eigensolver fails.
     """
     if isinstance(matrix, (MarginalKernel, LEnsemble)):
         matrix = matrix.matrix
@@ -263,13 +260,9 @@ def validate(matrix) -> ValidationReport:
     if not np.all(np.isfinite(a)):
         problems.append("matrix contains non-finite entries")
         a = np.nan_to_num(a, nan=0.0, posinf=0.0, neginf=0.0)
-    # a difference or sum past the doubles is inf
-    with np.errstate(over="ignore"):
-        defect = float(np.max(np.abs(a - a.T)))
-        sym = (a + a.T) / 2.0
+    defect, _, vals, _ = _symmetrized(a, vectors=False)
     if defect > SYMMETRY_TOL:
         problems.append(f"asymmetric: defect {defect:.6g} exceeds {SYMMETRY_TOL:g}")
-    vals = np.linalg.eigvalsh(sym)
     lo, hi = float(vals[0]), float(vals[-1])
     if not np.isfinite(vals).all():
         problems.append("eigenvalues past the largest double")
@@ -385,9 +378,7 @@ def build_L(spec: KernelSpec, geometry=None) -> LEnsemble:
     if isinstance(spec, ExplicitMarginalSpec):
         return k_to_l(MarginalKernel.from_matrix(spec.matrix))
     if isinstance(spec, AlohaSpec):
-        p = np.asarray(spec.probabilities, dtype=float)
-        if p.ndim != 1 or not np.all((p >= 0) & (p <= 1)):
-            raise BadSpec("access probabilities must lie in [0, 1]")
+        p = np.diag(build_K(spec).matrix)  # the probabilities, checked there
         if np.any(p > 1.0 - EIGENVALUE_TOL):
             raise NotLRepresentable("access probability at 1 has no likelihood form")
         return LEnsemble.from_matrix(np.diag(p / (1.0 - p)))

@@ -48,7 +48,7 @@ from .errors import BadArgument, SameNode, SingularDistance
 from .kernels import LEnsemble, MarginalKernel, _spectrum
 from .propagation import (NetworkGeometry, PropagationParams, _bounded, _Channel,
                           _channel_table, _check_bounds, _link_keys, _require, path_loss)
-from .rng import _advance, _fill, _pcg64_states, substream
+from .rng import _advance, _fill, _pcg64_states, _to_fading, substream
 
 DEFAULT_DELAY_CAP = 1_000_000
 
@@ -240,7 +240,7 @@ class _Arena:
             r, i = np.nonzero(mask)
             u = _fill(tuple(w[r] for w in after), tuple(w[r] for w in inc), n, i)
             fading = np.zeros((len(mask), n, n))
-            fading[r, i] = np.log1p(np.negative(u, out=u), out=u) * -self.params.fading_mean
+            fading[r, i] = _to_fading(u, self.params.fading_mean)
             counts = counts + np.ones(len(mask)) @ self.success(mask, fading)
         return counts
 
@@ -269,10 +269,7 @@ def _first_successes(arena: _Arena, seed: int, reps: int, cap: int):
             for i, g in enumerate(gens):
                 mask[i] = draw(mu, vecs, g)
                 g.random(out=u[i])
-            # -mean * log1p(-u), mapped in place
-            fading = u[:len(gens)]
-            np.log1p(np.negative(fading, out=fading), out=fading)
-            fading *= -arena.params.fading_mean
+            fading = _to_fading(u[:len(gens)], arena.params.fading_mean)
             hit = arena.success(mask[:len(gens)], fading) & waiting
             delays[rows] += waiting
             waiting &= ~hit

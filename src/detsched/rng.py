@@ -19,7 +19,7 @@ Stream contract, which cross-language reimplementations must match:
 * A coverage replication consumes its scheduling draw first, then an
   n-by-n block of uniforms, row major, mapped to fading through
   ``fading = -mean * log1p(-u)``.  It may draw further uniforms past that
-  block; they are never read.
+  block; they are never read.  ``_to_fading`` is that map, the only one.
 
 ``substream`` is the definition.  ``block_uniforms`` fills many substreams'
 leading uniforms at once, with no generator object: ``_pcg64_states``
@@ -276,12 +276,16 @@ def block_uniforms(seed: int, keys, width: int) -> np.ndarray:
     return _fill(*_pcg64_states(seed, keys), width)
 
 
-def exponential_fading(rng: np.random.Generator, mean: float, size) -> np.ndarray:
-    """Exponential fading draws via inverse transform.
+def _to_fading(u: np.ndarray, mean: float) -> np.ndarray:
+    """Map uniforms ``u`` in [0, 1) to fading in place, -mean * log1p(-u),
+    which stays finite (at most about 36.7 * mean in double precision)
+    without ever taking log of zero; returns ``u``."""
+    np.log1p(np.negative(u, out=u), out=u)
+    u *= -mean
+    return u
 
-    Uses -mean*log1p(-u) with u uniform in [0, 1), which stays finite
-    (at most about 36.7 * mean in double precision) without ever taking
-    log of zero.
-    """
-    u = rng.random(size)
-    return -mean * np.log1p(-u)
+
+def exponential_fading(rng: np.random.Generator, mean: float, size) -> np.ndarray:
+    """Exponential fading draws via inverse transform (``_to_fading``); a
+    ``size`` of None gives one numpy float, as ``rng.random`` does."""
+    return _to_fading(np.asarray(rng.random(size)), mean)[()]

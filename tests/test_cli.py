@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import detsched as ds
 from detsched import cli
@@ -1021,6 +1021,16 @@ def test_sample_command(tmp_path, capsys):
     assert longer[:5] == lines
 
 
+def test_sample_has_no_format_flag(tmp_path, capsys):
+    # sample prints JSON lines only, so argparse rejects --format there
+    path = _write(tmp_path, _base_config())
+    for fmt in ("csv", "json"):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["sample", path, "--count", "3", "--format", fmt])
+        assert e.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+
 def test_sample_seed_falls_back_to_config(tmp_path, capsys):
     path = _write(tmp_path, _base_config())
     assert cli.main(["sample", path, "--count", "3"]) == 0
@@ -1102,14 +1112,56 @@ def test_validate_reports_eigenvalue_range(tmp_path, capsys):
 def test_validate_kernel_metrics_hide_no_library_fault(tmp_path, capsys, monkeypatch):
     # only what a raw matrix can raise reads as no metrics: a fault of the
     # metrics themselves, on a parsed or a raw kernel, is not hidden
-    def fail(matrix):
-        raise RuntimeError("injected")
+    # a ValueError subclass too, as numpy's LinAlgError is
+    class Injected(ValueError):
+        pass
 
-    monkeypatch.setattr(cli, "validate_kernel", fail)
     raw = {"type": "explicit_K", "matrix": [[1.3, 0.0], [0.0, 0.5]]}
-    for doc in (_base_config(), _base_config(kernel=raw)):
-        with pytest.raises(RuntimeError, match="injected"):
-            cli.main(["validate", _write(tmp_path, doc)])
+    for error in (RuntimeError, Injected):
+        def fail(matrix):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "validate_kernel", fail)
+        for doc in (_base_config(), _base_config(kernel=raw)):
+            with pytest.raises(error, match="injected"):
+                cli.main(["validate", _write(tmp_path, doc)])
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("0.5", "must be a finite number, got '0.5'"), (True, "must be a finite number, got True")])
+def test_validate_has_no_metrics_of_a_matrix_the_schema_rejects(tmp_path, capsys, entry,
+                                                                 message):
+    # the metrics of an invalid config's matrix are those of the matrix as
+    # the schema reads it: one it rejects has none, in JSON and in CSV
+    kernel = {"type": "explicit_K", "matrix": [[entry, 0], [0, 0.5]]}
+    path = _write(tmp_path, _base_config(kernel=kernel))
+    assert cli.main(["validate", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["problems"] == [{"path": "kernel.matrix[0][0]", "message": message}]
+    assert rep["kernel"] is None
+    assert cli.main(["validate", path, "--format", "csv"]) == 1
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["field", "value", "detail"], ["valid", "false", ""],
+                    ["problem", "kernel.matrix[0][0]", message]]
+
+
+def test_validate_reports_an_eigensolver_failure(tmp_path, capsys):
+    # eigvalsh fails to converge on this matrix: the metrics report it, with
+    # null eigenvalue bounds, and the kernel's construction fails as a problem
+    matrix = [[0.0, 0.0, 1.7e308], [0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0]]
+    doc = {"mode": "txrx", "nodes": [[0, 0], [1, 0], [0, 1]],
+           "kernel": {"type": "explicit_K", "matrix": matrix},
+           "pathloss": {"type": "power_law", "kappa": 1, "beta": 2}, "threshold": 1}
+    path = _write(tmp_path, doc)
+    assert cli.main(["validate", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["problems"] == [{"path": "kernel", "message": "marginal kernel has entries or "
+                                "eigenvalues past the largest double"}]
+    assert rep["kernel"]["min_eigenvalue"] is None and rep["kernel"]["max_eigenvalue"] is None
+    assert rep["kernel"]["problems"] == ["eigenvalues past the largest double"]
+    assert cli.main(["validate", path, "--format", "csv"]) == 1
+    rows = dict(r[:2] for r in csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows["min_eigenvalue"] == rows["max_eigenvalue"] == ""
 
 
 def test_validate_csv_format(tmp_path, capsys):
@@ -1643,6 +1695,13 @@ def _exit_code(argv) -> int:
 
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(doc=_fuzzed_configs())
+# an explicit_K matrix on which the eigensolver fails to converge
+@example(doc={"mode": "txrx", "nodes": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+              "kernel": {"type": "explicit_K",
+                         "matrix": [[0.0, 0.0, 1.7e308], [0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0]]},
+              "pathloss": {"type": "power_law", "kappa": 1.0, "beta": 2.0},
+              "threshold": 0.0, "fading_mean": 1.0, "noise": 0.0,
+              "simulate": {"reps": 1, "seed": 0, "targets": ["coverage"], "delay_cap": 1}})
 def test_validate_predicts_every_command(_fuzz_path, doc):
     # a config that validate accepts runs under every command; one it
     # rejects fails every command as a config problem

@@ -442,6 +442,21 @@ def test_scale_kernel_inputs():
         ds.scale_kernel(K, {0: 0.5})
     with pytest.raises(ds.BadScaling):
         ds.scale_kernel(K, np.array([0.5]))
+    # a raw matrix must be square
+    with pytest.raises(ds.BadArgument, match="square"):
+        ds.scale_kernel(np.zeros((2, 3)), [0.5, 0.5])
+
+
+def test_clamp01_window():
+    # within CLAMP_TOL of [0, 1] a probability is clamped onto it; past
+    # that it is left as it is, for the caller to see
+    tol = dpp.CLAMP_TOL
+    for x, want in [(-tol, 0.0), (math.nextafter(-tol, 0.0), 0.0),
+                    (1.0 + tol, 1.0), (math.nextafter(1.0 + tol, 1.0), 1.0),
+                    (math.nextafter(-tol, -1.0), None), (math.nextafter(1.0 + tol, 2.0), None),
+                    (0.0, None), (0.25, None), (1.0, None)]:
+        got = dpp._clamp01(x)
+        assert type(got) is float and got == (x if want is None else want)
 
 
 def test_scaled_determinant_averages_products():

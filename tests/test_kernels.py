@@ -34,6 +34,8 @@ def test_marginal_rejects_bad_shapes():
         ds.MarginalKernel.from_matrix([[np.nan]])
     with pytest.raises(ds.BadArgument):
         ds.MarginalKernel.from_matrix([[0.5]], node_ids=(0, 1))
+    with pytest.raises(ds.BadArgument, match="unique"):
+        ds.MarginalKernel.from_matrix([[0.5, 0.0], [0.0, 0.5]], node_ids=(3, 3))
 
 
 def test_marginal_rejects_asymmetry_beyond_tolerance():
@@ -167,13 +169,18 @@ def test_kernels_past_the_doubles_are_invalid():
     # the eigenvalue window as a valid marginal kernel, or failed to converge
     for cls in (ds.MarginalKernel, ds.LEnsemble):
         for m in ([[0.0, 0.0], [0.0, 1.7e308]], [[1.7e308, 1.7e308], [1.7e308, 1.7e308]],
-                  [[3.0, 1e-300, 1.7e308], [1e-300, 0.5, 1e-13], [1.7e308, 1e-13, 1e300]]):
+                  [[3.0, 1e-300, 1.7e308], [1e-300, 0.5, 1e-13], [1.7e308, 1e-13, 1e300]],
+                  [[0.0, 0.0, 1.7e308], [0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0]]):
             with pytest.raises(ds.KernelInvalid, match="past the largest double"):
                 cls.from_matrix(m)
     with pytest.raises(ds.KernelInvalid, match="non-finite"):
         ds.build_L(ds.QualitySimilaritySpec(np.array([1e300, 1.0]), np.eye(2)))
     report = ds.validate([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
     assert not report.valid and "eigenvalues past the largest double" in report.problems
+    # eigvalsh fails to converge here: a report, with NaN eigenvalue bounds
+    report = ds.validate([[0.0, 0.0, 1.7e308], [0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0]])
+    assert not report.valid and "eigenvalues past the largest double" in report.problems
+    assert np.isnan(report.min_eigenvalue) and np.isnan(report.max_eigenvalue)
 
 
 def test_quality_similarity_spec():
@@ -195,8 +202,9 @@ def test_aloha_spec():
     np.testing.assert_allclose(K.matrix, np.diag([0.25, 0.5]))
     L = ds.build_L(spec)
     np.testing.assert_allclose(L.matrix, np.diag([1.0 / 3.0, 1.0]), atol=1e-12)
-    with pytest.raises(ds.BadSpec):
-        ds.build_K(ds.AlohaSpec(np.array([1.5])))
+    for build in (ds.build_K, ds.build_L):
+        with pytest.raises(ds.BadSpec, match=r"access probabilities must lie in \[0, 1\]"):
+            build(ds.AlohaSpec(np.array([1.5])))
     # probability one is a valid marginal but has no likelihood form
     assert ds.build_K(ds.AlohaSpec(np.array([1.0]))).matrix[0, 0] == 1.0
     with pytest.raises(ds.NotLRepresentable):
@@ -213,12 +221,19 @@ def test_explicit_specs():
     assert L2.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
     K2 = ds.build_K(ds.ExplicitLSpec(np.array([[3.0]])))
     assert K2.matrix[0, 0] == pytest.approx(0.75, abs=1e-12)
+    # a spec of no known type
+    for build in (ds.build_K, ds.build_L):
+        with pytest.raises(ds.BadSpec, match="unknown kernel spec type dict"):
+            build({"matrix": [[0.5]]})
 
 
 def test_build_accepts_network_geometry():
     geo = ds.NetworkGeometry.pairs([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]])
     K = ds.build_K(ds.GaussianSpec(sigma=2.0), geo)
     assert K.n == 2
+    # plain coordinates must be an (n, dim) array
+    with pytest.raises(ds.BadArgument, match="coordinate array"):
+        ds.build_K(ds.GaussianSpec(sigma=2.0), np.array([0.0, 1.0]))
 
 
 def test_constructors_return_exactly_symmetric_matrices():
@@ -245,6 +260,9 @@ def test_constructors_return_exactly_symmetric_matrices():
     kernels += [ds.palm_reduced(K, x) for K in kernels[:3] for x in K.node_ids]
     for kernel in kernels:
         assert np.array_equal(kernel.matrix, kernel.matrix.T)
+        # K and L carry their eigenpairs from construction; none computes them later
+        assert "eigh" in vars(kernel) or isinstance(kernel, ds.PalmKernel)
+    assert not hasattr(ds.MarginalKernel, "eigh") and not hasattr(ds.LEnsemble, "eigh")
 
 
 def _spectral(kernel):

@@ -329,6 +329,9 @@ def test_exponential_fading_inverse_transform():
     draws = exponential_fading(rng, 2.0, 3)
     check = substream(5, 0)
     np.testing.assert_allclose(draws, -2.0 * np.log1p(-check.random(3)), atol=0)
+    # no size: one draw, a numpy float
+    one = exponential_fading(substream(5, 0), 2.0, None)
+    assert type(one) is np.float64 and one == draws[0]
     assert np.all(draws >= 0)
     big = exponential_fading(substream(5, 1), 1.0, 100000)
     se = big.std(ddof=1) / math.sqrt(big.size)
